@@ -3,10 +3,11 @@
 Given a (draws x bidders) bid matrix the kernel produces, per draw: the
 highest bid, the second-highest bid, each bidder's fractional win credit
 (1/#ties for the top bidders, 0 otherwise) and each bidder's surplus
-(bid - price for a unique winner; ties leave zero surplus because the price
-equals the bid).  The second-highest bid counts duplicates, so it equals the
-highest bid whenever the top is tied.  This is the inner loop of Monte Carlo
-estimation; it is a single vectorised numpy pass over the matrix.
+(bid - price for the top bidders, 0 otherwise).  The second-highest bid
+counts duplicates, so it equals the highest bid whenever the top is tied;
+the price then equals the bid and a tied top bidder's surplus is exactly
+0.0 without a separate uniqueness mask.  This is the inner loop of Monte
+Carlo estimation; it is a single vectorised numpy pass over the matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +29,6 @@ def second_price_stats(bids: np.ndarray):
     # and equals `first` whenever the top is tied.
     second = np.partition(bids, bids.shape[1] - 2, axis=1)[:, -2]
     credit = is_top / n_top[:, None]
-    surplus = np.where(is_top & (n_top == 1)[:, None], (first - second)[:, None], 0.0)
+    surplus = np.where(is_top, (first - second)[:, None], 0.0)
     return first, second, credit, surplus
 

@@ -86,6 +86,13 @@ def as_fraction(x) -> Fraction:
     raise DistributionError(f"cannot interpret {x!r} as a rational number")
 
 
+def _require_finite(kind: str, **params):
+    """Reject NaN and infinite law parameters; rationals are always finite."""
+    for name, x in params.items():
+        if not isinstance(x, (int, Fraction)) and not math.isfinite(x):
+            raise DistributionError(f"{kind} needs a finite {name}, got {x}")
+
+
 # ---------------------------------------------------------------------------
 # Law types
 # ---------------------------------------------------------------------------
@@ -96,6 +103,7 @@ class UniformContinuous:
     hi: float
 
     def __post_init__(self):
+        _require_finite("uniform", lo=self.lo, hi=self.hi)
         if not self.lo < self.hi:
             raise DistributionError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -106,6 +114,7 @@ class Normal:
     stddev: float
 
     def __post_init__(self):
+        _require_finite("normal", mean=self.mean, stddev=self.stddev)
         if not self.stddev > 0:
             raise DistributionError(f"normal needs stddev > 0, got {self.stddev}")
 
@@ -131,6 +140,7 @@ class DiscreteFinite:
             raise DistributionError("discrete law needs at least 2 support points")
         if len(self.values) != len(self.probs):
             raise DistributionError("values and probs differ in length")
+        _require_finite("discrete law", **{f"values[{i}]": v for i, v in enumerate(self.values)})
         if any(p <= 0 for p in self.probs):
             raise DistributionError("atom probabilities must be positive")
         if sum(self.probs) != 1:

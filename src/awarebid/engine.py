@@ -110,6 +110,8 @@ class EstimatorConfig:
             raise EstimationError(f"unknown backend {self.backend!r}")
         if self.n_samples < 1:
             raise EstimationError("n_samples must be positive")
+        if self.workers < 1:
+            raise EstimationError("workers must be positive")
 
 
 @dataclass(frozen=True)

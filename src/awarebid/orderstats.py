@@ -11,7 +11,11 @@ top-two ranks reduce to the familiar product and two-term formulas.
 Expectations integrate the CDF: E = int_0^inf (1-G) - int_{-inf}^0 G, by
 adaptive Simpson between analytic knots for closed forms, by grid trapezoid
 when a grid law is involved, and by an exact rational atom sweep when every
-component law is finitely supported.
+component law is finitely supported.  The numeric routes evaluate G on
+arrays: the grid in one call, adaptive Simpson level by level with every
+pending interval of a level in one call (at most ``max_depth`` + 2 calls).
+Both are bounded: a non-finite integrand value, or more than
+``MAX_EVALUATIONS`` points for one expectation, raises DistributionError.
 """
 
 from __future__ import annotations
@@ -52,9 +56,13 @@ __all__ = [
     "clark_normal_max",
     "permanent",
     "SIMPSON_TOL",
+    "MAX_EVALUATIONS",
 ]
 
 SIMPSON_TOL = 1e-10
+# Hard cap on CDF evaluations per numeric expectation.  Smooth inputs need a
+# few thousand at most; a grid law needs GRID_POINTS plus its knots.
+MAX_EVALUATIONS = 2 ** 18
 _GENERAL_RANK_MAX = 12
 
 
@@ -111,7 +119,8 @@ class OrderStatLaw:
     def cdf(self, y):
         scalar = np.isscalar(y)
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        G = np.vstack([cdf(law, y) for law in self.laws])
+        # a law shifted by an exact point mass evaluates on object arrays
+        G = np.vstack([cdf(law, y) for law in self.laws]).astype(np.float64, copy=False)
         out = _rank_cdf_float(G, self.rank)
         return float(out[0]) if scalar else out
 
@@ -214,48 +223,86 @@ def _expected_numeric(os_law: OrderStatLaw) -> float:
     los, his = zip(*(quantile_range(law) for law in os_law.laws))
     lo, hi = min(los), max(his)
     lo, hi = min(lo, 0.0), max(hi, 0.0)
+    evaluations = 0
 
-    def integrand(y):
-        g = os_law.cdf(y)
-        return (1.0 - g) if y >= 0 else -g
+    def integrand(ys):
+        nonlocal evaluations
+        evaluations += ys.size
+        if evaluations > MAX_EVALUATIONS:
+            raise DistributionError(
+                f"quadrature needs more than {MAX_EVALUATIONS} CDF evaluations")
+        g = os_law.cdf(ys)
+        out = np.where(ys >= 0, 1.0 - g, -g)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise DistributionError(
+                f"order-statistic CDF is not finite at y={float(ys[bad][0])!r}")
+        return out
 
-    knots = sorted({lo, hi, 0.0, *(
-        k for law in os_law.laws for k in breakpoints(law) if lo < k < hi)})
+    # knots may be Fractions (a law shifted by an exact point mass); the
+    # quadrature works on float arrays.
+    knots = sorted({float(k) for k in (lo, hi, 0.0, *(
+        k for law in os_law.laws for k in breakpoints(law) if lo < k < hi))})
     if any(isinstance(law, GridLaw) for law in os_law.laws):
         return _integrate_grid(integrand, knots)
+    # summed in order, as the recursion did; np.sum and Python 3.12's sum()
+    # would round differently
     total = 0.0
-    for a, b in zip(knots, knots[1:]):
-        if b > a:
-            total += _adaptive_simpson(integrand, a, b, SIMPSON_TOL)
+    for part in _simpson_by_level(integrand, np.asarray(knots), SIMPSON_TOL):
+        total += part
     return total
 
 
 def _integrate_grid(fn, knots) -> float:
     xs = np.unique(np.concatenate([
         np.linspace(knots[0], knots[-1], GRID_POINTS), np.asarray(knots)]))
-    ys = np.array([fn(float(x)) for x in xs])
-    return float(np.trapezoid(ys, xs))
+    return float(np.trapezoid(fn(xs), xs))
 
 
-def _adaptive_simpson(fn, a, b, tol, max_depth=48):
-    fa, fb = fn(a), fn(b)
+def _simpson_by_level(fn, knots, tol, max_depth=48):
+    """Adaptive Simpson on every interval between ``knots``, level by level.
+
+    Each refinement level evaluates the new quarter points of all pending
+    intervals in one ``fn`` call.  An interval is accepted when
+    ``|left + right - whole| <= 15 tol`` (or at ``max_depth``) and split
+    otherwise, each half with ``tol / 2``; the per-knot-interval results
+    are then summed back up the same left-plus-right tree a depth-first
+    recursion would build, so the values equal that recursion's exactly.
+    Returns one float per knot interval.
+    """
+    a, b = knots[:-1], knots[1:]
     m = 0.5 * (a + b)
-    fm = fn(m)
+    f = fn(np.concatenate([knots, m]))
+    fa, fb, fm = f[:a.size], f[1:knots.size], f[knots.size:]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(fn, a, b, fa, fb, m, fm, whole, tol, max_depth)
-
-
-def _simpson_step(fn, a, b, fa, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = fn(lm), fn(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    return (_simpson_step(fn, a, m, fa, fm, lm, flm, left, tol / 2.0, depth - 1)
-            + _simpson_step(fn, m, b, fm, fb, rm, frm, right, tol / 2.0, depth - 1))
+    # per level: (accepted mask, accepted values).  The next level holds the
+    # left halves of the split intervals, then their right halves.
+    levels = []
+    depth = max_depth
+    while a.size:
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        f = fn(np.concatenate([lm, rm]))
+        flm, frm = f[:a.size], f[a.size:]
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        done = np.abs(err) <= 15.0 * tol if depth > 0 else np.ones(a.size, bool)
+        levels.append((done, (left + right + err / 15.0)[done]))
+        split = ~done
+        a, m, b, fa, fm, fb, whole = np.concatenate([
+            np.array([a, lm, m, fa, flm, fm, left])[:, split],
+            np.array([m, rm, b, fm, frm, fb, right])[:, split]], axis=1)
+        tol = tol / 2.0
+        depth -= 1
+    below = np.empty(0)
+    for done, accepted in reversed(levels):
+        values = np.empty(done.size)
+        values[done] = accepted
+        half = below.size // 2
+        values[~done] = below[:half] + below[half:]
+        below = values
+    return below.tolist()
 
 
 # ---------------------------------------------------------------------------

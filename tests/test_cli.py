@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import awarebid
 from awarebid import cli
 from awarebid.cli import ParseError, emit, main, parse_scenario, write_scenario
 from awarebid.disclosure import ClaimResult, VerificationReport
@@ -207,6 +212,45 @@ def test_exit_codes_for_input_errors(capsysbinary, tmp_path):
     doc["awareness"][1] = [2]
     assert main(["revenue", "--scenario", _write(tmp_path, doc)]) == 1
     capsysbinary.readouterr()
+
+
+def _infinite_normal_doc(field):
+    normal = {"kind": "normal", "mean": 1.0, "stddev": 1.0}
+    return {
+        "bidders": 2,
+        "characteristics": [{"distributions": [dict(normal, **{field: float("inf")}),
+                                               normal]}],
+        "awareness": [[1], [1]],
+        "info": [{"1": "full"}, {"1": "full"}],
+        "estimator": {"backend": "mc", "samples": 1000, "seed": 1},
+    }
+
+
+@pytest.mark.parametrize("field", ["mean", "stddev"])
+def test_revenue_rejects_infinite_normal_parameter(capsysbinary, tmp_path, field):
+    path = _write(tmp_path, _infinite_normal_doc(field))
+    assert "Infinity" in pathlib.Path(path).read_text()
+    status = main(["revenue", "--scenario", path])
+    captured = capsysbinary.readouterr()
+    assert status == 1
+    assert captured.out == b""
+    assert b"characteristics[0].distributions[0]" in captured.err
+    assert b"finite " + field.encode() in captured.err
+
+
+def test_orderstats_on_infinite_mean_exits_promptly(tmp_path):
+    # a separate process, so a relapse into unbounded quadrature fails the
+    # timeout instead of hanging the suite
+    path = _write(tmp_path, _infinite_normal_doc("mean"))
+    src = str(pathlib.Path(awarebid.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "awarebid.cli", "orderstats",
+                           "--scenario", path],
+                          capture_output=True, env=env, timeout=30)
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert b"characteristics[0].distributions[0]" in done.stderr
 
 
 def test_verify_command_exit_zero(capsysbinary):

@@ -57,6 +57,19 @@ def test_constructor_invariants():
         DiscreteFinite([0, 1], [F(3, 2), F(-1, 2)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda x: UniformContinuous(0.0, x),
+    lambda x: UniformContinuous(-x, 1.0),
+    lambda x: Normal(x, 1.0),
+    lambda x: Normal(0.0, x),
+    lambda x: DiscreteFinite([0.0, x], [F(1, 2), F(1, 2)]),
+])
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_constructors_reject_non_finite_parameters(build, x):
+    with pytest.raises(DistributionError, match="finite"):
+        build(x)
+
+
 def test_cdf_examples():
     assert cdf(UniformContinuous(0, 5), 2.5) == 0.5
     assert cdf(DiscreteFinite([0, 1], [F(1, 2), F(1, 2)]), 0) == 0.5

@@ -198,6 +198,12 @@ def test_exact_matches_mc_on_random_corpus_scenarios():
                          got.se_hidden_win_value)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_config_rejects_nonpositive_workers(workers):
+    with pytest.raises(EstimationError, match="workers"):
+        EstimatorConfig(backend="mc", n_samples=1000, workers=workers)
+
+
 def test_mc_worker_count_invariance(d1):
     s, p = d1
     one = estimate(s, p, EstimatorConfig(backend="mc", n_samples=200_000, seed=42, workers=1))

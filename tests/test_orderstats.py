@@ -5,21 +5,28 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from awarebid import orderstats
 from awarebid.distributions import (
+    GRID_POINTS,
     DiscreteFinite,
     DistributionError,
     FullInfo,
+    GridLaw,
     NoInfo,
     Normal,
     Partition,
     PointMass,
     TrapezoidLaw,
     UniformContinuous,
+    breakpoints,
     cdf_exact,
     mean,
+    quantile_range,
 )
 from awarebid.engine import EstimatorConfig, estimate, sample_draws
 from awarebid.orderstats import (
+    SIMPSON_TOL,
+    OrderStatLaw,
     clark_normal_max,
     expected_order_stat,
     order_cdf,
@@ -292,3 +299,150 @@ def test_order_cdf_matches_engine_draws(seed):
     for r, samples in ((1, first), (2, second)):
         law = order_cdf(vlaws, r)
         assert ks_statistic(samples, law.cdf, has_atoms=atoms) < bound
+
+
+def _recursive_simpson(fn, a, b, tol, max_depth=48):
+    """Scalar depth-first adaptive Simpson: the reference for the array version."""
+    fa, fb = fn(a), fn(b)
+    m = 0.5 * (a + b)
+    fm = fn(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _recursive_simpson_step(fn, a, b, fa, fb, m, fm, whole, tol, max_depth)
+
+
+def _recursive_simpson_step(fn, a, b, fa, fb, m, fm, whole, tol, depth):
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = fn(lm), fn(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    err = left + right - whole
+    if depth <= 0 or abs(err) <= 15.0 * tol:
+        return left + right + err / 15.0
+    return (_recursive_simpson_step(fn, a, m, fa, fm, lm, flm, left, tol / 2.0, depth - 1)
+            + _recursive_simpson_step(fn, m, b, fm, fb, rm, frm, right, tol / 2.0,
+                                      depth - 1))
+
+
+def _reference_expectation(os_law):
+    """E of the order statistic by scalar integrand calls and recursive Simpson."""
+    los, his = zip(*(quantile_range(law) for law in os_law.laws))
+    lo, hi = min(min(los), 0.0), max(max(his), 0.0)
+
+    def integrand(y):
+        g = os_law.cdf(y)
+        return (1.0 - g) if y >= 0 else -g
+
+    knots = sorted({lo, hi, 0.0, *(
+        k for law in os_law.laws for k in breakpoints(law) if lo < k < hi)})
+    total = 0.0
+    for a, b in zip(knots, knots[1:]):
+        if b > a:
+            total += _recursive_simpson(integrand, a, b, SIMPSON_TOL)
+    return total
+
+
+def _random_float_law(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Normal(rng.uniform(-3, 3), rng.uniform(0.1, 3))
+    if kind == 1:
+        lo = rng.uniform(-5, 5)
+        return UniformContinuous(lo, lo + rng.uniform(0.1, 6))
+    if kind == 2:
+        a, w1 = rng.uniform(-5, 5), rng.uniform(0.1, 3)
+        w2 = w1 + rng.uniform(0, 3)
+        return TrapezoidLaw(a, a + w1, a + w2, a + w1 + w2)
+    return PointMass(rng.uniform(-3, 3))
+
+
+def _random_float_mixes(seed, count):
+    rng = random.Random(seed)
+    mixes = []
+    while len(mixes) < count:
+        laws = [_random_float_law(rng) for _ in range(rng.randint(2, 4))]
+        if not all(isinstance(law, PointMass) for law in laws):
+            mixes.append(laws)
+    return mixes
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_quadrature_equals_recursive_simpson_exactly(seed):
+    for laws in _random_float_mixes(seed, 12):
+        for r in (1, 2):
+            os_law = order_cdf(laws, r)
+            assert expected_order_stat(os_law) == _reference_expectation(os_law)
+
+
+def test_quadrature_evaluates_each_level_in_one_call(monkeypatch):
+    counts = []
+    plain = OrderStatLaw.cdf
+
+    def counted(self, y):
+        counts[-1] += 1
+        return plain(self, y)
+
+    monkeypatch.setattr(OrderStatLaw, "cdf", counted)
+    u5 = UniformContinuous(0, 5)
+    mixes = _random_float_mixes(2, 8) + [[TrapezoidLaw(-6, -1, 5, 10), u5]]
+    for laws in mixes:
+        for r in (1, 2):
+            counts.append(0)
+            expected_order_stat(order_cdf(laws, r))
+            assert 1 <= counts[-1] <= 64
+
+
+def test_grid_quadrature_is_one_call(monkeypatch):
+    calls = []
+    plain = OrderStatLaw.cdf
+    monkeypatch.setattr(OrderStatLaw, "cdf",
+                        lambda self, y: calls.append(np.size(y)) or plain(self, y))
+    grid = GridLaw(np.linspace(-1.0, 2.0, 64), np.ones(64))
+    expected_order_stat(order_cdf([grid, Normal(0.0, 1.0)], 1))
+    assert len(calls) == 1 and calls[0] >= GRID_POINTS
+
+
+def test_exact_point_mass_shift_quadrature_runs_on_floats():
+    shifted = UniformContinuous(F(1), F(6))        # U(0, 5) plus a point mass at 1
+    law = order_cdf([shifted, Normal(2.0, 1.0)], 1)
+    assert law.cdf(np.linspace(0.0, 7.0, 5)).dtype == np.float64
+    assert expected_order_stat(law) == expected_order_stat(
+        order_cdf([UniformContinuous(1.0, 6.0), Normal(2.0, 1.0)], 1))
+
+
+def test_quadrature_rejects_nan_cdf_without_recursing(monkeypatch):
+    pdf = np.ones(64)
+    pdf[20] = np.nan                                 # passes GridLaw's mass check
+    grid = GridLaw(np.linspace(-1.0, 2.0, 64), pdf)
+    with pytest.raises(DistributionError, match="not finite"):
+        expected_order_stat(order_cdf([grid, Normal(0.0, 1.0)], 1))
+    # the Simpson route stops at the first level that sees a NaN
+    calls = []
+    plain = orderstats.cdf
+
+    def nan_above_one(law, y):
+        calls.append(1)
+        assert len(calls) < 1000, "quadrature kept evaluating a NaN integrand"
+        return np.where(np.asarray(y) > 1.0, np.nan, plain(law, y))
+
+    monkeypatch.setattr(orderstats, "cdf", nan_above_one)
+    with pytest.raises(DistributionError, match="not finite"):
+        expected_order_stat(order_cdf([Normal(0.0, 1.0), UniformContinuous(0.0, 2.0)], 1))
+    assert len(calls) == 2                           # one integrand call, two laws
+
+
+def test_quadrature_evaluation_bound(monkeypatch):
+    points = []
+    plain = OrderStatLaw.cdf
+
+    def guarded(self, y):
+        points.append(np.size(y))
+        assert len(points) < 1000 and sum(points) <= 2 * orderstats.MAX_EVALUATIONS, \
+            "quadrature ran past its evaluation bound"
+        return plain(self, y)
+
+    monkeypatch.setattr(OrderStatLaw, "cdf", guarded)
+    # finite but never within tolerance: rounding at 1e200 dominates every level
+    wide = UniformContinuous(-1e200, 1e200)
+    with pytest.raises(DistributionError, match="evaluations"):
+        expected_order_stat(order_cdf([wide, Normal(0.0, 1.0)], 1))

@@ -16,7 +16,6 @@ from .distributions import (
     Normal,
     Partition,
     PointMass,
-    RandomStream,
     TrapezoidLaw,
     UniformContinuous,
     cdf,
@@ -25,17 +24,13 @@ from .distributions import (
     convolve,
     mean,
     ppf,
-    sample,
 )
 from .engine import (
     EstimateBundle,
     EstimatorConfig,
     EstimationError,
-    bids,
-    draw_state,
     estimate,
     exact_cap_check,
-    settle,
 )
 from .fees import CurseReport, FeeSchedule, RevenueReport, curse_gap, entry_fees, revenue
 from .orderstats import clark_normal_max, expected_order_stat, order_cdf, valuation_law

@@ -8,9 +8,11 @@ measurable partition of the support; conditional expectations given a
 partition cell are closed-form for every supported kind, which is what makes
 bid computation exact for discrete scenarios and cheap for continuous ones.
 
-Sampling is inverse-CDF on top of a counter-based uniform stream
-(``RandomStream``), so the same (seed, index) pair always yields the same
-variate no matter how draws are batched across workers.
+Sampling is inverse-CDF (``ppf``) applied to uniforms that the Monte Carlo
+backend keys by (seed, draw, bidder, characteristic), so a variate does not
+depend on how draws are batched across workers.  ``scipy.special`` is
+imported only inside the normal-law branches that need it, so importing the
+package does not pay for it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
-from numpy.random import Generator, Philox
-from scipy import special as _sp
 
 __all__ = [
     "UniformContinuous",
@@ -38,7 +38,6 @@ __all__ = [
     "Partition",
     "InfoLevel",
     "SignalCell",
-    "RandomStream",
     "DistributionError",
     "as_fraction",
     "mean",
@@ -48,7 +47,6 @@ __all__ = [
     "ppf",
     "support",
     "breakpoints",
-    "sample",
     "convolve",
     "canonical_info",
     "cells",
@@ -201,8 +199,8 @@ class GridLaw:
         h = self.xs[1] - self.xs[0]
         cdf = np.concatenate([[0.0], np.cumsum((self.pdf[1:] + self.pdf[:-1]) * 0.5 * h)])
         total = cdf[-1]
-        if total <= 0:
-            raise DistributionError("grid law carries no mass")
+        if not (math.isfinite(total) and total > 0):
+            raise DistributionError(f"grid law mass must be finite and positive, got {total}")
         # trapezoid accumulation drifts by quadrature error; renormalize.
         self.pdf = self.pdf / total
         self.cdf_values = cdf / total
@@ -360,7 +358,8 @@ def quantile_range(law: Law, eps: float = TAIL_EPS):
     """Finite interval carrying all mass except at most eps per tail."""
     lo, hi = support(law)
     if math.isinf(lo) or math.isinf(hi):
-        z = float(_sp.ndtri(eps))
+        from scipy.special import ndtri
+        z = float(ndtri(eps))
         return law.mean + z * law.stddev, law.mean - z * law.stddev
     return float(lo), float(hi)
 
@@ -389,7 +388,8 @@ def cdf(law: Law, x):
     if isinstance(law, UniformContinuous):
         out = np.clip((x - law.lo) / (law.hi - law.lo), 0.0, 1.0)
     elif isinstance(law, Normal):
-        out = _sp.ndtr((x - law.mean) / law.stddev)
+        from scipy.special import ndtr
+        out = ndtr((x - law.mean) / law.stddev)
     elif isinstance(law, DiscreteFinite):
         vals = np.array([float(v) for v in law.values])
         cum = np.concatenate([[0.0], np.cumsum([float(p) for p in law.probs])])
@@ -456,7 +456,8 @@ def ppf(d: Distribution, u):
     if isinstance(d, UniformContinuous):
         out = d.lo + u * (d.hi - d.lo)
     elif isinstance(d, Normal):
-        out = d.mean + d.stddev * _sp.ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+        from scipy.special import ndtri
+        out = d.mean + d.stddev * ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
     elif isinstance(d, DiscreteFinite):
         out = np.array([float(v) for v in d.values])[atom_index(d, u)]
     else:
@@ -469,50 +470,6 @@ def atom_index(d: DiscreteFinite, u):
     cum = np.cumsum([float(p) for p in d.probs])
     cum[-1] = 1.0
     return np.searchsorted(cum, u, side="left")
-
-
-# ---------------------------------------------------------------------------
-# Random stream
-# ---------------------------------------------------------------------------
-
-class RandomStream:
-    """Counter-based uniform stream over Philox.
-
-    The variate block starting at ``index`` is a pure function of
-    (seed, stream, index), so independent workers can each own a stream slice
-    without coordination and replays are exact.
-    """
-
-    def __init__(self, seed: int, stream: int = 0, index: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self.index = int(index)
-
-    def _key(self):
-        return np.array([self.seed & (2 ** 64 - 1), self.stream & (2 ** 64 - 1)],
-                        dtype=np.uint64)
-
-    def take(self, count: int) -> np.ndarray:
-        """Next ``count`` uniforms; advances the counter by whole 4-word blocks."""
-        blocks = -(-count // 4)
-        gen = Generator(Philox(key=self._key(), counter=self.index))
-        out = gen.random(4 * blocks)[:count]
-        self.index += blocks
-        return out
-
-    def block_at(self, index: int, count: int) -> np.ndarray:
-        """Uniforms for an absolute block index, without touching stream state."""
-        blocks = -(-count // 4)
-        gen = Generator(Philox(key=self._key(), counter=int(index)))
-        return gen.random(4 * blocks)[:count]
-
-    def next_uniform(self) -> float:
-        return float(self.take(1)[0])
-
-
-def sample(d: Distribution, stream: RandomStream):
-    """One inverse-CDF draw from d; deterministic in (stream seed, index)."""
-    return ppf(d, stream.next_uniform())
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ Two estimation backends share one contract:
   (bidder, characteristic, draw index) - common random numbers across
   policies and viewpoints - and averages per-draw statistics.  Draws are
   processed in fixed-size chunks keyed by draw index, so results are
-  bit-identical for any worker count.
+  bit-identical for any worker count.  Within a chunk each deduplicated
+  viewpoint holds one contiguous bid column per bidder; one top-two pass
+  over those columns (``_kernels.top_two``) settles every draw, and win
+  credit and surplus are derived only for the bidder columns an estimate
+  reads before being reduced to per-bidder sums and sums of squares.
 * ``exact`` enumerates the full product of atom supports of the in-scope
   laws with rational arithmetic.  Tied winners receive fractional credit
   1/#ties; ties contribute zero surplus either way since the price equals
@@ -19,7 +23,9 @@ Two estimation backends share one contract:
 
 Both backends report, for every bidder, the perceived quantities (under the
 bidder's own awareness viewpoint) and the actual ones (under full
-awareness), from the same underlying draws.
+awareness), from the same underlying draws.  There is no single-draw API:
+``sample_draws`` exposes the Monte Carlo backend's realized values, and
+settlement happens only inside the estimators, always with 1/#ties credit.
 """
 
 from __future__ import annotations
@@ -34,12 +40,11 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator, Philox
 
-from ._kernels import second_price_stats
+from ._kernels import top_two
 from .distributions import (
     DiscreteFinite,
     FullInfo,
     NoInfo,
-    RandomStream,
     atom_index,
     cell_of,
     cells,
@@ -47,19 +52,13 @@ from .distributions import (
     mean,
     ppf,
 )
-from .scenario import DisclosurePolicy, Perspective, Scenario, perceive
+from .scenario import DisclosurePolicy, Scenario
 
 __all__ = [
-    "Draw",
-    "BidProfile",
-    "AuctionOutcome",
     "EstimatorConfig",
     "BidderEstimate",
     "EstimateBundle",
     "EstimationError",
-    "draw_state",
-    "bids",
-    "settle",
     "estimate",
     "exact_cap_check",
     "sample_draws",
@@ -71,29 +70,6 @@ _U64 = (1 << 64) - 1
 
 class EstimationError(RuntimeError):
     """Backend preconditions violated (non-discrete laws, cap exceeded...)."""
-
-
-@dataclass(frozen=True)
-class Draw:
-    """One realized state: matrix of values, ``values[i-1][j-1]`` = x_j^i."""
-
-    values: tuple
-
-    def value(self, bidder: int, char: int):
-        return self.values[bidder - 1][char - 1]
-
-
-@dataclass(frozen=True)
-class BidProfile:
-    bids: tuple
-    view: Perspective
-
-
-@dataclass(frozen=True)
-class AuctionOutcome:
-    winner: int
-    price: float
-    tie_set: frozenset
 
 
 @dataclass(frozen=True)
@@ -143,50 +119,6 @@ class EstimateBundle:
     # seller revenue (sum of perceived surpluses + price), same draws
     total_revenue: object = None
     se_total_revenue: Optional[float] = None
-
-
-# ---------------------------------------------------------------------------
-# Single-draw operations
-# ---------------------------------------------------------------------------
-
-def draw_state(s: Scenario, stream: RandomStream) -> Draw:
-    """Sample a full state; one uniform per matrix entry, row-major."""
-    u = stream.take(s.n_bidders * s.m_characteristics).reshape(
-        s.n_bidders, s.m_characteristics)
-    vals = tuple(
-        tuple(ppf(s.law(i, j), u[i - 1, j - 1]) for j in range(1, s.m_characteristics + 1))
-        for i in range(1, s.n_bidders + 1))
-    return Draw(vals)
-
-
-def bids(s: Scenario, p: DisclosurePolicy, d: Draw, view: Perspective) -> BidProfile:
-    """Estimated valuations of every bidder from the given viewpoint."""
-    seen = perceive(p, view)
-    out = []
-    for i in range(1, s.n_bidders + 1):
-        total = 0.0
-        for j in sorted(seen.aware(i)):
-            law = s.law(i, j)
-            level = seen.level(i, j)
-            cell = cell_of(law, level, d.value(i, j))
-            total += float(conditional_mean(law, level, cell))
-        out.append(total)
-    return BidProfile(tuple(out), view)
-
-
-def settle(b: BidProfile, tie_stream: RandomStream) -> AuctionOutcome:
-    """Second-price settlement; ties resolved uniformly among the top set."""
-    if len(b.bids) < 2:
-        raise EstimationError("second-price auction needs at least 2 bidders")
-    top = max(b.bids)
-    tie = [i for i, x in enumerate(b.bids, start=1) if x == top]
-    if len(tie) == 1:
-        winner = tie[0]
-        price = max(x for i, x in enumerate(b.bids, start=1) if i != winner)
-    else:
-        winner = tie[int(tie_stream.next_uniform() * len(tie)) % len(tie)]
-        price = top
-    return AuctionOutcome(winner, price, frozenset(tie))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +373,7 @@ def _mc_chunk(s, p, plan, views, full_idx, bidder_idx, seed, start, stop):
     U = _uniform_chunk(seed, start, stop, n, s.m_characteristics)
 
     contribs = {}
-    hidden = np.zeros((L, n))
+    hidden = [np.zeros(L) for _ in range(n)]
     for spec in plan:
         i, j = spec["i"], spec["j"]
         u = U[:, i - 1, j - 1]
@@ -462,33 +394,41 @@ def _mc_chunk(s, p, plan, views, full_idx, bidder_idx, seed, start, stop):
                     cell = np.searchsorted(spec["cuts"], values, side="right")
                     contribs[(i, j)] = spec["cellmeans"][cell]
         if not spec["aware"]:
-            hidden[:, i - 1] += values
+            hidden[i - 1] += values
 
     fields = {}
 
     def put(name, data):
         fields[name] = (float(data.sum()), float(np.square(data).sum()))
 
-    stats = []
-    for v, view in enumerate(views):
-        b = np.zeros((L, n))
+    # one bid column per bidder per view, summed in sorted characteristic order
+    cols = [[np.zeros(L) for _ in range(n)] for _ in views]
+    for view, bid in zip(views, cols):
         for i in range(1, n + 1):
             for j in sorted(p.aware(i) & view):
-                b[:, i - 1] += contribs[(i, j)]
-        stats.append(second_price_stats(b))
+                bid[i - 1] += contribs[(i, j)]
+    tops = [top_two(bid) for bid in cols]
 
-    first, second, credit_f, surplus_f = stats[full_idx]
+    def outcome(v, i):
+        """Win credit and surplus of bidder i under view v."""
+        first, second, n_top = tops[v]
+        is_top = cols[v][i - 1] == first
+        return is_top / n_top, np.where(is_top, first - second, 0.0)
+
+    first, second, _n_top = tops[full_idx]
     put("first", first)
     put("second", second)
     revenue = second.copy()
     for i in range(1, n + 1):
-        _f, _s, credit_v, surplus_v = stats[bidder_idx[i - 1]]
-        put(f"surplus_perc_{i}", surplus_v[:, i - 1])
-        put(f"surplus_act_{i}", surplus_f[:, i - 1])
-        put(f"credit_perc_{i}", credit_v[:, i - 1])
-        put(f"credit_act_{i}", credit_f[:, i - 1])
-        put(f"hidden_{i}", credit_f[:, i - 1] * hidden[:, i - 1])
-        revenue += surplus_v[:, i - 1]
+        vi = bidder_idx[i - 1]
+        credit_f, surplus_f = outcome(full_idx, i)
+        credit_v, surplus_v = (credit_f, surplus_f) if vi == full_idx else outcome(vi, i)
+        put(f"surplus_perc_{i}", surplus_v)
+        put(f"surplus_act_{i}", surplus_f)
+        put(f"credit_perc_{i}", credit_v)
+        put(f"credit_act_{i}", credit_f)
+        put(f"hidden_{i}", credit_f * hidden[i - 1])
+        revenue += surplus_v
     put("revenue", revenue)
     return fields
 

@@ -238,19 +238,32 @@ def test_revenue_rejects_infinite_normal_parameter(capsysbinary, tmp_path, field
     assert b"finite " + field.encode() in captured.err
 
 
+def _package_env():
+    """Environment for a child interpreter that imports this awarebid."""
+    src = str(pathlib.Path(awarebid.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_orderstats_on_infinite_mean_exits_promptly(tmp_path):
     # a separate process, so a relapse into unbounded quadrature fails the
     # timeout instead of hanging the suite
     path = _write(tmp_path, _infinite_normal_doc("mean"))
-    src = str(pathlib.Path(awarebid.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-m", "awarebid.cli", "orderstats",
                            "--scenario", path],
-                          capture_output=True, env=env, timeout=30)
+                          capture_output=True, env=_package_env(), timeout=30)
     assert done.returncode == 1
     assert done.stdout == b""
     assert b"characteristics[0].distributions[0]" in done.stderr
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # scipy.special is only needed by normal laws; every command pays its import
+    code = "import sys, awarebid.cli; print('scipy.special' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=_package_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == b"False"
 
 
 def test_verify_command_exit_zero(capsysbinary):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import numpy as np
+from numpy.random import Generator, Philox
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from awarebid.distributions import (
     Normal,
     Partition,
     PointMass,
-    RandomStream,
     TrapezoidLaw,
     UniformContinuous,
     canonical_info,
@@ -28,9 +28,10 @@ from awarebid.distributions import (
     mean,
     pdf,
     ppf,
-    sample,
     support,
 )
+from awarebid.engine import _uniform_chunk, sample_draws
+from awarebid.scenario import validate
 from conftest import KS_COEFF_001 as KS_BOUND_001
 from conftest import ks_statistic
 
@@ -70,6 +71,19 @@ def test_constructors_reject_non_finite_parameters(build, x):
         build(x)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_grid_law_rejects_non_finite_mass(x):
+    density = np.ones(16)
+    density[5] = x
+    with pytest.raises(DistributionError, match="finite"):
+        GridLaw(np.linspace(0.0, 1.0, 16), density)
+
+
+def test_grid_law_rejects_zero_mass():
+    with pytest.raises(DistributionError, match="positive"):
+        GridLaw(np.linspace(0.0, 1.0, 16), np.zeros(16))
+
+
 def test_cdf_examples():
     assert cdf(UniformContinuous(0, 5), 2.5) == 0.5
     assert cdf(DiscreteFinite([0, 1], [F(1, 2), F(1, 2)]), 0) == 0.5
@@ -101,22 +115,20 @@ def test_inverse_cdf_examples():
 
 
 def test_stream_determinism():
-    a = RandomStream(123).take(1000)
-    b = RandomStream(123).take(1000)
-    assert np.array_equal(a, b)
-    # draws are keyed by counter, not by call pattern
-    s = RandomStream(123)
-    first = s.take(8)
-    assert np.array_equal(first, np.concatenate([RandomStream(123).take(4),
-                                                 RandomStream(123, index=1).take(4)]))
-    assert RandomStream(123).next_uniform() != RandomStream(124).next_uniform()
+    # Monte Carlo uniforms are keyed by (seed, draw, entry), not by call pattern
+    a = _uniform_chunk(123, 0, 1000, 1, 1)
+    assert np.array_equal(a, _uniform_chunk(123, 0, 1000, 1, 1))
+    assert np.array_equal(a[8:12], _uniform_chunk(123, 8, 12, 1, 1))
+    assert not np.array_equal(a, _uniform_chunk(124, 0, 1000, 1, 1))
 
 
 def test_sample_uses_inverse_cdf():
-    d = UniformContinuous(0, 5)
-    stream = RandomStream(9)
-    u = RandomStream(9).next_uniform()
-    assert sample(d, stream) == ppf(d, u)
+    laws = [UniformContinuous(0, 5), Normal(1.0, 2.0),
+            DiscreteFinite([0, 1, 3], [F(1, 2), F(1, 4), F(1, 4)])]
+    s, _p = validate(1, 3, [laws], [[1, 2, 3]], [{j: FullInfo() for j in (1, 2, 3)}])
+    u = _uniform_chunk(9, 0, 10, 1, 3)
+    for j, d in enumerate(laws):
+        assert np.array_equal(sample_draws(s, 9, 10)[:, 0, j], ppf(d, u[:, 0, j]))
 
 
 # --- convolution -----------------------------------------------------------
@@ -272,7 +284,7 @@ def test_iterated_expectations_continuous(law, cuts):
     DiscreteFinite([0, 1, 3], [F(1, 2), F(1, 4), F(1, 4)]),
 ])
 def test_monte_carlo_mean_within_four_se(law):
-    u = RandomStream(2024).take(1_000_000)
+    u = Generator(Philox(2024)).random(1_000_000)
     xs = ppf(law, u)
     se = xs.std(ddof=1) / math.sqrt(xs.size)
     assert abs(xs.mean() - float(mean(law))) < 4 * se
@@ -285,7 +297,7 @@ def test_monte_carlo_mean_within_four_se(law):
 ])
 def test_inverse_cdf_sampling_ks(law):
     n = 100_000
-    xs = ppf(law, RandomStream(7).take(n))
+    xs = ppf(law, Generator(Philox(7)).random(n))
     d_stat = ks_statistic(xs, lambda q: cdf(law, q),
                           has_atoms=isinstance(law, DiscreteFinite))
     assert d_stat < KS_BOUND_001 / math.sqrt(n)

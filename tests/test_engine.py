@@ -4,43 +4,49 @@ import numpy as np
 import pytest
 
 from awarebid import engine
-from awarebid._kernels import second_price_stats
+from awarebid._kernels import second_price_stats, top_two
 from awarebid.distributions import (
     DiscreteFinite,
     FullInfo,
-    RandomStream,
+    NoInfo,
+    Normal,
+    Partition,
     UniformContinuous,
+    ppf,
 )
 from awarebid.engine import (
     EstimationError,
     EstimatorConfig,
-    BidProfile,
-    bids,
-    draw_state,
     estimate,
     exact_cap_check,
     sample_draws,
-    settle,
+    _CHUNK,
     _uniform_chunk,
 )
-from awarebid.scenario import Perspective, validate
+from awarebid.scenario import validate
 from conftest import EXACT, build_d1, build_noinfo_tie, build_u01
 
 
-def test_draw_state_inverse_cdf_and_determinism():
+def test_sample_draws_inverse_cdf_and_determinism():
     u = UniformContinuous(0, 5)
     s, _p = validate(1, 1, [[u]], [[1]], [{1: FullInfo()}])
-    stream_u = RandomStream(5).take(1)[0]
-    d = draw_state(s, RandomStream(5))
-    assert d.value(1, 1) == pytest.approx(stream_u * 5)
-    assert draw_state(s, RandomStream(5)) == draw_state(s, RandomStream(5))
+    draws = sample_draws(s, seed=5, count=100)
+    assert draws.shape == (100, 1, 1)
+    assert np.allclose(draws[:, 0, 0], 5 * _uniform_chunk(5, 0, 100, 1, 1)[:, 0, 0])
+    assert np.array_equal(sample_draws(s, seed=5, count=100), draws)
+    assert not np.array_equal(sample_draws(s, seed=6, count=100), draws)
 
 
-def test_draw_state_matches_vectorized_stream():
+def test_sample_draws_match_uniform_chunks_across_chunk_boundary():
     s, _p = build_d1()
-    batch = sample_draws(s, seed=11, count=4)
-    d0 = draw_state(s, RandomStream(11))
-    assert np.allclose(batch[0], np.array(d0.values))
+    count = _CHUNK + 10
+    batch = sample_draws(s, seed=11, count=count)
+    assert np.array_equal(batch[:4], sample_draws(s, seed=11, count=4))
+    U = _uniform_chunk(11, _CHUNK - 3, count, 2, 2)
+    for i in (1, 2):
+        for j in (1, 2):
+            assert np.array_equal(batch[_CHUNK - 3:, i - 1, j - 1],
+                                  ppf(s.law(i, j), U[:, i - 1, j - 1]))
 
 
 def test_draws_support_membership():
@@ -58,39 +64,51 @@ def test_uniform_chunk_is_chunking_invariant():
 
 
 def test_bids_full_info_sums_and_no_info_means(d1):
+    # d1: bidder 1 aware of {1, 2}, bidder 2 of {1}; one chunk of draws, so
+    # the estimates are plain means over the same realized values
     s, p = d1
-    d = draw_state(s, RandomStream(1))
-    prof = bids(s, p, d, Perspective(s.full_set))
-    assert prof.bids[0] == d.value(1, 1) + d.value(1, 2)
-    assert prof.bids[1] == d.value(2, 1)
-    # view restricted to {1}: both bidders bid their first characteristic
-    prof1 = bids(s, p, d, Perspective(frozenset({1})))
-    assert prof1.bids == (d.value(1, 1), d.value(2, 1))
+    count = 5000
+    x = sample_draws(s, seed=1, count=count)
+    b = estimate(s, p, EstimatorConfig(backend="mc", n_samples=count, seed=1))
+    # full view: bidder 1 bids x11 + x12, bidder 2 bids x21
+    full = np.column_stack([x[:, 0, 0] + x[:, 0, 1], x[:, 1, 0]])
+    assert b.first_order_stat == float(full.max(axis=1).sum()) / count
+    assert b.second_order_stat == float(full.min(axis=1).sum()) / count
+    # bidder 2's own view {1}: both bidders bid their first characteristic
+    own = np.column_stack([x[:, 0, 0], x[:, 1, 0]])
+    credit = (own[:, 1] == own.max(axis=1)) / (own == own.max(axis=1)[:, None]).sum(axis=1)
+    assert b.bidders[1].win_prob_perceived == float(credit.sum()) / count
+    surplus = np.where(own[:, 1] > own[:, 0], own[:, 1] - own[:, 0], 0.0)
+    assert b.bidders[1].perceived_surplus == float(surplus.sum()) / count
 
+    # no information: every bid is the common mean, so every draw is a tie
     s2, p2 = build_noinfo_tie()
-    d2 = draw_state(s2, RandomStream(2))
-    prof2 = bids(s2, p2, d2, Perspective(s2.full_set))
-    assert prof2.bids == (0.4, 0.4)
+    b2 = estimate(s2, p2, EstimatorConfig(backend="mc", n_samples=count, seed=2))
+    assert b2.first_order_stat == pytest.approx(0.4, abs=1e-12)
+    assert b2.second_order_stat == b2.first_order_stat
+    for be in b2.bidders:
+        assert be.perceived_surplus == be.actual_surplus == 0.0
 
 
 def test_settle_examples():
-    out = settle(BidProfile((3.0, 1.0), Perspective(frozenset({1}))), RandomStream(0))
-    assert (out.winner, out.price, out.tie_set) == (1, 1.0, frozenset({1}))
-    out = settle(BidProfile((1.0, 5.0, 4.0), Perspective(frozenset({1}))), RandomStream(0))
-    assert (out.winner, out.price) == (2, 4.0)
-    tie = settle(BidProfile((2.0, 2.0), Perspective(frozenset({1}))), RandomStream(0))
-    assert tie.price == 2.0 and tie.tie_set == frozenset({1, 2})
-    assert tie.winner in (1, 2)
-    with pytest.raises(EstimationError):
-        settle(BidProfile((1.0,), Perspective(frozenset({1}))), RandomStream(0))
+    # second-price settlement of single draws through the kernel
+    for row, (first, price, credit) in [
+            ((3.0, 1.0), (3.0, 1.0, (1.0, 0.0))),
+            ((1.0, 5.0, 4.0), (5.0, 4.0, (0.0, 1.0, 0.0))),
+            ((2.0, 2.0), (2.0, 2.0, (0.5, 0.5)))]:
+        f, s, c, sp = second_price_stats(np.array([row]))
+        assert (f[0], s[0], tuple(c[0])) == (first, price, credit)
+        assert sp[0].sum() == first - price
+    with pytest.raises(ValueError):
+        second_price_stats(np.array([[1.0]]))
 
 
 def test_settle_tie_breaks_roughly_uniform():
-    wins = [settle(BidProfile((2.0, 2.0), Perspective(frozenset({1}))),
-                   RandomStream(7, index=k)).winner
-            for k in range(2000)]
-    share = wins.count(1) / len(wins)
-    assert 0.45 < share < 0.55
+    # a tie splits the win evenly: fractional credit 1/#ties, no random break
+    s, p = build_noinfo_tie()
+    b = estimate(s, p, EstimatorConfig(backend="mc", n_samples=2000, seed=7))
+    assert [be.win_prob_actual for be in b.bidders] == [0.5, 0.5]
+    assert [be.win_prob_perceived for be in b.bidders] == [0.5, 0.5]
 
 
 def test_exact_cap_check(d1):
@@ -234,6 +252,28 @@ def _second_price_rows(bids):
     return first, second, credit, surplus
 
 
+def _top_two_rows(cols):
+    """Reference for `top_two` built from the per-row settlement reference."""
+    first, second, credit, _surplus = _second_price_rows(np.column_stack(cols))
+    return first, second, np.count_nonzero(credit, axis=1)
+
+
+def build_four_bidder_views():
+    """Four bidders, three characteristics: a tie-heavy coin, a uniform one
+    partitioned at a cutpoint and a normal one; four distinct viewpoints
+    and every bidder but the first unaware of something."""
+    c = DiscreteFinite([0, 1], [F(1, 2), F(1, 2)])
+    u = UniformContinuous(0, 2)
+    g = Normal(1.0, 0.5)
+    return validate(
+        4, 3, [[c, u, g]] * 4,
+        [[1, 2, 3], [1, 2], [1], [1, 3]],
+        [{1: FullInfo(), 2: Partition(cutpoints=[1.0]), 3: NoInfo()},
+         {1: FullInfo(), 2: Partition(cutpoints=[1.0])},
+         {1: FullInfo()},
+         {1: FullInfo(), 3: NoInfo()}])
+
+
 def test_mc_kernel_backend_invariance(d1, monkeypatch):
     # the kernel agrees bit for bit with the per-row reference, ties included
     tied = np.array([[3.0, 3.0, 1.0, 3.0, 2.0],
@@ -248,19 +288,35 @@ def test_mc_kernel_backend_invariance(d1, monkeypatch):
     for got, want in zip(second_price_stats(bids), _second_price_rows(bids)):
         assert np.array_equal(got, want)
 
-    # so an MC estimate does not depend on how the kernel is implemented
-    s, p = d1
-    cfg = EstimatorConfig(backend="mc", n_samples=100_000, seed=9)
-    stock = estimate(s, p, cfg)
+    # so an MC estimate does not depend on how the top-two pass is implemented
+    s4, p4 = build_four_bidder_views()
+    assert len(engine._effective_views(s4, p4)[0]) == 4
+    cases = [(d1, EstimatorConfig(backend="mc", n_samples=100_000, seed=9)),
+             ((s4, p4), EstimatorConfig(backend="mc", n_samples=20_000, seed=13))]
+    stock = [estimate(s, p, cfg) for (s, p), cfg in cases]
     calls = []
 
-    def reference(b):
-        calls.append(b.shape)
-        return _second_price_rows(b)
+    def reference(cols):
+        calls.append(len(cols))
+        return _top_two_rows(cols)
 
-    monkeypatch.setattr(engine, "second_price_stats", reference)
-    assert estimate(s, p, cfg) == stock
-    assert calls
+    monkeypatch.setattr(engine, "top_two", reference)
+    for ((s, p), cfg), want in zip(cases, stock):
+        assert estimate(s, p, cfg) == want
+    assert calls and max(calls) == 4
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_top_two_matches_sorting_reference(n):
+    rng = np.random.default_rng(100 + n)
+    bids = rng.integers(-1, 3, size=(500, n)).astype(float)
+    bids[:20] = 1.0                                  # all-tied rows
+    first, second, n_top = top_two(list(bids.T.copy()))
+    ordered = np.sort(bids, axis=1)
+    assert np.array_equal(first, ordered[:, -1])
+    assert np.array_equal(second, ordered[:, -2])
+    assert np.array_equal(n_top, (bids == ordered[:, -1:]).sum(axis=1))
+    assert n_top.min() >= 1 and (n_top == n).any() and (n_top == 1).any()
 
 
 def test_common_random_numbers_across_policies():

@@ -411,9 +411,8 @@ def test_exact_point_mass_shift_quadrature_runs_on_floats():
 
 
 def test_quadrature_rejects_nan_cdf_without_recursing(monkeypatch):
-    pdf = np.ones(64)
-    pdf[20] = np.nan                                 # passes GridLaw's mass check
-    grid = GridLaw(np.linspace(-1.0, 2.0, 64), pdf)
+    grid = GridLaw(np.linspace(-1.0, 2.0, 64), np.ones(64))
+    grid.cdf_values[20] = np.nan                     # GridLaw itself rejects a NaN pdf
     with pytest.raises(DistributionError, match="not finite"):
         expected_order_stat(order_cdf([grid, Normal(0.0, 1.0)], 1))
     # the Simpson route stops at the first level that sees a NaN

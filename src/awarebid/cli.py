@@ -371,8 +371,11 @@ _CLAIMS = ("Prop2", "Lem3", "Lem4", "Prop3", "Lem5", "Lem6", "Lem7",
 
 
 def _cmd_verify(args) -> tuple:
-    cfg = CorpusConfig(count=args.count, seed=args.corpus_seed)
-    report = verify_suite(cfg)
+    try:
+        cfg = CorpusConfig(count=args.count, seed=args.corpus_seed)
+        report = verify_suite(cfg)
+    except ScenarioError as exc:
+        raise ParseError("--count", str(exc)) from exc
     rep = ReportDocument()
     rep.add("scenarios", cfg.count)
     rep.add("claims_recorded", len(report.results))

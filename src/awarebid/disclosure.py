@@ -38,13 +38,18 @@ from .distributions import (
     InfoLevel,
     NoInfo,
     Partition,
-    PointMass,
-    convolve,
     mean,
 )
 from .engine import EstimatorConfig
 from .fees import RevenueReport, revenue
-from .orderstats import OrderStatLaw, expected_order_stat, valuation_law
+from .orderstats import (
+    OrderStatLaw,
+    atom_grid,
+    bid_component,
+    expected_order_stat,
+    fold_bid_law,
+    valuation_law,
+)
 from .scenario import (
     DisclosurePolicy,
     Perspective,
@@ -332,7 +337,13 @@ def check_tradeoff(s: Scenario, base: DisclosurePolicy, target: Optional[int],
     """Evaluate the raise-one-more-bidder trade-off from a base policy in
     which some bidders are aware of ``char`` on top of a common set and the
     rest (including ``target``) are not.  ``target=None`` means nobody is
-    left to make aware: all components are zero and the decision is keep."""
+    left to make aware: all components are zero and the decision is keep.
+    A target outside 1..n or a characteristic outside 2..m raises
+    ScenarioError."""
+    if target is not None and not 1 <= target <= s.n_bidders:
+        raise ScenarioError(f"bidder {target} outside 1..{s.n_bidders}")
+    if not 2 <= char <= s.m_characteristics:
+        raise ScenarioError(f"characteristic {char} outside 2..{s.m_characteristics}")
     zero = Fraction(0) if config.backend == "exact" else 0.0
     if target is None:
         rep = revenue(s, base, config)
@@ -403,6 +414,10 @@ class CorpusConfig:
     max_characteristics: int = 3
     max_atoms: int = 3
     partition_cap: int = 20000
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ScenarioError(f"corpus count must be nonnegative, got {self.count}")
 
 
 _EXACT = EstimatorConfig(backend="exact", report_standard_errors=False)
@@ -618,29 +633,6 @@ def _claims_public_full_info(sid: str, s: Scenario) -> list:
     return out
 
 
-def _bid_law_atoms(s: Scenario, i: int, aware, levels):
-    """Exact law of bidder i's bid under a common-awareness partition policy."""
-    law = PointMass(0)
-    for j in sorted(aware):
-        base = s.law(i, j)
-        lvl = levels[j]
-        if isinstance(lvl, NoInfo):
-            comp = PointMass(mean(base))
-        else:
-            cells_means = {}
-            for cell in lvl.cells:
-                mass = sum((base.probs[a] for a in cell), Fraction(0))
-                val = sum((base.probs[a] * base.values[a] for a in cell), Fraction(0)) / mass
-                cells_means[val] = cells_means.get(val, Fraction(0)) + mass
-            if len(cells_means) == 1:
-                comp = PointMass(next(iter(cells_means)))
-            else:
-                comp = DiscreteFinite(sorted(cells_means),
-                                      [cells_means[v] for v in sorted(cells_means)])
-        law = convolve(law, comp)
-    return law
-
-
 def _claim_full_info_optimal(sid: str, s: Scenario, cap: int) -> list:
     """Prop 6: with common awareness, full information is revenue-maximal
     over every per-bidder partition assignment.
@@ -665,37 +657,23 @@ def _claim_full_info_optimal(sid: str, s: Scenario, cap: int) -> list:
         return [ClaimResult("Prop6", sid, False, True, Fraction(0), "over cap")]
 
     aware = sorted(chosen)
-    # per bidder: every combination of per-characteristic partitions
+    # per bidder: the bid law of every combination of per-characteristic
+    # partitions, folded from components built once per (characteristic, level)
     variants = []
     for i in range(1, s.n_bidders + 1):
-        per_char = [[(j, lvl) for lvl in _info_variants(s.law(i, j))] for j in aware]
-        rows = []
-        for combo in _iproduct(*per_char):
-            levels = dict(combo)
-            rows.append((levels, _bid_law_atoms(s, i, aware, levels)))
-        variants.append(rows)
-    full_levels = [{j: Partition(cells=[(a,) for a in range(len(s.law(i, j).values))])
-                    for j in aware} for i in range(1, s.n_bidders + 1)]
-    full_laws = [_bid_law_atoms(s, i, aware, full_levels[i - 1])
-                 for i in range(1, s.n_bidders + 1)]
+        per_char = [[bid_component(s, i, j, lvl) for lvl in _info_variants(s.law(i, j))]
+                    for j in aware]
+        variants.append([fold_bid_law(combo) for combo in _iproduct(*per_char)])
+    full_laws = [fold_bid_law(s.law(i, j) for j in aware) for i in range(1, s.n_bidders + 1)]
     rev_full = expected_order_stat(OrderStatLaw(tuple(full_laws), 1))
 
-    grid = sorted({Fraction(v) for rows in variants for _lvl, law in rows
-                   for v in (law.values if isinstance(law, DiscreteFinite) else (law.value,))})
-    gx = np.array([float(v) for v in grid])
-    mats = []
-    for rows in variants:
-        mat = np.empty((len(rows), len(grid)))
-        for r, (_lvl, law) in enumerate(rows):
-            if isinstance(law, PointMass):
-                mat[r] = (gx >= float(law.value)).astype(float)
-            else:
-                vals = np.array([float(v) for v in law.values])
-                cum = np.concatenate([[0.0], np.cumsum([float(p) for p in law.probs])])
-                mat[r] = cum[np.searchsorted(vals, gx, side="right")]
-        mats.append(mat)
+    # float screen on the common atom grid of every variant law
+    grid = atom_grid([law for laws in variants for law in laws])
+    gx = np.array([g / grid.value_den for g in grid.points])
+    cdfs = np.array([[c / grid.prob_den for c in col] for col in grid.cdf])
+    mats = np.split(cdfs, np.cumsum([len(laws) for laws in variants])[:-1])
 
-    idx = np.meshgrid(*[np.arange(len(rows)) for rows in variants], indexing="ij")
+    idx = np.meshgrid(*[np.arange(len(laws)) for laws in variants], indexing="ij")
     idx = [ix.ravel() for ix in idx]
     prod = mats[0][idx[0]]
     for mat, ix in zip(mats[1:], idx[1:]):
@@ -709,8 +687,7 @@ def _claim_full_info_optimal(sid: str, s: Scenario, cap: int) -> list:
     holds = True
     worst = None
     for flat in np.nonzero(margins < 1e-9)[0]:
-        levels = _unflatten(int(flat), variants)
-        laws = [_bid_law_atoms(s, i + 1, aware, levels[i]) for i in range(s.n_bidders)]
+        laws = _unflatten(int(flat), variants)
         margin = rev_full - expected_order_stat(OrderStatLaw(tuple(laws), 1))
         if margin < 0:
             holds = False
@@ -723,13 +700,15 @@ def _claim_full_info_optimal(sid: str, s: Scenario, cap: int) -> list:
 
 
 def _unflatten(flat, variants):
-    levels = []
+    """Per-bidder entries of the flat (row-major) index into the product of
+    ``variants``."""
+    picked = []
     rem = flat
     for rows in reversed(variants):
-        levels.append(rows[rem % len(rows)][0])
+        picked.append(rows[rem % len(rows)])
         rem //= len(rows)
-    levels.reverse()
-    return levels
+    picked.reverse()
+    return picked
 
 
 def _bell(k: int) -> int:
@@ -764,7 +743,10 @@ def _random_char_info(s: Scenario, rng: random.Random) -> dict:
 
 
 def verify_suite(cfg: CorpusConfig) -> VerificationReport:
-    """Replay every claim on the seeded exact corpus."""
+    """Replay every claim on the seeded exact corpus; an empty corpus would
+    pass vacuously, so it raises ScenarioError."""
+    if cfg.count < 1:
+        raise ScenarioError(f"verification needs at least 1 corpus scenario, got {cfg.count}")
     results = []
     for index in range(cfg.count):
         sid, s = random_discrete_scenario(cfg, index)

@@ -16,10 +16,15 @@ Two estimation backends share one contract:
   over those columns (``_kernels.top_two``) settles every draw, and win
   credit and surplus are derived only for the bidder columns an estimate
   reads before being reduced to per-bidder sums and sums of squares.
-* ``exact`` enumerates the full product of atom supports of the in-scope
-  laws with rational arithmetic.  Tied winners receive fractional credit
-  1/#ties; ties contribute zero surplus either way since the price equals
-  the bid.
+* ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
+  bids are independent across bidders, so each bidder's exact bid law
+  (``orderstats.valuation_law``, built once per bidder and effective
+  awareness) is put on a common integer atom grid
+  (``orderstats.atom_grid``); the order-statistic moments, every bidder's
+  unique-winner surplus and the 1/#ties win credit follow from per-bidder
+  CDF columns and prefix sums.  The cost grows with bidders times bid
+  support, not with the product of supports across bidders.  Ties
+  contribute zero surplus since the price equals the bid.
 
 Both backends report, for every bidder, the perceived quantities (under the
 bidder's own awareness viewpoint) and the actual ones (under full
@@ -34,7 +39,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
 from typing import Optional
 
 import numpy as np
@@ -46,13 +50,13 @@ from .distributions import (
     FullInfo,
     NoInfo,
     atom_index,
-    cell_of,
     cells,
     conditional_mean,
     mean,
     ppf,
 )
-from .scenario import DisclosurePolicy, Scenario
+from .orderstats import atom_grid, valuation_law
+from .scenario import DisclosurePolicy, Perspective, Scenario
 
 __all__ = [
     "EstimatorConfig",
@@ -69,7 +73,7 @@ _U64 = (1 << 64) - 1
 
 
 class EstimationError(RuntimeError):
-    """Backend preconditions violated (non-discrete laws, cap exceeded...)."""
+    """Backend preconditions violated (non-discrete laws in scope...)."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,6 @@ class EstimatorConfig:
     seed: int = 0
     backend: str = "mc"              # "mc" | "exact"
     report_standard_errors: bool = True
-    exact_cap: int = 10_000_000
     workers: int = 1
 
     def __post_init__(self):
@@ -126,9 +129,11 @@ class EstimateBundle:
 # ---------------------------------------------------------------------------
 
 def exact_cap_check(s: Scenario, p: DisclosurePolicy) -> Optional[int]:
-    """Number of outcome combinations the exact backend would enumerate:
-    product of support sizes over (bidder, characteristic) pairs the bidder
-    is aware of.  None when a law in scope is not finitely supported."""
+    """Size of the joint outcome space of the in-scope laws: the product of
+    support sizes over (bidder, characteristic) pairs the bidder is aware
+    of, which the perfbench tracer reports.  None when a law in scope is not
+    finitely supported; the exact backend then raises EstimationError.  The
+    exact sweep itself never visits this product space."""
     size = 1
     for i in range(1, s.n_bidders + 1):
         for j in sorted(p.aware(i)):
@@ -167,131 +172,45 @@ def _effective_views(s: Scenario, p: DisclosurePolicy):
 # -- exact backend ----------------------------------------------------------
 
 def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> EstimateBundle:
-    size = exact_cap_check(s, p)
-    if size is None:
+    if exact_cap_check(s, p) is None:
         raise EstimationError("exact backend requires finite discrete laws in scope")
-    if size > config.exact_cap:
-        raise EstimationError(f"enumeration size {size} exceeds cap {config.exact_cap}")
 
     views, full_idx, bidder_idx = _effective_views(s, p)
-    nv = len(views)
     n = s.n_bidders
+    laws = {}
 
-    # Per bidder: weighted support of the tuple (bid under each view).
-    combos_by_bidder = []
-    weight_den = []
-    for i in range(1, n + 1):
-        entries = []
-        for j in sorted(p.aware(i)):
-            law = s.law(i, j)
-            level = p.level(i, j)
-            contribs = []
-            if isinstance(level, NoInfo):
-                mu = Fraction(mean(law))
-                contribs = [(mu, prob) for prob in law.probs]
-            else:
-                for a, _v in enumerate(law.values):
-                    cell = cell_of(law, level, law.values[a])
-                    contribs.append((Fraction(conditional_mean(law, level, cell)),
-                                     law.probs[a]))
-            include = tuple(j in views[v] for v in range(nv))
-            entries.append((include, contribs))
-        table = {}
-        for choice in _iproduct(*[range(len(c)) for _inc, c in entries]):
-            w = Fraction(1)
-            bid = [Fraction(0)] * nv
-            for (include, contribs), a in zip(entries, choice):
-                c, prob = contribs[a]
-                w *= prob
-                for v in range(nv):
-                    if include[v]:
-                        bid[v] += c
-            key = tuple(bid)
-            table[key] = table.get(key, Fraction(0)) + w
-        den = math.lcm(*[w.denominator for w in table.values()])
-        combos_by_bidder.append(
-            [(key, int(w * den)) for key, w in sorted(table.items())])
-        weight_den.append(den)
+    def bid_law(i, view):
+        key = (i, p.aware(i) & view)
+        if key not in laws:
+            laws[key] = valuation_law(s, p, i, Perspective(view))
+        return laws[key]
 
-    # Scale all bids to a common integer grid for fast exact arithmetic.
-    bid_den = math.lcm(*[
-        b.denominator for combos in combos_by_bidder for key, _w in combos for b in key])
-    scaled = [
-        [(tuple(tuple(int(b * bid_den) for b in key)), w) for key, w in combos]
-        for combos in combos_by_bidder]
-    tie_scale = math.lcm(*range(1, n + 1))
-
-    acc_first = 0
-    acc_second = 0
-    acc_surplus = [[0] * n for _ in range(nv)]
-    acc_credit = [[0] * n for _ in range(nv)]
-
-    for combo in _iproduct(*scaled):
-        w = 1
-        for _key, wn in combo:
-            w *= wn
-        for v in range(nv):
-            b0 = combo[0][0][v]
-            m1 = b0
-            for i in range(1, n):
-                bi = combo[i][0][v]
-                if bi > m1:
-                    m1 = bi
-            n_top = 0
-            m2 = None
-            winner = -1
-            for i in range(n):
-                bi = combo[i][0][v]
-                if bi == m1:
-                    n_top += 1
-                    winner = i
-                elif m2 is None or bi > m2:
-                    m2 = bi
-            if n_top == 1:
-                acc_surplus[v][winner] += w * (m1 - m2)
-            else:
-                m2 = m1
-            cr = w * (tie_scale // n_top)
-            for i in range(n):
-                if combo[i][0][v] == m1:
-                    acc_credit[v][i] += cr
-            if v == full_idx:
-                acc_first += w * m1
-                acc_second += w * m2
-
-    total_w = 1
-    for den in weight_den:
-        total_w *= den
-
-    def val(acc_int):
-        return Fraction(acc_int, total_w * bid_den)
-
-    def prob(acc_int):
-        return Fraction(acc_int, total_w * tie_scale)
+    grids = [atom_grid([bid_law(i, view) for i in range(1, n + 1)]) for view in views]
+    settled = [grid.settle() for grid in grids]
+    surplus_full, credit_full = settled[full_idx]
+    second = grids[full_idx].expected(2)
 
     bidders = []
     for i in range(1, n + 1):
-        vi = bidder_idx[i - 1]
-        win_actual = prob(acc_credit[full_idx][i - 1])
+        surplus_own, credit_own = settled[bidder_idx[i - 1]]
+        win_actual = credit_full[i - 1]
         hidden = sum(
             (Fraction(mean(s.law(i, j))) if isinstance(s.law(i, j), DiscreteFinite)
              else mean(s.law(i, j)))
             for j in sorted(s.full_set - p.aware(i)))
         bidders.append(BidderEstimate(
-            perceived_surplus=val(acc_surplus[vi][i - 1]),
-            actual_surplus=val(acc_surplus[full_idx][i - 1]),
-            win_prob_perceived=prob(acc_credit[vi][i - 1]),
+            perceived_surplus=surplus_own[i - 1],
+            actual_surplus=surplus_full[i - 1],
+            win_prob_perceived=credit_own[i - 1],
             win_prob_actual=win_actual,
             hidden_win_value=hidden * win_actual if hidden else Fraction(0),
         ))
-    acc_revenue = acc_second + sum(
-        acc_surplus[bidder_idx[i]][i] for i in range(n))
     return EstimateBundle(
-        first_order_stat=val(acc_first),
-        second_order_stat=val(acc_second),
+        first_order_stat=grids[full_idx].expected(1),
+        second_order_stat=second,
         bidders=tuple(bidders),
         backend="exact",
-        total_revenue=val(acc_revenue),
+        total_revenue=second + sum(be.perceived_surplus for be in bidders),
     )
 
 
@@ -342,9 +261,9 @@ def _entry_plan(s: Scenario, p: DisclosurePolicy):
                         contrib = np.full(len(law.values), float(mean(law)))
                     else:  # canonical Partition (FullInfo canonicalizes to singletons)
                         contrib = np.empty(len(law.values))
-                        for a, v in enumerate(law.values):
-                            cell = cell_of(law, level, v)
-                            contrib[a] = float(conditional_mean(law, level, cell))
+                        for cell in cells(law, level):
+                            contrib[list(cell.level.cells[cell.index])] = float(
+                                conditional_mean(law, level, cell))
                     spec["contrib"] = contrib
             else:
                 spec["kind"] = "continuous"

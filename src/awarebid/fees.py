@@ -28,10 +28,6 @@ __all__ = ["FeeSchedule", "RevenueReport", "CurseReport",
            "entry_fees", "revenue", "curse_gap"]
 
 
-def _maybe_sub(a, b):
-    return None if a is None or b is None else (a * a + b * b) ** 0.5
-
-
 @dataclass(frozen=True)
 class FeeSchedule:
     """Per-bidder fees: ``fees[i]`` is what bidder i+1 is willing to pay,

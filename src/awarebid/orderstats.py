@@ -10,12 +10,15 @@ top-two ranks reduce to the familiar product and two-term formulas.
 
 Expectations integrate the CDF: E = int_0^inf (1-G) - int_{-inf}^0 G, by
 adaptive Simpson between analytic knots for closed forms, by grid trapezoid
-when a grid law is involved, and by an exact rational atom sweep when every
-component law is finitely supported.  The numeric routes evaluate G on
-arrays: the grid in one call, adaptive Simpson level by level with every
-pending interval of a level in one call (at most ``max_depth`` + 2 calls).
-Both are bounded: a non-finite integrand value, or more than
-``MAX_EVALUATIONS`` points for one expectation, raises DistributionError.
+when a grid law is involved, and by an exact sweep over a common integer
+atom grid (``AtomGrid``) when every law is finitely supported.  The atom
+grid is the one exact route: it also settles exact second-price auctions
+(per-law surplus and 1/#ties win credit) for the engine.  The numeric
+routes evaluate G on arrays: the grid in one call, adaptive Simpson level
+by level with every pending interval of a level in one call (at most
+``max_depth`` + 2 calls).  Both are bounded: a non-finite integrand value,
+or more than ``MAX_EVALUATIONS`` points for one expectation, raises
+DistributionError.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import numpy as np
 
@@ -50,6 +53,10 @@ from .scenario import DisclosurePolicy, Perspective, Scenario, perceive
 
 __all__ = [
     "OrderStatLaw",
+    "AtomGrid",
+    "atom_grid",
+    "bid_component",
+    "fold_bid_law",
     "valuation_law",
     "order_cdf",
     "expected_order_stat",
@@ -66,37 +73,49 @@ MAX_EVALUATIONS = 2 ** 18
 _GENERAL_RANK_MAX = 12
 
 
-def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
-                  view: Perspective, grid_points: int = GRID_POINTS):
-    """Law of bidder's estimated valuation as seen from ``view``.
+def bid_component(s: Scenario, bidder: int, char: int, level):
+    """Law of one characteristic's contribution to bidder's estimated
+    valuation under an information level.
 
     Full information contributes the characteristic law itself, no
     information a point mass at its mean, and a discrete partition the law
     of cell means.  Partitions of continuous laws have no closed-form sum
     law here; estimate those through the engine instead.
     """
-    seen = perceive(p, view)
+    base = s.law(bidder, char)
+    if isinstance(level, NoInfo):
+        return PointMass(mean(base))
+    if isinstance(level, FullInfo):
+        return base
+    if isinstance(level, Partition) and isinstance(base, DiscreteFinite):
+        if len(level.cells) == len(base.values):
+            return base         # singleton cells reveal the value itself
+        pairs = [(conditional_mean(base, level, c), cell_probability(base, c))
+                 for c in cells(base, level)]
+        if len({v for v, _p in pairs}) == 1:
+            return PointMass(pairs[0][0])
+        return DiscreteFinite.from_atoms(pairs)
+    raise DistributionError(
+        f"bidder {bidder} characteristic {char}: no closed-form valuation "
+        "law under a continuous partition; use the engine")
+
+
+def fold_bid_law(components, grid_points: int = GRID_POINTS):
+    """Law of the sum of independent bid components (sum order kept)."""
     law = PointMass(0)
-    for j in sorted(seen.aware(bidder)):
-        base = s.law(bidder, j)
-        level = seen.level(bidder, j)
-        if isinstance(level, NoInfo):
-            comp = PointMass(mean(base))
-        elif isinstance(level, FullInfo):
-            comp = base
-        elif isinstance(level, Partition) and isinstance(base, DiscreteFinite):
-            pairs = [(conditional_mean(base, level, c), cell_probability(base, c))
-                     for c in cells(base, level)]
-            if len({v for v, _p in pairs}) == 1:
-                comp = PointMass(pairs[0][0])
-            else:
-                comp = DiscreteFinite.from_atoms(pairs)
-        else:
-            raise DistributionError(
-                f"bidder {bidder} characteristic {j}: no closed-form valuation "
-                "law under a continuous partition; use the engine")
+    for comp in components:
         law = convolve(law, comp, grid_points)
     return law
+
+
+def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
+                  view: Perspective, grid_points: int = GRID_POINTS):
+    """Law of bidder's estimated valuation as seen from ``view``: the fold of
+    ``bid_component`` over the characteristics the view leaves the bidder
+    aware of."""
+    seen = perceive(p, view)
+    return fold_bid_law((bid_component(s, bidder, j, seen.level(bidder, j))
+                         for j in sorted(seen.aware(bidder))), grid_points)
 
 
 @dataclass(frozen=True)
@@ -164,10 +183,7 @@ def _rank_cdf_terms(G, rank: int, one):
     for m in range(n + 1 - rank, n + 1):
         for S in combinations(range(n), m):
             inS = set(S)
-            term = one
-            for i in range(n):
-                term = term * (G[i] if i in inS else comp[i])
-            total = total + term
+            total = total + math.prod(G[i] if i in inS else comp[i] for i in range(n))
     return total
 
 
@@ -200,6 +216,96 @@ def _atoms_exact(law):
     return [(Fraction(v), p) for v, p in zip(law.values, law.probs)]
 
 
+@dataclass(frozen=True)
+class AtomGrid:
+    """Independent atom laws on one common integer grid.
+
+    Grid point ``points[k]`` stands for the value ``points[k] / value_den``;
+    ``mass[i][k]`` and ``cdf[i][k]`` are law i's probability at and up to
+    that point times ``prob_den``, the same denominator for every law, so
+    ``prob_den - cdf[i][k]`` is the complement.  Sums run in Python
+    integers and divide the scales out once, as a Fraction.
+    """
+
+    points: tuple
+    value_den: int
+    prob_den: int
+    mass: tuple
+    cdf: tuple
+
+    def _scale(self) -> int:
+        """Denominator of a product of one probability per law."""
+        return self.prob_den ** len(self.cdf)
+
+    def expected(self, rank: int) -> Fraction:
+        """E of the rank-th highest law: sum over k of g_k times the rank's
+        CDF jump at g_k, the CDF taken from ``_rank_cdf_terms`` on whole
+        columns."""
+        cols = [np.array(c, dtype=object) for c in self.cdf]
+        H = _rank_cdf_terms(cols, rank, one=self.prob_den)
+        num = 0
+        prev = 0
+        for g, h in zip(self.points, H):
+            num += g * (h - prev)
+            prev = h
+        return Fraction(num, self._scale() * self.value_den)
+
+    def settle(self):
+        """Second-price settlement of one bid per law, in expectation.
+
+        Returns (surplus, credit), one Fraction per law: the unique winner's
+        expected surplus E[(B_i - M_i) 1{B_i > M_i}], M_i the highest other
+        bid, and the expected win credit with 1/#ties for tied winners.
+        Surplus is sum_b P(B_i=b) sum_{g_k<b} P(M_i <= g_k)(g_{k+1} - g_k),
+        read off a running prefix sum; credit is sum_b P(B_i=b) times
+        int_0^1 prod_{j != i} (P(B_j<b) + t P(B_j=b)) dt, whose expansion
+        in t weighs k tied rivals by 1/(k+1).  Needs at least two laws.
+        """
+        n = len(self.cdf)
+        tie_scale = math.lcm(*range(1, n + 1))
+        share = [tie_scale // (k + 1) for k in range(n)]
+        widths = [b - a for a, b in zip(self.points, self.points[1:])] + [0]
+        surplus, credit = [], []
+        for i, mass_i in enumerate(self.mass):
+            others = [j for j in range(n) if j != i]
+            # P(M_i <= g_k): every other law at most g_k
+            below = map(math.prod, zip(*(self.cdf[j] for j in others)))
+            s_num = c_num = run = 0
+            for k, (m, down, w) in enumerate(zip(mass_i, below, widths)):
+                if m:
+                    s_num += m * run
+                    poly = [1]
+                    for j in others:
+                        eq = self.mass[j][k]
+                        lt = self.cdf[j][k] - eq
+                        poly = [a * lt + b * eq for a, b in zip(poly + [0], [0] + poly)]
+                    c_num += m * sum(map(math.prod, zip(poly, share)))
+                run += down * w
+            surplus.append(Fraction(s_num, self._scale() * self.value_den))
+            credit.append(Fraction(c_num, self._scale() * tie_scale))
+        return surplus, credit
+
+
+def atom_grid(laws) -> AtomGrid:
+    """Put atom laws (DiscreteFinite or PointMass) on one integer grid."""
+    atoms = [_atoms_exact(law) for law in laws]
+    value_den = math.lcm(*(v.denominator for a in atoms for v, _p in a))
+    prob_den = math.lcm(*(p.denominator for a in atoms for _v, p in a))
+    scaled = [[(v.numerator * (value_den // v.denominator),
+                p.numerator * (prob_den // p.denominator)) for v, p in a]
+              for a in atoms]
+    points = sorted({g for a in scaled for g, _w in a})
+    index = {g: k for k, g in enumerate(points)}
+    mass = []
+    for a in scaled:
+        col = [0] * len(points)
+        for g, w in a:
+            col[index[g]] += w
+        mass.append(tuple(col))
+    return AtomGrid(tuple(points), value_den, prob_den, tuple(mass),
+                    tuple(tuple(accumulate(col)) for col in mass))
+
+
 def expected_order_stat(os_law: OrderStatLaw):
     """E of the rank-th highest; exact Fraction when all laws are atomic."""
     if all(_is_atomic(law) for law in os_law.laws):
@@ -208,15 +314,7 @@ def expected_order_stat(os_law: OrderStatLaw):
 
 
 def _expected_exact(os_law: OrderStatLaw) -> Fraction:
-    supports = [sorted(v for v, _p in _atoms_exact(law)) for law in os_law.laws]
-    grid = sorted({v for sup in supports for v in sup})
-    prev = Fraction(0)
-    out = Fraction(0)
-    for v in grid:
-        g = os_law.cdf_exact(v)
-        out += v * (g - prev)
-        prev = g
-    return out
+    return atom_grid(os_law.laws).expected(os_law.rank)
 
 
 def _expected_numeric(os_law: OrderStatLaw) -> float:

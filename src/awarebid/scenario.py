@@ -19,7 +19,6 @@ from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
 from .distributions import (
-    DiscreteFinite,
     Distribution,
     DistributionError,
     InfoLevel,
@@ -65,9 +64,6 @@ class Scenario:
     @property
     def full_set(self) -> AwarenessSet:
         return frozenset(range(1, self.m_characteristics + 1))
-
-    def all_discrete(self) -> bool:
-        return all(isinstance(d, DiscreteFinite) for row in self.laws for d in row)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ from awarebid.cli import ParseError, emit, main, parse_scenario, write_scenario
 from awarebid.disclosure import ClaimResult, VerificationReport
 
 
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
 def run_cli(capsysbinary, args):
     status = main(args)
     return status, capsysbinary.readouterr().out
@@ -281,3 +284,42 @@ def test_verify_command_exit_two_on_injected_failure(capsysbinary, monkeypatch):
     status, out = run_cli(capsysbinary, ["verify", "--count", "1"])
     assert status == 2
     assert b"failures,1" in out
+
+
+@pytest.mark.parametrize("bidder,char", [("0", "2"), ("3", "2"), ("2", "0"), ("2", "3")])
+def test_tradeoff_rejects_out_of_range_bidder_and_char(capsysbinary, scenario_dir, bidder, char):
+    # d1 has 2 bidders and 2 characteristics; bidder 0 used to wrap to bidder 2
+    status = main(["tradeoff", "--scenario", str(scenario_dir / "d1.json"),
+                   "--bidder", bidder, "--char", char, "--backend", "exact"])
+    captured = capsysbinary.readouterr()
+    assert status == 1
+    assert captured.out == b""
+    assert captured.err.startswith(b"error: ")
+    assert b"outside" in captured.err
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_verify_rejects_count_below_one(capsysbinary, count):
+    status = main(["verify", "--count", count])
+    captured = capsysbinary.readouterr()
+    assert status == 1
+    assert captured.out == b""
+    assert captured.err.startswith(b"error: --count: ")
+
+
+GOLDEN = [(f"{name}-{cmd}.csv", [cmd, "--scenario", f"{name}.json", "--backend", "exact"])
+          for name in ("d1", "example1_discrete", "curse_demo", "prop6_demo")
+          for cmd in ("fees", "revenue", "curse", "orderstats")]
+GOLDEN += [("d1-tradeoff.csv", ["tradeoff", "--scenario", "d1.json", "--bidder", "2",
+                                "--char", "2", "--backend", "exact"]),
+           ("verify-20.csv", ["verify", "--count", "20"])]
+
+
+@pytest.mark.parametrize("golden,args", GOLDEN, ids=[g for g, _a in GOLDEN])
+def test_exact_cli_output_is_byte_identical(capsysbinary, scenario_dir, golden, args):
+    # golden files hold the output of the product-enumeration exact backend
+    # this sweep replaced; exact results must not move by a byte
+    args = [str(scenario_dir / a) if a.endswith(".json") else a for a in args]
+    status, out = run_cli(capsysbinary, args)
+    assert status == 0
+    assert out == (GOLDEN_DIR / golden).read_bytes()

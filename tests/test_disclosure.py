@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from awarebid.disclosure import (
@@ -196,6 +197,9 @@ def test_verify_suite_small_corpus_all_pass():
     assert not rep.failures
     for claim in ("Prop2", "Lem3", "Lem5", "Lem7", "Prop3", "Cor1", "Prop6"):
         assert rep.checked(claim), f"no hypothesis-satisfied instances of {claim}"
+    # the full-information assignment is among the rechecked ones, with
+    # exact margin 0, and no assignment beats it
+    assert all(r.margin == 0 for r in rep.checked("Prop6"))
 
 
 def test_prop4_shift_is_exactly_the_mean():
@@ -233,3 +237,27 @@ def test_counterexample_search_positive_means_find_nothing():
     found = counterexample_search("prop2-converse", cfg)
     for f in found:
         assert f["mean"] < 0
+
+
+def test_tradeoff_rejects_out_of_range_target_and_char(d1):
+    s, p = d1
+    for target, char in ((0, 2), (3, 2), (-1, 2), (2, 1), (2, 3)):
+        with pytest.raises(ScenarioError, match="outside"):
+            check_tradeoff(s, p, target, char, EXACT)
+
+
+def test_corpus_rejects_negative_count_and_verify_an_empty_one():
+    with pytest.raises(ScenarioError, match="nonnegative"):
+        CorpusConfig(count=-1)
+    with pytest.raises(ScenarioError, match="at least 1"):
+        verify_suite(CorpusConfig(count=0))
+
+
+def test_unflatten_follows_the_screen_index_order():
+    # Prop6 rechecks the assignment at a flat index of the screen's ij grid
+    from awarebid.disclosure import _unflatten
+
+    variants = [["a0", "a1"], ["b0", "b1", "b2"], ["c0", "c1"]]
+    idx = np.meshgrid(*[np.arange(len(v)) for v in variants], indexing="ij")
+    for flat, picks in enumerate(zip(*(ix.ravel() for ix in idx))):
+        assert _unflatten(flat, variants) == [v[k] for v, k in zip(variants, picks)]

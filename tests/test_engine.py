@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
 
-from awarebid import engine
+from awarebid import engine, fees
 from awarebid._kernels import second_price_stats, top_two
 from awarebid.distributions import (
     DiscreteFinite,
@@ -12,9 +14,15 @@ from awarebid.distributions import (
     Normal,
     Partition,
     UniformContinuous,
+    cell_of,
+    conditional_mean,
+    mean,
     ppf,
 )
+from awarebid.disclosure import CorpusConfig, verify_suite
 from awarebid.engine import (
+    BidderEstimate,
+    EstimateBundle,
     EstimationError,
     EstimatorConfig,
     estimate,
@@ -124,10 +132,165 @@ def test_exact_cap_check(d1):
         estimate(su, pu, EXACT)
 
 
-def test_exact_cap_enforced(d1):
-    s, p = d1
-    with pytest.raises(EstimationError, match="cap"):
-        estimate(s, p, EstimatorConfig(backend="exact", exact_cap=4))
+def _enumerate_bundle(s, p):
+    """Reference for the exact backend: enumerate the product of every
+    bidder's outcomes, each a tuple of bids (one per deduplicated view), on
+    a common integer grid, and settle each combination with 1/#ties credit.
+    Plain Python; its cost is the product of support sizes."""
+    views, full_idx, bidder_idx = engine._effective_views(s, p)
+    nv = len(views)
+    n = s.n_bidders
+
+    # Per bidder: weighted support of the tuple (bid under each view).
+    combos_by_bidder = []
+    weight_den = []
+    for i in range(1, n + 1):
+        entries = []
+        for j in sorted(p.aware(i)):
+            law = s.law(i, j)
+            level = p.level(i, j)
+            if isinstance(level, NoInfo):
+                contribs = [(F(mean(law)), prob) for prob in law.probs]
+            else:
+                contribs = [(F(conditional_mean(law, level, cell_of(law, level, v))), prob)
+                            for v, prob in zip(law.values, law.probs)]
+            entries.append((tuple(j in view for view in views), contribs))
+        table = {}
+        for choice in product(*[range(len(c)) for _inc, c in entries]):
+            w = F(1)
+            bid = [F(0)] * nv
+            for (include, contribs), a in zip(entries, choice):
+                c, prob = contribs[a]
+                w *= prob
+                for v in range(nv):
+                    if include[v]:
+                        bid[v] += c
+            key = tuple(bid)
+            table[key] = table.get(key, F(0)) + w
+        den = math.lcm(*[w.denominator for w in table.values()])
+        combos_by_bidder.append([(key, int(w * den)) for key, w in sorted(table.items())])
+        weight_den.append(den)
+
+    bid_den = math.lcm(*[b.denominator for combos in combos_by_bidder
+                         for key, _w in combos for b in key])
+    scaled = [[(tuple(int(b * bid_den) for b in key), w) for key, w in combos]
+              for combos in combos_by_bidder]
+    tie_scale = math.lcm(*range(1, n + 1))
+    acc_first = acc_second = 0
+    acc_surplus = [[0] * n for _ in range(nv)]
+    acc_credit = [[0] * n for _ in range(nv)]
+    for combo in product(*scaled):
+        w = math.prod(wn for _key, wn in combo)
+        for v in range(nv):
+            bids = [key[v] for key, _wn in combo]
+            m1 = max(bids)
+            tops = [k for k, b in enumerate(bids) if b == m1]
+            if len(tops) == 1:
+                m2 = max(b for k, b in enumerate(bids) if k != tops[0])
+                acc_surplus[v][tops[0]] += w * (m1 - m2)
+            else:
+                m2 = m1
+            for k in tops:
+                acc_credit[v][k] += w * (tie_scale // len(tops))
+            if v == full_idx:
+                acc_first += w * m1
+                acc_second += w * m2
+
+    total_w = math.prod(weight_den)
+
+    def val(acc):
+        return F(acc, total_w * bid_den)
+
+    def prob(acc):
+        return F(acc, total_w * tie_scale)
+
+    bidders = []
+    for i in range(1, n + 1):
+        vi = bidder_idx[i - 1]
+        win_actual = prob(acc_credit[full_idx][i - 1])
+        hidden = sum(F(mean(s.law(i, j))) for j in sorted(s.full_set - p.aware(i)))
+        bidders.append(BidderEstimate(
+            perceived_surplus=val(acc_surplus[vi][i - 1]),
+            actual_surplus=val(acc_surplus[full_idx][i - 1]),
+            win_prob_perceived=prob(acc_credit[vi][i - 1]),
+            win_prob_actual=win_actual,
+            hidden_win_value=hidden * win_actual if hidden else F(0)))
+    revenue = acc_second + sum(acc_surplus[bidder_idx[i]][i] for i in range(n))
+    return EstimateBundle(val(acc_first), val(acc_second), tuple(bidders), "exact",
+                          total_revenue=val(revenue))
+
+
+def test_exact_sweep_matches_enumeration_on_verify_corpus(monkeypatch):
+    seen = []
+
+    def recording(s, p, config):
+        out = estimate(s, p, config)
+        seen.append((s, p, out))
+        return out
+
+    monkeypatch.setattr(fees, "estimate", recording)
+    assert verify_suite(CorpusConfig(count=20)).all_pass
+    assert len(seen) > 200
+    for s, p, got in seen:
+        assert got == _enumerate_bundle(s, p)
+
+
+def test_exact_sweep_matches_enumeration_on_ties_and_mixed_levels():
+    # every law on one support with equal probabilities: ties everywhere
+    c = DiscreteFinite([0, 1, 2], [F(1, 3)] * 3)
+    tied = validate(4, 2, [[c, c]] * 4, [[1, 2], [1, 2], [1], [1, 2]],
+                    [{1: FullInfo(), 2: FullInfo()}, {1: FullInfo(), 2: FullInfo()},
+                     {1: FullInfo()}, {1: NoInfo(), 2: FullInfo()}])
+    # no information, cell partitions and unaware characteristics mixed
+    a = DiscreteFinite([-1, 0, 2], [F(1, 4), F(1, 2), F(1, 4)])
+    b = DiscreteFinite([0, F(1, 2), 3], [F(1, 6), F(1, 3), F(1, 2)])
+    d = DiscreteFinite([0, 4], [F(3, 4), F(1, 4)])
+    mixed = validate(
+        3, 3, [[a, b, d], [b, a, d], [a, a, d]],
+        [[1, 2, 3], [1, 3], [1, 2]],
+        [{1: Partition(cells=[(0, 1), (2,)]), 2: NoInfo(), 3: FullInfo()},
+         {1: FullInfo(), 3: NoInfo()},
+         {1: NoInfo(), 2: Partition(cells=[(0,), (1, 2)])}])
+    for s, p in (tied, mixed):
+        assert len(engine._effective_views(s, p)[0]) > 1
+        assert estimate(s, p, EXACT) == _enumerate_bundle(s, p)
+
+
+def build_eight_by_four():
+    """8 bidders x 4 characteristics, awareness of 2 to 4 characteristics,
+    full information, a two-cell partition and no information mixed.  Every
+    value, probability and cell mass is dyadic, so Monte Carlo bids are
+    exact sums in floating point and tie exactly when the exact bids do."""
+    supports = [[0, 1, 3], [0, F(1, 2), 2], [-1, 0, 2], [0, 2, 5]]
+    probs = [(F(1, 4), F(1, 4), F(1, 2)), (F(1, 8), F(3, 8), F(1, 2)),
+             (F(3, 8), F(1, 8), F(1, 2)), (F(1, 16), F(7, 16), F(1, 2))]
+    laws = [[DiscreteFinite(vals, probs[(i + j) % 4]) for j, vals in enumerate(supports)]
+            for i in range(8)]
+    awareness = [[1, 2, 3, 4], [1, 2, 3], [1, 2, 4], [1, 3, 4],
+                 [1, 4], [1, 2, 4], [1, 2, 3, 4], [1, 4]]
+    levels = [FullInfo(), Partition(cells=[(0, 1), (2,)]), NoInfo(), FullInfo()]
+    return validate(8, 4, laws, awareness,
+                    [{j: levels[(i + j) % 4] for j in a} for i, a in enumerate(awareness)])
+
+
+def test_exact_sweep_solves_eight_bidders_four_characteristics():
+    # the joint outcome space has 2.8e11 points; the sweep never visits it
+    s, p = build_eight_by_four()
+    assert exact_cap_check(s, p) > 10 ** 11
+    exact = estimate(s, p, EXACT)
+    mc = estimate(s, p, EstimatorConfig(backend="mc", n_samples=100_000, seed=3))
+    pairs = [(exact.first_order_stat, mc.first_order_stat, mc.se_first_order_stat),
+             (exact.second_order_stat, mc.second_order_stat, mc.se_second_order_stat),
+             (exact.total_revenue, mc.total_revenue, mc.se_total_revenue)]
+    for want, got in zip(exact.bidders, mc.bidders):
+        for field in ("perceived_surplus", "actual_surplus", "win_prob_perceived",
+                      "win_prob_actual", "hidden_win_value"):
+            pairs.append((getattr(want, field), getattr(got, field),
+                          getattr(got, "se_" + field)))
+    for want, got, se in pairs:
+        assert isinstance(want, F)
+        assert abs(got - float(want)) <= 4 * se      # se 0: both exactly 0
+    assert sum(be.win_prob_actual for be in exact.bidders) == 1
 
 
 def test_d1_exact_bundle(d1):

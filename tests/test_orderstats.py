@@ -139,6 +139,25 @@ def _random_atom_laws(rng, n):
     return laws
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_atom_grid_expectation_matches_cdf_exact_sweep(seed):
+    # E[rank r] = sum over the support grid of v times the jump of the
+    # exact rank-r CDF, for every rank and with point masses mixed in
+    rng = random.Random(700 + seed)
+    n = 2 + seed % 4
+    laws = _random_atom_laws(rng, n)
+    laws[seed % n] = PointMass(F(rng.randint(-3, 5), rng.choice([1, 2, 3])))
+    grid = sorted({F(v) for law in laws
+                   for v in (law.values if isinstance(law, DiscreteFinite) else (law.value,))})
+    for r in range(1, n + 1):
+        os_law = order_cdf(laws, r)
+        cdfs = [os_law.cdf_exact(v) for v in grid]
+        want = sum(v * (g - prev) for v, g, prev in zip(grid, cdfs, [0] + cdfs[:-1]))
+        got = orderstats._expected_exact(os_law)
+        assert isinstance(got, F) and got == want
+        assert expected_order_stat(os_law) == want
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_general_rank_formula_matches_specialized_exactly(n):
     rng = random.Random(100 + n)

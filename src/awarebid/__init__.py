@@ -19,7 +19,6 @@ from .distributions import (
     TrapezoidLaw,
     UniformContinuous,
     cdf,
-    cell_of,
     conditional_mean,
     convolve,
     mean,

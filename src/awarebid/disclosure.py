@@ -40,7 +40,7 @@ from .distributions import (
     Partition,
     mean,
 )
-from .engine import EstimatorConfig
+from .engine import EstimatorConfig, estimate_policies
 from .fees import RevenueReport, revenue
 from .orderstats import (
     OrderStatLaw,
@@ -129,13 +129,27 @@ def _common_awareness_revenue(s: Scenario, p: DisclosurePolicy):
     return expected_order_stat(OrderStatLaw(tuple(laws), 1))
 
 
-def _revenue_value(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig):
-    if len(set(p.awareness)) == 1:
-        try:
-            return _common_awareness_revenue(s, p)
-        except DistributionError:
-            pass        # e.g. continuous partition: estimate through the engine
-    return revenue(s, p, config).total_revenue
+def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
+    """Revenue of each policy, and the bundle it was read from where the
+    engine estimated it (None where the analytic common-awareness route
+    gave it).  Every engine-estimated policy goes through one batched call,
+    so they all share one pass over the draws."""
+    values = [None] * len(policies)
+    pending = []
+    for k, p in enumerate(policies):
+        if len(set(p.awareness)) == 1:
+            try:
+                values[k] = _common_awareness_revenue(s, p)
+                continue
+            except DistributionError:
+                pass    # e.g. continuous partition: estimate through the engine
+        pending.append(k)
+    bundles = [None] * len(policies)
+    batch = estimate_policies(s, [policies[k] for k in pending], config)
+    for k, b in zip(pending, batch):
+        bundles[k] = b
+        values[k] = revenue(s, policies[k], config, bundle=b).total_revenue
+    return values, bundles
 
 
 # ---------------------------------------------------------------------------
@@ -201,44 +215,50 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
     else:  # COMMON_FREE_INFO
         candidates = _free_info_candidates(s, base, partition_cap)
 
+    values, bundles = _revenue_values(s, [pol for _desc, pol in candidates], config)
     best = None
     trace = []
-    for desc, pol in candidates:
-        val = _revenue_value(s, pol, config)
+    for (desc, pol), val, bundle in zip(candidates, values, bundles):
         trace.append((desc, val))
         key = (val, -_aware_pairs(pol), -_policy_disclosure(pol))
         if best is None or key > best[0]:
-            best = (key, pol)
-    pol = best[1]
-    return OptimizeResult(pol, revenue(s, pol, config), tuple(trace), regime, True)
+            best = (key, pol, bundle)
+    _key, pol, bundle = best
+    return OptimizeResult(pol, revenue(s, pol, config, bundle=bundle), tuple(trace),
+                          regime, True)
 
 
 def _optimize_greedy(s, config, base, info, regime) -> OptimizeResult:
     """Greedy hill climb: repeatedly add the single (bidder, characteristic)
-    awareness pair with the largest strict revenue improvement."""
+    awareness pair with the largest strict revenue improvement.  Each sweep
+    scores all of its single-pair trials in one batched call."""
     current = [base] * s.n_bidders
     pol = policy_with_info(s, current, info)
-    best_val = _revenue_value(s, pol, config)
+    (best_val,), (bundle,) = _revenue_values(s, [pol], config)
     trace = [("start", best_val)]
     improved = True
     while improved:
         improved = False
-        step = None
+        trials = []
         for i in range(s.n_bidders):
             for j in range(2, s.m_characteristics + 1):
                 if j in current[i]:
                     continue
                 trial = list(current)
                 trial[i] = trial[i] | {j}
-                cand = policy_with_info(s, trial, info)
-                val = _revenue_value(s, cand, config)
-                trace.append((f"try bidder {i + 1} char {j}", val))
-                if val > best_val and (step is None or val > step[0]):
-                    step = (val, trial, cand)
+                trials.append((f"try bidder {i + 1} char {j}", trial,
+                               policy_with_info(s, trial, info)))
+        values, bundles = _revenue_values(s, [cand for _d, _t, cand in trials], config)
+        step = None
+        for (desc, trial, cand), val, b in zip(trials, values, bundles):
+            trace.append((desc, val))
+            if val > best_val and (step is None or val > step[0]):
+                step = (val, trial, cand, b)
         if step is not None:
-            best_val, current, pol = step
+            best_val, current, pol, bundle = step
             improved = True
-    return OptimizeResult(pol, revenue(s, pol, config), tuple(trace), regime, False)
+    return OptimizeResult(pol, revenue(s, pol, config, bundle=bundle), tuple(trace),
+                          regime, False)
 
 
 def _set_partitions(k: int):
@@ -327,7 +347,10 @@ class TradeoffBreakdown:
 def _combine_se(a, b):
     if a is None or b is None:
         return None
-    # draws are shared between the two policies, so this is an upper bound
+    # the standard error of a difference of independent estimates; the two
+    # policies share draws, so this over-states the paired SE when the
+    # estimates are positively correlated and under-states it when they
+    # are negatively correlated
     return math.sqrt(a * a + b * b)
 
 
@@ -373,8 +396,8 @@ def check_tradeoff(s: Scenario, base: DisclosurePolicy, target: Optional[int],
     info[target - 1][char] = new_level
     raised = validate(s.n_bidders, s.m_characteristics, s.laws, awareness, info)[1]
 
-    before = revenue(s, base, config)
-    after = revenue(s, raised, config)
+    before, after = (revenue(s, pol, config, bundle=b) for pol, b in
+                     zip((base, raised), estimate_policies(s, (base, raised), config)))
 
     delta_first = after.expected_first_order_stat - before.expected_first_order_stat
     remaining = [i for i in range(1, s.n_bidders + 1)

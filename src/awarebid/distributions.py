@@ -52,7 +52,6 @@ __all__ = [
     "cells",
     "cell_probability",
     "conditional_mean",
-    "cell_of",
     "GRID_POINTS",
     "TAIL_EPS",
 ]
@@ -254,17 +253,12 @@ InfoLevel = Union[NoInfo, FullInfo, Partition]
 
 @dataclass(frozen=True)
 class SignalCell:
-    """One realized element of an information partition.
-
-    ``index`` identifies the cell within the canonical level; ``value`` is
-    the realization itself and is only meaningful under continuous FullInfo,
-    where the 'cell' is a single point.
-    """
+    """One element of an information partition; ``index`` identifies the
+    cell within the canonical level."""
 
     dist: Distribution
     level: InfoLevel
     index: int
-    value: float = None
 
 
 def canonical_info(dist: Distribution, level: InfoLevel) -> InfoLevel:
@@ -600,14 +594,13 @@ def _interval_of(d: Distribution, level: Partition, index: int):
 
 
 def conditional_mean(d: Distribution, level: InfoLevel, cell: SignalCell):
-    """E[X | signal cell]; trivial cell gives mean(d), full info the value."""
+    """E[X | signal cell]; the trivial cell gives mean(d).  Full information
+    on a continuous law has no cells, so it raises DistributionError."""
     level = canonical_info(d, level)
     if isinstance(level, NoInfo):
         return mean(d)
     if isinstance(level, FullInfo):
-        if cell.value is None:
-            raise DistributionError("full-information cell carries no realized value")
-        return cell.value
+        raise DistributionError("full information on a continuous law has no cells")
     if isinstance(d, DiscreteFinite):
         idxs = level.cells[cell.index]
         massed = sum((d.probs[i] for i in idxs), Fraction(0))
@@ -635,27 +628,3 @@ def _Phi(z):
         return 0.0 if z < 0 else 1.0
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2)))
 
-
-def cell_of(d: Distribution, level: InfoLevel, x) -> SignalCell:
-    """The unique cell containing realization x."""
-    level = canonical_info(d, level)
-    lo, hi = support(d)
-    if isinstance(d, DiscreteFinite):
-        try:
-            pos = d.values.index(x) if x in d.values else [float(v) for v in d.values].index(float(x))
-        except ValueError:
-            raise DistributionError(f"{x} not in discrete support") from None
-        if isinstance(level, NoInfo):
-            return SignalCell(d, level, 0)
-        for i, cell in enumerate(level.cells):
-            if pos in cell:
-                return SignalCell(d, level, i)
-        raise DistributionError("partition does not cover the support")
-    if not lo <= x <= hi:
-        raise DistributionError(f"{x} outside support [{lo}, {hi}]")
-    if isinstance(level, NoInfo):
-        return SignalCell(d, level, 0)
-    if isinstance(level, FullInfo):
-        return SignalCell(d, level, 0, value=float(x))
-    idx = int(np.searchsorted(np.asarray(level.cutpoints, dtype=np.float64), x, side="right"))
-    return SignalCell(d, level, idx)

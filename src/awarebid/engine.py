@@ -11,11 +11,18 @@ Two estimation backends share one contract:
   (bidder, characteristic, draw index) - common random numbers across
   policies and viewpoints - and averages per-draw statistics.  Draws are
   processed in fixed-size chunks keyed by draw index, so results are
-  bit-identical for any worker count.  Within a chunk each deduplicated
-  viewpoint holds one contiguous bid column per bidder; one top-two pass
-  over those columns (``_kernels.top_two``) settles every draw, and win
-  credit and surplus are derived only for the bidder columns an estimate
-  reads before being reduced to per-bidder sums and sums of squares.
+  bit-identical for any worker count.  There is one route for any number
+  of policies (``estimate_policies``; ``estimate`` is its one-policy
+  case): per chunk the uniforms and the realized values are drawn once,
+  and each (bidder, characteristic, information level) bid contribution
+  is computed once.  Then each policy in turn builds one contiguous bid
+  column per bidder for each of its deduplicated viewpoints; one top-two
+  pass over those columns (``_kernels.top_two``) settles every draw, and
+  win credit and surplus are derived only for the bidder columns the
+  policy's bundle reads before being reduced to per-bidder sums and sums
+  of squares.  Bid columns and top-two results are not shared across
+  policies, so a chunk's memory depends on the scenario, not on the
+  number of policies.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
   bids are independent across bidders, so each bidder's exact bid law
   (``orderstats.valuation_law``, built once per bidder and effective
@@ -64,6 +71,7 @@ __all__ = [
     "EstimateBundle",
     "EstimationError",
     "estimate",
+    "estimate_policies",
     "exact_cap_check",
     "sample_draws",
 ]
@@ -145,11 +153,21 @@ def exact_cap_check(s: Scenario, p: DisclosurePolicy) -> Optional[int]:
 
 
 def estimate(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> EstimateBundle:
+    return estimate_policies(s, (p,), config)[0]
+
+
+def estimate_policies(s: Scenario, policies, config: EstimatorConfig) -> tuple:
+    """One bundle per policy, in order; each is ``==`` to ``estimate`` of
+    that policy alone.  Under Monte Carlo every policy is settled on the
+    same draws, and each chunk of draws is generated once for all of them."""
+    policies = tuple(policies)
+    if not policies:
+        return ()
     if s.n_bidders < 2:
         raise EstimationError("second-price auction needs at least 2 bidders")
     if config.backend == "exact":
-        return _exact_bundle(s, p, config)
-    return _mc_bundle(s, p, config)
+        return tuple(_exact_bundle(s, p, config) for p in policies)
+    return _mc_bundles(s, policies, config)
 
 
 def _effective_views(s: Scenario, p: DisclosurePolicy):
@@ -228,92 +246,97 @@ def _uniform_chunk(seed: int, start: int, stop: int, n: int, m: int) -> np.ndarr
     return raw.reshape(stop - start, 4 * bpd)[:, :per_draw].reshape(stop - start, n, m)
 
 
+def _chunk_values(s: Scenario, seed: int, start: int, stop: int):
+    """Realized values of draws [start, stop), one contiguous column per
+    (bidder, characteristic), and the inverse-CDF atom index of each entry
+    with a finitely supported law (None for the others)."""
+    n, m = s.n_bidders, s.m_characteristics
+    U = _uniform_chunk(seed, start, stop, n, m)
+    values, atoms = {}, {}
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            law = s.law(i, j)
+            u = U[:, i - 1, j - 1]
+            if isinstance(law, DiscreteFinite):
+                idx = atom_index(law, u)
+                values[(i, j)] = np.array([float(v) for v in law.values])[idx]
+                atoms[(i, j)] = idx
+            else:
+                values[(i, j)] = ppf(law, u)
+                atoms[(i, j)] = None
+    return values, atoms
+
+
 def sample_draws(s: Scenario, seed: int, count: int) -> np.ndarray:
     """Realized value matrices for draws 0..count-1 of the given seed, shape
     (count, bidders, characteristics).  Uses the same per-(draw, entry)
-    uniforms as ``estimate``, so empirical statistics computed from these
-    draws are the Monte Carlo backend's draws."""
-    n, m = s.n_bidders, s.m_characteristics
-    out = np.empty((count, n, m))
+    uniforms and inverse-CDF values as ``estimate``, so empirical statistics
+    computed from these draws are the Monte Carlo backend's draws."""
+    out = np.empty((count, s.n_bidders, s.m_characteristics))
     for a in range(0, count, _CHUNK):
         b = min(a + _CHUNK, count)
-        U = _uniform_chunk(seed, a, b, n, m)
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                out[a:b, i - 1, j - 1] = ppf(s.law(i, j), U[:, i - 1, j - 1])
+        for (i, j), col in _chunk_values(s, seed, a, b)[0].items():
+            out[a:b, i - 1, j - 1] = col
     return out
 
 
-def _entry_plan(s: Scenario, p: DisclosurePolicy):
-    """Precompiled per-entry transforms: uniform -> (value, bid contribution)."""
-    plan = []
-    for i in range(1, s.n_bidders + 1):
-        for j in range(1, s.m_characteristics + 1):
-            law = s.law(i, j)
-            aware = j in p.aware(i)
-            level = p.level(i, j) if aware else None
-            spec = {"i": i, "j": j, "law": law, "aware": aware}
-            if isinstance(law, DiscreteFinite):
-                spec["kind"] = "discrete"
-                spec["values"] = np.array([float(v) for v in law.values])
-                if aware:
-                    if isinstance(level, NoInfo):
-                        contrib = np.full(len(law.values), float(mean(law)))
-                    else:  # canonical Partition (FullInfo canonicalizes to singletons)
-                        contrib = np.empty(len(law.values))
-                        for cell in cells(law, level):
-                            contrib[list(cell.level.cells[cell.index])] = float(
-                                conditional_mean(law, level, cell))
-                    spec["contrib"] = contrib
-            else:
-                spec["kind"] = "continuous"
-                if aware:
-                    if isinstance(level, NoInfo):
-                        spec["mode"] = "const"
-                        spec["const"] = float(mean(law))
-                    elif isinstance(level, FullInfo):
-                        spec["mode"] = "identity"
-                    else:
-                        cuts = np.asarray(level.cutpoints, dtype=np.float64)
-                        means = np.array([
-                            float(conditional_mean(law, level, c))
-                            for c in cells(law, level)])
-                        spec["mode"] = "partition"
-                        spec["cuts"] = cuts
-                        spec["cellmeans"] = means
-            plan.append(spec)
-    return plan
+def _contribution_rule(law, level):
+    """Map from one aware entry's realized value (and atom index, for a
+    finitely supported law) to its bid contribution under ``level``."""
+    if isinstance(law, DiscreteFinite):
+        if isinstance(level, NoInfo):
+            table = np.full(len(law.values), float(mean(law)))
+        else:  # canonical Partition (FullInfo canonicalizes to singletons)
+            table = np.empty(len(law.values))
+            for cell in cells(law, level):
+                table[list(cell.level.cells[cell.index])] = float(
+                    conditional_mean(law, level, cell))
+        return lambda values, idx: table[idx]
+    if isinstance(level, NoInfo):
+        const = float(mean(law))
+        return lambda values, idx: np.full(values.shape, const)
+    if isinstance(level, FullInfo):
+        return lambda values, idx: values
+    cuts = np.asarray(level.cutpoints, dtype=np.float64)
+    means = np.array([float(conditional_mean(law, level, c)) for c in cells(law, level)])
+    return lambda values, idx: means[np.searchsorted(cuts, values, side="right")]
 
 
-def _mc_chunk(s, p, plan, views, full_idx, bidder_idx, seed, start, stop):
-    """Pure function of the draw range; returns per-field (sum, sum of squares)."""
+def _policy_layout(s: Scenario, p: DisclosurePolicy):
+    """What one policy reads from a chunk: per deduplicated view and bidder
+    the (bidder, characteristic, level) contributions summed into the bid
+    column, in sorted characteristic order; per bidder the characteristics
+    he is unaware of; and the view slots of ``_effective_views``."""
+    views, full_idx, bidder_idx = _effective_views(s, p)
     n = s.n_bidders
-    L = stop - start
-    U = _uniform_chunk(seed, start, stop, n, s.m_characteristics)
+    columns = [[[(i, j, p.level(i, j)) for j in sorted(p.aware(i) & view)]
+                for i in range(1, n + 1)] for view in views]
+    unaware = [[(i, j) for j in range(1, s.m_characteristics + 1) if j not in p.aware(i)]
+               for i in range(1, n + 1)]
+    return columns, unaware, full_idx, bidder_idx
 
-    contribs = {}
-    hidden = [np.zeros(L) for _ in range(n)]
-    for spec in plan:
-        i, j = spec["i"], spec["j"]
-        u = U[:, i - 1, j - 1]
-        if spec["kind"] == "discrete":
-            idx = atom_index(spec["law"], u)
-            values = spec["values"][idx]
-            if spec["aware"]:
-                contribs[(i, j)] = spec["contrib"][idx]
-        else:
-            values = ppf(spec["law"], u)
-            if spec["aware"]:
-                mode = spec["mode"]
-                if mode == "const":
-                    contribs[(i, j)] = np.full(L, spec["const"])
-                elif mode == "identity":
-                    contribs[(i, j)] = values
-                else:
-                    cell = np.searchsorted(spec["cuts"], values, side="right")
-                    contribs[(i, j)] = spec["cellmeans"][cell]
-        if not spec["aware"]:
-            hidden[i - 1] += values
+
+def _mc_chunk(s, rules, layouts, seed, start, stop):
+    """Pure function of the draw range: draws its values once, computes each
+    (bidder, characteristic, level) contribution once, then settles every
+    policy in turn; returns per policy the per-field (sum, sum of squares)."""
+    values, atoms = _chunk_values(s, seed, start, stop)
+    contribs = {key: rule(values[key[:2]], atoms[key[:2]]) for key, rule in rules.items()}
+    return [_policy_fields(s.n_bidders, stop - start, values, contribs, layout)
+            for layout in layouts]
+
+
+def _policy_fields(n, L, values, contribs, layout):
+    """One policy's per-field (sum, sum of squares) over one chunk.  Bid
+    columns and top-two results are built here and dropped on return, so a
+    chunk holds those of one policy at a time."""
+    columns, unaware, full_idx, bidder_idx = layout
+    hidden = []
+    for keys in unaware:
+        h = np.zeros(L)
+        for key in keys:
+            h += values[key]
+        hidden.append(h)
 
     fields = {}
 
@@ -321,11 +344,15 @@ def _mc_chunk(s, p, plan, views, full_idx, bidder_idx, seed, start, stop):
         fields[name] = (float(data.sum()), float(np.square(data).sum()))
 
     # one bid column per bidder per view, summed in sorted characteristic order
-    cols = [[np.zeros(L) for _ in range(n)] for _ in views]
-    for view, bid in zip(views, cols):
-        for i in range(1, n + 1):
-            for j in sorted(p.aware(i) & view):
-                bid[i - 1] += contribs[(i, j)]
+    cols = []
+    for view_keys in columns:
+        bid = []
+        for keys in view_keys:
+            col = np.zeros(L)
+            for key in keys:
+                col += contribs[key]
+            bid.append(col)
+        cols.append(bid)
     tops = [top_two(bid) for bid in cols]
 
     def outcome(v, i):
@@ -352,22 +379,29 @@ def _mc_chunk(s, p, plan, views, full_idx, bidder_idx, seed, start, stop):
     return fields
 
 
-def _mc_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> EstimateBundle:
-    views, full_idx, bidder_idx = _effective_views(s, p)
-    plan = _entry_plan(s, p)
+def _mc_bundles(s: Scenario, policies: tuple, config: EstimatorConfig) -> tuple:
+    layouts = [_policy_layout(s, p) for p in policies]
+    used = {key for columns, _u, _f, _b in layouts
+            for view_keys in columns for keys in view_keys for key in keys}
+    rules = {(i, j, level): _contribution_rule(s.law(i, j), level) for i, j, level in used}
     S = config.n_samples
     ranges = [(a, min(a + _CHUNK, S)) for a in range(0, S, _CHUNK)]
 
     def run(rng):
-        return _mc_chunk(s, p, plan, views, full_idx, bidder_idx,
-                         config.seed, rng[0], rng[1])
+        return _mc_chunk(s, rules, layouts, config.seed, rng[0], rng[1])
 
     if config.workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             partials = list(pool.map(run, ranges))
     else:
         partials = [run(r) for r in ranges]
+    return tuple(_mc_bundle_from(s, [part[k] for part in partials], config)
+                 for k in range(len(policies)))
 
+
+def _mc_bundle_from(s: Scenario, partials: list, config: EstimatorConfig) -> EstimateBundle:
+    """One policy's bundle from its per-chunk partial sums."""
+    S = config.n_samples
     sums: dict = {}
     for part in partials:         # merge in draw-index order: deterministic
         for name, (sm, sq) in part.items():

@@ -5,8 +5,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from awarebid.distributions import DiscreteFinite, FullInfo, NoInfo, UniformContinuous
-from awarebid.engine import EstimatorConfig
+from awarebid.distributions import (
+    DiscreteFinite,
+    FullInfo,
+    NoInfo,
+    UniformContinuous,
+    cells,
+    conditional_mean,
+    mean,
+)
+from awarebid.engine import _CHUNK, EstimatorConfig
 from awarebid.scenario import validate
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -36,6 +44,79 @@ def ks_statistic(samples, cdf_fn, has_atoms=False):
         f_before = f_at
     return float(max(np.max(np.abs(emp_at - f_at)),
                      np.max(np.abs(emp_before - f_before))))
+
+
+def mc_reference(s, p, draws):
+    """Plain per-policy Monte Carlo reference on the engine's draws
+    (``draws = sample_draws(s, seed, count)``): every bid column is summed
+    in sorted characteristic order, draws are settled with 1/#ties credit,
+    and each field is reduced chunk by chunk in draw order as the engine
+    does, so the means must equal the engine's bit for bit.  Returns
+    {field: mean} in the naming of ``bundle_means``."""
+    count = draws.shape[0]
+    n = s.n_bidders
+
+    def contribution(i, j):
+        law, level, x = s.law(i, j), p.level(i, j), draws[:, i - 1, j - 1]
+        if isinstance(level, NoInfo):
+            return np.full(count, float(mean(law)))
+        if isinstance(law, DiscreteFinite):
+            table = np.empty(len(law.values))
+            for cell in cells(law, level):
+                table[list(cell.level.cells[cell.index])] = float(
+                    conditional_mean(law, level, cell))
+            return table[np.searchsorted([float(v) for v in law.values], x)]
+        if isinstance(level, FullInfo):
+            return x.copy()
+        means = np.array([float(conditional_mean(law, level, c)) for c in cells(law, level)])
+        return means[np.searchsorted(level.cutpoints, x, side="right")]
+
+    def settle(view):
+        bids = np.zeros((n, count))
+        for i in range(1, n + 1):
+            for j in sorted(p.aware(i) & view):
+                bids[i - 1] += contribution(i, j)
+        first = bids.max(axis=0)
+        second = np.sort(bids, axis=0)[-2]
+        is_top = bids == first
+        return first, second, is_top / is_top.sum(axis=0), np.where(is_top, first - second, 0.0)
+
+    def reduce(data):
+        total = 0.0
+        for a in range(0, count, _CHUNK):
+            total += float(data[a:a + _CHUNK].sum())
+        return total / count
+
+    first, second, credit_f, surplus_f = settle(s.full_set)
+    out = {"first": reduce(first), "second": reduce(second)}
+    revenue = second.copy()
+    for i in range(1, n + 1):
+        _f, _s, credit_v, surplus_v = settle(p.aware(i))
+        hidden = np.zeros(count)
+        for j in range(1, s.m_characteristics + 1):
+            if j not in p.aware(i):
+                hidden += draws[:, i - 1, j - 1]
+        out[f"surplus_perc_{i}"] = reduce(surplus_v[i - 1])
+        out[f"surplus_act_{i}"] = reduce(surplus_f[i - 1])
+        out[f"credit_perc_{i}"] = reduce(credit_v[i - 1])
+        out[f"credit_act_{i}"] = reduce(credit_f[i - 1])
+        out[f"hidden_{i}"] = reduce(credit_f[i - 1] * hidden)
+        revenue += surplus_v[i - 1]
+    out["revenue"] = reduce(revenue)
+    return out
+
+
+def bundle_means(b):
+    """The means of an MC bundle keyed as ``mc_reference`` keys them."""
+    out = {"first": b.first_order_stat, "second": b.second_order_stat,
+           "revenue": b.total_revenue}
+    for i, be in enumerate(b.bidders, start=1):
+        out[f"surplus_perc_{i}"] = be.perceived_surplus
+        out[f"surplus_act_{i}"] = be.actual_surplus
+        out[f"credit_perc_{i}"] = be.win_prob_perceived
+        out[f"credit_act_{i}"] = be.win_prob_actual
+        out[f"hidden_{i}"] = be.hidden_win_value
+    return out
 
 
 def coin(values):

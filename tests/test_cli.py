@@ -323,3 +323,24 @@ def test_exact_cli_output_is_byte_identical(capsysbinary, scenario_dir, golden, 
     status, out = run_cli(capsysbinary, args)
     assert status == 0
     assert out == (GOLDEN_DIR / golden).read_bytes()
+
+
+MC_GOLDEN = [
+    ("example1-optimize-individual.csv",
+     ["optimize", "--scenario", "example1.json", "--regime", "individual"]),
+    ("prop5_demo-optimize-individual.csv",
+     ["optimize", "--scenario", "prop5_demo.json", "--regime", "individual"]),
+    ("example1-tradeoff.csv",
+     ["tradeoff", "--scenario", "example1.json", "--bidder", "2", "--char", "2"]),
+]
+
+
+@pytest.mark.parametrize("golden,args", MC_GOLDEN, ids=[g for g, _a in MC_GOLDEN])
+def test_mc_cli_output_is_byte_identical(capsysbinary, scenario_dir, golden, args):
+    # golden files hold the output of the per-policy Monte Carlo route that
+    # batched candidate scoring replaced; on the same seed and draws the
+    # estimates must not move by a byte
+    args = [str(scenario_dir / a) if a.endswith(".json") else a for a in args]
+    status, out = run_cli(capsysbinary, args)
+    assert status == 0
+    assert out == (GOLDEN_DIR / golden).read_bytes()

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from awarebid import disclosure, engine
 from awarebid.disclosure import (
     CorpusConfig,
     PolicyRegime,
@@ -14,11 +16,11 @@ from awarebid.disclosure import (
     random_discrete_scenario,
     verify_suite,
 )
-from awarebid.distributions import DiscreteFinite, FullInfo, UniformContinuous
-from awarebid.engine import EstimatorConfig
+from awarebid.distributions import DiscreteFinite, FullInfo, Normal, UniformContinuous
+from awarebid.engine import _CHUNK, EstimatorConfig, estimate, sample_draws
 from awarebid.fees import revenue
 from awarebid.scenario import Scenario, ScenarioError, validate
-from conftest import EXACT, coin
+from conftest import EXACT, bundle_means, coin, mc_reference
 
 MC = EstimatorConfig(backend="mc", n_samples=200_000, seed=17)
 
@@ -261,3 +263,98 @@ def test_unflatten_follows_the_screen_index_order():
     idx = np.meshgrid(*[np.arange(len(v)) for v in variants], indexing="ij")
     for flat, picks in enumerate(zip(*(ix.ravel() for ix in idx))):
         assert _unflatten(flat, variants) == [v[k] for v, k in zip(variants, picks)]
+
+
+# --- batched Monte Carlo scoring ------------------------------------------
+
+def three_char_scenario(n_bidders):
+    """Uniform and normal laws with non-dyadic parameters on three
+    characteristics, so a bid column sums three inexact terms; the MC
+    individual-regime winner is not a common-awareness policy."""
+    rows = [(UniformContinuous(0, 5), Normal(0.3, 1.7), UniformContinuous(-2, 1.1)),
+            (Normal(1, 2), UniformContinuous(-1, 3), Normal(-0.2, 0.9)),
+            (UniformContinuous(0, 4), Normal(-0.1, 1.3), UniformContinuous(-1.5, 2.5))]
+    return Scenario(n_bidders, 3, tuple(rows[:n_bidders]))
+
+
+MC_BATCH = EstimatorConfig(backend="mc", n_samples=_CHUNK + 7, seed=23)
+
+
+def _per_policy_loop(s, policies, config):
+    return tuple(estimate(s, p, config) for p in policies)
+
+
+def _batched_and_per_policy(monkeypatch, run):
+    """``run()`` on the batched route, recording every batched call and the
+    start of every uniform chunk drawn, then ``run()`` again with each batch
+    replaced by a plain per-policy loop over ``estimate``.  Every recorded
+    bundle is checked against ``estimate`` of its policy alone and against
+    the plain reference on the same draws."""
+    calls, starts = [], []
+    stock, stock_chunk = disclosure.estimate_policies, engine._uniform_chunk
+
+    def spy(s, policies, config):
+        out = stock(s, policies, config)
+        calls.append((s, tuple(policies), config, out))
+        return out
+
+    def counting(seed, start, stop, n, m):
+        starts.append(start)
+        return stock_chunk(seed, start, stop, n, m)
+
+    monkeypatch.setattr(disclosure, "estimate_policies", spy)
+    monkeypatch.setattr(engine, "_uniform_chunk", counting)
+    got = run()
+    monkeypatch.setattr(engine, "_uniform_chunk", stock_chunk)
+    monkeypatch.setattr(disclosure, "estimate_policies", _per_policy_loop)
+    want = run()
+    for s, policies, config, out in calls:
+        assert len(out) == len(policies)
+        draws = sample_draws(s, config.seed, config.n_samples)
+        for p, b in zip(policies, out):
+            assert b == estimate(s, p, config)
+            assert bundle_means(b) == mc_reference(s, p, draws)
+    return got, want, calls, starts
+
+
+@pytest.mark.parametrize("n_bidders,config", [
+    (2, MC_BATCH), (3, EstimatorConfig(backend="mc", n_samples=4099, seed=23))],
+    ids=["16-candidates", "64-candidates"])
+def test_mc_optimize_individual_matches_per_policy_loop(monkeypatch, n_bidders, config):
+    s = three_char_scenario(n_bidders)
+    got, want, calls, starts = _batched_and_per_policy(
+        monkeypatch, lambda: optimize(s, PolicyRegime.INDIVIDUAL, config))
+    assert got == want          # policy, report, trace and tie-break
+    assert len(got.trace) == 4 ** n_bidders
+    # one batched call scores every candidate without an analytic value
+    # (all but the 4 common-awareness ones); the winner is not common, so
+    # its report reuses its bundle and every chunk is drawn exactly once
+    assert [len(c[1]) for c in calls] == [4 ** n_bidders - 4]
+    assert len(set(got.policy.awareness)) > 1
+    assert starts == list(range(0, config.n_samples, _CHUNK))
+    assert len(starts) == math.ceil(config.n_samples / _CHUNK)
+    assert got.report == revenue(s, got.policy, config)
+
+
+def test_mc_greedy_matches_per_policy_loop(monkeypatch):
+    s = three_char_scenario(3)
+    got, want, calls, _starts = _batched_and_per_policy(
+        monkeypatch, lambda: disclosure._optimize_greedy(
+            s, MC_BATCH, frozenset({1}), {}, PolicyRegime.INDIVIDUAL))
+    assert got == want
+    # the common start is analytic; then one call per sweep of 6, 5, ... trials
+    sizes = [len(c[1]) for c in calls]
+    assert sizes[0] == 0 and len(sizes) > 2
+    assert sizes[1:] == [6 - k for k in range(len(sizes) - 1)]
+    assert len(got.trace) == 1 + sum(sizes)
+
+
+def test_mc_tradeoff_matches_per_policy_loop(monkeypatch):
+    s = three_char_scenario(3)
+    base = policy_with_info(s, [{1, 2, 3}, {1, 3}, {1, 3}], {})
+    got, want, calls, starts = _batched_and_per_policy(
+        monkeypatch, lambda: check_tradeoff(s, base, 2, 2, MC_BATCH))
+    assert got == want
+    assert [len(c[1]) for c in calls] == [2]
+    assert starts == list(range(0, MC_BATCH.n_samples, _CHUNK))
+    assert got.revenue_before == revenue(s, base, MC_BATCH).total_revenue

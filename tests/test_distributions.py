@@ -16,11 +16,11 @@ from awarebid.distributions import (
     Normal,
     Partition,
     PointMass,
+    SignalCell,
     TrapezoidLaw,
     UniformContinuous,
     canonical_info,
     cdf,
-    cell_of,
     cell_probability,
     cells,
     conditional_mean,
@@ -192,40 +192,33 @@ def test_convolve_rejects_invalid_input():
 def test_conditional_mean_examples():
     u = UniformContinuous(0, 5)
     level = Partition(cutpoints=[2])
-    cell = cell_of(u, level, 1.0)
+    cell = cells(u, level)[0]               # [0, 2)
     assert conditional_mean(u, level, cell) == 1.0
-    assert conditional_mean(u, NoInfo(), cell_of(u, NoInfo(), 3.3)) == mean(u)
+    assert conditional_mean(u, NoInfo(), cells(u, NoInfo())[0]) == mean(u)
     d = DiscreteFinite([0, 1, 3], [F(1, 2), F(1, 4), F(1, 4)])
     lv = Partition(cells=[[0], [1, 2]])
-    got = conditional_mean(d, lv, cell_of(d, lv, 3))
+    got = conditional_mean(d, lv, cells(d, lv)[1])    # the cell holding 3
     assert got == 2 and isinstance(got, F)
 
 
 def test_conditional_mean_full_info_is_realization():
+    # on a discrete law full information is the all-singletons partition,
+    # so each cell's mean is its atom; a continuous law has no cells
+    d = DiscreteFinite([0, F(13, 4), 5], [F(1, 3)] * 3)
+    assert conditional_mean(d, FullInfo(), cells(d, FullInfo())[1]) == 3.25
     u = UniformContinuous(0, 5)
-    cell = cell_of(u, FullInfo(), 3.25)
-    assert conditional_mean(u, FullInfo(), cell) == 3.25
+    with pytest.raises(DistributionError):
+        cells(u, FullInfo())
+    with pytest.raises(DistributionError):
+        conditional_mean(u, FullInfo(), SignalCell(u, FullInfo(), 0))
 
 
 def test_truncated_normal_cell_mean():
     nrm = Normal(0, 1)
     level = Partition(cutpoints=[0.0])
-    hi = conditional_mean(nrm, level, cell_of(nrm, level, 1.0))
+    hi = conditional_mean(nrm, level, cells(nrm, level)[1])     # [0, inf)
     # mean of a standard normal above 0 is sqrt(2/pi)
     assert hi == pytest.approx(math.sqrt(2 / math.pi), abs=1e-12)
-
-
-def test_cell_of_examples():
-    u = UniformContinuous(0, 5)
-    level = Partition(cutpoints=[2])
-    assert cell_of(u, level, 3.1).index == 1
-    assert cell_of(u, NoInfo(), 0.1).index == 0
-    d = DiscreteFinite([0, 1], [F(1, 2), F(1, 2)])
-    cell = cell_of(d, FullInfo(), 1)
-    assert canonical_info(d, FullInfo()) == Partition(cells=[(0,), (1,)])
-    assert cell.index == 1
-    with pytest.raises(DistributionError):
-        cell_of(u, level, 7.0)
 
 
 def test_canonicalization_rules():

@@ -14,7 +14,7 @@ from awarebid.distributions import (
     Normal,
     Partition,
     UniformContinuous,
-    cell_of,
+    cells,
     conditional_mean,
     mean,
     ppf,
@@ -32,7 +32,14 @@ from awarebid.engine import (
     _uniform_chunk,
 )
 from awarebid.scenario import validate
-from conftest import EXACT, build_d1, build_noinfo_tie, build_u01
+from conftest import (
+    EXACT,
+    build_d1,
+    build_noinfo_tie,
+    build_u01,
+    bundle_means,
+    mc_reference,
+)
 
 
 def test_sample_draws_inverse_cdf_and_determinism():
@@ -152,8 +159,10 @@ def _enumerate_bundle(s, p):
             if isinstance(level, NoInfo):
                 contribs = [(F(mean(law)), prob) for prob in law.probs]
             else:
-                contribs = [(F(conditional_mean(law, level, cell_of(law, level, v))), prob)
-                            for v, prob in zip(law.values, law.probs)]
+                cell_mean = {a: F(conditional_mean(law, level, cell))
+                             for cell in cells(law, level)
+                             for a in cell.level.cells[cell.index]}
+                contribs = [(cell_mean[a], prob) for a, prob in enumerate(law.probs)]
             entries.append((tuple(j in view for view in views), contribs))
         table = {}
         for choice in product(*[range(len(c)) for _inc, c in entries]):
@@ -513,3 +522,62 @@ def test_mixed_continuous_partition_runs_through_mc():
     # E[max{1,V}]/2 + E[max{3,V}]/2 = (1*1/4 + E[V|V>1]*3/4)/2 + ...
     want = 0.5 * (1 * 0.25 + 2.5 * 0.75) + 0.5 * (3 * 0.75 + 3.5 * 0.25)
     assert abs(b.first_order_stat - want) < 4 * b.se_first_order_stat
+
+
+def mixed_candidates():
+    """Three bidders, four characteristics (uniform, normal, a discrete law
+    with non-dyadic atoms, uniform or normal) and four policies mixing
+    discrete cell partitions, NoInfo, continuous cutpoint partitions, full
+    information and unaware characteristics.  Bidders sum up to four
+    non-dyadic contributions, so the order of a column sum shows in the
+    last bits."""
+    d3 = DiscreteFinite([F(-1, 3), F(2, 7), F(5, 3)], [F(1, 3), F(1, 6), F(1, 2)])
+    d4 = DiscreteFinite([0, 1, 3], [F(1, 4), F(1, 4), F(1, 2)])
+    laws = [[UniformContinuous(0, 5), Normal(0.3, 1.7), d3, UniformContinuous(-2, 1.1)],
+            [Normal(1, 2), UniformContinuous(-1, 3), d3, Normal(-0.2, 0.9)],
+            [UniformContinuous(0, 4), Normal(0.1, 1.3), d4, UniformContinuous(-3, 2)]]
+    full = {1: FullInfo(), 2: FullInfo(), 3: FullInfo(), 4: FullInfo()}
+    specs = [
+        ([[1, 2, 3, 4]] * 3,
+         [{1: FullInfo(), 2: Partition(cutpoints=[0.0, 1.0]),
+           3: Partition(cells=[[0, 2], [1]]), 4: NoInfo()}] * 3),
+        ([[1, 2, 3], [1, 2], [1, 4]],
+         [{1: FullInfo(), 2: FullInfo(), 3: NoInfo()},
+          {1: NoInfo(), 2: Partition(cutpoints=[0.5])},
+          {1: FullInfo(), 4: FullInfo()}]),
+        ([[1], [1, 3], [1, 2, 3, 4]],
+         [{1: FullInfo()}, {1: FullInfo(), 3: FullInfo()},
+          {1: Partition(cutpoints=[1.0, 2.0]), 2: FullInfo(),
+           3: Partition(cells=[[0], [1, 2]]), 4: Partition(cutpoints=[-1.0])}]),
+        ([[1, 2, 3, 4], [1, 2, 3, 4], [1]], [full, full, {1: NoInfo()}]),
+    ]
+    policies = [validate(3, 4, laws, aw, info)[1] for aw, info in specs]
+    return validate(3, 4, laws, *specs[0])[0], policies
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_policies_equals_per_policy_estimate(monkeypatch, workers):
+    # every batched bundle is == the one-policy estimate of its policy and
+    # == a plain per-policy reference on the same draws, across chunk
+    # boundaries and for any worker count; each chunk is drawn once
+    s, policies = mixed_candidates()
+    cfg = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 5, seed=99, workers=workers)
+    starts = []
+    stock = engine._uniform_chunk
+
+    def counting(seed, start, stop, n, m):
+        starts.append(start)
+        return stock(seed, start, stop, n, m)
+
+    monkeypatch.setattr(engine, "_uniform_chunk", counting)
+    batch = engine.estimate_policies(s, policies, cfg)
+    assert sorted(starts) == [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK]
+    monkeypatch.setattr(engine, "_uniform_chunk", stock)
+    assert batch == tuple(estimate(s, p, cfg) for p in policies)
+    draws = sample_draws(s, cfg.seed, cfg.n_samples)
+    for p, b in zip(policies, batch):
+        assert bundle_means(b) == mc_reference(s, p, draws)
+    # the policies differ in what they hide, so sharing one policy's hidden
+    # sums with another would show
+    hidden = {tuple(be.hidden_win_value for be in b.bidders) for b in batch}
+    assert len(hidden) == len(batch)

@@ -129,11 +129,21 @@ def _common_awareness_revenue(s: Scenario, p: DisclosurePolicy):
     return expected_order_stat(OrderStatLaw(tuple(laws), 1))
 
 
-def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
+def _rank_key(value, p: DisclosurePolicy):
+    """Optimizer order: higher revenue, then fewer aware pairs, then less
+    disclosure."""
+    return (value, -_aware_pairs(p), -_policy_disclosure(p))
+
+
+def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig,
+                    bundle_best_analytic: bool = False):
     """Revenue of each policy, and the bundle it was read from where the
     engine estimated it (None where the analytic common-awareness route
     gave it).  Every engine-estimated policy goes through one batched call,
-    so they all share one pass over the draws."""
+    so they all share one pass over the draws.  With
+    ``bundle_best_analytic`` the analytic policy ranked first by
+    ``_rank_key`` is scored in that call too, keeping its analytic value, so
+    a report on it needs no second pass."""
     values = [None] * len(policies)
     pending = []
     for k, p in enumerate(policies):
@@ -144,11 +154,15 @@ def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
             except DistributionError:
                 pass    # e.g. continuous partition: estimate through the engine
         pending.append(k)
+    analytic = [k for k in range(len(policies)) if values[k] is not None]
+    best = (max(analytic, key=lambda k: _rank_key(values[k], policies[k]))
+            if bundle_best_analytic and analytic else None)
+    scored = pending + ([best] if best is not None else [])
     bundles = [None] * len(policies)
-    batch = estimate_policies(s, [policies[k] for k in pending], config)
-    for k, b in zip(pending, batch):
+    for k, b in zip(scored, estimate_policies(s, [policies[k] for k in scored], config)):
         bundles[k] = b
-        values[k] = revenue(s, policies[k], config, bundle=b).total_revenue
+    for k in pending:
+        values[k] = revenue(s, policies[k], config, bundle=bundles[k]).total_revenue
     return values, bundles
 
 
@@ -215,12 +229,13 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
     else:  # COMMON_FREE_INFO
         candidates = _free_info_candidates(s, base, partition_cap)
 
-    values, bundles = _revenue_values(s, [pol for _desc, pol in candidates], config)
+    values, bundles = _revenue_values(s, [pol for _desc, pol in candidates], config,
+                                      bundle_best_analytic=True)
     best = None
     trace = []
     for (desc, pol), val, bundle in zip(candidates, values, bundles):
         trace.append((desc, val))
-        key = (val, -_aware_pairs(pol), -_policy_disclosure(pol))
+        key = _rank_key(val, pol)
         if best is None or key > best[0]:
             best = (key, pol, bundle)
     _key, pol, bundle = best

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import awarebid
-from awarebid import cli
+from awarebid import cli, engine
 from awarebid.cli import ParseError, emit, main, parse_scenario, write_scenario
 from awarebid.disclosure import ClaimResult, VerificationReport
 
@@ -342,5 +342,48 @@ def test_mc_cli_output_is_byte_identical(capsysbinary, scenario_dir, golden, arg
     # estimates must not move by a byte
     args = [str(scenario_dir / a) if a.endswith(".json") else a for a in args]
     status, out = run_cli(capsysbinary, args)
+    assert status == 0
+    assert out == (GOLDEN_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden,args", MC_GOLDEN[:2], ids=[g for g, _a in MC_GOLDEN[:2]])
+def test_mc_optimize_draws_each_chunk_once(capsysbinary, scenario_dir, monkeypatch,
+                                           golden, args):
+    # both winners have common awareness, so their search value is analytic;
+    # their report bundle comes from the one batched pass, not a second one
+    starts = []
+    stock = engine._uniform_chunk
+
+    def counting(seed, start, stop, n, m):
+        starts.append(start)
+        return stock(seed, start, stop, n, m)
+
+    monkeypatch.setattr(engine, "_uniform_chunk", counting)
+    args = [str(scenario_dir / a) if a.endswith(".json") else a for a in args]
+    status, out = run_cli(capsysbinary, args)
+    assert status == 0
+    assert out == (GOLDEN_DIR / golden).read_bytes()
+    _s, _p, cfg = parse_scenario(args[2])
+    assert starts == list(range(0, cfg.n_samples, engine._CHUNK))
+
+
+ANALYTIC_GOLDEN = [
+    (f"{name}-orderstats.csv", ["orderstats", "--scenario", f"{name}.json"])
+    for name in ("example2", "prop4_demo", "prop5_demo")]
+ANALYTIC_GOLDEN += [
+    (f"{name}-optimize-{regime}.csv",
+     ["optimize", "--scenario", f"{name}.json", "--regime", regime])
+    for name, regime in (("prop4_demo", "common-free-info"),
+                         ("prop5_demo", "common-free-info"),
+                         ("example2", "public-full-info"))]
+
+
+@pytest.mark.parametrize("golden,args", ANALYTIC_GOLDEN, ids=[g for g, _a in ANALYTIC_GOLDEN])
+def test_analytic_cli_output_is_byte_identical(capsysbinary, scenario_dir, golden, args):
+    # golden files hold the output of the quadrature that evaluated knot
+    # interval ends at the knots themselves; the one-sided end values must
+    # not move a printed digit
+    args = [str(scenario_dir / a) if a.endswith(".json") else a for a in args]
+    status, out = run_cli(capsysbinary, args + ["--samples", "20000"])
     assert status == 0
     assert out == (GOLDEN_DIR / golden).read_bytes()

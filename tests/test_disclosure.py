@@ -327,9 +327,9 @@ def test_mc_optimize_individual_matches_per_policy_loop(monkeypatch, n_bidders, 
     assert got == want          # policy, report, trace and tie-break
     assert len(got.trace) == 4 ** n_bidders
     # one batched call scores every candidate without an analytic value
-    # (all but the 4 common-awareness ones); the winner is not common, so
-    # its report reuses its bundle and every chunk is drawn exactly once
-    assert [len(c[1]) for c in calls] == [4 ** n_bidders - 4]
+    # (all but the 4 common-awareness ones) plus the best analytic one, so
+    # the report reuses the winner's bundle and every chunk is drawn once
+    assert [len(c[1]) for c in calls] == [4 ** n_bidders - 3]
     assert len(set(got.policy.awareness)) > 1
     assert starts == list(range(0, config.n_samples, _CHUNK))
     assert len(starts) == math.ceil(config.n_samples / _CHUNK)

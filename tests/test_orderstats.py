@@ -20,6 +20,7 @@ from awarebid.distributions import (
     UniformContinuous,
     breakpoints,
     cdf_exact,
+    convolve,
     mean,
     quantile_range,
 )
@@ -321,8 +322,10 @@ def test_order_cdf_matches_engine_draws(seed):
 
 
 def _recursive_simpson(fn, a, b, tol, max_depth=48):
-    """Scalar depth-first adaptive Simpson: the reference for the array version."""
-    fa, fb = fn(a), fn(b)
+    """Scalar depth-first adaptive Simpson: the reference for the array version.
+    The end values are taken one ulp inside [a, b], the one-sided limits at
+    a knot where the integrand jumps."""
+    fa, fb = fn(np.nextafter(a, np.inf)), fn(np.nextafter(b, -np.inf))
     m = 0.5 * (a + b)
     fm = fn(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -419,6 +422,80 @@ def test_grid_quadrature_is_one_call(monkeypatch):
     grid = GridLaw(np.linspace(-1.0, 2.0, 64), np.ones(64))
     expected_order_stat(order_cdf([grid, Normal(0.0, 1.0)], 1))
     assert len(calls) == 1 and calls[0] >= GRID_POINTS
+
+
+def _counting_cdf(monkeypatch):
+    """Patch OrderStatLaw.cdf to count its calls; returns the count list."""
+    counts = [0]
+    plain = OrderStatLaw.cdf
+
+    def counted(self, y):
+        counts[0] += 1
+        return plain(self, y)
+
+    monkeypatch.setattr(OrderStatLaw, "cdf", counted)
+    return counts
+
+
+def test_quadrature_work_is_bounded_on_random_mixes(monkeypatch):
+    # knot intervals ending at 0 or at an atom see their one-sided limit, so
+    # none of them refines to max_depth (that took max_depth + 2 = 50 calls)
+    counts = _counting_cdf(monkeypatch)
+    for seed in range(6):
+        for laws in _random_float_mixes(seed, 12):
+            for r in (1, 2):
+                counts[0] = 0
+                expected_order_stat(order_cdf(laws, r))
+                assert counts[0] <= 16
+
+
+@pytest.mark.parametrize("c", [F(1, 3), F(2, 3), F(-1, 3), 0.25], ids=str)
+def test_point_mass_against_uniform_closed_form(monkeypatch, c):
+    # E[max(c, U)] for U ~ U(-1, 2) and -1 <= c <= 2 is c(c+1)/3 + (4-c^2)/6.
+    # A Fraction knot rounds to a float on one side of the jump; the
+    # one-ulp-inside end values see the right side either way.
+    counts = _counting_cdf(monkeypatch)
+    got = expected_order_stat(order_cdf([PointMass(c), UniformContinuous(-1, 2)], 1))
+    q = F(c)
+    assert got == pytest.approx(float(q * (q + 1) / 3 + (4 - q * q) / 6), abs=1e-12)
+    assert counts[0] <= 4
+
+
+@pytest.mark.parametrize("mu,sigma,c", [(0.5, 1.0, 0.0), (0.3, 2.0, -1.0),
+                                        (-1.0, 0.5, F(1, 3)), (1.0, 1.0, 0.5)])
+def test_normal_against_point_mass_matches_clark(monkeypatch, mu, sigma, c):
+    # the remaining error is Simpson's own at SIMPSON_TOL (about 1e-12 here;
+    # it falls below 3e-13 at a tolerance of 1e-12), not the jump at c
+    counts = _counting_cdf(monkeypatch)
+    got = expected_order_stat(order_cdf([Normal(mu, sigma), PointMass(c)], 1))
+    assert got == pytest.approx(clark_normal_max(mu, sigma ** 2, float(c), 0.0),
+                                abs=SIMPSON_TOL / 10)
+    assert counts[0] <= 16
+
+
+def _fine_trapezoid(os_law, points=2_000_000):
+    """E of the order statistic by a plain trapezoid on ``points`` points,
+    split at 0 and at every knot, each piece's ends one ulp inside."""
+    los, his = zip(*(quantile_range(law) for law in os_law.laws))
+    lo, hi = min(min(los), 0.0), max(max(his), 0.0)
+    knots = sorted({lo, hi, 0.0, *(float(k) for law in os_law.laws
+                                   for k in breakpoints(law) if lo < k < hi)})
+    total = 0.0
+    for a, b in zip(knots, knots[1:]):
+        xs = np.linspace(a, b, points // (len(knots) - 1))
+        ys = xs.copy()
+        ys[0], ys[-1] = np.nextafter(a, np.inf), np.nextafter(b, -np.inf)
+        g = os_law.cdf(ys)
+        total += float(np.trapezoid(1.0 - g if a >= 0 else -g, xs))
+    return total
+
+
+@pytest.mark.parametrize("other", [PointMass(-0.2), Normal(-0.1, 0.7)], ids=str)
+def test_grid_quadrature_takes_one_sided_limits_at_knots(other):
+    grid = convolve(Normal(0.3, 1.0), UniformContinuous(-1.0, 0.5))
+    assert isinstance(grid, GridLaw)
+    os_law = order_cdf([grid, other], 1)
+    assert expected_order_stat(os_law) == pytest.approx(_fine_trapezoid(os_law), abs=1e-6)
 
 
 def test_exact_point_mass_shift_quadrature_runs_on_floats():

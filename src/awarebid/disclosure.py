@@ -38,6 +38,8 @@ from .distributions import (
     InfoLevel,
     NoInfo,
     Partition,
+    atom_lattice,
+    fold_atom_lattices,
     mean,
 )
 from .engine import EstimatorConfig, estimate_policies
@@ -47,7 +49,6 @@ from .orderstats import (
     atom_grid,
     bid_component,
     expected_order_stat,
-    fold_bid_law,
     valuation_law,
 )
 from .scenario import (
@@ -246,7 +247,10 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
 def _optimize_greedy(s, config, base, info, regime) -> OptimizeResult:
     """Greedy hill climb: repeatedly add the single (bidder, characteristic)
     awareness pair with the largest strict revenue improvement.  Each sweep
-    scores all of its single-pair trials in one batched call."""
+    scores all of its single-pair trials in one batched call.  An incumbent
+    without a bundle (its value was analytic) rides along in that call, and
+    so does the best analytic policy of the sweep, so the final report
+    reuses a bundle instead of drawing every chunk again."""
     current = [base] * s.n_bidders
     pol = policy_with_info(s, current, info)
     (best_val,), (bundle,) = _revenue_values(s, [pol], config)
@@ -263,7 +267,10 @@ def _optimize_greedy(s, config, base, info, regime) -> OptimizeResult:
                 trial[i] = trial[i] | {j}
                 trials.append((f"try bidder {i + 1} char {j}", trial,
                                policy_with_info(s, trial, info)))
-        values, bundles = _revenue_values(s, [cand for _d, _t, cand in trials], config)
+        policies = [cand for _d, _t, cand in trials] + ([pol] if bundle is None else [])
+        values, bundles = _revenue_values(s, policies, config, bundle_best_analytic=True)
+        if bundle is None:
+            bundle = bundles[-1]
         step = None
         for (desc, trial, cand), val, b in zip(trials, values, bundles):
             trace.append((desc, val))
@@ -695,29 +702,29 @@ def _claim_full_info_optimal(sid: str, s: Scenario, cap: int) -> list:
         return [ClaimResult("Prop6", sid, False, True, Fraction(0), "over cap")]
 
     aware = sorted(chosen)
-    # per bidder: the bid law of every combination of per-characteristic
-    # partitions, folded from components built once per (characteristic, level)
+    # per bidder: the integer form of the bid law of every combination of
+    # per-characteristic partitions, folded from one form per (law, level)
     variants = []
     for i in range(1, s.n_bidders + 1):
-        per_char = [[bid_component(s, i, j, lvl) for lvl in _info_variants(s.law(i, j))]
-                    for j in aware]
-        variants.append([fold_bid_law(combo) for combo in _iproduct(*per_char)])
-    full_laws = [fold_bid_law(s.law(i, j) for j in aware) for i in range(1, s.n_bidders + 1)]
-    rev_full = expected_order_stat(OrderStatLaw(tuple(full_laws), 1))
+        per_char = [[atom_lattice(bid_component(s, i, j, lvl))
+                     for lvl in _info_variants(s.law(i, j))] for j in aware]
+        variants.append([fold_atom_lattices(combo) for combo in _iproduct(*per_char)])
+    rev_full = atom_grid(fold_atom_lattices(atom_lattice(s.law(i, j)) for j in aware)
+                         for i in range(1, s.n_bidders + 1)).expected(1)
 
     # float screen on the common atom grid of every variant law
-    grid = atom_grid([law for laws in variants for law in laws])
-    gx = np.array([g / grid.value_den for g in grid.points])
-    cdfs = np.array([[c / grid.prob_den for c in col] for col in grid.cdf])
-    mats = np.split(cdfs, np.cumsum([len(laws) for laws in variants])[:-1])
-
-    idx = np.meshgrid(*[np.arange(len(laws)) for laws in variants], indexing="ij")
-    idx = [ix.ravel() for ix in idx]
-    prod = mats[0][idx[0]]
-    for mat, ix in zip(mats[1:], idx[1:]):
-        prod = prod * mat[ix]
-    dv = np.diff(gx)
-    e_max = gx[-1] - prod[:, :-1] @ dv
+    grid = atom_grid(form for forms in variants for form in forms)
+    gx = np.array(grid.points, dtype=np.float64) / grid.value_den
+    cdfs = np.array(grid.cdf, dtype=np.float64) / grid.prob_den
+    mats = np.split(cdfs[:, :-1], np.cumsum([len(forms) for forms in variants])[:-1])
+    # E[max] = g_last - sum_k (g_{k+1} - g_k) prod_i F_i(g_k) for every
+    # assignment, in row-major order (bidder 1 slowest): the products over
+    # all but the last bidder are spelled out, the last bidder's column is
+    # one matrix product
+    acc = np.diff(gx)[None, :]
+    for mat in mats[:-1]:
+        acc = (acc[:, None, :] * mat[None, :, :]).reshape(-1, acc.shape[1])
+    e_max = gx[-1] - (acc @ mats[-1].T).ravel()
     margins = float(rev_full) - e_max
 
     # The full-info assignment itself is in the scan (margin 0), so exact
@@ -725,8 +732,7 @@ def _claim_full_info_optimal(sid: str, s: Scenario, cap: int) -> list:
     holds = True
     worst = None
     for flat in np.nonzero(margins < 1e-9)[0]:
-        laws = _unflatten(int(flat), variants)
-        margin = rev_full - expected_order_stat(OrderStatLaw(tuple(laws), 1))
+        margin = rev_full - atom_grid(_unflatten(int(flat), variants)).expected(1)
         if margin < 0:
             holds = False
         if worst is None or margin < worst:

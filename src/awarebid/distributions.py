@@ -8,6 +8,12 @@ measurable partition of the support; conditional expectations given a
 partition cell are closed-form for every supported kind, which is what makes
 bid computation exact for discrete scenarios and cheap for continuous ones.
 
+Finitely supported laws also have an integer form (``AtomLattice``): value
+numerators over one value denominator and integer masses over one
+probability denominator.  Sums of such laws are convolved on those Python
+ints (``fold_atom_lattices``) and turned back into Fraction atoms only when
+a law object is asked for (``lattice_law``).
+
 Sampling is inverse-CDF (``ppf``) applied to uniforms that the Monte Carlo
 backend keys by (seed, draw, bidder, characteristic), so a variate does not
 depend on how draws are batched across workers.  ``scipy.special`` is
@@ -20,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +35,7 @@ __all__ = [
     "Normal",
     "DiscreteFinite",
     "PointMass",
+    "AtomLattice",
     "TrapezoidLaw",
     "GridLaw",
     "Distribution",
@@ -48,6 +55,9 @@ __all__ = [
     "support",
     "breakpoints",
     "convolve",
+    "atom_lattice",
+    "fold_atom_lattices",
+    "lattice_law",
     "canonical_info",
     "cells",
     "cell_probability",
@@ -162,6 +172,71 @@ class PointMass:
     NoInfo contributions produce it."""
 
     value: float
+
+
+class AtomLattice(NamedTuple):
+    """A finitely supported law on an integer lattice: atom k sits at
+    ``nums[k] / value_den`` with probability ``masses[k] / prob_den``.
+    ``nums`` is strictly increasing, every mass is positive, the masses sum
+    to ``prob_den``, and both denominators are the least ones that work."""
+
+    value_den: int
+    prob_den: int
+    nums: tuple
+    masses: tuple
+
+
+def atom_lattice(law) -> AtomLattice:
+    """Integer form of a DiscreteFinite or PointMass law, computed once per
+    law instance and kept on it.  A float atom enters as ``Fraction(v)``,
+    its exact binary value."""
+    form = law.__dict__.get("_lattice")
+    if form is None:
+        if isinstance(law, PointMass):
+            atoms = [(Fraction(law.value), Fraction(1))]
+        else:
+            atoms = [(Fraction(v), p) for v, p in zip(law.values, law.probs)]
+        value_den = math.lcm(*(v.denominator for v, _p in atoms))
+        prob_den = math.lcm(*(p.denominator for _v, p in atoms))
+        form = AtomLattice(value_den, prob_den,
+                           tuple(v.numerator * (value_den // v.denominator) for v, _p in atoms),
+                           tuple(p.numerator * (prob_den // p.denominator) for _v, p in atoms))
+        object.__setattr__(law, "_lattice", form)
+    return form
+
+
+def fold_atom_lattices(forms) -> AtomLattice:
+    """Integer form of the sum of independent lattice laws: one convolution
+    of value numerators and masses on Python ints, reduced once at the end."""
+    forms = list(forms)
+    value_den = math.lcm(*(f.value_den for f in forms))
+    acc = {0: 1}
+    prob_den = 1
+    for f in forms:
+        step = value_den // f.value_den
+        atoms = [(x * step, m) for x, m in zip(f.nums, f.masses)]
+        out: dict = {}
+        for x, m in acc.items():
+            for y, w in atoms:
+                out[x + y] = out.get(x + y, 0) + m * w
+        acc = out
+        prob_den *= f.prob_den
+    nums = sorted(acc)
+    masses = [acc[x] for x in nums]
+    gv = math.gcd(value_den, *nums)
+    gp = math.gcd(prob_den, *masses)
+    return AtomLattice(value_den // gv, prob_den // gp,
+                       tuple(x // gv for x in nums), tuple(m // gp for m in masses))
+
+
+def lattice_law(form: AtomLattice):
+    """The law an integer form stands for, with Fraction atoms: a PointMass
+    for one atom, else a DiscreteFinite.  The form is kept on the law."""
+    values = [Fraction(x, form.value_den) for x in form.nums]
+    law = PointMass(values[0]) if len(values) == 1 else DiscreteFinite(
+        values, [Fraction(m, form.prob_den) for m in form.masses])
+    object.__setattr__(law, "_lattice", form)
+    return law
 
 
 @dataclass(frozen=True)
@@ -495,12 +570,13 @@ def _shift(law: Law, c) -> Law:
 def convolve(a: Law, b: Law, grid_points: int = GRID_POINTS) -> Law:
     """Law of the sum of two independent laws.
 
-    Closed forms: normal+normal, discrete+discrete (exact rational atoms),
-    uniform+uniform (trapezoid), and any shift by a point mass.  Every other
-    pairing falls back to a numeric grid CDF of ``grid_points`` points
-    spanning the combined 1e-12 quantile range; support edges then land
-    within one grid step, so grid-law moments and CDF values are accurate to
-    O(span / grid_points), about 1e-4 at the default resolution.
+    Closed forms: normal+normal, discrete+discrete (exact rational atoms,
+    by ``fold_atom_lattices``), uniform+uniform (trapezoid), and any shift
+    by a point mass.  Every other pairing falls back to a numeric grid CDF
+    of ``grid_points`` points spanning the combined 1e-12 quantile range;
+    support edges then land within one grid step, so grid-law moments and
+    CDF values are accurate to O(span / grid_points), about 1e-4 at the
+    default resolution.
     """
     for law in (a, b):
         if not isinstance(law, (UniformContinuous, Normal, DiscreteFinite,
@@ -511,10 +587,7 @@ def convolve(a: Law, b: Law, grid_points: int = GRID_POINTS) -> Law:
     if isinstance(b, PointMass):
         return _shift(a, b.value)
     if isinstance(a, DiscreteFinite) and isinstance(b, DiscreteFinite):
-        return DiscreteFinite.from_atoms(
-            [(va + vb, pa * pb)
-             for va, pa in zip(a.values, a.probs)
-             for vb, pb in zip(b.values, b.probs)])
+        return lattice_law(fold_atom_lattices((atom_lattice(a), atom_lattice(b))))
     if isinstance(a, Normal) and isinstance(b, Normal):
         return Normal(a.mean + b.mean, math.hypot(a.stddev, b.stddev))
     if isinstance(a, UniformContinuous) and isinstance(b, UniformContinuous):

@@ -24,9 +24,11 @@ Two estimation backends share one contract:
   policies, so a chunk's memory depends on the scenario, not on the
   number of policies.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
-  bids are independent across bidders, so each bidder's exact bid law
-  (``orderstats.valuation_law``, built once per bidder and effective
-  awareness) is put on a common integer atom grid
+  bids are independent across bidders, so each bidder's exact bid law is
+  folded as an integer form (``orderstats.valuation_lattice``: value
+  numerators and masses on Python ints, built once per bidder and
+  effective awareness, from per-characteristic forms kept on the scenario
+  laws) and the forms go on a common integer atom grid
   (``orderstats.atom_grid``); the order-statistic moments, every bidder's
   unique-winner surplus and the 1/#ties win credit follow from per-bidder
   CDF columns and prefix sums.  The cost grows with bidders times bid
@@ -62,7 +64,7 @@ from .distributions import (
     mean,
     ppf,
 )
-from .orderstats import atom_grid, valuation_law
+from .orderstats import atom_grid, valuation_lattice
 from .scenario import DisclosurePolicy, Perspective, Scenario
 
 __all__ = [
@@ -195,15 +197,15 @@ def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> 
 
     views, full_idx, bidder_idx = _effective_views(s, p)
     n = s.n_bidders
-    laws = {}
+    forms = {}
 
-    def bid_law(i, view):
+    def bid_form(i, view):
         key = (i, p.aware(i) & view)
-        if key not in laws:
-            laws[key] = valuation_law(s, p, i, Perspective(view))
-        return laws[key]
+        if key not in forms:
+            forms[key] = valuation_lattice(s, p, i, Perspective(view))
+        return forms[key]
 
-    grids = [atom_grid([bid_law(i, view) for i in range(1, n + 1)]) for view in views]
+    grids = [atom_grid([bid_form(i, view) for i in range(1, n + 1)]) for view in views]
     settled = [grid.settle() for grid in grids]
     surplus_full, credit_full = settled[full_idx]
     second = grids[full_idx].expected(2)

@@ -3,17 +3,25 @@
 A bidder's estimated valuation under a viewpoint is the sum of independent
 per-characteristic contributions (the value law itself under full
 information, a point mass at its mean under no information), so its law is
-built by repeated convolution.  Order statistics of independent but not
-identically distributed valuations have CDFs given by permanents of the
-matrix whose columns repeat the individual CDFs and their complements; the
+built by repeated convolution.  Discrete contributions and rational point
+masses fold on an integer lattice instead: each law's integer form (value
+numerators over one value denominator, masses over one probability
+denominator, see ``distributions.AtomLattice``) is built once and kept on
+the law, and the fold multiplies and adds Python ints; Fraction atoms
+appear only when a law object is returned (``valuation_law``,
+``fold_bid_law``).  Order statistics of independent but not identically
+distributed valuations have CDFs given by permanents of the matrix whose
+columns repeat the individual CDFs and their complements; the
 top-two ranks reduce to the familiar product and two-term formulas.
 
 Expectations integrate the CDF: E = int_0^inf (1-G) - int_{-inf}^0 G, by
 adaptive Simpson between analytic knots for closed forms, by grid trapezoid
 when a grid law is involved, and by an exact sweep over a common integer
 atom grid (``AtomGrid``) when every law is finitely supported.  The atom
-grid is the one exact route: it also settles exact second-price auctions
-(per-law surplus and 1/#ties win credit) for the engine.  The numeric
+grid is the one exact route: ``atom_grid`` only rescales integer forms to
+common denominators and merges their supports, and the grid also settles
+exact second-price auctions (per-law surplus and 1/#ties win credit) for
+the engine; its results are the only Fractions it makes.  The numeric
 routes evaluate G on arrays: the grid in one call, adaptive Simpson level
 by level with every pending interval of a level in one call (at most
 ``max_depth`` + 2 calls).  The integrand jumps at 0 (from -G to 1-G) and at
@@ -36,13 +44,14 @@ import numpy as np
 
 from .distributions import (
     GRID_POINTS,
+    AtomLattice,
     DiscreteFinite,
     DistributionError,
     FullInfo,
     GridLaw,
     NoInfo,
-    Partition,
     PointMass,
+    atom_lattice,
     breakpoints,
     cdf,
     cdf_exact,
@@ -50,6 +59,8 @@ from .distributions import (
     cells,
     conditional_mean,
     convolve,
+    fold_atom_lattices,
+    lattice_law,
     mean,
     quantile_range,
 )
@@ -62,6 +73,7 @@ __all__ = [
     "bid_component",
     "fold_bid_law",
     "valuation_law",
+    "valuation_lattice",
     "order_cdf",
     "expected_order_stat",
     "clark_normal_max",
@@ -83,29 +95,56 @@ def bid_component(s: Scenario, bidder: int, char: int, level):
 
     Full information contributes the characteristic law itself, no
     information a point mass at its mean, and a discrete partition the law
-    of cell means.  Partitions of continuous laws have no closed-form sum
-    law here; estimate those through the engine instead.
+    of cell means.  A discrete law keeps each of its contributions, one per
+    level, so they and their integer forms are built once.  Partitions of
+    continuous laws have no closed-form sum law here; estimate those
+    through the engine instead.
     """
     base = s.law(bidder, char)
+    if isinstance(base, DiscreteFinite):
+        return _discrete_component(base, level)
     if isinstance(level, NoInfo):
         return PointMass(mean(base))
     if isinstance(level, FullInfo):
         return base
-    if isinstance(level, Partition) and isinstance(base, DiscreteFinite):
-        if len(level.cells) == len(base.values):
-            return base         # singleton cells reveal the value itself
-        pairs = [(conditional_mean(base, level, c), cell_probability(base, c))
-                 for c in cells(base, level)]
-        if len({v for v, _p in pairs}) == 1:
-            return PointMass(pairs[0][0])
-        return DiscreteFinite.from_atoms(pairs)
     raise DistributionError(
         f"bidder {bidder} characteristic {char}: no closed-form valuation "
         "law under a continuous partition; use the engine")
 
 
+def _discrete_component(base: DiscreteFinite, level):
+    kept = base.__dict__.setdefault("_components", {})
+    comp = kept.get(level)
+    if comp is None:
+        if isinstance(level, NoInfo):
+            comp = PointMass(mean(base))
+        elif isinstance(level, FullInfo) or len(level.cells) == len(base.values):
+            comp = base         # singleton cells reveal the value itself
+        else:
+            pairs = [(conditional_mean(base, level, c), cell_probability(base, c))
+                     for c in cells(base, level)]
+            if len({v for v, _p in pairs}) == 1:
+                comp = PointMass(pairs[0][0])
+            else:
+                comp = DiscreteFinite.from_atoms(pairs)
+        kept[level] = comp
+    return comp
+
+
 def fold_bid_law(components, grid_points: int = GRID_POINTS):
-    """Law of the sum of independent bid components (sum order kept)."""
+    """Law of the sum of independent bid components (sum order kept).
+    Discrete laws and rational point masses fold on their integer forms
+    (``fold_atom_lattices``).  Otherwise the components fold by
+    ``convolve``: a float point mass (the mean of a continuous law) then
+    shifts by float addition, so continuous inputs never pay for the
+    lattice's Fractions."""
+    components = list(components)
+    if len(components) == 1:
+        return components[0]
+    if all(isinstance(comp, DiscreteFinite)
+           or isinstance(comp, PointMass) and not isinstance(comp.value, float)
+           for comp in components):
+        return lattice_law(fold_atom_lattices(atom_lattice(comp) for comp in components))
     law = PointMass(0)
     for comp in components:
         law = convolve(law, comp, grid_points)
@@ -120,6 +159,15 @@ def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
     seen = perceive(p, view)
     return fold_bid_law((bid_component(s, bidder, j, seen.level(bidder, j))
                          for j in sorted(seen.aware(bidder))), grid_points)
+
+
+def valuation_lattice(s: Scenario, p: DisclosurePolicy, bidder: int,
+                      view: Perspective) -> AtomLattice:
+    """Integer form of ``valuation_law`` when every law the view leaves the
+    bidder aware of is finitely supported."""
+    seen = perceive(p, view)
+    return fold_atom_lattices(atom_lattice(bid_component(s, bidder, j, seen.level(bidder, j)))
+                              for j in sorted(seen.aware(bidder)))
 
 
 @dataclass(frozen=True)
@@ -210,16 +258,6 @@ def permanent(matrix):
 # Expectations
 # ---------------------------------------------------------------------------
 
-def _is_atomic(law) -> bool:
-    return isinstance(law, (DiscreteFinite, PointMass))
-
-
-def _atoms_exact(law):
-    if isinstance(law, PointMass):
-        return [(Fraction(law.value), Fraction(1))]
-    return [(Fraction(v), p) for v, p in zip(law.values, law.probs)]
-
-
 @dataclass(frozen=True)
 class AtomGrid:
     """Independent atom laws on one common integer grid.
@@ -290,21 +328,22 @@ class AtomGrid:
         return surplus, credit
 
 
-def atom_grid(laws) -> AtomGrid:
-    """Put atom laws (DiscreteFinite or PointMass) on one integer grid."""
-    atoms = [_atoms_exact(law) for law in laws]
-    value_den = math.lcm(*(v.denominator for a in atoms for v, _p in a))
-    prob_den = math.lcm(*(p.denominator for a in atoms for _v, p in a))
-    scaled = [[(v.numerator * (value_den // v.denominator),
-                p.numerator * (prob_den // p.denominator)) for v, p in a]
-              for a in atoms]
-    points = sorted({g for a in scaled for g, _w in a})
+def atom_grid(forms) -> AtomGrid:
+    """Put integer forms (``AtomLattice``) on one common grid: rescale each
+    to the lcm of their value and of their probability denominators, and
+    merge their supports."""
+    forms = list(forms)
+    value_den = math.lcm(*(f.value_den for f in forms))
+    prob_den = math.lcm(*(f.prob_den for f in forms))
+    scaled = [([x * (value_den // f.value_den) for x in f.nums],
+               [m * (prob_den // f.prob_den) for m in f.masses]) for f in forms]
+    points = sorted({x for nums, _masses in scaled for x in nums})
     index = {g: k for k, g in enumerate(points)}
     mass = []
-    for a in scaled:
+    for nums, masses in scaled:
         col = [0] * len(points)
-        for g, w in a:
-            col[index[g]] += w
+        for g, w in zip(nums, masses):
+            col[index[g]] = w
         mass.append(tuple(col))
     return AtomGrid(tuple(points), value_den, prob_den, tuple(mass),
                     tuple(tuple(accumulate(col)) for col in mass))
@@ -312,13 +351,13 @@ def atom_grid(laws) -> AtomGrid:
 
 def expected_order_stat(os_law: OrderStatLaw):
     """E of the rank-th highest; exact Fraction when all laws are atomic."""
-    if all(_is_atomic(law) for law in os_law.laws):
+    if all(isinstance(law, (DiscreteFinite, PointMass)) for law in os_law.laws):
         return _expected_exact(os_law)
     return _expected_numeric(os_law)
 
 
 def _expected_exact(os_law: OrderStatLaw) -> Fraction:
-    return atom_grid(os_law.laws).expected(os_law.rank)
+    return atom_grid(atom_lattice(law) for law in os_law.laws).expected(os_law.rank)
 
 
 def _expected_numeric(os_law: OrderStatLaw) -> float:

@@ -1,4 +1,5 @@
 import math
+import os
 import pathlib
 from fractions import Fraction as F
 
@@ -18,6 +19,12 @@ from awarebid.engine import _CHUNK, EstimatorConfig
 from awarebid.scenario import validate
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+# pytest puts src/ on this process's path (``pythonpath`` in pyproject.toml);
+# the CLI subprocesses some tests start need it in their environment too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(SCENARIO_DIR.parent / "src")]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 EXACT = EstimatorConfig(backend="exact", report_standard_errors=False)
 

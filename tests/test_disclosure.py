@@ -342,11 +342,38 @@ def test_mc_greedy_matches_per_policy_loop(monkeypatch):
         monkeypatch, lambda: disclosure._optimize_greedy(
             s, MC_BATCH, frozenset({1}), {}, PolicyRegime.INDIVIDUAL))
     assert got == want
-    # the common start is analytic; then one call per sweep of 6, 5, ... trials
+    # the common start is analytic; then one call per sweep of 6, 5, ... trials,
+    # the first of which also scores the start, an incumbent without a bundle
     sizes = [len(c[1]) for c in calls]
     assert sizes[0] == 0 and len(sizes) > 2
-    assert sizes[1:] == [6 - k for k in range(len(sizes) - 1)]
-    assert len(got.trace) == 1 + sum(sizes)
+    assert sizes[1:] == [7] + [6 - k for k in range(1, len(sizes) - 1)]
+    assert len(got.trace) == 1 + (sum(sizes) - 1)     # the start, then every trial
+
+
+def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
+    # example1: the common start wins, so its value is analytic; it rides
+    # along in the one sweep's batch and the report reuses that bundle
+    s = example1_scenario()
+    config = EstimatorConfig(backend="mc", n_samples=4 * _CHUNK, seed=5)
+    starts, batches = [], []
+    stock, stock_chunk = disclosure.estimate_policies, engine._uniform_chunk
+
+    def spy(s, policies, config):
+        batches.append(len(policies))
+        return stock(s, policies, config)
+
+    def counting(seed, start, stop, n, m):
+        starts.append(start)
+        return stock_chunk(seed, start, stop, n, m)
+
+    monkeypatch.setattr(disclosure, "estimate_policies", spy)
+    monkeypatch.setattr(engine, "_uniform_chunk", counting)
+    got = disclosure._optimize_greedy(s, config, frozenset({1}), {}, PolicyRegime.INDIVIDUAL)
+    monkeypatch.setattr(engine, "_uniform_chunk", stock_chunk)
+    assert got.policy.awareness == (frozenset({1}),) * 2
+    assert batches == [0, 3]            # the analytic start, then 2 trials plus the start
+    assert starts == list(range(0, config.n_samples, _CHUNK))
+    assert got.report == revenue(s, got.policy, config)
 
 
 def test_mc_tradeoff_matches_per_policy_loop(monkeypatch):

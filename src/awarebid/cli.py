@@ -14,6 +14,7 @@ timestamps.  Exit status: 0 success, 1 input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -439,11 +440,7 @@ def main(argv=None) -> int:
         if args.backend is not None:
             overrides["backend"] = args.backend
         if overrides:
-            config = EstimatorConfig(
-                n_samples=overrides.get("n_samples", config.n_samples),
-                seed=overrides.get("seed", config.seed),
-                backend=overrides.get("backend", config.backend),
-                workers=config.workers)
+            config = dataclasses.replace(config, **overrides)
         handler = {"fees": _cmd_fees, "revenue": _cmd_revenue, "curse": _cmd_curse,
                    "orderstats": _cmd_orderstats, "optimize": _cmd_optimize,
                    "tradeoff": _cmd_tradeoff}[args.command]

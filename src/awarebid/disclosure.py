@@ -16,7 +16,9 @@ The verification suite replays the theory's claims on randomized
 finite-support scenarios with the exact backend, recording for every claim
 whether its hypothesis held and the exact rational margin by which the
 conclusion held.  A false conclusion under a satisfied hypothesis is a
-build-failing event, surfaced by the report.
+build-failing event, surfaced by the report.  Propositions 2 and 5 and the
+counterexample search share one full-information pass per scenario
+(``_full_info_steps``), so each of their policies is evaluated once.
 """
 
 from __future__ import annotations
@@ -136,15 +138,13 @@ def _rank_key(value, p: DisclosurePolicy):
     return (value, -_aware_pairs(p), -_policy_disclosure(p))
 
 
-def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig,
-                    bundle_best_analytic: bool = False):
+def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
     """Revenue of each policy, and the bundle it was read from where the
     engine estimated it (None where the analytic common-awareness route
     gave it).  Every engine-estimated policy goes through one batched call,
-    so they all share one pass over the draws.  With
-    ``bundle_best_analytic`` the analytic policy ranked first by
-    ``_rank_key`` is scored in that call too, keeping its analytic value, so
-    a report on it needs no second pass."""
+    so they all share one pass over the draws.  The analytic policy ranked
+    first by ``_rank_key`` is scored in that call too, keeping its analytic
+    value, so a report on it needs no second pass."""
     values = [None] * len(policies)
     pending = []
     for k, p in enumerate(policies):
@@ -156,9 +156,8 @@ def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig,
                 pass    # e.g. continuous partition: estimate through the engine
         pending.append(k)
     analytic = [k for k in range(len(policies)) if values[k] is not None]
-    best = (max(analytic, key=lambda k: _rank_key(values[k], policies[k]))
-            if bundle_best_analytic and analytic else None)
-    scored = pending + ([best] if best is not None else [])
+    scored = pending + ([max(analytic, key=lambda k: _rank_key(values[k], policies[k]))]
+                        if analytic else [])
     bundles = [None] * len(policies)
     for k, b in zip(scored, estimate_policies(s, [policies[k] for k in scored], config)):
         bundles[k] = b
@@ -216,7 +215,7 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
                       for combo in _awareness_candidates(s, base)]
     elif regime is PolicyRegime.PUBLIC_NO_INFO:
         candidates = []
-        for aw in sorted(lattice(s.m_characteristics), key=lambda a: (len(a), tuple(sorted(a)))):
+        for aw in lattice(s.m_characteristics):
             if not aw >= base:
                 continue
             levels = {j: (info.get(j, FullInfo()) if j in base else NoInfo()) for j in aw}
@@ -224,14 +223,11 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
     elif regime is PolicyRegime.PUBLIC_FULL_INFO:
         candidates = [(f"common={sorted(aw)}",
                        _common_policy(s, aw, {j: FullInfo() for j in aw}))
-                      for aw in sorted(lattice(s.m_characteristics),
-                                       key=lambda a: (len(a), tuple(sorted(a))))
-                      if aw >= base]
+                      for aw in lattice(s.m_characteristics) if aw >= base]
     else:  # COMMON_FREE_INFO
         candidates = _free_info_candidates(s, base, partition_cap)
 
-    values, bundles = _revenue_values(s, [pol for _desc, pol in candidates], config,
-                                      bundle_best_analytic=True)
+    values, bundles = _revenue_values(s, [pol for _desc, pol in candidates], config)
     best = None
     trace = []
     for (desc, pol), val, bundle in zip(candidates, values, bundles):
@@ -247,18 +243,16 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
 def _optimize_greedy(s, config, base, info, regime) -> OptimizeResult:
     """Greedy hill climb: repeatedly add the single (bidder, characteristic)
     awareness pair with the largest strict revenue improvement.  Each sweep
-    scores all of its single-pair trials in one batched call.  An incumbent
-    without a bundle (its value was analytic) rides along in that call, and
-    so does the best analytic policy of the sweep, so the final report
+    scores all of its single-pair trials in one batched call, and the common
+    start joins the first sweep's.  A sweep then holds at most one
+    common-awareness policy (the start, or the one trial that equalizes
+    every awareness set), which that call scores too, so the final report
     reuses a bundle instead of drawing every chunk again."""
     current = [base] * s.n_bidders
-    pol = policy_with_info(s, current, info)
-    (best_val,), (bundle,) = _revenue_values(s, [pol], config)
-    trace = [("start", best_val)]
-    improved = True
-    while improved:
-        improved = False
-        trials = []
+    trials = [("start", current, policy_with_info(s, current, info))]
+    best = None                 # (value, awareness, policy, bundle)
+    trace = []
+    while True:
         for i in range(s.n_bidders):
             for j in range(2, s.m_characteristics + 1):
                 if j in current[i]:
@@ -267,18 +261,18 @@ def _optimize_greedy(s, config, base, info, regime) -> OptimizeResult:
                 trial[i] = trial[i] | {j}
                 trials.append((f"try bidder {i + 1} char {j}", trial,
                                policy_with_info(s, trial, info)))
-        policies = [cand for _d, _t, cand in trials] + ([pol] if bundle is None else [])
-        values, bundles = _revenue_values(s, policies, config, bundle_best_analytic=True)
-        if bundle is None:
-            bundle = bundles[-1]
+        values, bundles = _revenue_values(s, [cand for _d, _t, cand in trials], config)
         step = None
         for (desc, trial, cand), val, b in zip(trials, values, bundles):
             trace.append((desc, val))
-            if val > best_val and (step is None or val > step[0]):
+            if best is None:
+                best = (val, trial, cand, b)        # the start
+            elif val > best[0] and (step is None or val > step[0]):
                 step = (val, trial, cand, b)
-        if step is not None:
-            best_val, current, pol, bundle = step
-            improved = True
+        if step is None:
+            break
+        best, current, trials = step, step[1], []
+    _val, _aw, pol, bundle = best
     return OptimizeResult(pol, revenue(s, pol, config, bundle=bundle), tuple(trace),
                           regime, False)
 
@@ -312,9 +306,8 @@ def _free_info_candidates(s: Scenario, base: frozenset, cap: int):
     are enumerable.  Candidate sets exceeding the cap are skipped for larger
     awareness sets, so the search always covers at least the base set.
     """
-    all_sets = sorted(lattice(s.m_characteristics), key=lambda a: (len(a), tuple(sorted(a))))
     candidates = []
-    for aw in all_sets:
+    for aw in lattice(s.m_characteristics):
         if not aw >= base:
             continue
         per_entry = []
@@ -465,7 +458,7 @@ class CorpusConfig:
             raise ScenarioError(f"corpus count must be nonnegative, got {self.count}")
 
 
-_EXACT = EstimatorConfig(backend="exact", report_standard_errors=False)
+_EXACT = EstimatorConfig(backend="exact")
 
 
 def _random_probs(rng: random.Random, k: int):
@@ -564,39 +557,61 @@ def _nonneg_support(s: Scenario, bidders, ell: int) -> bool:
     return all(s.law(i, ell).values[0] >= 0 for i in bidders)
 
 
-def _claims_raise_first(sid: str, s: Scenario) -> list:
-    """Prop 2 with its two lemmas: raising bidder 1's awareness of a
+def _full_info_steps(s: Scenario):
+    """The full-information quantities Props 2 and 5 and their converses
+    compare, per characteristic ell >= 2: E[max] of ell's laws, the exact
+    report of common awareness of M' = M minus ell, the exact report with
+    bidder 1 alone raised to M, and the full-awareness revenue, which is
+    evaluated once per scenario."""
+    if s.m_characteristics < 2:
+        return
+    info = _full_info(s)
+    full = revenue(s, _common_policy(s, s.full_set, info), _EXACT).total_revenue
+    for ell in range(2, s.m_characteristics + 1):
+        mprime = s.full_set - {ell}
+        e_max = expected_order_stat(
+            OrderStatLaw(tuple(s.law(i, ell) for i in range(1, s.n_bidders + 1)), 1))
+        base = revenue(s, _common_policy(s, mprime, info), _EXACT)
+        raised = revenue(s, policy_with_info(
+            s, [s.full_set] + [mprime] * (s.n_bidders - 1), info), _EXACT)
+        yield ell, e_max, base, raised, full
+
+
+def _claims_full_info(sid: str, s: Scenario):
+    """The Lem3/Lem4/Prop2 rows and the Prop5 rows, from one pass over
+    ``_full_info_steps``.
+
+    Prop 2 with its two lemmas: raising bidder 1's awareness of a
     positive-mean characteristic (full info fixed exogenously) strictly
     raises the first order statistic, leaves strictly positive rents with
-    the remaining unaware bidders, and strictly raises revenue.
-
-    The first-order-statistic claim needs only a positive mean.  The rent
+    the remaining unaware bidders, and strictly raises revenue.  The
+    first-order-statistic claim needs only a positive mean.  The rent
     claims additionally require bidder 1's disclosed value to be almost
-    surely nonnegative: that makes his full-view bid rise draw by draw,
+    surely nonnegative: that makes the bidder's full-view bid rise draw by draw,
     which is what pushes the unaware bidders' actual surplus below their
     perceived one.  A positive mean alone does not suffice - a value that
     is often negative can raise the remaining bidders' actual surplus and
     make their rents strictly negative (exact counterexamples exist), so
     the nonnegativity is part of the recorded hypothesis.
+
+    Prop 5 (if direction): a characteristic whose max across bidders has
+    strictly negative expectation is kept hidden under mandatory full
+    information.
     """
-    out = []
-    info = _full_info(s)
-    for ell in range(2, s.m_characteristics + 1):
-        mprime = s.full_set - {ell}
+    raise_rows, hide_rows = [], []
+    for ell, e_max, base, raised, full in _full_info_steps(s):
         hyp_mean = mean(s.law(1, ell)) > 0
         hyp_rent = hyp_mean and _nonneg_support(s, [1], ell)
-        base = _common_policy(s, mprime, info)
-        raised = policy_with_info(
-            s, [mprime | {ell}] + [mprime] * (s.n_bidders - 1), info)
-        before = revenue(s, base, _EXACT)
-        after = revenue(s, raised, _EXACT)
-        d_first = (after.expected_first_order_stat - before.expected_first_order_stat)
-        rents = after.fee_schedule.total_rents
-        d_rev = after.total_revenue - before.total_revenue
-        out.append(ClaimResult("Lem3", sid, hyp_mean, d_first > 0, d_first, f"ell={ell}"))
-        out.append(ClaimResult("Lem4", sid, hyp_rent, rents > 0, rents, f"ell={ell}"))
-        out.append(ClaimResult("Prop2", sid, hyp_rent, d_rev > 0, d_rev, f"ell={ell}"))
-    return out
+        d_first = raised.expected_first_order_stat - base.expected_first_order_stat
+        rents = raised.fee_schedule.total_rents
+        d_rev = raised.total_revenue - base.total_revenue
+        raise_rows.append(ClaimResult("Lem3", sid, hyp_mean, d_first > 0, d_first, f"ell={ell}"))
+        raise_rows.append(ClaimResult("Lem4", sid, hyp_rent, rents > 0, rents, f"ell={ell}"))
+        raise_rows.append(ClaimResult("Prop2", sid, hyp_rent, d_rev > 0, d_rev, f"ell={ell}"))
+        margin = base.total_revenue - full
+        hide_rows.append(ClaimResult("Prop5", sid, e_max < 0, margin > 0, margin,
+                                     f"ell={ell} Emax={e_max}"))
+    return raise_rows, hide_rows
 
 
 def _claims_tradeoff(sid: str, s: Scenario, rng: random.Random) -> list:
@@ -618,7 +633,7 @@ def _claims_tradeoff(sid: str, s: Scenario, rng: random.Random) -> list:
     competitive = any(before.fee_schedule.fees_fullview[i - 1] > 0 for i in remaining)
     hyp_l5 = mu_target > 0
     # rent claims carry the same nonnegative-support rider as in
-    # _claims_raise_first (characteristic 2 satisfies it by construction);
+    # _claims_full_info (characteristic 2 satisfies it by construction);
     # the remaining-unaware rents can only move if some remaining bidder
     # wins the full-view auction with positive probability to begin with
     hyp_l6 = (mu_target > 0 and target < s.n_bidders
@@ -656,25 +671,6 @@ def _claims_public_no_info(sid: str, s: Scenario, char_info: dict) -> list:
                  - revenue(s, without, _EXACT).total_revenue)
         resid = shift - mean(s.law(1, ell)) if hyp else Fraction(0)
         out.append(ClaimResult("Prop4", sid, hyp, resid == 0, resid, f"ell={ell}"))
-    return out
-
-
-def _claims_public_full_info(sid: str, s: Scenario) -> list:
-    """Prop 5 (if direction): a characteristic whose max across bidders has
-    strictly negative expectation is kept hidden under mandatory full
-    information."""
-    out = []
-    info = _full_info(s)
-    for ell in range(2, s.m_characteristics + 1):
-        e_max = expected_order_stat(
-            OrderStatLaw(tuple(s.law(i, ell) for i in range(1, s.n_bidders + 1)), 1))
-        hyp = e_max < 0
-        mprime = s.full_set - {ell}
-        without = revenue(s, _common_policy(s, mprime, info), _EXACT).total_revenue
-        withr = revenue(s, _common_policy(s, s.full_set, info), _EXACT).total_revenue
-        margin = without - withr
-        out.append(ClaimResult("Prop5", sid, hyp, margin > 0, margin,
-                               f"ell={ell} Emax={e_max}"))
     return out
 
 
@@ -796,10 +792,11 @@ def verify_suite(cfg: CorpusConfig) -> VerificationReport:
         sid, s = random_discrete_scenario(cfg, index)
         rng = random.Random(f"{cfg.seed}:{index}:claims")
         common_info = _random_char_info(s, rng)
-        results += _claims_raise_first(sid, s)
+        raise_rows, hide_rows = _claims_full_info(sid, s)
+        results += raise_rows
         results += _claims_tradeoff(sid, s, rng)
         results += _claims_public_no_info(sid, s, common_info)
-        results += _claims_public_full_info(sid, s)
+        results += hide_rows
         results += _claim_full_info_optimal(sid, s, cfg.partition_cap)
         results += _claim_corollary1(sid, s, common_info, rng)
     return VerificationReport(tuple(results), cfg)
@@ -826,30 +823,19 @@ def counterexample_search(claim: str, cfg: CorpusConfig,
     scenarios += [random_discrete_scenario(cfg, i) for i in range(cfg.count)]
     found = []
     for sid, s in scenarios:
-        info = _full_info(s)
-        for ell in range(2, s.m_characteristics + 1):
-            mprime = s.full_set - {ell}
+        for ell, e_max, base, raised, full in _full_info_steps(s):
+            without = base.total_revenue
             if claim == "prop2-converse":
-                if not mean(s.law(1, ell)) < 0:
-                    continue
-                base = _common_policy(s, mprime, info)
-                raised = policy_with_info(
-                    s, [mprime | {ell}] + [mprime] * (s.n_bidders - 1), info)
-                gain = (revenue(s, raised, _EXACT).total_revenue
-                        - revenue(s, base, _EXACT).total_revenue)
-                if gain > 0:
-                    found.append({"scenario": sid, "char": ell, "gain": gain,
-                                  "mean": mean(s.law(1, ell))})
+                mu = mean(s.law(1, ell))
+                gain = raised.total_revenue - without
+                if mu < 0 and gain > 0:
+                    found.append({"scenario": sid, "char": ell, "gain": gain, "mean": mu})
             else:
-                e_max = expected_order_stat(OrderStatLaw(
-                    tuple(s.law(i, ell) for i in range(1, s.n_bidders + 1)), 1))
-                without = revenue(s, _common_policy(s, mprime, info), _EXACT).total_revenue
-                withr = revenue(s, _common_policy(s, s.full_set, info), _EXACT).total_revenue
                 means = [mean(s.law(i, ell)) for i in range(1, s.n_bidders + 1)]
-                if all(mu < 0 for mu in means) and withr > without:
+                if all(mu < 0 for mu in means) and full > without:
                     found.append({"scenario": sid, "char": ell, "kind": "negative-mean-raise",
-                                  "gain": withr - without, "e_max": e_max})
-                if e_max >= 0 and without > withr:
+                                  "gain": full - without, "e_max": e_max})
+                if e_max >= 0 and without > full:
                     found.append({"scenario": sid, "char": ell, "kind": "only-if-violation",
-                                  "gain": without - withr, "e_max": e_max})
+                                  "gain": without - full, "e_max": e_max})
     return found

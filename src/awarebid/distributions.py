@@ -567,16 +567,15 @@ def _shift(law: Law, c) -> Law:
     raise DistributionError(f"cannot shift {law!r}")
 
 
-def convolve(a: Law, b: Law, grid_points: int = GRID_POINTS) -> Law:
+def convolve(a: Law, b: Law) -> Law:
     """Law of the sum of two independent laws.
 
     Closed forms: normal+normal, discrete+discrete (exact rational atoms,
     by ``fold_atom_lattices``), uniform+uniform (trapezoid), and any shift
     by a point mass.  Every other pairing falls back to a numeric grid CDF
-    of ``grid_points`` points spanning the combined 1e-12 quantile range;
+    of ``GRID_POINTS`` points spanning the combined 1e-12 quantile range;
     support edges then land within one grid step, so grid-law moments and
-    CDF values are accurate to O(span / grid_points), about 1e-4 at the
-    default resolution.
+    CDF values are accurate to O(span / GRID_POINTS), about 1e-4.
     """
     for law in (a, b):
         if not isinstance(law, (UniformContinuous, Normal, DiscreteFinite,
@@ -595,10 +594,10 @@ def convolve(a: Law, b: Law, grid_points: int = GRID_POINTS) -> Law:
         w2 = max(a.hi - a.lo, b.hi - b.lo)
         lo = a.lo + b.lo
         return TrapezoidLaw(lo, lo + w1, lo + w2, lo + w1 + w2)
-    return _grid_convolve(a, b, grid_points)
+    return _grid_convolve(a, b)
 
 
-def _grid_convolve(a: Law, b: Law, n: int) -> GridLaw:
+def _grid_convolve(a: Law, b: Law) -> GridLaw:
     # An atom law shifts the other law's density; evaluate the mixture
     # directly on the output grid instead of smearing atoms over bins.
     if isinstance(b, DiscreteFinite) and not isinstance(a, DiscreteFinite):
@@ -606,14 +605,14 @@ def _grid_convolve(a: Law, b: Law, n: int) -> GridLaw:
     if isinstance(a, DiscreteFinite):
         alo, ahi = float(a.values[0]), float(a.values[-1])
         blo, bhi = quantile_range(b)
-        xs = np.linspace(alo + blo, ahi + bhi, n)
+        xs = np.linspace(alo + blo, ahi + bhi, GRID_POINTS)
         dens = np.zeros_like(xs)
         for v, p in zip(a.values, a.probs):
             dens += float(p) * pdf(b, xs - float(v))
         return GridLaw(xs, dens)
     alo, ahi = quantile_range(a)
     blo, bhi = quantile_range(b)
-    dx = ((ahi - alo) + (bhi - blo)) / (n - 1)
+    dx = ((ahi - alo) + (bhi - blo)) / (GRID_POINTS - 1)
     na = max(int(round((ahi - alo) / dx)) + 1, 2)
     nb = max(int(round((bhi - blo) / dx)) + 1, 2)
     xa = alo + dx * np.arange(na)

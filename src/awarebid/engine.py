@@ -91,7 +91,6 @@ class EstimatorConfig:
     n_samples: int = 100_000
     seed: int = 0
     backend: str = "mc"              # "mc" | "exact"
-    report_standard_errors: bool = True
     workers: int = 1
 
     def __post_init__(self):
@@ -414,7 +413,7 @@ def _mc_bundle_from(s: Scenario, partials: list, config: EstimatorConfig) -> Est
     def stat(name):
         sm, sq = sums[name]
         mu = sm / S
-        if not config.report_standard_errors or S < 2:
+        if S < 2:
             return mu, None
         var = max(sq - sm * sm / S, 0.0) / (S - 1)
         return mu, math.sqrt(var / S)

@@ -131,7 +131,7 @@ def _discrete_component(base: DiscreteFinite, level):
     return comp
 
 
-def fold_bid_law(components, grid_points: int = GRID_POINTS):
+def fold_bid_law(components):
     """Law of the sum of independent bid components (sum order kept).
     Discrete laws and rational point masses fold on their integer forms
     (``fold_atom_lattices``).  Otherwise the components fold by
@@ -147,18 +147,18 @@ def fold_bid_law(components, grid_points: int = GRID_POINTS):
         return lattice_law(fold_atom_lattices(atom_lattice(comp) for comp in components))
     law = PointMass(0)
     for comp in components:
-        law = convolve(law, comp, grid_points)
+        law = convolve(law, comp)
     return law
 
 
 def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
-                  view: Perspective, grid_points: int = GRID_POINTS):
+                  view: Perspective):
     """Law of bidder's estimated valuation as seen from ``view``: the fold of
     ``bid_component`` over the characteristics the view leaves the bidder
     aware of."""
     seen = perceive(p, view)
     return fold_bid_law((bid_component(s, bidder, j, seen.level(bidder, j))
-                         for j in sorted(seen.aware(bidder))), grid_points)
+                         for j in sorted(seen.aware(bidder))))
 
 
 def valuation_lattice(s: Scenario, p: DisclosurePolicy, bidder: int,

@@ -26,7 +26,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     [str(SCENARIO_DIR.parent / "src")]
     + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
-EXACT = EstimatorConfig(backend="exact", report_standard_errors=False)
+EXACT = EstimatorConfig(backend="exact")
 
 # asymptotic Kolmogorov-Smirnov critical value at significance 0.001
 KS_COEFF_001 = math.sqrt(-math.log(0.0005) / 2)

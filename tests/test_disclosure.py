@@ -1,4 +1,8 @@
+import collections
+import csv
+import io
 import math
+import pathlib
 import random
 from fractions import Fraction as F
 
@@ -23,6 +27,7 @@ from awarebid.scenario import Scenario, ScenarioError, validate
 from conftest import EXACT, bundle_means, coin, mc_reference
 
 MC = EstimatorConfig(backend="mc", n_samples=200_000, seed=17)
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def example1_scenario():
@@ -204,6 +209,55 @@ def test_verify_suite_small_corpus_all_pass():
     assert all(r.margin == 0 for r in rep.checked("Prop6"))
 
 
+def test_verify_suite_claims_match_golden():
+    # every ClaimResult of the 20-scenario corpus in suite order, its margin
+    # as an exact p/q, so any change in how claims share policy evaluations
+    # must leave each row, its order and its types unchanged
+    buf = io.StringIO()
+    rows = csv.writer(buf, lineterminator="\n")
+    rows.writerow(["claim", "scenario", "hypothesis", "holds", "margin", "note"])
+    for r in verify_suite(CorpusConfig(count=20)).results:
+        assert type(r.hypothesis_satisfied) is bool and type(r.holds) is bool
+        assert type(r.margin) is F
+        rows.writerow([r.claim, r.scenario_id, r.hypothesis_satisfied, r.holds,
+                       f"{r.margin.numerator}/{r.margin.denominator}", r.note])
+    assert buf.getvalue() == (GOLDEN_DIR / "verify-claims-20.csv").read_text()
+
+
+def test_counterexample_search_outputs_are_pinned():
+    cfg = CorpusConfig(count=60, seed=3)
+    prop2 = counterexample_search("prop2-converse", cfg)
+    prop5 = counterexample_search("prop5-converse", cfg)
+    assert prop2 == [{"scenario": "corpus-3-34", "char": 3,
+                      "gain": F(2197973, 1179648), "mean": F(-4, 3)}]
+    assert prop5 == [
+        {"scenario": "corpus-3-28", "char": 3, "kind": "negative-mean-raise",
+         "gain": F(1133531, 2985984), "e_max": F(85, 144)},
+        {"scenario": "corpus-3-30", "char": 3, "kind": "negative-mean-raise",
+         "gain": F(229, 576), "e_max": F(19, 36)},
+        {"scenario": "corpus-3-34", "char": 3, "kind": "negative-mean-raise",
+         "gain": F(17458625, 5308416), "e_max": F(104, 27)}]
+    assert all(type(v) is F for f in prop2 + prop5 for k, v in f.items()
+               if k in ("gain", "mean", "e_max"))
+
+
+def test_prop5_converse_evaluates_full_awareness_once_per_scenario(monkeypatch):
+    full = collections.Counter()
+    stock = engine._exact_bundle
+
+    def counting(s, p, config):
+        if all(a == s.full_set for a in p.awareness):
+            full[s] += 1
+        return stock(s, p, config)
+
+    monkeypatch.setattr(engine, "_exact_bundle", counting)
+    cfg = CorpusConfig(count=10, seed=3)
+    counterexample_search("prop5-converse", cfg)
+    scenarios = [random_discrete_scenario(cfg, i)[1] for i in range(cfg.count)]
+    assert any(s.m_characteristics >= 3 for s in scenarios)
+    assert full == collections.Counter(scenarios)
+
+
 def test_prop4_shift_is_exactly_the_mean():
     base = coin([0, 1])
     extra = DiscreteFinite([F(-1, 2), 2], [F(1, 3), F(2, 3)])
@@ -342,17 +396,17 @@ def test_mc_greedy_matches_per_policy_loop(monkeypatch):
         monkeypatch, lambda: disclosure._optimize_greedy(
             s, MC_BATCH, frozenset({1}), {}, PolicyRegime.INDIVIDUAL))
     assert got == want
-    # the common start is analytic; then one call per sweep of 6, 5, ... trials,
-    # the first of which also scores the start, an incumbent without a bundle
+    # one call per sweep of 6, 5, ... trials; the common start joins the
+    # first, where it is the one analytic policy and is scored with them
     sizes = [len(c[1]) for c in calls]
-    assert sizes[0] == 0 and len(sizes) > 2
-    assert sizes[1:] == [7] + [6 - k for k in range(1, len(sizes) - 1)]
-    assert len(got.trace) == 1 + (sum(sizes) - 1)     # the start, then every trial
+    assert len(sizes) > 1
+    assert sizes == [7] + [6 - k for k in range(1, len(sizes))]
+    assert len(got.trace) == sum(sizes)     # the start, then every trial
 
 
 def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
-    # example1: the common start wins, so its value is analytic; it rides
-    # along in the one sweep's batch and the report reuses that bundle
+    # example1: the common start wins, so its value is analytic; it is
+    # scored in the one sweep's batch and the report reuses that bundle
     s = example1_scenario()
     config = EstimatorConfig(backend="mc", n_samples=4 * _CHUNK, seed=5)
     starts, batches = [], []
@@ -371,7 +425,7 @@ def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
     got = disclosure._optimize_greedy(s, config, frozenset({1}), {}, PolicyRegime.INDIVIDUAL)
     monkeypatch.setattr(engine, "_uniform_chunk", stock_chunk)
     assert got.policy.awareness == (frozenset({1}),) * 2
-    assert batches == [0, 3]            # the analytic start, then 2 trials plus the start
+    assert batches == [3]               # 2 trials plus the analytic start
     assert starts == list(range(0, config.n_samples, _CHUNK))
     assert got.report == revenue(s, got.policy, config)
 

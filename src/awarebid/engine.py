@@ -15,14 +15,25 @@ Two estimation backends share one contract:
   of policies (``estimate_policies``; ``estimate`` is its one-policy
   case): per chunk the uniforms and the realized values are drawn once,
   and each (bidder, characteristic, information level) bid contribution
-  is computed once.  Then each policy in turn builds one contiguous bid
-  column per bidder for each of its deduplicated viewpoints; one top-two
-  pass over those columns (``_kernels.top_two``) settles every draw, and
-  win credit and surplus are derived only for the bidder columns the
-  policy's bundle reads before being reduced to per-bidder sums and sums
-  of squares.  Bid columns and top-two results are not shared across
-  policies, so a chunk's memory depends on the scenario, not on the
-  number of policies.
+  is computed once.
+
+  A chunk's uniforms are one contiguous column per (bidder,
+  characteristic), filled from Philox sub-blocks small enough to stay in
+  cache, so each later stage reads only its own columns.  An inverse CDF
+  runs only for entries some policy in the batch reads: a full-information
+  or cutpoint contribution, or a hidden (unaware) value.  A no-information
+  contribution is its law's mean as a constant, and a discrete
+  contribution is a table lookup on the atom index.  Atom indices and
+  cutpoint cells come from ``distributions.bin_index``: one threshold
+  comparison per edge, the same integers as ``np.searchsorted``.
+
+  Then each policy in turn builds each distinct (bidder, contributions)
+  bid column once and settles its deduplicated viewpoints with one top-two
+  pass each (``_kernels.top_two``); win credit and surplus are derived
+  only for the bidder columns the policy's bundle reads before being
+  reduced to per-bidder sums and sums of squares.  Bid columns and
+  top-two results are not shared across policies, so a chunk's memory
+  depends on the scenario, not on the number of policies.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
   bids are independent across bidders, so each bidder's exact bid law is
   folded as an integer form (``orderstats.valuation_lattice``: value
@@ -59,6 +70,7 @@ from .distributions import (
     FullInfo,
     NoInfo,
     atom_index,
+    bin_index,
     cells,
     conditional_mean,
     mean,
@@ -79,6 +91,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+_SUB_BLOCK = 1 << 12           # draws per cache-resident Philox sub-block
 _U64 = (1 << 64) - 1
 
 
@@ -236,35 +249,47 @@ def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> 
 # -- Monte Carlo backend ----------------------------------------------------
 
 def _uniform_chunk(seed: int, start: int, stop: int, n: int, m: int) -> np.ndarray:
-    """Uniforms for draws [start, stop); entry (s, i, j) depends only on
-    (seed, s, i, j).  Each draw owns whole Philox blocks so any chunking of
-    the draw range reproduces the same values."""
+    """Uniforms for draws [start, stop), shape (draws, bidders,
+    characteristics); entry (s, i, j) depends only on (seed, s, i, j).  Each
+    draw owns whole Philox blocks (counter = draw index x blocks per draw),
+    so any chunking of the draw range reproduces the same values.  The result
+    is a view whose (bidder, characteristic) columns are contiguous: the
+    variates are drawn in sub-blocks of ``_SUB_BLOCK`` draws, and each
+    sub-block is transposed into the columns while it is still in cache."""
     per_draw = n * m
-    bpd = -(-per_draw // 4)
+    width = 4 * -(-per_draw // 4)
+    count = stop - start
     gen = Generator(Philox(key=np.array([seed & _U64, 0], dtype=np.uint64),
-                           counter=start * bpd))
-    raw = gen.random((stop - start) * 4 * bpd)
-    return raw.reshape(stop - start, 4 * bpd)[:, :per_draw].reshape(stop - start, n, m)
+                           counter=start * (width // 4)))
+    cols = np.empty((per_draw, count))
+    block = np.empty(min(_SUB_BLOCK, count) * width)
+    for a in range(0, count, _SUB_BLOCK):
+        b = min(a + _SUB_BLOCK, count)
+        raw = gen.random(out=block[:(b - a) * width]).reshape(b - a, width)
+        cols[:, a:b] = raw[:, :per_draw].T
+    return cols.reshape(n, m, count).transpose(2, 0, 1)
 
 
-def _chunk_values(s: Scenario, seed: int, start: int, stop: int):
-    """Realized values of draws [start, stop), one contiguous column per
-    (bidder, characteristic), and the inverse-CDF atom index of each entry
-    with a finitely supported law (None for the others)."""
+def _chunk_values(s: Scenario, seed: int, start: int, stop: int, values_for, atoms_for=()):
+    """Realized values and atom indices of draws [start, stop), each a
+    contiguous column keyed by (bidder, characteristic): values for the
+    entries in ``values_for``, inverse-CDF atom indices for the finitely
+    supported entries in either set.  No inverse CDF runs for an entry in
+    neither set."""
     n, m = s.n_bidders, s.m_characteristics
     U = _uniform_chunk(seed, start, stop, n, m)
     values, atoms = {}, {}
     for i in range(1, n + 1):
         for j in range(1, m + 1):
-            law = s.law(i, j)
+            law, key = s.law(i, j), (i, j)
             u = U[:, i - 1, j - 1]
             if isinstance(law, DiscreteFinite):
-                idx = atom_index(law, u)
-                values[(i, j)] = np.array([float(v) for v in law.values])[idx]
-                atoms[(i, j)] = idx
-            else:
-                values[(i, j)] = ppf(law, u)
-                atoms[(i, j)] = None
+                if key in values_for or key in atoms_for:
+                    atoms[key] = atom_index(law, u)
+                if key in values_for:
+                    values[key] = np.array([float(v) for v in law.values])[atoms[key]]
+            elif key in values_for:
+                values[key] = ppf(law, u)
     return values, atoms
 
 
@@ -274,33 +299,35 @@ def sample_draws(s: Scenario, seed: int, count: int) -> np.ndarray:
     uniforms and inverse-CDF values as ``estimate``, so empirical statistics
     computed from these draws are the Monte Carlo backend's draws."""
     out = np.empty((count, s.n_bidders, s.m_characteristics))
+    entries = {(i, j) for i in range(1, s.n_bidders + 1)
+               for j in range(1, s.m_characteristics + 1)}
     for a in range(0, count, _CHUNK):
         b = min(a + _CHUNK, count)
-        for (i, j), col in _chunk_values(s, seed, a, b)[0].items():
+        for (i, j), col in _chunk_values(s, seed, a, b, entries)[0].items():
             out[a:b, i - 1, j - 1] = col
     return out
 
 
 def _contribution_rule(law, level):
-    """Map from one aware entry's realized value (and atom index, for a
-    finitely supported law) to its bid contribution under ``level``."""
-    if isinstance(law, DiscreteFinite):
-        if isinstance(level, NoInfo):
-            table = np.full(len(law.values), float(mean(law)))
-        else:  # canonical Partition (FullInfo canonicalizes to singletons)
-            table = np.empty(len(law.values))
-            for cell in cells(law, level):
-                table[list(cell.level.cells[cell.index])] = float(
-                    conditional_mean(law, level, cell))
-        return lambda values, idx: table[idx]
+    """How one aware entry's bid contribution is read off a chunk, as a pair
+    (source, f).  Under NoInfo the contribution is the constant f and reads
+    nothing (source None).  Otherwise f maps the entry's atom index (source
+    "atoms", finitely supported laws) or its realized values ("values") to
+    the contribution column."""
     if isinstance(level, NoInfo):
-        const = float(mean(law))
-        return lambda values, idx: np.full(values.shape, const)
+        return None, float(mean(law))
+    if isinstance(law, DiscreteFinite):
+        # canonical Partition (FullInfo canonicalizes to singletons)
+        table = np.empty(len(law.values))
+        for cell in cells(law, level):
+            table[list(cell.level.cells[cell.index])] = float(
+                conditional_mean(law, level, cell))
+        return "atoms", table.__getitem__
     if isinstance(level, FullInfo):
-        return lambda values, idx: values
+        return "values", lambda values: values
     cuts = np.asarray(level.cutpoints, dtype=np.float64)
     means = np.array([float(conditional_mean(law, level, c)) for c in cells(law, level)])
-    return lambda values, idx: means[np.searchsorted(cuts, values, side="right")]
+    return "values", lambda values: means[bin_index(cuts, values, side="right")]
 
 
 def _policy_layout(s: Scenario, p: DisclosurePolicy):
@@ -310,71 +337,95 @@ def _policy_layout(s: Scenario, p: DisclosurePolicy):
     he is unaware of; and the view slots of ``_effective_views``."""
     views, full_idx, bidder_idx = _effective_views(s, p)
     n = s.n_bidders
-    columns = [[[(i, j, p.level(i, j)) for j in sorted(p.aware(i) & view)]
+    columns = [[tuple((i, j, p.level(i, j)) for j in sorted(p.aware(i) & view))
                 for i in range(1, n + 1)] for view in views]
     unaware = [[(i, j) for j in range(1, s.m_characteristics + 1) if j not in p.aware(i)]
                for i in range(1, n + 1)]
     return columns, unaware, full_idx, bidder_idx
 
 
-def _mc_chunk(s, rules, layouts, seed, start, stop):
-    """Pure function of the draw range: draws its values once, computes each
-    (bidder, characteristic, level) contribution once, then settles every
-    policy in turn; returns per policy the per-field (sum, sum of squares)."""
-    values, atoms = _chunk_values(s, seed, start, stop)
-    contribs = {key: rule(values[key[:2]], atoms[key[:2]]) for key, rule in rules.items()}
-    return [_policy_fields(s.n_bidders, stop - start, values, contribs, layout)
-            for layout in layouts]
+def _mc_chunk(s, rules, layouts, reads, seed, start, stop):
+    """Pure function of the draw range: draws what ``reads`` = (values
+    for, atoms for, hidden) names once, computes each (bidder,
+    characteristic, level) contribution once, keeps only the values a hidden
+    sum reads, then settles every policy in turn; returns per policy the
+    per-field (sum, sum of squares)."""
+    values_for, atoms_for, hidden_for = reads
+    values, atoms = _chunk_values(s, seed, start, stop, values_for, atoms_for)
+    sources = {"values": values, "atoms": atoms}
+    contribs = {key: f if source is None else f(sources[source][key[:2]])
+                for key, (source, f) in rules.items()}
+    hidden = {key: values[key] for key in hidden_for}
+    del sources, values, atoms
+    return [_policy_fields(stop - start, hidden, contribs, layout) for layout in layouts]
 
 
-def _policy_fields(n, L, values, contribs, layout):
-    """One policy's per-field (sum, sum of squares) over one chunk.  Bid
-    columns and top-two results are built here and dropped on return, so a
-    chunk holds those of one policy at a time."""
+def _policy_fields(L, hidden_values, contribs, layout):
+    """One policy's per-field (sum, sum of squares) over one chunk.  Each
+    distinct (bidder, contributions) bid column is built once and each
+    distinct view settled once; bidders are then read in order, so the
+    revenue column adds their perceived surpluses in bidder order.  Bid
+    columns and top-two results are dropped on return, so a chunk holds
+    those of one policy at a time."""
     columns, unaware, full_idx, bidder_idx = layout
-    hidden = []
-    for keys in unaware:
-        h = np.zeros(L)
-        for key in keys:
-            h += values[key]
-        hidden.append(h)
-
     fields = {}
 
     def put(name, data):
         fields[name] = (float(data.sum()), float(np.square(data).sum()))
 
-    # one bid column per bidder per view, summed in sorted characteristic order
-    cols = []
-    for view_keys in columns:
-        bid = []
-        for keys in view_keys:
+    built = {}
+
+    def column(keys):
+        """The bid column of one (bidder, contributions), summed in sorted
+        characteristic order from 0.0."""
+        if keys not in built:
             col = np.zeros(L)
             for key in keys:
                 col += contribs[key]
-            bid.append(col)
-        cols.append(bid)
-    tops = [top_two(bid) for bid in cols]
+            built[keys] = col
+        return built[keys]
 
-    def outcome(v, i):
-        """Win credit and surplus of bidder i under view v."""
-        first, second, n_top = tops[v]
-        is_top = cols[v][i - 1] == first
-        return is_top / n_top, np.where(is_top, first - second, 0.0)
+    def settle(v):
+        """(bid columns, top bid, top-two gap, 1/#top bids) under view v,
+        and the price."""
+        bids = [column(keys) for keys in columns[v]]
+        first, second, n_top = top_two(bids)
+        return (bids, first, first - second, 1.0 / n_top), second
 
-    first, second, _n_top = tops[full_idx]
-    put("first", first)
-    put("second", second)
-    revenue = second.copy()
-    for i in range(1, n + 1):
-        vi = bidder_idx[i - 1]
-        credit_f, surplus_f = outcome(full_idx, i)
-        credit_v, surplus_v = (credit_f, surplus_f) if vi == full_idx else outcome(vi, i)
-        put(f"surplus_perc_{i}", surplus_v)
+    def outcome(view, i):
+        """Win credit and surplus of bidder i under a settled view.  Bids
+        are finite and never -0.0 (columns are sums from 0.0), so the gap is
+        finite and non-negative, and a product with the top-bid mask is the
+        same float as a masked select, without its branches."""
+        bids, first, gap, share = view
+        is_top = bids[i - 1] == first
+        return is_top * share, is_top * gap
+
+    settled = {v: settle(v)[0] for v in set(bidder_idx) - {full_idx}}
+    full, price = settle(full_idx)
+    put("first", full[1])
+    put("second", price)
+    revenue = price                   # the price column, read only above
+    for i, vi in enumerate(bidder_idx, start=1):
+        credit_f, surplus_f = outcome(full, i)
         put(f"surplus_act_{i}", surplus_f)
-        put(f"credit_perc_{i}", credit_v)
         put(f"credit_act_{i}", credit_f)
-        put(f"hidden_{i}", credit_f * hidden[i - 1])
+        if vi == full_idx:
+            surplus_v = surplus_f
+            fields[f"surplus_perc_{i}"] = fields[f"surplus_act_{i}"]
+            fields[f"credit_perc_{i}"] = fields[f"credit_act_{i}"]
+        else:
+            credit_v, surplus_v = outcome(settled[vi], i)
+            put(f"surplus_perc_{i}", surplus_v)
+            put(f"credit_perc_{i}", credit_v)
+        if unaware[i - 1]:
+            hidden = np.zeros(L)
+            for key in unaware[i - 1]:
+                hidden += hidden_values[key]
+            hidden *= credit_f
+            put(f"hidden_{i}", hidden)
+        else:
+            fields[f"hidden_{i}"] = (0.0, 0.0)
         revenue += surplus_v
     put("revenue", revenue)
     return fields
@@ -385,11 +436,19 @@ def _mc_bundles(s: Scenario, policies: tuple, config: EstimatorConfig) -> tuple:
     used = {key for columns, _u, _f, _b in layouts
             for view_keys in columns for keys in view_keys for key in keys}
     rules = {(i, j, level): _contribution_rule(s.law(i, j), level) for i, j, level in used}
+    # an entry needs its values when a contribution or a hidden sum reads
+    # them, its atom index when a discrete contribution does; a continuous
+    # entry only ever under NoInfo needs no inverse CDF
+    hidden_for = {key for _c, unaware, _f, _b in layouts for keys in unaware for key in keys}
+    values_for = hidden_for | {key[:2] for key, (source, _f) in rules.items()
+                               if source == "values"}
+    atoms_for = {key[:2] for key, (source, _f) in rules.items() if source == "atoms"}
     S = config.n_samples
     ranges = [(a, min(a + _CHUNK, S)) for a in range(0, S, _CHUNK)]
 
     def run(rng):
-        return _mc_chunk(s, rules, layouts, config.seed, rng[0], rng[1])
+        return _mc_chunk(s, rules, layouts, (values_for, atoms_for, hidden_for),
+                         config.seed, rng[0], rng[1])
 
     if config.workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:

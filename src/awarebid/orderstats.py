@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -77,7 +77,6 @@ __all__ = [
     "order_cdf",
     "expected_order_stat",
     "clark_normal_max",
-    "permanent",
     "SIMPSON_TOL",
     "MAX_EVALUATIONS",
 ]
@@ -236,21 +235,6 @@ def _rank_cdf_terms(G, rank: int, one):
         for S in combinations(range(n), m):
             inS = set(S)
             total = total + math.prod(G[i] if i in inS else comp[i] for i in range(n))
-    return total
-
-
-def permanent(matrix):
-    """Permanent of a small square matrix by direct permutation enumeration."""
-    rows = list(matrix)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    total = 0
-    for sigma in permutations(range(n)):
-        term = 1
-        for i in range(n):
-            term = term * rows[i][sigma[i]]
-        total = total + term
     return total
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import pathlib
 from fractions import Fraction as F
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ def ks_statistic(samples, cdf_fn, has_atoms=False):
         f_before = f_at
     return float(max(np.max(np.abs(emp_at - f_at)),
                      np.max(np.abs(emp_before - f_before))))
+
+
+def permanent(matrix):
+    """Permanent of a small square matrix by direct permutation enumeration:
+    the literal order-statistic formula the closed forms are checked against."""
+    rows = list(matrix)
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    total = 0
+    for sigma in permutations(range(n)):
+        term = 1
+        for i in range(n):
+            term = term * rows[i][sigma[i]]
+        total = total + term
+    return total
 
 
 def mc_reference(s, p, draws):

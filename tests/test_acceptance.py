@@ -25,11 +25,10 @@ from awarebid.orderstats import (
     clark_normal_max,
     expected_order_stat,
     order_cdf,
-    permanent,
     valuation_law,
 )
 from awarebid.scenario import Perspective, validate
-from conftest import EXACT, KS_COEFF_001, build_d1, coin, ks_statistic
+from conftest import EXACT, KS_COEFF_001, build_d1, coin, ks_statistic, permanent
 
 
 def _report(num, label):

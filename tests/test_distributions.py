@@ -19,6 +19,8 @@ from awarebid.distributions import (
     SignalCell,
     TrapezoidLaw,
     UniformContinuous,
+    atom_index,
+    bin_index,
     canonical_info,
     cdf,
     cell_probability,
@@ -112,6 +114,90 @@ def test_inverse_cdf_examples():
     assert ppf(DiscreteFinite([0, 1], [F(1, 2), F(1, 2)]), 0.75) == 1.0
     assert ppf(DiscreteFinite([0, 1], [F(1, 2), F(1, 2)]), 0.5) == 0.0
     assert ppf(Normal(0, 1), 0.5) == pytest.approx(0.0, abs=1e-12)
+
+
+def _uneven_law(k):
+    """k atoms with non-dyadic, unequal probabilities."""
+    weights = [3 * a + 1 for a in range(k)]
+    return DiscreteFinite(range(k), [F(w, sum(weights)) for w in weights])
+
+
+# bin_index counts in uint8 up to 255 edges and in uint16 from 256
+EDGE_COUNTS = [2, 3, 16, 255, 256]
+
+
+@pytest.mark.parametrize("k", EDGE_COUNTS)
+def test_atom_index_equals_searchsorted_on_every_boundary(k):
+    law = _uneven_law(k)
+    cum = np.cumsum([float(p) for p in law.probs])
+    cum[-1] = 1.0
+    u = np.concatenate([cum[:-1], np.nextafter(cum[:-1], 0.0), np.nextafter(cum[:-1], 1.0),
+                        [0.0, 1.0 - 2.0 ** -53, 5e-324]])
+    want = np.searchsorted(cum, u, side="left")
+    got = atom_index(law, u)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(atom_index(law, np.repeat(u, 2)[::2]), want)      # strided
+    for x in u:
+        assert atom_index(law, float(x)) == np.searchsorted(cum, x, side="left")
+    assert atom_index(law, np.asarray(u[0])) == want[0]
+
+
+@pytest.mark.parametrize("k", [0, 1] + EDGE_COUNTS)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_bin_index_equals_searchsorted_on_edges(k, side):
+    edges = np.sort(np.random.default_rng(k).normal(size=k)).round(3)
+    x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        [-np.inf, np.inf, np.nan, 0.0, -0.0]])
+    want = np.searchsorted(edges, x, side=side)
+    got = bin_index(edges, x, side=side)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_cutpoint_rule_equals_searchsorted_on_the_cuts():
+    # a value exactly on a cutpoint belongs to the cell above it
+    from awarebid.engine import _contribution_rule
+    for law in (Normal(0.5, 1.5), UniformContinuous(-2, 3)):
+        for k in [1] + EDGE_COUNTS:
+            cuts = list(np.linspace(-1.9, 2.9, k))
+            level = Partition(cutpoints=cuts)
+            source, f = _contribution_rule(law, level)
+            means = np.array([float(conditional_mean(law, level, c)) for c in cells(law, level)])
+            x = np.concatenate([cuts, np.nextafter(cuts, -np.inf), [-1.95, 2.95]])
+            assert source == "values"
+            assert np.array_equal(f(x), means[np.searchsorted(cuts, x, side="right")])
+
+
+@pytest.mark.parametrize("law", [Normal(0.3, 1.7), Normal(1, 2), Normal(F(1, 3), F(7, 5)),
+                                 UniformContinuous(-2, 1.1), UniformContinuous(0, 5),
+                                 _uneven_law(3)])
+def test_ppf_scalar_zero_d_and_strided_inputs(law):
+    # the closed-form inverse CDFs, bit for bit and with their input's type:
+    # a Python float for a Python scalar, a numpy scalar for a 0-d array; a
+    # Fraction parameter enters the closed form as its float
+    from scipy.special import ndtri
+    U = np.random.default_rng(3).random((40, 3))
+
+    def reference(u):
+        u = np.asarray(u, dtype=np.float64)
+        if isinstance(law, Normal):
+            return law.mean + law.stddev * ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+        if isinstance(law, UniformContinuous):
+            return law.lo + u * (law.hi - law.lo)
+        cum = np.cumsum([float(p) for p in law.probs])
+        cum[-1] = 1.0
+        return np.array([float(v) for v in law.values])[np.searchsorted(cum, u)]
+
+    for u in (0.3, 0.0, 1.0 - 2.0 ** -53):
+        got = ppf(law, u)
+        assert type(got) is float and got == float(reference(u))
+    for u in (np.asarray(0.7), np.asarray(0.0)):
+        got, want = ppf(law, u), reference(u)
+        assert type(got) is type(want) is np.float64 and got == want
+    strided = U[::3, 1]
+    got = ppf(law, strided)
+    assert isinstance(got, np.ndarray) and got.shape == strided.shape
+    assert np.array_equal(got, reference(strided))
+    assert np.array_equal(ppf(law, [0.1, 0.5]), reference([0.1, 0.5]))
 
 
 def test_stream_determinism():

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction as F
 from itertools import product
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from awarebid import engine, fees
 from awarebid._kernels import second_price_stats, top_two
@@ -583,3 +585,136 @@ def test_estimate_policies_equals_per_policy_estimate(monkeypatch, workers):
     # sums with another would show
     hidden = {tuple(be.hidden_win_value for be in b.bidders) for b in batch}
     assert len(hidden) == len(batch)
+
+
+def bit_identity_corpus():
+    """Seeded mixed-law scenarios, three policies each.
+
+    Characteristic 1 is discrete with 2, 3 or 17 atoms, 2 normal, 3
+    uniform, 4 discrete or normal.  Levels mix full information, no information on
+    continuous and on discrete laws, discrete cell partitions and cutpoint
+    partitions on normal and uniform laws; the first policy gives every
+    bidder the same awareness set, the others split it, so some bidders
+    are unaware of some characteristics."""
+    rng = random.Random(20261018)
+
+    def discrete(k):
+        values = sorted(rng.sample(range(-20, 40), k))
+        weights = [rng.randint(1, 7) for _ in range(k)]
+        return DiscreteFinite([F(v, 3) for v in values], [F(w, sum(weights)) for w in weights])
+
+    def level(law):
+        kind = rng.choice(["full", "none", "split"])
+        if kind == "full":
+            return FullInfo()
+        if kind == "none":
+            return NoInfo()
+        if isinstance(law, DiscreteFinite):
+            idx = list(range(len(law.values)))
+            rng.shuffle(idx)
+            cut = rng.randint(1, len(idx) - 1)
+            return Partition(cells=[idx[:cut], idx[cut:]])
+        lo, hi = (law.lo, law.hi) if isinstance(law, UniformContinuous) else (
+            law.mean - 2 * law.stddev, law.mean + 2 * law.stddev)
+        return Partition(cutpoints=sorted({round(rng.uniform(lo, hi), 2)
+                                           for _ in range(rng.randint(1, 3))}))
+
+    corpus = []
+    for atoms in (2, 3, 17):
+        n, m = 3, 4
+        laws = [[discrete(atoms),
+                 Normal(round(rng.uniform(0, 2), 2), round(rng.uniform(0.5, 2), 2)),
+                 UniformContinuous(round(rng.uniform(-2, 0), 1), round(rng.uniform(1, 4), 1)),
+                 discrete(rng.choice([2, 3, 17])) if i % 2 else Normal(-0.3, 1.1)]
+                for i in range(n)]
+        awareness = [[[1, 2, 3, 4]] * n,
+                     [[1, 2, 3, 4], [1, 3], [1, 2, 4]],
+                     [[1], [1, 2, 3, 4], [1, 4]]]
+        policies = []
+        for aw in awareness:
+            info = [{j: level(laws[i][j - 1]) for j in aw[i]} for i in range(n)]
+            policies.append(validate(n, m, laws, aw, info)[1])
+        corpus.append((validate(n, m, laws, awareness[0],
+                                [{j: FullInfo() for j in a} for a in awareness[0]])[0], policies))
+    return corpus
+
+
+BIT_IDENTITY_SAMPLES = 2 * _CHUNK + 4099       # two chunk ends, a partial sub-block
+
+
+@pytest.fixture(scope="module")
+def referenced_corpus():
+    """The corpus with the plain per-policy reference means of every policy."""
+    out = []
+    for s, policies in bit_identity_corpus():
+        draws = sample_draws(s, 31, BIT_IDENTITY_SAMPLES)
+        out.append((s, policies, [mc_reference(s, p, draws) for p in policies]))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_policies_bit_identical_on_mixed_corpus(referenced_corpus, workers):
+    # every field of every batched bundle is == the plain per-policy
+    # reference and == the one-policy estimate
+    cfg = EstimatorConfig(backend="mc", n_samples=BIT_IDENTITY_SAMPLES, seed=31, workers=workers)
+    for s, policies, references in referenced_corpus:
+        batch = engine.estimate_policies(s, policies, cfg)
+        for p, b, want in zip(policies, batch, references):
+            assert b == estimate(s, p, cfg)
+            assert bundle_means(b) == want
+
+
+def test_inverse_cdf_runs_only_where_a_policy_reads(monkeypatch):
+    # a continuous entry that every policy reads under no information, and a
+    # discrete one likewise, get no inverse CDF; sample_draws still gets
+    # every value
+    c = DiscreteFinite([0, 1, 3], [F(1, 4), F(1, 4), F(1, 2)])
+    u, g = UniformContinuous(0, 2), Normal(1.0, 0.5)
+    laws = [[c, u, g], [c, u, g]]
+    s, p = validate(2, 3, laws, [[1, 2, 3], [1, 2]],
+                    [{1: NoInfo(), 2: NoInfo(), 3: FullInfo()}, {1: FullInfo(), 2: NoInfo()}])
+    p2 = validate(2, 3, laws, [[1, 2], [1, 2, 3]],
+                  [{1: NoInfo(), 2: NoInfo()},
+                   {1: FullInfo(), 2: NoInfo(), 3: Partition(cutpoints=[1.0])}])[1]
+    ppf_calls, atom_calls = [], []
+    stock_ppf, stock_atoms = engine.ppf, engine.atom_index
+
+    def counting_ppf(law, x):
+        ppf_calls.append(law)
+        return stock_ppf(law, x)
+
+    def counting_atoms(law, x):
+        atom_calls.append(law)
+        return stock_atoms(law, x)
+
+    monkeypatch.setattr(engine, "ppf", counting_ppf)
+    monkeypatch.setattr(engine, "atom_index", counting_atoms)
+    cfg = EstimatorConfig(backend="mc", n_samples=_CHUNK + 7, seed=5)
+    engine.estimate_policies(s, (p, p2), cfg)
+    chunks = 2
+    # (1, 2) and (2, 2) are only ever NoInfo: no ppf on the uniform law; the
+    # normal law is read at (1, 3) and (2, 3) (full information, hidden,
+    # cutpoints); the discrete law (1, 1) is NoInfo only, (2, 1) is not
+    assert all(law is not u for law in ppf_calls)
+    assert len(ppf_calls) == 2 * chunks and all(law is g for law in ppf_calls)
+    assert len(atom_calls) == chunks
+    ppf_calls.clear(), atom_calls.clear()
+    sample_draws(s, 5, 100)
+    assert len(ppf_calls) == 4 and len(atom_calls) == 2
+
+
+@pytest.mark.parametrize("n, m, count",
+                         [(1, 1, 10), (2, 3, 4096 + 17), (6, 4, 3 * 4096), (3, 5, 9000)])
+def test_uniform_chunk_columns_are_contiguous_philox_blocks(n, m, count):
+    # each draw owns whole Philox blocks (counter = draw index x blocks per
+    # draw); every (bidder, characteristic) column is one contiguous run
+    start, seed = 123, 77
+    per_draw = n * m
+    bpd = -(-per_draw // 4)
+    gen = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64), counter=start * bpd))
+    want = gen.random(count * 4 * bpd).reshape(count, 4 * bpd)[:, :per_draw].reshape(count, n, m)
+    U = _uniform_chunk(seed, start, start + count, n, m)
+    assert U.shape == (count, n, m) and np.array_equal(U, want)
+    for i in range(n):
+        for j in range(m):
+            assert U[:, i, j].flags.c_contiguous

@@ -31,12 +31,11 @@ from awarebid.orderstats import (
     clark_normal_max,
     expected_order_stat,
     order_cdf,
-    permanent,
     valuation_law,
 )
 from awarebid.piecewise import expected_value, order_stat_rational
 from awarebid.scenario import Perspective, validate
-from conftest import KS_COEFF_001, ks_statistic
+from conftest import KS_COEFF_001, ks_statistic, permanent
 
 
 def _full_policy(laws, m):

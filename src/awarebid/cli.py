@@ -44,8 +44,7 @@ from .orderstats import OrderStatLaw, clark_normal_max, expected_order_stat, val
 from .piecewise import expected_value, order_stat_rational
 from .scenario import Perspective, ScenarioError, validate
 
-__all__ = ["main", "parse_scenario", "emit", "scenario_to_dict", "write_scenario",
-           "ParseError"]
+__all__ = ["main", "parse_scenario", "emit", "ParseError"]
 
 
 class ParseError(ValueError):
@@ -80,23 +79,6 @@ def _dist_from_dict(obj, path):
     raise ParseError(path, f"unknown distribution kind {kind!r}")
 
 
-def _dist_to_dict(d):
-    if isinstance(d, UniformContinuous):
-        return {"kind": "uniform", "lo": d.lo, "hi": d.hi}
-    if isinstance(d, Normal):
-        return {"kind": "normal", "mean": d.mean, "stddev": d.stddev}
-    if isinstance(d, DiscreteFinite):
-        return {"kind": "discrete",
-                "atoms": [[_num_to_json(v), str(p)] for v, p in zip(d.values, d.probs)]}
-    raise ParseError("", f"cannot serialize {d!r}")
-
-
-def _num_to_json(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
-    return v
-
-
 def _level_from_json(obj, path):
     if obj == "none":
         return NoInfo()
@@ -107,16 +89,6 @@ def _level_from_json(obj, path):
     if isinstance(obj, dict) and "cells" in obj:
         return Partition(cells=[[int(i) for i in cell] for cell in obj["cells"]])
     raise ParseError(path, f"unknown info level {obj!r}")
-
-
-def _level_to_json(level):
-    if isinstance(level, NoInfo):
-        return "none"
-    if isinstance(level, FullInfo):
-        return "full"
-    if level.cutpoints:
-        return {"cutpoints": list(level.cutpoints)}
-    return {"cells": [list(c) for c in level.cells]}
 
 
 def parse_scenario(path: str):
@@ -190,28 +162,6 @@ def parse_scenario(path: str):
     except (ScenarioError, DistributionError) as exc:
         raise ParseError("", str(exc)) from exc
     return scenario, policy, config
-
-
-def scenario_to_dict(scenario, policy, config) -> dict:
-    return {
-        "bidders": scenario.n_bidders,
-        "characteristics": [
-            {"distributions": [_dist_to_dict(scenario.law(i, j))
-                               for i in range(1, scenario.n_bidders + 1)]}
-            for j in range(1, scenario.m_characteristics + 1)],
-        "awareness": [sorted(a) for a in policy.awareness],
-        "info": [{str(j): _level_to_json(levels[j]) for j in sorted(levels)}
-                 for levels in policy.info],
-        "estimator": {"backend": config.backend, "samples": config.n_samples,
-                      "seed": config.seed},
-    }
-
-
-def write_scenario(path: str, scenario, policy, config):
-    data = json.dumps(scenario_to_dict(scenario, policy, config),
-                      indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,11 @@ def check_tradeoff(s: Scenario, base: DisclosurePolicy, target: Optional[int],
     left to make aware: all components are zero and the decision is keep.
     A target outside 1..n or a characteristic outside 2..m raises
     ScenarioError."""
+    return _tradeoff(s, base, target, char, config, new_level)[0]
+
+
+def _tradeoff(s, base, target, char, config, new_level):
+    """``check_tradeoff``'s breakdown and the base policy's revenue report."""
     if target is not None and not 1 <= target <= s.n_bidders:
         raise ScenarioError(f"bidder {target} outside 1..{s.n_bidders}")
     if not 2 <= char <= s.m_characteristics:
@@ -386,7 +391,7 @@ def check_tradeoff(s: Scenario, base: DisclosurePolicy, target: Optional[int],
     if target is None:
         rep = revenue(s, base, config)
         return TradeoffBreakdown(zero, zero, zero, "keep",
-                                 rep.total_revenue, rep.total_revenue)
+                                 rep.total_revenue, rep.total_revenue), rep
 
     aware_of_char = [i for i in range(1, s.n_bidders + 1) if char in base.aware(i)]
     if char in base.aware(target):
@@ -437,7 +442,7 @@ def check_tradeoff(s: Scenario, base: DisclosurePolicy, target: Optional[int],
         se_rents = se_lost = None
     return TradeoffBreakdown(delta_first, delta_rents, lost, decision,
                              before.total_revenue, after.total_revenue,
-                             se_first, se_rents, se_lost)
+                             se_first, se_rents, se_lost), before
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +630,10 @@ def _claims_tradeoff(sid: str, s: Scenario, rng: random.Random) -> list:
     awareness = [mprime | {ell}] * k + [mprime] * (s.n_bidders - k)
     base = policy_with_info(s, awareness, _full_info(s))
     target = k + 1
-    td = check_tradeoff(s, base, target, ell, _EXACT)
+    td, before = _tradeoff(s, base, target, ell, _EXACT, None)
 
     mu_target = mean(s.law(target, ell))
     remaining = range(target + 1, s.n_bidders + 1)
-    before = revenue(s, base, _EXACT)
     competitive = any(before.fee_schedule.fees_fullview[i - 1] > 0 for i in remaining)
     hyp_l5 = mu_target > 0
     # rent claims carry the same nonnegative-support rider as in

@@ -27,13 +27,17 @@ Two estimation backends share one contract:
   cutpoint cells come from ``distributions.bin_index``: one threshold
   comparison per edge, the same integers as ``np.searchsorted``.
 
-  Then each policy in turn builds each distinct (bidder, contributions)
-  bid column once and settles its deduplicated viewpoints with one top-two
-  pass each (``_kernels.top_two``); win credit and surplus are derived
-  only for the bidder columns the policy's bundle reads before being
-  reduced to per-bidder sums and sums of squares.  Bid columns and
-  top-two results are not shared across policies, so a chunk's memory
-  depends on the scenario, not on the number of policies.
+  Bid columns are shared by every policy in the batch: each distinct
+  (bidder, contributions) column is summed once per chunk, on first use.
+  Then each policy
+  in turn settles its deduplicated viewpoints with one top-two pass each
+  (``_kernels.top_two``), whose per-column top masks give win credit and
+  surplus without comparing bids again; they are derived only for the
+  bidder columns the policy's bundle reads, in scratch columns reused
+  across bidders, fields and policies, before being reduced to per-field
+  sums and sums of squares.  Top-two results are not kept across
+  policies, so a chunk holds the shared columns plus one policy's
+  settled views.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
   bids are independent across bidders, so each bidder's exact bid law is
   folded as an integer form (``orderstats.valuation_lattice``: value
@@ -344,89 +348,93 @@ def _policy_layout(s: Scenario, p: DisclosurePolicy):
     return columns, unaware, full_idx, bidder_idx
 
 
+def _bid_column(L, keys, contribs):
+    """The bid column of one (bidder, contributions): ``contribs[key]`` (a
+    column or a constant) summed over ``keys`` in order, from 0.0."""
+    col = np.zeros(L)
+    for key in keys:
+        col += contribs[key]
+    return col
+
+
 def _mc_chunk(s, rules, layouts, reads, seed, start, stop):
     """Pure function of the draw range: draws what ``reads`` = (values
     for, atoms for, hidden) names once, computes each (bidder,
     characteristic, level) contribution once, keeps only the values a hidden
     sum reads, then settles every policy in turn; returns per policy the
-    per-field (sum, sum of squares)."""
+    per-field (sum, sum of squares).  Bid columns are built on first use
+    and shared by every policy of the batch, so each distinct one is summed
+    once per chunk; the policies also share four scratch columns."""
     values_for, atoms_for, hidden_for = reads
+    L = stop - start
     values, atoms = _chunk_values(s, seed, start, stop, values_for, atoms_for)
     sources = {"values": values, "atoms": atoms}
     contribs = {key: f if source is None else f(sources[source][key[:2]])
                 for key, (source, f) in rules.items()}
     hidden = {key: values[key] for key in hidden_for}
     del sources, values, atoms
-    return [_policy_fields(stop - start, hidden, contribs, layout) for layout in layouts]
-
-
-def _policy_fields(L, hidden_values, contribs, layout):
-    """One policy's per-field (sum, sum of squares) over one chunk.  Each
-    distinct (bidder, contributions) bid column is built once and each
-    distinct view settled once; bidders are then read in order, so the
-    revenue column adds their perceived surpluses in bidder order.  Bid
-    columns and top-two results are dropped on return, so a chunk holds
-    those of one policy at a time."""
-    columns, unaware, full_idx, bidder_idx = layout
-    fields = {}
-
-    def put(name, data):
-        fields[name] = (float(data.sum()), float(np.square(data).sum()))
-
     built = {}
 
     def column(keys):
-        """The bid column of one (bidder, contributions), summed in sorted
-        characteristic order from 0.0."""
         if keys not in built:
-            col = np.zeros(L)
-            for key in keys:
-                col += contribs[key]
-            built[keys] = col
+            built[keys] = _bid_column(L, keys, contribs)
         return built[keys]
 
+    scratch = np.empty((4, L))
+    return [_policy_fields(column, hidden, layout, scratch) for layout in layouts]
+
+
+def _policy_fields(column, hidden_values, layout, scratch):
+    """One policy's per-field (sum, sum of squares) over one chunk.  Each
+    distinct view is settled once by one top-two pass, whose masks give
+    every win credit and surplus; bidders are then read in order, so the
+    revenue column adds their perceived surpluses in bidder order.  Bids
+    are finite and never -0.0 (columns are sums from 0.0), so the gap is
+    finite and non-negative, and a product with a top-bid mask is the same
+    float as a masked select.  Credit, surplus, hidden value and squares
+    are written into the scratch columns, which each field reads before
+    the next one overwrites them."""
+    columns, unaware, full_idx, bidder_idx = layout
+    credit, surplus, hidden, square = scratch
+    fields = {}
+
+    def put(name, data):
+        fields[name] = (float(data.sum()), float(np.square(data, out=square).sum()))
+
     def settle(v):
-        """(bid columns, top bid, top-two gap, 1/#top bids) under view v,
-        and the price."""
-        bids = [column(keys) for keys in columns[v]]
-        first, second, n_top = top_two(bids)
-        return (bids, first, first - second, 1.0 / n_top), second
+        """Top bid and price under view v, and its (top masks, top-two gap,
+        1/#top bids)."""
+        first, second, n_top, masks = top_two([column(keys) for keys in columns[v]])
+        return first, second, (masks, first - second, 1.0 / n_top)
 
-    def outcome(view, i):
-        """Win credit and surplus of bidder i under a settled view.  Bids
-        are finite and never -0.0 (columns are sums from 0.0), so the gap is
-        finite and non-negative, and a product with the top-bid mask is the
-        same float as a masked select, without its branches."""
-        bids, first, gap, share = view
-        is_top = bids[i - 1] == first
-        return is_top * share, is_top * gap
+    def outcome(v, i, kind):
+        """Put bidder i's surplus and win credit under settled view v; both
+        stay in their scratch columns until the next call."""
+        masks, gap, share = views[v]
+        put(f"surplus_{kind}_{i}", np.multiply(masks[i - 1], gap, out=surplus))
+        put(f"credit_{kind}_{i}", np.multiply(masks[i - 1], share, out=credit))
 
-    settled = {v: settle(v)[0] for v in set(bidder_idx) - {full_idx}}
-    full, price = settle(full_idx)
-    put("first", full[1])
+    views = {v: settle(v)[2] for v in set(bidder_idx) - {full_idx}}
+    first, price, views[full_idx] = settle(full_idx)
+    put("first", first)
     put("second", price)
     revenue = price                   # the price column, read only above
     for i, vi in enumerate(bidder_idx, start=1):
-        credit_f, surplus_f = outcome(full, i)
-        put(f"surplus_act_{i}", surplus_f)
-        put(f"credit_act_{i}", credit_f)
-        if vi == full_idx:
-            surplus_v = surplus_f
-            fields[f"surplus_perc_{i}"] = fields[f"surplus_act_{i}"]
-            fields[f"credit_perc_{i}"] = fields[f"credit_act_{i}"]
-        else:
-            credit_v, surplus_v = outcome(settled[vi], i)
-            put(f"surplus_perc_{i}", surplus_v)
-            put(f"credit_perc_{i}", credit_v)
+        outcome(full_idx, i, "act")
         if unaware[i - 1]:
-            hidden = np.zeros(L)
+            hidden.fill(0.0)
             for key in unaware[i - 1]:
                 hidden += hidden_values[key]
-            hidden *= credit_f
+            hidden *= credit          # still the full view's credit
             put(f"hidden_{i}", hidden)
         else:
             fields[f"hidden_{i}"] = (0.0, 0.0)
-        revenue += surplus_v
+        if vi == full_idx:
+            fields[f"surplus_perc_{i}"] = fields[f"surplus_act_{i}"]
+            fields[f"credit_perc_{i}"] = fields[f"credit_act_{i}"]
+        else:
+            outcome(vi, i, "perc")
+        revenue += surplus            # bidder i's perceived surplus
     put("revenue", revenue)
     return fields
 

@@ -8,7 +8,7 @@ import pytest
 
 import awarebid
 from awarebid import cli, engine
-from awarebid.cli import ParseError, emit, main, parse_scenario, write_scenario
+from awarebid.cli import ParseError, emit, main, parse_scenario
 from awarebid.disclosure import ClaimResult, VerificationReport
 
 
@@ -18,34 +18,6 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 def run_cli(capsysbinary, args):
     status = main(args)
     return status, capsysbinary.readouterr().out
-
-
-def test_parse_d1_round_trip(scenario_dir, tmp_path):
-    s, p, cfg = parse_scenario(str(scenario_dir / "d1.json"))
-    assert s.n_bidders == 2
-    assert cfg.backend == "exact" and cfg.seed == 7
-    first = tmp_path / "one.json"
-    second = tmp_path / "two.json"
-    write_scenario(str(first), s, p, cfg)
-    reparsed = parse_scenario(str(first))
-    write_scenario(str(second), *reparsed)
-    assert first.read_bytes() == second.read_bytes()
-
-
-def test_generated_corpus_files_round_trip(tmp_path):
-    from awarebid.disclosure import CorpusConfig, random_discrete_scenario
-    from awarebid.engine import EstimatorConfig
-    from awarebid.scenario import no_info_policy
-
-    for index in range(4):
-        _sid, s = random_discrete_scenario(CorpusConfig(count=4, seed=2), index)
-        policy = no_info_policy(s)
-        cfg = EstimatorConfig(backend="exact", n_samples=1000, seed=index)
-        first = tmp_path / f"gen{index}a.json"
-        second = tmp_path / f"gen{index}b.json"
-        write_scenario(str(first), s, policy, cfg)
-        write_scenario(str(second), *parse_scenario(str(first)))
-        assert first.read_bytes() == second.read_bytes()
 
 
 def test_backend_override_flag(capsysbinary, scenario_dir):

@@ -258,6 +258,26 @@ def test_prop5_converse_evaluates_full_awareness_once_per_scenario(monkeypatch):
     assert full == collections.Counter(scenarios)
 
 
+def test_tradeoff_claims_evaluate_each_policy_once(monkeypatch):
+    # the Lem5-7 and Prop3 rows of a scenario cost two exact bundles, the
+    # base split and the raised one; the base report is not evaluated again
+    policies = collections.Counter()
+    stock = engine._exact_bundle
+
+    def counting(s, p, config):
+        policies[repr(p.awareness)] += 1
+        return stock(s, p, config)
+
+    monkeypatch.setattr(engine, "_exact_bundle", counting)
+    cfg = CorpusConfig(count=6, seed=1)
+    for index in range(cfg.count):
+        sid, s = random_discrete_scenario(cfg, index)
+        policies.clear()
+        rows = disclosure._claims_tradeoff(sid, s, random.Random(index))
+        assert [r.claim for r in rows] == ["Lem5", "Lem6", "Lem7", "Prop3"]
+        assert sorted(policies.values()) == [1, 1]
+
+
 def test_prop4_shift_is_exactly_the_mean():
     base = coin([0, 1])
     extra = DiscreteFinite([F(-1, 2), 2], [F(1, 3), F(2, 3)])

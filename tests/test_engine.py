@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from awarebid import engine, fees
+from awarebid import engine
 from awarebid._kernels import second_price_stats, top_two
 from awarebid.distributions import (
     DiscreteFinite,
@@ -232,14 +233,16 @@ def _enumerate_bundle(s, p):
 
 
 def test_exact_sweep_matches_enumeration_on_verify_corpus(monkeypatch):
+    # every exact bundle the suite makes, whichever route asks for it
     seen = []
+    stock = engine._exact_bundle
 
     def recording(s, p, config):
-        out = estimate(s, p, config)
+        out = stock(s, p, config)
         seen.append((s, p, out))
         return out
 
-    monkeypatch.setattr(fees, "estimate", recording)
+    monkeypatch.setattr(engine, "_exact_bundle", recording)
     assert verify_suite(CorpusConfig(count=20)).all_pass
     distinct = {(s, p.awareness, tuple(tuple(sorted(lv.items())) for lv in p.info))
                 for s, p, _out in seen}
@@ -431,7 +434,7 @@ def _second_price_rows(bids):
 def _top_two_rows(cols):
     """Reference for `top_two` built from the per-row settlement reference."""
     first, second, credit, _surplus = _second_price_rows(np.column_stack(cols))
-    return first, second, np.count_nonzero(credit, axis=1)
+    return first, second, np.count_nonzero(credit, axis=1), (credit != 0).T
 
 
 def build_four_bidder_views():
@@ -487,12 +490,21 @@ def test_top_two_matches_sorting_reference(n):
     rng = np.random.default_rng(100 + n)
     bids = rng.integers(-1, 3, size=(500, n)).astype(float)
     bids[:20] = 1.0                                  # all-tied rows
-    first, second, n_top = top_two(list(bids.T.copy()))
+    first, second, n_top, masks = top_two(list(bids.T.copy()))
     ordered = np.sort(bids, axis=1)
     assert np.array_equal(first, ordered[:, -1])
     assert np.array_equal(second, ordered[:, -2])
-    assert np.array_equal(n_top, (bids == ordered[:, -1:]).sum(axis=1))
+    assert np.array_equal(masks, (bids == ordered[:, -1:]).T)
+    assert np.array_equal(n_top, masks.sum(axis=0))
     assert n_top.min() >= 1 and (n_top == n).any() and (n_top == 1).any()
+
+
+def test_top_two_counts_ties_past_one_byte():
+    # 300 tied columns: the tie count must not wrap around in 8 bits
+    first, second, n_top, masks = top_two([np.full(5, 2.5) for _ in range(300)])
+    assert np.array_equal(n_top, [300] * 5)
+    assert masks.shape == (300, 5) and masks.all()
+    assert np.array_equal(first, second) and (first == 2.5).all()
 
 
 def test_common_random_numbers_across_policies():
@@ -662,6 +674,57 @@ def test_estimate_policies_bit_identical_on_mixed_corpus(referenced_corpus, work
         for p, b, want in zip(policies, batch, references):
             assert b == estimate(s, p, cfg)
             assert bundle_means(b) == want
+
+
+def normal_individual_batch():
+    """A 3 x 3 normal scenario and its 64 individual-regime policies: each
+    bidder aware of characteristic 1 and of any subset of 2 and 3, with
+    full information on every aware pair."""
+    laws = [[Normal(1.2, 0.8), Normal(-0.3, 1.1), Normal(-0.7, 0.6)],
+            [Normal(0.9, 1.3), Normal(0.2, 0.7), Normal(-0.4, 0.9)],
+            [Normal(1.5, 0.6), Normal(-0.1, 1.4), Normal(-0.9, 0.5)]]
+    subsets = [[1], [1, 2], [1, 3], [1, 2, 3]]
+    policies = [validate(3, 3, laws, list(aw), [{j: FullInfo() for j in a} for a in aw])[1]
+                for aw in product(subsets, repeat=3)]
+    return validate(3, 3, laws, [[1]] * 3, [{1: FullInfo()}] * 3)[0], policies
+
+
+NORMAL_BATCH_SAMPLES = _CHUNK + 7
+
+
+@pytest.fixture(scope="module")
+def referenced_normal_batch():
+    s, policies = normal_individual_batch()
+    draws = sample_draws(s, 8, NORMAL_BATCH_SAMPLES)
+    return s, policies, [mc_reference(s, p, draws) for p in policies]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_policy_batch_builds_each_column_once_per_chunk(referenced_normal_batch, monkeypatch,
+                                                        workers):
+    # the 64 policies share one chunk's bid columns: each distinct (bidder,
+    # contributions) column is built once per chunk, and every bundle is
+    # still == its own estimate and the plain per-policy reference
+    s, policies, references = referenced_normal_batch
+    cfg = EstimatorConfig(backend="mc", n_samples=NORMAL_BATCH_SAMPLES, seed=8, workers=workers)
+    builds = []
+    stock = engine._bid_column
+
+    def counting(L, keys, contribs):
+        builds.append((L, keys))
+        return stock(L, keys, contribs)
+
+    monkeypatch.setattr(engine, "_bid_column", counting)
+    batch = engine.estimate_policies(s, policies, cfg)
+    monkeypatch.setattr(engine, "_bid_column", stock)
+    distinct = {keys for p in policies for view in engine._policy_layout(s, p)[0]
+                for keys in view}
+    # per bidder, 4 awareness sets meet the views in 4 ways
+    assert (len(policies), len(distinct)) == (64, 12)
+    assert Counter(builds) == Counter((L, keys) for L in (_CHUNK, 7) for keys in distinct)
+    for p, b, want in zip(policies, batch, references):
+        assert b == estimate(s, p, cfg)
+        assert bundle_means(b) == want
 
 
 def test_inverse_cdf_runs_only_where_a_policy_reads(monkeypatch):

@@ -694,7 +694,7 @@ def _claim_full_info_optimal(sid: str, s: Scenario, cap: int) -> list:
         count = 1
         for i in range(1, s.n_bidders + 1):
             for j in sorted(aw):
-                count *= _bell(len(s.law(i, j).values))
+                count *= sum(1 for _ in _set_partitions(len(s.law(i, j).values)))
         if count <= cap:
             chosen = aw
             break
@@ -753,10 +753,6 @@ def _unflatten(flat, variants):
         rem //= len(rows)
     picked.reverse()
     return picked
-
-
-def _bell(k: int) -> int:
-    return [1, 1, 2, 5, 15, 52][k] if k <= 5 else sum(1 for _ in _set_partitions(k))
 
 
 def _claim_corollary1(sid: str, s: Scenario, char_info: dict, rng: random.Random) -> list:

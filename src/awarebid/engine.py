@@ -5,50 +5,44 @@ over characteristics in (his awareness) intersect v of the conditional mean
 of his value law given his signal cell.  The second-price auction settles
 to the highest bidder at the second-highest bid.
 
-Two estimation backends share one contract:
+Both estimation backends read a policy through one layout
+(``_policy_layout``) of (bidder, characteristic, information level) keys:
+per deduplicated viewpoint and bidder, the keys summed into the bid column
+in sorted characteristic order; per bidder, the characteristics he is
+unaware of, keyed at full information, because the hidden value an unaware
+bidder omits is what a full-information contribution would add.
 
 * ``mc`` draws states with one fixed uniform variate per
   (bidder, characteristic, draw index) - common random numbers across
-  policies and viewpoints - and averages per-draw statistics.  Draws are
-  processed in fixed-size chunks keyed by draw index, so results are
-  bit-identical for any worker count.  There is one route for any number
-  of policies (``estimate_policies``; ``estimate`` is its one-policy
-  case): per chunk the uniforms and the realized values are drawn once,
-  and each (bidder, characteristic, information level) bid contribution
-  is computed once.
-
-  A chunk's uniforms are one contiguous column per (bidder,
-  characteristic), filled from Philox sub-blocks small enough to stay in
-  cache, so each later stage reads only its own columns.  An inverse CDF
-  runs only for entries some policy in the batch reads: a full-information
-  or cutpoint contribution, or a hidden (unaware) value.  A no-information
-  contribution is its law's mean as a constant, and a discrete
-  contribution is a table lookup on the atom index.  Atom indices and
-  cutpoint cells come from ``distributions.bin_index``: one threshold
-  comparison per edge, the same integers as ``np.searchsorted``.
-
-  Bid columns are shared by every policy in the batch: each distinct
-  (bidder, contributions) column is summed once per chunk, on first use.
-  Then each policy
-  in turn settles its deduplicated viewpoints with one top-two pass each
+  policies and viewpoints - in fixed-size chunks keyed by draw index, so
+  results are bit-identical for any worker count.  ``estimate_policies``
+  is the one route (``estimate`` is its one-policy case).  A chunk's
+  uniforms are contiguous (bidder, characteristic) columns filled from
+  cache-sized Philox sub-blocks.  Each entry some key reads is inverted
+  once (to its atom index for a finitely supported law, else its value)
+  and the uniforms are freed; then each key's contribution
+  (``_contribution_rule``: the mean under no information, else a function
+  of the draw) and each distinct bid column are computed once for the
+  whole batch.  Atom indices and cutpoint cells come from
+  ``distributions.bin_index``, the same integers as ``np.searchsorted``.
+  Each policy in turn settles its views with one top-two pass each
   (``_kernels.top_two``), whose per-column top masks give win credit and
-  surplus without comparing bids again; they are derived only for the
-  bidder columns the policy's bundle reads, in scratch columns reused
-  across bidders, fields and policies, before being reduced to per-field
-  sums and sums of squares.  Top-two results are not kept across
-  policies, so a chunk holds the shared columns plus one policy's
-  settled views.
+  surplus in scratch columns reused across bidders, fields and policies,
+  reduced to per-field sums and sums of squares.  Top-two results are not
+  kept across policies.  A field that overflows double precision raises
+  EstimationError instead of being reported.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
-  bids are independent across bidders, so each bidder's exact bid law is
-  folded as an integer form (``orderstats.valuation_lattice``: value
-  numerators and masses on Python ints, built once per bidder and
-  effective awareness, from per-characteristic forms kept on the scenario
-  laws) and the forms go on a common integer atom grid
+  bids are independent across bidders, so each bid column's law is the
+  integer fold (``distributions.fold_atom_lattices``) of its keys'
+  contribution laws (``orderstats.bid_component``), built once per column
+  key, and the forms go on a common integer atom grid
   (``orderstats.atom_grid``); the order-statistic moments, every bidder's
   unique-winner surplus and the 1/#ties win credit follow from per-bidder
-  CDF columns and prefix sums.  The cost grows with bidders times bid
-  support, not with the product of supports across bidders.  Ties
-  contribute zero surplus since the price equals the bid.
+  CDF columns and prefix sums, at a cost of bidders times bid support, not
+  the product of supports.  Ties contribute zero surplus since the price
+  equals the bid.  Hidden values are independent of every bid, so a
+  bidder's hidden value is his hidden keys' contribution means times his
+  win credit.
 
 Both backends report, for every bidder, the perceived quantities (under the
 bidder's own awareness viewpoint) and the actual ones (under full
@@ -63,6 +57,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -74,14 +69,17 @@ from .distributions import (
     FullInfo,
     NoInfo,
     atom_index,
+    atom_lattice,
     bin_index,
+    canonical_info,
     cells,
     conditional_mean,
+    fold_atom_lattices,
     mean,
     ppf,
 )
-from .orderstats import atom_grid, valuation_lattice
-from .scenario import DisclosurePolicy, Perspective, Scenario
+from .orderstats import atom_grid, bid_component
+from .scenario import DisclosurePolicy, Scenario
 
 __all__ = [
     "EstimatorConfig",
@@ -205,23 +203,46 @@ def _effective_views(s: Scenario, p: DisclosurePolicy):
     return views, slot[0], slot[1:]
 
 
+def _policy_layout(s: Scenario, p: DisclosurePolicy):
+    """What one policy reads, as (bidder, characteristic, level) keys: per
+    deduplicated view and bidder the contributions summed into the bid
+    column, in sorted characteristic order; per bidder the characteristics
+    he is unaware of, each keyed at full information, since a hidden value
+    is the contribution full information would add; and the view slots of
+    ``_effective_views``."""
+    views, full_idx, bidder_idx = _effective_views(s, p)
+    n = s.n_bidders
+    columns = [[tuple((i, j, p.level(i, j)) for j in sorted(p.aware(i) & view))
+                for i in range(1, n + 1)] for view in views]
+    unaware = [[(i, j, canonical_info(s.law(i, j), FullInfo()))
+                for j in range(1, s.m_characteristics + 1) if j not in p.aware(i)]
+               for i in range(1, n + 1)]
+    return columns, unaware, full_idx, bidder_idx
+
+
 # -- exact backend ----------------------------------------------------------
+
+def _bid_lattice(s: Scenario, keys):
+    """Integer form of one bid column's law: the fold of the laws of its
+    (bidder, characteristic, level) contributions (``bid_component``), in
+    the column's order."""
+    return fold_atom_lattices(atom_lattice(bid_component(s, *key)) for key in keys)
+
 
 def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> EstimateBundle:
     if exact_cap_check(s, p) is None:
         raise EstimationError("exact backend requires finite discrete laws in scope")
 
-    views, full_idx, bidder_idx = _effective_views(s, p)
+    columns, unaware, full_idx, bidder_idx = _policy_layout(s, p)
     n = s.n_bidders
     forms = {}
 
-    def bid_form(i, view):
-        key = (i, p.aware(i) & view)
-        if key not in forms:
-            forms[key] = valuation_lattice(s, p, i, Perspective(view))
-        return forms[key]
+    def form(keys):
+        if keys not in forms:
+            forms[keys] = _bid_lattice(s, keys)
+        return forms[keys]
 
-    grids = [atom_grid([bid_form(i, view) for i in range(1, n + 1)]) for view in views]
+    grids = [atom_grid([form(keys) for keys in view]) for view in columns]
     settled = [grid.settle() for grid in grids]
     surplus_full, credit_full = settled[full_idx]
     second = grids[full_idx].expected(2)
@@ -230,10 +251,10 @@ def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> 
     for i in range(1, n + 1):
         surplus_own, credit_own = settled[bidder_idx[i - 1]]
         win_actual = credit_full[i - 1]
-        hidden = sum(
-            (Fraction(mean(s.law(i, j))) if isinstance(s.law(i, j), DiscreteFinite)
-             else mean(s.law(i, j)))
-            for j in sorted(s.full_set - p.aware(i)))
+        hidden = 0
+        for key in unaware[i - 1]:
+            law = bid_component(s, *key)
+            hidden += Fraction(mean(law)) if isinstance(law, DiscreteFinite) else mean(law)
         bidders.append(BidderEstimate(
             perceived_surplus=surplus_own[i - 1],
             actual_surplus=surplus_full[i - 1],
@@ -274,78 +295,47 @@ def _uniform_chunk(seed: int, start: int, stop: int, n: int, m: int) -> np.ndarr
     return cols.reshape(n, m, count).transpose(2, 0, 1)
 
 
-def _chunk_values(s: Scenario, seed: int, start: int, stop: int, values_for, atoms_for=()):
-    """Realized values and atom indices of draws [start, stop), each a
-    contiguous column keyed by (bidder, characteristic): values for the
-    entries in ``values_for``, inverse-CDF atom indices for the finitely
-    supported entries in either set.  No inverse CDF runs for an entry in
-    neither set."""
-    n, m = s.n_bidders, s.m_characteristics
-    U = _uniform_chunk(seed, start, stop, n, m)
-    values, atoms = {}, {}
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            law, key = s.law(i, j), (i, j)
-            u = U[:, i - 1, j - 1]
-            if isinstance(law, DiscreteFinite):
-                if key in values_for or key in atoms_for:
-                    atoms[key] = atom_index(law, u)
-                if key in values_for:
-                    values[key] = np.array([float(v) for v in law.values])[atoms[key]]
-            elif key in values_for:
-                values[key] = ppf(law, u)
-    return values, atoms
-
-
 def sample_draws(s: Scenario, seed: int, count: int) -> np.ndarray:
     """Realized value matrices for draws 0..count-1 of the given seed, shape
-    (count, bidders, characteristics).  Uses the same per-(draw, entry)
-    uniforms and inverse-CDF values as ``estimate``, so empirical statistics
-    computed from these draws are the Monte Carlo backend's draws."""
-    out = np.empty((count, s.n_bidders, s.m_characteristics))
-    entries = {(i, j) for i in range(1, s.n_bidders + 1)
-               for j in range(1, s.m_characteristics + 1)}
+    (count, bidders, characteristics): the inverse CDF of every entry at
+    the same per-(draw, entry) uniforms as ``estimate``, so empirical
+    statistics computed from these draws are the Monte Carlo backend's
+    draws."""
+    n, m = s.n_bidders, s.m_characteristics
+    out = np.empty((count, n, m))
     for a in range(0, count, _CHUNK):
         b = min(a + _CHUNK, count)
-        for (i, j), col in _chunk_values(s, seed, a, b, entries)[0].items():
-            out[a:b, i - 1, j - 1] = col
+        U = _uniform_chunk(seed, a, b, n, m)
+        for i in range(1, n + 1):
+            for j in range(1, m + 1):
+                out[a:b, i - 1, j - 1] = ppf(s.law(i, j), U[:, i - 1, j - 1])
     return out
 
 
 def _contribution_rule(law, level):
-    """How one aware entry's bid contribution is read off a chunk, as a pair
-    (source, f).  Under NoInfo the contribution is the constant f and reads
-    nothing (source None).  Otherwise f maps the entry's atom index (source
-    "atoms", finitely supported laws) or its realized values ("values") to
-    the contribution column."""
+    """How one (bidder, characteristic, level) contribution is read off a
+    chunk: the NoInfo mean as a float constant, or a function of the
+    entry's draw, which is its atom index for a finitely supported law and
+    its realized value otherwise.  Full information on a discrete law (all
+    singleton cells) looks up the atom values themselves, as
+    ``orderstats.bid_component`` does, so a full-information contribution
+    is the realized value on every law."""
     if isinstance(level, NoInfo):
-        return None, float(mean(law))
+        return float(mean(law))
     if isinstance(law, DiscreteFinite):
-        # canonical Partition (FullInfo canonicalizes to singletons)
-        table = np.empty(len(law.values))
-        for cell in cells(law, level):
-            table[list(cell.level.cells[cell.index])] = float(
-                conditional_mean(law, level, cell))
-        return "atoms", table.__getitem__
+        if isinstance(level, FullInfo) or len(level.cells) == len(law.values):
+            table = np.array([float(v) for v in law.values])
+        else:
+            table = np.empty(len(law.values))
+            for cell in cells(law, level):
+                table[list(cell.level.cells[cell.index])] = float(
+                    conditional_mean(law, level, cell))
+        return table.__getitem__
     if isinstance(level, FullInfo):
-        return "values", lambda values: values
+        return lambda values: values
     cuts = np.asarray(level.cutpoints, dtype=np.float64)
     means = np.array([float(conditional_mean(law, level, c)) for c in cells(law, level)])
-    return "values", lambda values: means[bin_index(cuts, values, side="right")]
-
-
-def _policy_layout(s: Scenario, p: DisclosurePolicy):
-    """What one policy reads from a chunk: per deduplicated view and bidder
-    the (bidder, characteristic, level) contributions summed into the bid
-    column, in sorted characteristic order; per bidder the characteristics
-    he is unaware of; and the view slots of ``_effective_views``."""
-    views, full_idx, bidder_idx = _effective_views(s, p)
-    n = s.n_bidders
-    columns = [[tuple((i, j, p.level(i, j)) for j in sorted(p.aware(i) & view))
-                for i in range(1, n + 1)] for view in views]
-    unaware = [[(i, j) for j in range(1, s.m_characteristics + 1) if j not in p.aware(i)]
-               for i in range(1, n + 1)]
-    return columns, unaware, full_idx, bidder_idx
+    return lambda values: means[bin_index(cuts, values, side="right")]
 
 
 def _bid_column(L, keys, contribs):
@@ -357,22 +347,25 @@ def _bid_column(L, keys, contribs):
     return col
 
 
-def _mc_chunk(s, rules, layouts, reads, seed, start, stop):
-    """Pure function of the draw range: draws what ``reads`` = (values
-    for, atoms for, hidden) names once, computes each (bidder,
-    characteristic, level) contribution once, keeps only the values a hidden
-    sum reads, then settles every policy in turn; returns per policy the
-    per-field (sum, sum of squares).  Bid columns are built on first use
-    and shared by every policy of the batch, so each distinct one is summed
-    once per chunk; the policies also share four scratch columns."""
-    values_for, atoms_for, hidden_for = reads
+def _mc_chunk(s, rules, layouts, entries, seed, start, stop):
+    """Pure function of the draw range: inverts each (bidder,
+    characteristic) entry in ``entries`` once and frees the uniforms, then
+    computes each contribution in ``rules`` once and settles every policy
+    in turn; returns per policy the per-field (sum, sum of squares).  Bid
+    columns are built on first use and shared by every policy of the batch,
+    so each distinct one is summed once per chunk; the policies also share
+    four scratch columns."""
     L = stop - start
-    values, atoms = _chunk_values(s, seed, start, stop, values_for, atoms_for)
-    sources = {"values": values, "atoms": atoms}
-    contribs = {key: f if source is None else f(sources[source][key[:2]])
-                for key, (source, f) in rules.items()}
-    hidden = {key: values[key] for key in hidden_for}
-    del sources, values, atoms
+    U = _uniform_chunk(seed, start, stop, s.n_bidders, s.m_characteristics)
+    draws = {}
+    for i, j in entries:
+        law = s.law(i, j)
+        invert = atom_index if isinstance(law, DiscreteFinite) else ppf
+        draws[i, j] = invert(law, U[:, i - 1, j - 1])
+    del U                  # no view of the block is left: this frees it
+    contribs = {key: rule if isinstance(rule, float) else rule(draws[key[:2]])
+                for key, rule in rules.items()}
+    del draws
     built = {}
 
     def column(keys):
@@ -381,19 +374,19 @@ def _mc_chunk(s, rules, layouts, reads, seed, start, stop):
         return built[keys]
 
     scratch = np.empty((4, L))
-    return [_policy_fields(column, hidden, layout, scratch) for layout in layouts]
+    return [_policy_fields(column, contribs, layout, scratch) for layout in layouts]
 
 
-def _policy_fields(column, hidden_values, layout, scratch):
+def _policy_fields(column, contribs, layout, scratch):
     """One policy's per-field (sum, sum of squares) over one chunk.  Each
     distinct view is settled once by one top-two pass, whose masks give
     every win credit and surplus; bidders are then read in order, so the
     revenue column adds their perceived surpluses in bidder order.  Bids
-    are finite and never -0.0 (columns are sums from 0.0), so the gap is
-    finite and non-negative, and a product with a top-bid mask is the same
-    float as a masked select.  Credit, surplus, hidden value and squares
-    are written into the scratch columns, which each field reads before
-    the next one overwrites them."""
+    are never -0.0 (columns are sums from 0.0), so unless a sum overflows
+    the gap is finite and non-negative, and a product with a top-bid mask
+    is the same float as a masked select.  Credit, surplus, hidden value
+    and squares are written into the scratch columns, which each field
+    reads before the next one overwrites them."""
     columns, unaware, full_idx, bidder_idx = layout
     credit, surplus, hidden, square = scratch
     fields = {}
@@ -424,7 +417,7 @@ def _policy_fields(column, hidden_values, layout, scratch):
         if unaware[i - 1]:
             hidden.fill(0.0)
             for key in unaware[i - 1]:
-                hidden += hidden_values[key]
+                hidden += contribs[key]
             hidden *= credit          # still the full view's credit
             put(f"hidden_{i}", hidden)
         else:
@@ -441,22 +434,20 @@ def _policy_fields(column, hidden_values, layout, scratch):
 
 def _mc_bundles(s: Scenario, policies: tuple, config: EstimatorConfig) -> tuple:
     layouts = [_policy_layout(s, p) for p in policies]
-    used = {key for columns, _u, _f, _b in layouts
-            for view_keys in columns for keys in view_keys for key in keys}
-    rules = {(i, j, level): _contribution_rule(s.law(i, j), level) for i, j, level in used}
-    # an entry needs its values when a contribution or a hidden sum reads
-    # them, its atom index when a discrete contribution does; a continuous
-    # entry only ever under NoInfo needs no inverse CDF
-    hidden_for = {key for _c, unaware, _f, _b in layouts for keys in unaware for key in keys}
-    values_for = hidden_for | {key[:2] for key, (source, _f) in rules.items()
-                               if source == "values"}
-    atoms_for = {key[:2] for key, (source, _f) in rules.items() if source == "atoms"}
+    used = {key for columns, unaware, _f, _b in layouts
+            for keys in chain(*columns, unaware) for key in keys}
+    rules = {key: _contribution_rule(s.law(*key[:2]), key[2]) for key in used}
+    # an entry is inverted when some rule reads its draw; an entry read
+    # only under NoInfo needs no inverse CDF
+    entries = {key[:2] for key, rule in rules.items() if not isinstance(rule, float)}
     S = config.n_samples
     ranges = [(a, min(a + _CHUNK, S)) for a in range(0, S, _CHUNK)]
 
     def run(rng):
-        return _mc_chunk(s, rules, layouts, (values_for, atoms_for, hidden_for),
-                         config.seed, rng[0], rng[1])
+        # an overflow is not warned about: _mc_bundle_from rejects every
+        # non-finite field
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _mc_chunk(s, rules, layouts, entries, config.seed, rng[0], rng[1])
 
     if config.workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -480,10 +471,12 @@ def _mc_bundle_from(s: Scenario, partials: list, config: EstimatorConfig) -> Est
     def stat(name):
         sm, sq = sums[name]
         mu = sm / S
-        if S < 2:
-            return mu, None
-        var = max(sq - sm * sm / S, 0.0) / (S - 1)
-        return mu, math.sqrt(var / S)
+        se = None if S < 2 else math.sqrt(max(sq - sm * sm / S, 0.0) / (S - 1) / S)
+        if not (math.isfinite(mu) and (se is None or math.isfinite(se))):
+            raise EstimationError(
+                f"Monte Carlo estimate {name!r} is not finite (mean {mu!r}, standard "
+                f"error {se!r}): the values overflow double precision")
+        return mu, se
 
     first, se_first = stat("first")
     second, se_second = stat("second")

@@ -1,18 +1,26 @@
 """Analytic laws and moments of perceived-valuation order statistics.
 
 A bidder's estimated valuation under a viewpoint is the sum of independent
-per-characteristic contributions (the value law itself under full
-information, a point mass at its mean under no information), so its law is
-built by repeated convolution.  Discrete contributions and rational point
-masses fold on an integer lattice instead: each law's integer form (value
-numerators over one value denominator, masses over one probability
+per-characteristic contributions, and ``bid_component`` is the one law of a
+(bidder, characteristic, information level) contribution: the value law
+itself under full information (on a discrete law, all singleton cells), a
+point mass at its mean under no information, the law of cell means under a
+discrete partition.  The full-information law is also the law of the value
+a bidder unaware of the characteristic omits.  A valuation law is the fold
+of its components (``fold_bid_law``; ``valuation_law`` folds a policy's
+components under a viewpoint, and the engine's exact backend folds the
+keys of each bid column of its policy layout).  Discrete contributions and
+rational point masses fold on an integer lattice: each law's integer form
+(value numerators over one value denominator, masses over one probability
 denominator, see ``distributions.AtomLattice``) is built once and kept on
 the law, and the fold multiplies and adds Python ints; Fraction atoms
-appear only when a law object is returned (``valuation_law``,
-``fold_bid_law``).  Order statistics of independent but not identically
-distributed valuations have CDFs given by permanents of the matrix whose
-columns repeat the individual CDFs and their complements; the
-top-two ranks reduce to the familiar product and two-term formulas.
+appear only when a law object is returned.  Other components fold by
+repeated convolution.
+
+Order statistics of independent but not identically distributed
+valuations have CDFs given by permanents of the matrix whose columns
+repeat the individual CDFs and their complements; the top-two ranks
+reduce to the familiar product and two-term formulas.
 
 Expectations integrate the CDF: E = int_0^inf (1-G) - int_{-inf}^0 G, by
 adaptive Simpson between analytic knots for closed forms, by grid trapezoid
@@ -44,7 +52,6 @@ import numpy as np
 
 from .distributions import (
     GRID_POINTS,
-    AtomLattice,
     DiscreteFinite,
     DistributionError,
     FullInfo,
@@ -73,7 +80,6 @@ __all__ = [
     "bid_component",
     "fold_bid_law",
     "valuation_law",
-    "valuation_lattice",
     "order_cdf",
     "expected_order_stat",
     "clark_normal_max",
@@ -158,15 +164,6 @@ def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
     seen = perceive(p, view)
     return fold_bid_law((bid_component(s, bidder, j, seen.level(bidder, j))
                          for j in sorted(seen.aware(bidder))))
-
-
-def valuation_lattice(s: Scenario, p: DisclosurePolicy, bidder: int,
-                      view: Perspective) -> AtomLattice:
-    """Integer form of ``valuation_law`` when every law the view leaves the
-    bidder aware of is finitely supported."""
-    seen = perceive(p, view)
-    return fold_atom_lattices(atom_lattice(bid_component(s, bidder, j, seen.level(bidder, j)))
-                              for j in sorted(seen.aware(bidder)))
 
 
 @dataclass(frozen=True)

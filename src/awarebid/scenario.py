@@ -22,7 +22,6 @@ from .distributions import (
     Distribution,
     DistributionError,
     InfoLevel,
-    NoInfo,
     canonical_info,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "Perspective",
     "ScenarioError",
     "validate",
-    "no_info_policy",
     "lattice",
     "perceive",
 ]
@@ -138,15 +136,6 @@ def validate(n_bidders: int,
         aw.append(aset)
         canon_info.append(levels_c)
     return scenario, DisclosurePolicy(tuple(aw), tuple(canon_info))
-
-
-def no_info_policy(scenario: Scenario, awareness: Sequence = None) -> DisclosurePolicy:
-    """Convenience: NoInfo on every aware characteristic."""
-    if awareness is None:
-        awareness = [scenario.full_set] * scenario.n_bidders
-    info = [{j: NoInfo() for j in sorted(a)} for a in awareness]
-    return validate(scenario.n_bidders, scenario.m_characteristics,
-                    scenario.laws, awareness, info)[1]
 
 
 def lattice(m: int) -> list:

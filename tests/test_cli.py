@@ -213,6 +213,23 @@ def test_revenue_rejects_infinite_normal_parameter(capsysbinary, tmp_path, field
     assert b"finite " + field.encode() in captured.err
 
 
+@pytest.mark.parametrize("command, law", [
+    ("revenue", {"kind": "discrete", "atoms": [[0, "1/2"], [1e308, "1/2"]]}),
+    ("fees", {"kind": "normal", "mean": 0, "stddev": 1e300}),
+])
+def test_mc_overflow_exits_one_without_rows(capsysbinary, scenario_dir, tmp_path,
+                                            command, law):
+    # finite laws whose Monte Carlo sums (or sums of squares) overflow double
+    # precision: an error naming the field, no inf or NaN rows, no warning
+    doc = json.loads((scenario_dir / "example1.json").read_text())
+    doc["characteristics"][1]["distributions"] = [law, law]
+    status = main([command, "--scenario", _write(tmp_path, doc), "--samples", "1000"])
+    captured = capsysbinary.readouterr()
+    assert status == 1
+    assert captured.out == b""
+    assert captured.err.startswith(b"error: Monte Carlo estimate 'first' is not finite")
+
+
 def _package_env():
     """Environment for a child interpreter that imports this awarebid."""
     src = str(pathlib.Path(awarebid.__file__).resolve().parent.parent)

@@ -17,6 +17,8 @@ from awarebid.distributions import (
     Normal,
     Partition,
     UniformContinuous,
+    atom_index,
+    canonical_info,
     cells,
     conditional_mean,
     mean,
@@ -763,7 +765,45 @@ def test_inverse_cdf_runs_only_where_a_policy_reads(monkeypatch):
     assert len(atom_calls) == chunks
     ppf_calls.clear(), atom_calls.clear()
     sample_draws(s, 5, 100)
-    assert len(ppf_calls) == 4 and len(atom_calls) == 2
+    # one inverse CDF per entry, in (bidder, characteristic) order; a
+    # discrete entry's atom index is found inside ppf
+    assert ppf_calls == [c, u, g, c, u, g] and not atom_calls
+
+
+@pytest.mark.parametrize("values", [[F(1, 10), F(7, 10), 2], [0.1, 0.7, 2.3]])
+def test_hidden_column_is_the_full_information_contribution(values):
+    # bidder 1 is unaware of a discrete characteristic that bidder 2 sees
+    # under full information: the hidden entry is keyed at that level, and
+    # its column, the full-information contribution and sample_draws' value
+    # are one array of atom values, on rational and on float atoms (where a
+    # cell-mean table (p*v)/p would miss 0.1 by an ulp)
+    law = DiscreteFinite(values, [F(1, 5), F(1, 2), F(3, 10)])
+    count, seed = 5000, 12
+    for first in (Normal(0.4, 1.2), DiscreteFinite([0, 1], [F(1, 2)] * 2)):
+        s, p = validate(2, 2, [[first, law], [first, law]], [[1], [1, 2]],
+                        [{1: FullInfo()}, {1: FullInfo(), 2: FullInfo()}])
+        _columns, unaware, _full, _slots = engine._policy_layout(s, p)
+        assert unaware == [[(1, 2, canonical_info(law, FullInfo()))], []]
+        assert unaware[0][0][2] == p.level(2, 2)
+        rule = engine._contribution_rule(law, p.level(2, 2))
+        U = _uniform_chunk(seed, 0, count, 2, 2)
+        draws = sample_draws(s, seed, count)
+        for i in (1, 2):
+            column = rule(atom_index(law, U[:, i - 1, 1]))
+            assert np.array_equal(column, draws[:, i - 1, 1])
+            assert set(column.tolist()) == {float(v) for v in law.values}
+        # the engine's hidden value reads that column: bids summed from 0.0
+        # in characteristic order, settled with 1/#ties credit
+        b1 = 0.0 + draws[:, 0, 0]
+        b2 = 0.0 + draws[:, 1, 0] + draws[:, 1, 1]
+        credit = (b1 > b2) + 0.5 * (b1 == b2)
+        mc = estimate(s, p, EstimatorConfig(backend="mc", n_samples=count, seed=seed))
+        assert mc.bidders[0].hidden_win_value == float((credit * draws[:, 0, 1]).sum()) / count
+        assert mc.bidders[1].hidden_win_value == 0.0
+        if isinstance(first, DiscreteFinite):
+            # the exact backend takes its hidden mean from the same key
+            ex = estimate(s, p, EXACT).bidders[0]
+            assert ex.hidden_win_value == F(mean(law)) * ex.win_prob_actual
 
 
 @pytest.mark.parametrize("n, m, count",

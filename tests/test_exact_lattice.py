@@ -76,30 +76,41 @@ def reference_valuation(s, p, bidder, view):
                           for j in sorted(seen.aware(bidder)))
 
 
-def _requested_views(monkeypatch, cfg):
-    """Every (scenario, policy, bidder, view) the exact backend folds while
-    ``verify_suite(cfg)`` runs."""
-    seen = []
-    stock = engine.valuation_lattice
+def _requested_columns(monkeypatch, cfg):
+    """Every (scenario, policy, bid column keys) the exact backend folds
+    while ``verify_suite(cfg)`` runs."""
+    seen, bundled = [], []
+    stock_bundle, stock_fold = engine._exact_bundle, engine._bid_lattice
 
-    def spy(s, p, bidder, view):
-        seen.append((s, p, bidder, view))
-        return stock(s, p, bidder, view)
+    def bundle_spy(s, p, config):
+        bundled.append(p)
+        return stock_bundle(s, p, config)
 
-    monkeypatch.setattr(engine, "valuation_lattice", spy)
+    def fold_spy(s, keys):
+        seen.append((s, bundled[-1], keys))
+        return stock_fold(s, keys)
+
+    monkeypatch.setattr(engine, "_exact_bundle", bundle_spy)
+    monkeypatch.setattr(engine, "_bid_lattice", fold_spy)
     verify_suite(cfg)
-    monkeypatch.setattr(engine, "valuation_lattice", stock)
+    monkeypatch.undo()
     return seen
 
 
 def test_corpus_bid_laws_equal_the_reference_fold(monkeypatch):
-    requests = _requested_views(monkeypatch, CorpusConfig(count=20))
+    requests = _requested_columns(monkeypatch, CorpusConfig(count=20))
     assert len(requests) > 500
-    for s, p, bidder, view in requests:
-        want = reference_valuation(s, p, bidder, view)
-        assert lattice_law(engine.valuation_lattice(s, p, bidder, view)) == want
-        assert valuation_law(s, p, bidder, view) == want
+    for s, p, keys in requests:
+        # a column is one bidder's characteristics under a view, at the
+        # policy's levels; the view's other characteristics do not change it
+        bidder = keys[0][0]
+        view = Perspective(frozenset(j for _i, j, _level in keys))
         seen = perceive(p, view)
+        assert keys == tuple((bidder, j, seen.level(bidder, j))
+                             for j in sorted(seen.aware(bidder)))
+        want = reference_valuation(s, p, bidder, view)
+        assert lattice_law(engine._bid_lattice(s, keys)) == want
+        assert valuation_law(s, p, bidder, view) == want
         comps = [bid_component(s, bidder, j, seen.level(bidder, j))
                  for j in sorted(seen.aware(bidder))]
         assert fold_bid_law(comps) == want

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product as _iproduct
+from itertools import islice, product as _iproduct
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,6 +86,8 @@ class PolicyRegime(str, Enum):
 
 
 _AWARENESS_BITS_CAP = 16
+# information assignments per common awareness set (common-free-info, Prop 6)
+_PARTITION_CAP = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -179,53 +181,50 @@ class OptimizeResult:
     exhaustive: bool
 
 
-def _awareness_candidates(s: Scenario, base: frozenset):
-    """All per-bidder awareness assignments extending ``base``, ordered by
-    total aware pairs then canonically (the optimizer's tie order)."""
-    per_bidder = [a for a in lattice(s.m_characteristics) if a >= base]
-    combos = list(_iproduct(per_bidder, repeat=s.n_bidders))
+def _awareness_candidates(s: Scenario):
+    """All per-bidder awareness assignments, ordered by total aware pairs
+    then canonically (the optimizer's tie order)."""
+    combos = list(_iproduct(lattice(s.m_characteristics), repeat=s.n_bidders))
     combos.sort(key=lambda c: (sum(len(a) for a in c),
                                tuple(tuple(sorted(a)) for a in c)))
     return combos
 
 
 def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
-             base_awareness: frozenset = frozenset({1}),
              char_info: Optional[dict] = None,
              allow_greedy: bool = False,
-             partition_cap: int = 20000) -> OptimizeResult:
-    """Best policy under the regime, by exhaustive enumeration when the
-    space is small (ties resolved toward fewer aware pairs, then less
-    disclosure, then canonical order) and greedy one-pair additions when the
-    individual space exceeds the cap and ``allow_greedy`` is set."""
+             partition_cap: int = _PARTITION_CAP) -> OptimizeResult:
+    """Best policy under the regime, every candidate aware of characteristic
+    1, by exhaustive enumeration (ties resolved toward fewer aware pairs,
+    then less disclosure, then canonical order).  Past 16 awareness bits,
+    n * (m - 1) individually and m - 1 in common, the individual regime runs
+    greedy one-pair additions when ``allow_greedy`` is set; anything else
+    raises ScenarioError.  ``partition_cap`` bounds ``common-free-info``
+    (see ``_free_info_candidates``)."""
     regime = PolicyRegime(regime)
-    base = frozenset(base_awareness) | {1}
     info = dict(char_info or {})
 
-    if regime is PolicyRegime.INDIVIDUAL:
-        bits = s.n_bidders * (s.m_characteristics - 1)
-        if bits > _AWARENESS_BITS_CAP:
-            if not allow_greedy:
-                raise ScenarioError(
-                    f"awareness space of {bits} bits exceeds the exhaustive cap; "
-                    "pass the greedy flag")
-            return _optimize_greedy(s, config, base, info, regime)
+    individual = regime is PolicyRegime.INDIVIDUAL
+    bits = (s.n_bidders if individual else 1) * (s.m_characteristics - 1)
+    if bits > _AWARENESS_BITS_CAP:
+        if not (individual and allow_greedy):
+            raise ScenarioError(f"awareness space of {bits} bits exceeds the exhaustive cap"
+                                + ("; pass the greedy flag" if individual else ""))
+        return _optimize_greedy(s, config, info, regime)
+    if individual:
         candidates = [(f"awareness={[sorted(a) for a in combo]}",
                        policy_with_info(s, combo, info))
-                      for combo in _awareness_candidates(s, base)]
+                      for combo in _awareness_candidates(s)]
     elif regime is PolicyRegime.PUBLIC_NO_INFO:
-        candidates = []
-        for aw in lattice(s.m_characteristics):
-            if not aw >= base:
-                continue
-            levels = {j: (info.get(j, FullInfo()) if j in base else NoInfo()) for j in aw}
-            candidates.append((f"common={sorted(aw)}", _common_policy(s, aw, levels)))
+        candidates = [(f"common={sorted(aw)}", _common_policy(
+            s, aw, {j: info.get(j, FullInfo()) if j == 1 else NoInfo() for j in aw}))
+            for aw in lattice(s.m_characteristics)]
     elif regime is PolicyRegime.PUBLIC_FULL_INFO:
         candidates = [(f"common={sorted(aw)}",
                        _common_policy(s, aw, {j: FullInfo() for j in aw}))
-                      for aw in lattice(s.m_characteristics) if aw >= base]
+                      for aw in lattice(s.m_characteristics)]
     else:  # COMMON_FREE_INFO
-        candidates = _free_info_candidates(s, base, partition_cap)
+        candidates = _free_info_candidates(s, partition_cap)
 
     values, bundles = _revenue_values(s, [pol for _desc, pol in candidates], config)
     best = None
@@ -240,7 +239,7 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
                           regime, True)
 
 
-def _optimize_greedy(s, config, base, info, regime) -> OptimizeResult:
+def _optimize_greedy(s, config, info, regime) -> OptimizeResult:
     """Greedy hill climb: repeatedly add the single (bidder, characteristic)
     awareness pair with the largest strict revenue improvement.  Each sweep
     scores all of its single-pair trials in one batched call, and the common
@@ -248,7 +247,7 @@ def _optimize_greedy(s, config, base, info, regime) -> OptimizeResult:
     common-awareness policy (the start, or the one trial that equalizes
     every awareness set), which that call scores too, so the final report
     reuses a bundle instead of drawing every chunk again."""
-    current = [base] * s.n_bidders
+    current = [frozenset({1})] * s.n_bidders
     trials = [("start", current, policy_with_info(s, current, info))]
     best = None                 # (value, awareness, policy, bundle)
     trace = []
@@ -289,43 +288,46 @@ def _set_partitions(k: int):
         yield [list(cell) for cell in rest] + [[k - 1]]
 
 
-def _info_variants(law: DiscreteFinite):
-    out = []
+def _info_variants(law):
+    """A law's information levels, lazily: every partition of a discrete
+    law's atoms (one cell is NoInfo), or a continuous law's two extremes."""
+    if not isinstance(law, DiscreteFinite):
+        yield from (NoInfo(), FullInfo())
+        return
     for cells in _set_partitions(len(law.values)):
-        if len(cells) == 1:
-            out.append(NoInfo())
-        else:
-            out.append(Partition(cells=cells))
-    return out
+        yield NoInfo() if len(cells) == 1 else Partition(cells=cells)
 
 
-def _free_info_candidates(s: Scenario, base: frozenset, cap: int):
-    """Common awareness x per-(bidder, characteristic) partition choices.
+def _assignments(s: Scenario, aw: frozenset, cap: int):
+    """Each (bidder, characteristic in ``aw``) entry, bidder-major, with its
+    information variants; None as soon as their product, the number of
+    assignments, exceeds ``cap``.  No entry reads past ``cap + 1`` variants."""
+    entries = []
+    count = 1
+    for i in range(1, s.n_bidders + 1):
+        for j in sorted(aw):
+            variants = list(islice(_info_variants(s.law(i, j)), cap + 1))
+            count *= len(variants)
+            if count > cap:
+                return None
+            entries.append(((i, j), variants))
+    return entries
 
-    For continuous laws only the no-information/full-information extremes
-    are enumerable.  Candidate sets exceeding the cap are skipped for larger
-    awareness sets, so the search always covers at least the base set.
-    """
+
+def _free_info_candidates(s: Scenario, cap: int):
+    """Common awareness x per-(bidder, characteristic) information choices.
+    A set with more than ``cap`` assignments is skipped, except {1}, which
+    falls back to full information, so the search always covers it."""
     candidates = []
     for aw in lattice(s.m_characteristics):
-        if not aw >= base:
-            continue
-        per_entry = []
-        count = 1
-        for i in range(1, s.n_bidders + 1):
-            for j in sorted(aw):
-                law = s.law(i, j)
-                variants = (_info_variants(law) if isinstance(law, DiscreteFinite)
-                            else [NoInfo(), FullInfo()])
-                per_entry.append(((i, j), variants))
-                count *= len(variants)
-        if count > cap and len(aw) > len(base):
-            continue
-        if count > cap:
-            per_entry = [(key, [FullInfo()]) for key, _v in per_entry]
-        for assignment in _iproduct(*[v for _k, v in per_entry]):
+        entries = _assignments(s, aw, cap)
+        if entries is None:
+            if len(aw) > 1:
+                continue
+            entries = [((i, 1), [FullInfo()]) for i in range(1, s.n_bidders + 1)]
+        for assignment in _iproduct(*[v for _k, v in entries]):
             info = [dict() for _ in range(s.n_bidders)]
-            for ((i, j), _variants), lvl in zip(per_entry, assignment):
+            for ((i, j), _variants), lvl in zip(entries, assignment):
                 info[i - 1][j] = lvl
             pol = validate(s.n_bidders, s.m_characteristics, s.laws,
                            [aw] * s.n_bidders, info)[1]
@@ -370,18 +372,19 @@ def _combine_se(a, b):
 
 
 def check_tradeoff(s: Scenario, base: DisclosurePolicy, target: Optional[int],
-                   char: int, config: EstimatorConfig,
-                   new_level: Optional[InfoLevel] = None) -> TradeoffBreakdown:
+                   char: int, config: EstimatorConfig) -> TradeoffBreakdown:
     """Evaluate the raise-one-more-bidder trade-off from a base policy in
     which some bidders are aware of ``char`` on top of a common set and the
-    rest (including ``target``) are not.  ``target=None`` means nobody is
+    rest (including ``target``) are not.  The raised bidder gets the
+    information level the first aware bidder has on ``char``, or full
+    information when nobody is aware of it.  ``target=None`` means nobody is
     left to make aware: all components are zero and the decision is keep.
     A target outside 1..n or a characteristic outside 2..m raises
     ScenarioError."""
-    return _tradeoff(s, base, target, char, config, new_level)[0]
+    return _tradeoff(s, base, target, char, config)[0]
 
 
-def _tradeoff(s, base, target, char, config, new_level):
+def _tradeoff(s, base, target, char, config):
     """``check_tradeoff``'s breakdown and the base policy's revenue report."""
     if target is not None and not 1 <= target <= s.n_bidders:
         raise ScenarioError(f"bidder {target} outside 1..{s.n_bidders}")
@@ -404,11 +407,7 @@ def _tradeoff(s, base, target, char, config, new_level):
                 "base policy must split bidders between a common set and the "
                 f"common set plus characteristic {char}; bidder {i} is aware of "
                 f"{sorted(base.aware(i))}")
-    if new_level is None:
-        if aware_of_char:
-            new_level = base.level(aware_of_char[0], char)
-        else:
-            new_level = FullInfo()
+    new_level = base.level(aware_of_char[0], char) if aware_of_char else FullInfo()
 
     awareness = list(base.awareness)
     info = [dict(levels) for levels in base.info]
@@ -449,14 +448,16 @@ def _tradeoff(s, base, target, char, config, new_level):
 # Randomized exact corpus
 # ---------------------------------------------------------------------------
 
+# corpus scenarios have 2..3 bidders, 2..3 characteristics, 2..3 atoms per law
+_MAX_BIDDERS = _MAX_CHARACTERISTICS = _MAX_ATOMS = 3
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
+    """``count`` scenarios from ``random_discrete_scenario`` under ``seed``."""
+
     count: int = 100
     seed: int = 0
-    max_bidders: int = 3
-    max_characteristics: int = 3
-    max_atoms: int = 3
-    partition_cap: int = 20000
 
     def __post_init__(self):
         if self.count < 0:
@@ -492,11 +493,11 @@ def random_discrete_scenario(cfg: CorpusConfig, index: int):
     probabilities, identical across bidders for about half the
     characteristics."""
     rng = random.Random(f"{cfg.seed}:{index}")
-    n = rng.randint(2, cfg.max_bidders)
-    m = rng.randint(2, cfg.max_characteristics)
+    n = rng.randint(2, _MAX_BIDDERS)
+    m = rng.randint(2, _MAX_CHARACTERISTICS)
     laws = [[None] * m for _ in range(n)]
     for j in range(1, m + 1):
-        k = rng.randint(2, cfg.max_atoms)
+        k = rng.randint(2, _MAX_ATOMS)
         if j == 2:
             flavor = "positive"
         elif j == m and index % 2 == 1:
@@ -630,7 +631,7 @@ def _claims_tradeoff(sid: str, s: Scenario, rng: random.Random) -> list:
     awareness = [mprime | {ell}] * k + [mprime] * (s.n_bidders - k)
     base = policy_with_info(s, awareness, _full_info(s))
     target = k + 1
-    td, before = _tradeoff(s, base, target, ell, _EXACT, None)
+    td, before = _tradeoff(s, base, target, ell, _EXACT)
 
     mu_target = mean(s.law(target, ell))
     remaining = range(target + 1, s.n_bidders + 1)
@@ -678,37 +679,32 @@ def _claims_public_no_info(sid: str, s: Scenario, char_info: dict) -> list:
     return out
 
 
-def _claim_full_info_optimal(sid: str, s: Scenario, cap: int) -> list:
+def _claim_full_info_optimal(sid: str, s: Scenario) -> list:
     """Prop 6: with common awareness, full information is revenue-maximal
     over every per-bidder partition assignment.
 
-    The scan enumerates all assignments on the largest awareness set whose
-    candidate count fits the cap, computes expected maxima in floating
+    The scan enumerates all assignments on the largest awareness set with
+    at most ``_PARTITION_CAP`` of them, computes expected maxima in floating
     point, and re-verifies any assignment within 1e-9 of the full-info value
     with exact rational arithmetic, so the verdict is exact.
     """
     sets = sorted(lattice(s.m_characteristics),
                   key=lambda a: (-len(a), tuple(sorted(a))))
-    chosen = None
     for aw in sets:
-        count = 1
-        for i in range(1, s.n_bidders + 1):
-            for j in sorted(aw):
-                count *= sum(1 for _ in _set_partitions(len(s.law(i, j).values)))
-        if count <= cap:
-            chosen = aw
+        entries = _assignments(s, aw, _PARTITION_CAP)
+        if entries is not None:
             break
-    if chosen is None:
+    else:
         return [ClaimResult("Prop6", sid, False, True, Fraction(0), "over cap")]
 
-    aware = sorted(chosen)
+    aware = sorted(aw)
     # per bidder: the integer form of the bid law of every combination of
     # per-characteristic partitions, folded from one form per (law, level)
-    variants = []
-    for i in range(1, s.n_bidders + 1):
-        per_char = [[atom_lattice(bid_component(s, i, j, lvl))
-                     for lvl in _info_variants(s.law(i, j))] for j in aware]
-        variants.append([fold_atom_lattices(combo) for combo in _iproduct(*per_char)])
+    per_char = [[atom_lattice(bid_component(s, i, j, lvl)) for lvl in levels]
+                for (i, j), levels in entries]
+    variants = [[fold_atom_lattices(combo)
+                 for combo in _iproduct(*per_char[k:k + len(aware)])]
+                for k in range(0, len(per_char), len(aware))]
     rev_full = atom_grid(fold_atom_lattices(atom_lattice(s.law(i, j)) for j in aware)
                          for i in range(1, s.n_bidders + 1)).expected(1)
 
@@ -797,7 +793,7 @@ def verify_suite(cfg: CorpusConfig) -> VerificationReport:
         results += _claims_tradeoff(sid, s, rng)
         results += _claims_public_no_info(sid, s, common_info)
         results += hide_rows
-        results += _claim_full_info_optimal(sid, s, cfg.partition_cap)
+        results += _claim_full_info_optimal(sid, s)
         results += _claim_corollary1(sid, s, common_info, rng)
     return VerificationReport(tuple(results), cfg)
 

@@ -423,12 +423,12 @@ def support(law: Law):
     raise DistributionError(f"unsupported law {law!r}")
 
 
-def quantile_range(law: Law, eps: float = TAIL_EPS):
-    """Finite interval carrying all mass except at most eps per tail."""
+def quantile_range(law: Law):
+    """Finite interval carrying all mass except at most TAIL_EPS per tail."""
     lo, hi = support(law)
     if math.isinf(lo) or math.isinf(hi):
         from scipy.special import ndtri
-        z = float(ndtri(eps))
+        z = float(ndtri(TAIL_EPS))
         return law.mean + z * law.stddev, law.mean - z * law.stddev
     return float(lo), float(hi)
 

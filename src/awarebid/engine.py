@@ -254,7 +254,10 @@ def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> 
         hidden = 0
         for key in unaware[i - 1]:
             law = bid_component(s, *key)
-            hidden += Fraction(mean(law)) if isinstance(law, DiscreteFinite) else mean(law)
+            f = atom_lattice(law) if isinstance(law, DiscreteFinite) else None
+            # a discrete mean is that of the integer form the bids fold
+            hidden += (Fraction(sum(x * w for x, w in zip(f.nums, f.masses)),
+                                f.value_den * f.prob_den) if f else mean(law))
         bidders.append(BidderEstimate(
             perceived_surplus=surplus_own[i - 1],
             actual_surplus=surplus_full[i - 1],

@@ -364,7 +364,9 @@ ANALYTIC_GOLDEN += [
      ["optimize", "--scenario", f"{name}.json", "--regime", regime])
     for name, regime in (("prop4_demo", "common-free-info"),
                          ("prop5_demo", "common-free-info"),
-                         ("example2", "public-full-info"))]
+                         ("example2", "public-full-info"),
+                         ("prop4_demo", "public-no-info"),
+                         ("example1", "public-no-info"))]
 
 
 @pytest.mark.parametrize("golden,args", ANALYTIC_GOLDEN, ids=[g for g, _a in ANALYTIC_GOLDEN])

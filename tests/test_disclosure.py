@@ -1,6 +1,7 @@
 import collections
 import csv
 import io
+import json
 import math
 import pathlib
 import random
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from awarebid import disclosure, engine
+from awarebid.cli import main
 from awarebid.disclosure import (
     CorpusConfig,
     PolicyRegime,
@@ -129,7 +131,7 @@ def test_optimize_greedy_agrees_with_exhaustive_on_small_corpus():
     for index in range(cfg.count):
         sid, s = random_discrete_scenario(cfg, index)
         full = optimize(s, PolicyRegime.INDIVIDUAL, EXACT)
-        greedy = _optimize_greedy(s, EXACT, frozenset({1}), {}, PolicyRegime.INDIVIDUAL)
+        greedy = _optimize_greedy(s, EXACT, {}, PolicyRegime.INDIVIDUAL)
         log.append((sid, full.report.total_revenue, greedy.report.total_revenue))
         assert greedy.report.total_revenue == full.report.total_revenue, log[-1]
     assert len(log) == cfg.count
@@ -143,6 +145,50 @@ def test_optimize_cap_requires_greedy_flag():
         optimize(s, PolicyRegime.INDIVIDUAL, EXACT)
     res = optimize(s, PolicyRegime.INDIVIDUAL, EXACT, allow_greedy=True)
     assert not res.exhaustive
+
+
+def test_public_regimes_cap_the_awareness_space(capsysbinary, tmp_path):
+    # 18 characteristics: 2^17 common awareness sets, one bit over the cap
+    d = coin([0, 1])
+    s, _ = validate(2, 18, [[d] * 18] * 2, [[1]] * 2, [{1: FullInfo()}] * 2)
+    for regime in (PolicyRegime.PUBLIC_NO_INFO, PolicyRegime.PUBLIC_FULL_INFO,
+                   PolicyRegime.COMMON_FREE_INFO):
+        with pytest.raises(ScenarioError, match="17 bits exceeds the exhaustive cap$"):
+            optimize(s, regime, EXACT, allow_greedy=True)
+    dist = {"kind": "discrete", "atoms": [[0, "1/2"], [1, "1/2"]]}
+    doc = {"bidders": 2, "characteristics": [{"distributions": [dist, dist]}] * 18,
+           "awareness": [[1], [1]], "info": [{"1": "full"}, {"1": "full"}],
+           "estimator": {"backend": "exact", "samples": 1000, "seed": 1}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    status = main(["optimize", "--scenario", str(path), "--regime", "public-full-info",
+                   "--greedy"])
+    captured = capsysbinary.readouterr()
+    assert status == 1
+    assert captured.out == b""
+    assert captured.err.startswith(b"error: awareness space of 17 bits")
+
+
+def test_free_info_cap_bounds_the_partition_enumeration(monkeypatch):
+    # characteristic 2 has 13 atoms, Bell(13) = 27,644,437 partitions; under
+    # a cap of 16 only the 2 x 2 assignments of {1} fit, and the search must
+    # find that without listing the 13-atom law's partitions
+    stock = disclosure._set_partitions
+    yielded = [0]
+
+    def bounded(k):
+        for cells in stock(k):
+            yielded[0] += 1
+            if yielded[0] > 300:
+                raise AssertionError("partitions enumerated past the cap")
+            yield cells
+
+    monkeypatch.setattr(disclosure, "_set_partitions", bounded)
+    wide = DiscreteFinite(list(range(13)), [F(1, 13)] * 13)
+    s = Scenario(2, 2, ((coin([0, 1]), wide), (coin([0, 1]), wide)))
+    res = optimize(s, PolicyRegime.COMMON_FREE_INFO, EXACT, partition_cap=16)
+    assert len(res.trace) == 4
+    assert all(a == frozenset({1}) for a in res.policy.awareness)
 
 
 def test_tradeoff_d1_extended(d1):
@@ -307,12 +353,14 @@ def test_counterexample_search_empty_corpus():
 
 
 def test_counterexample_search_positive_means_find_nothing():
-    # characteristic 2 has positive means by construction, so the negative-mean
-    # hunt can only trigger on other characteristics; restrict to m=2 corpora
-    cfg = CorpusConfig(count=15, seed=5, max_characteristics=2)
-    found = counterexample_search("prop2-converse", cfg)
-    for f in found:
-        assert f["mean"] < 0
+    # characteristic 2 has positive means by construction, so on scenarios
+    # with m = 2 the negative-mean hunt has nothing to find
+    cfg = CorpusConfig(count=15, seed=5)
+    two = [s for _sid, s in (random_discrete_scenario(cfg, i) for i in range(cfg.count))
+           if s.m_characteristics == 2]
+    assert two
+    found = counterexample_search("prop2-converse", CorpusConfig(count=0), two)
+    assert found == []
 
 
 def test_tradeoff_rejects_out_of_range_target_and_char(d1):
@@ -414,7 +462,7 @@ def test_mc_greedy_matches_per_policy_loop(monkeypatch):
     s = three_char_scenario(3)
     got, want, calls, _starts = _batched_and_per_policy(
         monkeypatch, lambda: disclosure._optimize_greedy(
-            s, MC_BATCH, frozenset({1}), {}, PolicyRegime.INDIVIDUAL))
+            s, MC_BATCH, {}, PolicyRegime.INDIVIDUAL))
     assert got == want
     # one call per sweep of 6, 5, ... trials; the common start joins the
     # first, where it is the one analytic policy and is scored with them
@@ -442,7 +490,7 @@ def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
 
     monkeypatch.setattr(disclosure, "estimate_policies", spy)
     monkeypatch.setattr(engine, "_uniform_chunk", counting)
-    got = disclosure._optimize_greedy(s, config, frozenset({1}), {}, PolicyRegime.INDIVIDUAL)
+    got = disclosure._optimize_greedy(s, config, {}, PolicyRegime.INDIVIDUAL)
     monkeypatch.setattr(engine, "_uniform_chunk", stock_chunk)
     assert got.policy.awareness == (frozenset({1}),) * 2
     assert batches == [3]               # 2 trials plus the analytic start

@@ -43,6 +43,7 @@ from conftest import (
     build_noinfo_tie,
     build_u01,
     bundle_means,
+    coin,
     mc_reference,
 )
 
@@ -323,6 +324,20 @@ def test_d1_exact_bundle(d1):
     # bidder 2's hidden characteristic has mean 1 and he wins 1/4 of the time
     assert b.bidders[1].win_prob_actual == F(1, 4)
     assert b.bidders[1].hidden_win_value == F(1, 4)
+
+
+def test_exact_hidden_value_on_float_atoms_is_the_bids_rational():
+    # a float atom enters the bids as its exact binary value; the hidden mean
+    # must be the same rational, not the float-rounded sum of p * v
+    law = DiscreteFinite([0.1, 0.7, 2.3], [F(1, 5), F(1, 2), F(3, 10)])
+    exact_mean = sum(F(v) * q for v, q in zip(law.values, law.probs))
+    assert F(mean(law)) - exact_mean == F(23, 180143985094819840)
+    s, p = validate(2, 2, [[coin([0, 1]), law]] * 2, [[1, 2], [1]],
+                    [{1: FullInfo(), 2: FullInfo()}, {1: FullInfo()}])
+    b = estimate(s, p, EXACT)
+    hidden = b.bidders[1]
+    assert hidden.win_prob_actual > 0
+    assert hidden.hidden_win_value == exact_mean * hidden.win_prob_actual
 
 
 def test_u01_analytic_values(u01):
@@ -801,9 +816,11 @@ def test_hidden_column_is_the_full_information_contribution(values):
         assert mc.bidders[0].hidden_win_value == float((credit * draws[:, 0, 1]).sum()) / count
         assert mc.bidders[1].hidden_win_value == 0.0
         if isinstance(first, DiscreteFinite):
-            # the exact backend takes its hidden mean from the same key
+            # the exact backend takes its hidden mean from the same key's
+            # integer form: on float atoms, the mean of their binary values
             ex = estimate(s, p, EXACT).bidders[0]
-            assert ex.hidden_win_value == F(mean(law)) * ex.win_prob_actual
+            exact_mean = sum(F(v) * q for v, q in zip(law.values, law.probs))
+            assert ex.hidden_win_value == exact_mean * ex.win_prob_actual
 
 
 @pytest.mark.parametrize("n, m, count",

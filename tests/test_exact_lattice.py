@@ -124,7 +124,7 @@ def test_corpus_partition_components_equal_the_reference():
         for i in range(1, s.n_bidders + 1):
             per_char = []
             for j in range(1, s.m_characteristics + 1):
-                levels = disclosure._info_variants(s.law(i, j))
+                levels = list(disclosure._info_variants(s.law(i, j)))
                 comps = [bid_component(s, i, j, lvl) for lvl in levels]
                 for lvl, comp in zip(levels, comps):
                     assert comp == reference_component(s.law(i, j), lvl)
@@ -191,7 +191,7 @@ def test_float_point_masses_shift_in_floating_point():
 def test_verify_margins_are_exact_and_prop6_is_tight():
     report = verify_suite(CorpusConfig(count=20))
     prop6 = disclosure._claim_full_info_optimal(
-        "prop6_demo", parse_scenario(str(SCENARIO_DIR / "prop6_demo.json"))[0], 20000)
+        "prop6_demo", parse_scenario(str(SCENARIO_DIR / "prop6_demo.json"))[0])
     results = list(report.results) + prop6
     assert not report.failures and all(r.holds for r in prop6)
     assert all(isinstance(r.margin, F) for r in results)

@@ -298,20 +298,25 @@ def _info_variants(law):
         yield NoInfo() if len(cells) == 1 else Partition(cells=cells)
 
 
-def _assignments(s: Scenario, aw: frozenset, cap: int):
-    """Each (bidder, characteristic in ``aw``) entry, bidder-major, with its
-    information variants; None as soon as their product, the number of
-    assignments, exceeds ``cap``.  No entry reads past ``cap + 1`` variants."""
-    entries = []
-    count = 1
-    for i in range(1, s.n_bidders + 1):
-        for j in sorted(aw):
-            variants = list(islice(_info_variants(s.law(i, j)), cap + 1))
-            count *= len(variants)
+def _assignments(s: Scenario, sets, cap: int):
+    """For each awareness set in ``sets``, in order, the pair (set, entries):
+    every (bidder, characteristic in the set) entry, bidder-major, with its
+    information variants, or None as soon as their product, the number of
+    assignments, exceeds ``cap``.  No entry reads past ``cap + 1`` variants,
+    and each entry's variants are listed once for all the sets."""
+    listed = {}
+    for aw in sets:
+        entries = []
+        count = 1
+        for i, j in _iproduct(range(1, s.n_bidders + 1), sorted(aw)):
+            if (i, j) not in listed:
+                listed[i, j] = list(islice(_info_variants(s.law(i, j)), cap + 1))
+            count *= len(listed[i, j])
             if count > cap:
-                return None
-            entries.append(((i, j), variants))
-    return entries
+                entries = None
+                break
+            entries.append(((i, j), listed[i, j]))
+        yield aw, entries
 
 
 def _free_info_candidates(s: Scenario, cap: int):
@@ -319,8 +324,7 @@ def _free_info_candidates(s: Scenario, cap: int):
     A set with more than ``cap`` assignments is skipped, except {1}, which
     falls back to full information, so the search always covers it."""
     candidates = []
-    for aw in lattice(s.m_characteristics):
-        entries = _assignments(s, aw, cap)
+    for aw, entries in _assignments(s, lattice(s.m_characteristics), cap):
         if entries is None:
             if len(aw) > 1:
                 continue
@@ -690,8 +694,7 @@ def _claim_full_info_optimal(sid: str, s: Scenario) -> list:
     """
     sets = sorted(lattice(s.m_characteristics),
                   key=lambda a: (-len(a), tuple(sorted(a))))
-    for aw in sets:
-        entries = _assignments(s, aw, _PARTITION_CAP)
+    for aw, entries in _assignments(s, sets, _PARTITION_CAP):
         if entries is not None:
             break
     else:
@@ -702,8 +705,7 @@ def _claim_full_info_optimal(sid: str, s: Scenario) -> list:
     # per-characteristic partitions, folded from one form per (law, level)
     per_char = [[atom_lattice(bid_component(s, i, j, lvl)) for lvl in levels]
                 for (i, j), levels in entries]
-    variants = [[fold_atom_lattices(combo)
-                 for combo in _iproduct(*per_char[k:k + len(aware)])]
+    variants = [_prefix_folds(per_char[k:k + len(aware)])
                 for k in range(0, len(per_char), len(aware))]
     rev_full = atom_grid(fold_atom_lattices(atom_lattice(s.law(i, j)) for j in aware)
                          for i in range(1, s.n_bidders + 1)).expected(1)
@@ -737,6 +739,17 @@ def _claim_full_info_optimal(sid: str, s: Scenario) -> list:
         worst = Fraction(0)
     return [ClaimResult("Prop6", sid, True, holds, worst,
                         f"set={aware} candidates={len(e_max)}")]
+
+
+def _prefix_folds(per_char):
+    """``fold_atom_lattices`` of every combination of one form per list, in
+    ``itertools.product``'s row-major order.  Each prefix is folded once and
+    extended one characteristic at a time; the forms are reduced, so the
+    result is the same as folding every combination whole."""
+    folds = list(per_char[0])
+    for forms in per_char[1:]:
+        folds = [fold_atom_lattices((acc, form)) for acc in folds for form in forms]
+    return folds
 
 
 def _unflatten(flat, variants):

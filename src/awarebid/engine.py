@@ -34,12 +34,14 @@ bidder omits is what a full-information contribution would add.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
   bids are independent across bidders, so each bid column's law is the
   integer fold (``distributions.fold_atom_lattices``) of its keys'
-  contribution laws (``orderstats.bid_component``), built once per column
-  key, and the forms go on a common integer atom grid
-  (``orderstats.atom_grid``); the order-statistic moments, every bidder's
-  unique-winner surplus and the 1/#ties win credit follow from per-bidder
-  CDF columns and prefix sums, at a cost of bidders times bid support, not
-  the product of supports.  Ties contribute zero surplus since the price
+  contribution laws (``orderstats.bid_component``), and the forms go on a
+  common integer atom grid (``orderstats.atom_grid``); the order-statistic
+  moments, every bidder's unique-winner surplus and the 1/#ties win credit
+  follow from per-bidder CDF columns and prefix sums, at a cost of bidders
+  times bid support, not the product of supports.  Each column's form is
+  built once per scenario and each view settled once per scenario: both
+  are kept on the scenario instance, so every policy read on the same
+  scenario reuses them.  Ties contribute zero surplus since the price
   equals the bid.  Hidden values are independent of every bid, so a
   bidder's hidden value is his hidden keys' contribution means times his
   win credit.
@@ -212,8 +214,8 @@ def _policy_layout(s: Scenario, p: DisclosurePolicy):
     ``_effective_views``."""
     views, full_idx, bidder_idx = _effective_views(s, p)
     n = s.n_bidders
-    columns = [[tuple((i, j, p.level(i, j)) for j in sorted(p.aware(i) & view))
-                for i in range(1, n + 1)] for view in views]
+    columns = [tuple(tuple((i, j, p.level(i, j)) for j in sorted(p.aware(i) & view))
+                     for i in range(1, n + 1)) for view in views]
     unaware = [[(i, j, canonical_info(s.law(i, j), FullInfo()))
                 for j in range(1, s.m_characteristics + 1) if j not in p.aware(i)]
                for i in range(1, n + 1)]
@@ -229,27 +231,40 @@ def _bid_lattice(s: Scenario, keys):
     return fold_atom_lattices(atom_lattice(bid_component(s, *key)) for key in keys)
 
 
+def _settled_view(s: Scenario, view, full: bool):
+    """Settlement of one view, given as its tuple of bid-column keys:
+    (surplus, credit) from ``AtomGrid.settle``, followed for the full view
+    by E[first] and E[second].  Each column's form and each view's results
+    are kept on the scenario instance, as ``atom_lattice`` keeps a law's
+    form on the law, so every claim and policy that reads them again on the
+    same scenario reuses them."""
+    forms = s.__dict__.setdefault("_bid_forms", {})
+    views = s.__dict__.setdefault("_settled_views", {})
+    got = views.get(view)
+    if got is None or full and len(got) == 2:
+        for keys in view:
+            if keys not in forms:
+                forms[keys] = _bid_lattice(s, keys)
+        grid = atom_grid([forms[keys] for keys in view])
+        got = got or grid.settle()
+        if full:
+            got += (grid.expected(1), grid.expected(2))
+        views[view] = got
+    return got
+
+
 def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> EstimateBundle:
     if exact_cap_check(s, p) is None:
         raise EstimationError("exact backend requires finite discrete laws in scope")
 
     columns, unaware, full_idx, bidder_idx = _policy_layout(s, p)
     n = s.n_bidders
-    forms = {}
-
-    def form(keys):
-        if keys not in forms:
-            forms[keys] = _bid_lattice(s, keys)
-        return forms[keys]
-
-    grids = [atom_grid([form(keys) for keys in view]) for view in columns]
-    settled = [grid.settle() for grid in grids]
-    surplus_full, credit_full = settled[full_idx]
-    second = grids[full_idx].expected(2)
+    settled = [_settled_view(s, view, v == full_idx) for v, view in enumerate(columns)]
+    surplus_full, credit_full, first, second = settled[full_idx]
 
     bidders = []
     for i in range(1, n + 1):
-        surplus_own, credit_own = settled[bidder_idx[i - 1]]
+        surplus_own, credit_own = settled[bidder_idx[i - 1]][:2]
         win_actual = credit_full[i - 1]
         hidden = 0
         for key in unaware[i - 1]:
@@ -266,7 +281,7 @@ def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> 
             hidden_win_value=hidden * win_actual if hidden else Fraction(0),
         ))
     return EstimateBundle(
-        first_order_stat=grids[full_idx].expected(1),
+        first_order_stat=first,
         second_order_stat=second,
         bidders=tuple(bidders),
         backend="exact",

@@ -52,6 +52,7 @@ import numpy as np
 
 from .distributions import (
     GRID_POINTS,
+    AtomLattice,
     DiscreteFinite,
     DistributionError,
     FullInfo,
@@ -62,9 +63,6 @@ from .distributions import (
     breakpoints,
     cdf,
     cdf_exact,
-    cell_probability,
-    cells,
-    conditional_mean,
     convolve,
     fold_atom_lattices,
     lattice_law,
@@ -100,10 +98,11 @@ def bid_component(s: Scenario, bidder: int, char: int, level):
 
     Full information contributes the characteristic law itself, no
     information a point mass at its mean, and a discrete partition the law
-    of cell means.  A discrete law keeps each of its contributions, one per
-    level, so they and their integer forms are built once.  Partitions of
-    continuous laws have no closed-form sum law here; estimate those
-    through the engine instead.
+    of cell means, taken on the law's integer form (a float atom at its
+    exact binary value).  A discrete law keeps each of its contributions,
+    one per level, so they and their integer forms are built once.
+    Partitions of continuous laws have no closed-form sum law here;
+    estimate those through the engine instead.
     """
     base = s.law(bidder, char)
     if isinstance(base, DiscreteFinite):
@@ -126,14 +125,28 @@ def _discrete_component(base: DiscreteFinite, level):
         elif isinstance(level, FullInfo) or len(level.cells) == len(base.values):
             comp = base         # singleton cells reveal the value itself
         else:
-            pairs = [(conditional_mean(base, level, c), cell_probability(base, c))
-                     for c in cells(base, level)]
-            if len({v for v, _p in pairs}) == 1:
-                comp = PointMass(pairs[0][0])
-            else:
-                comp = DiscreteFinite.from_atoms(pairs)
+            comp = lattice_law(_cell_mean_lattice(atom_lattice(base), level.cells))
         kept[level] = comp
     return comp
+
+
+def _cell_mean_lattice(form, cells):
+    """Integer form of the law of cell means: a cell's mass is the sum of its
+    atoms' masses and its mean is the sum of numerators times masses over
+    the value denominator times that mass; equal means merge."""
+    merged = {}
+    for cell in cells:
+        mass = sum(form.masses[k] for k in cell)
+        num = sum(form.nums[k] * form.masses[k] for k in cell)
+        den = form.value_den * mass
+        g = math.gcd(num, den)
+        cell_mean = (num // g, den // g)
+        merged[cell_mean] = merged.get(cell_mean, 0) + mass
+    value_den = math.lcm(*(den for _num, den in merged))
+    means = sorted((num * (value_den // den), mass) for (num, den), mass in merged.items())
+    g = math.gcd(form.prob_den, *(mass for _x, mass in means))
+    return AtomLattice(value_den, form.prob_den // g,
+                       tuple(x for x, _mass in means), tuple(mass // g for _x, mass in means))
 
 
 def fold_bid_law(components):

@@ -14,16 +14,19 @@ from awarebid.distributions import (
     DiscreteFinite,
     FullInfo,
     NoInfo,
+    Partition,
     PointMass,
     cell_probability,
     cdf_exact,
     cells,
     conditional_mean,
     convolve,
+    fold_atom_lattices,
     mean,
 )
 from awarebid.fees import revenue
 from awarebid.orderstats import (
+    AtomGrid,
     OrderStatLaw,
     bid_component,
     expected_order_stat,
@@ -31,7 +34,7 @@ from awarebid.orderstats import (
     lattice_law,
     valuation_law,
 )
-from awarebid.scenario import Perspective, perceive, validate
+from awarebid.scenario import Perspective, Scenario, perceive, validate
 from conftest import EXACT, SCENARIO_DIR
 
 
@@ -76,29 +79,28 @@ def reference_valuation(s, p, bidder, view):
                           for j in sorted(seen.aware(bidder)))
 
 
-def _requested_columns(monkeypatch, cfg):
-    """Every (scenario, policy, bid column keys) the exact backend folds
-    while ``verify_suite(cfg)`` runs."""
-    seen, bundled = [], []
-    stock_bundle, stock_fold = engine._exact_bundle, engine._bid_lattice
+def _bundled(monkeypatch, cfg):
+    """Every (scenario, policy) the exact backend bundles while
+    ``verify_suite(cfg)`` runs."""
+    bundled = []
+    stock = engine._exact_bundle
 
-    def bundle_spy(s, p, config):
-        bundled.append(p)
-        return stock_bundle(s, p, config)
+    def spy(s, p, config):
+        bundled.append((s, p))
+        return stock(s, p, config)
 
-    def fold_spy(s, keys):
-        seen.append((s, bundled[-1], keys))
-        return stock_fold(s, keys)
-
-    monkeypatch.setattr(engine, "_exact_bundle", bundle_spy)
-    monkeypatch.setattr(engine, "_bid_lattice", fold_spy)
+    monkeypatch.setattr(engine, "_exact_bundle", spy)
     verify_suite(cfg)
     monkeypatch.undo()
-    return seen
+    return bundled
 
 
 def test_corpus_bid_laws_equal_the_reference_fold(monkeypatch):
-    requests = _requested_columns(monkeypatch, CorpusConfig(count=20))
+    # every bid column of every policy bundled, whether its form is folded
+    # for this policy or was already kept on the scenario by another
+    requests = [(s, p, keys) for s, p in _bundled(monkeypatch, CorpusConfig(count=20))
+                for keys in {keys for view in engine._policy_layout(s, p)[0]
+                             for keys in view}]
     assert len(requests) > 500
     for s, p, keys in requests:
         # a column is one bidder's characteristics under a view, at the
@@ -114,6 +116,63 @@ def test_corpus_bid_laws_equal_the_reference_fold(monkeypatch):
         comps = [bid_component(s, bidder, j, seen.level(bidder, j))
                  for j in sorted(seen.aware(bidder))]
         assert fold_bid_law(comps) == want
+
+
+def test_scenario_memo_is_transparent(monkeypatch):
+    # a scenario that has already settled every view of the suite bundles
+    # each policy as a new scenario with nothing kept does
+    bundled = _bundled(monkeypatch, CorpusConfig(count=20))
+    assert len(bundled) > 100
+    for s, p in bundled:
+        fresh = Scenario(s.n_bidders, s.m_characteristics, s.laws)
+        assert engine._exact_bundle(s, p, EXACT) == engine._exact_bundle(fresh, p, EXACT)
+
+
+def test_prop6_prefix_folds_equal_whole_folds(monkeypatch):
+    calls = []
+    stock = disclosure._prefix_folds
+
+    def spy(per_char):
+        calls.append((per_char, stock(per_char)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(disclosure, "_prefix_folds", spy)
+    verify_suite(CorpusConfig(count=20))
+    assert len(calls) > 40 and any(len(per_char) == 3 for per_char, _forms in calls)
+    for per_char, forms in calls:
+        assert forms == [fold_atom_lattices(combo) for combo in itertools.product(*per_char)]
+
+
+@pytest.mark.parametrize("seed", [899634569, 215477173])
+def test_exact_layer_folds_and_settles_each_view_once(monkeypatch, seed):
+    # two corpora the exact-verify benchmark draws: across every claim, a
+    # column is folded at most once and a view settled at most once per
+    # scenario.  Scenarios are told apart by identity, and kept alive so
+    # that no id is reused.
+    kept, folds, settles, views = [], [], [], set()
+    stock_bundle, stock_fold = engine._exact_bundle, engine._bid_lattice
+    stock_settle = AtomGrid.settle
+
+    def bundle_spy(s, p, config):
+        kept.append(s)
+        views.update((id(s), view) for view in engine._policy_layout(s, p)[0])
+        return stock_bundle(s, p, config)
+
+    def fold_spy(s, keys):
+        folds.append((id(s), keys))
+        return stock_fold(s, keys)
+
+    def settle_spy(grid):
+        settles.append(grid)
+        return stock_settle(grid)
+
+    monkeypatch.setattr(engine, "_exact_bundle", bundle_spy)
+    monkeypatch.setattr(engine, "_bid_lattice", fold_spy)
+    monkeypatch.setattr(AtomGrid, "settle", settle_spy)
+    report = verify_suite(CorpusConfig(count=3, seed=seed))
+    assert report.results and not report.failures
+    assert folds and len(set(folds)) == len(folds)
+    assert settles and len(settles) <= len(views)
 
 
 def test_corpus_partition_components_equal_the_reference():
@@ -174,6 +233,18 @@ def test_float_atoms_fold_on_their_exact_binary_values():
     assert law.probs == (F(1, 8), F(1, 8), F(3, 8), F(3, 8))
     assert law.values[2] != 0.1 + 0.2 and float(law.values[2]) == 0.30000000000000004
     assert convolve(a, b) == law
+
+
+def test_float_atom_cell_means_are_their_exact_binary_rationals():
+    # a cell mean is taken on the atoms' exact binary values, as a fold takes
+    # them, not as the Fraction of a float-rounded mean
+    law = DiscreteFinite([0.1, 0.7, 2.3], [F(1, 5), F(1, 2), F(3, 10)])
+    s = Scenario(1, 1, ((law,),))
+    comp = bid_component(s, 1, 1, Partition(cells=[(0, 1), (2,)]))
+    assert comp.values == (F(66653274485083337, 126100789566373888), F(2.3))
+    assert comp.values[0] == (F(0.1) * F(1, 5) + F(0.7) * F(1, 2)) / F(7, 10)
+    assert comp.values[0] != F(0.5285714285714286)
+    assert comp.probs == (F(7, 10), F(3, 10))
 
 
 def test_float_point_masses_shift_in_floating_point():

@@ -32,7 +32,7 @@ from .engine import (
     exact_cap_check,
 )
 from .fees import CurseReport, FeeSchedule, RevenueReport, curse_gap, entry_fees, revenue
-from .orderstats import clark_normal_max, expected_order_stat, order_cdf, valuation_law
+from .orderstats import clark_normal_max, expected_order_stat, valuation_law
 from .scenario import (
     DisclosurePolicy,
     Perspective,

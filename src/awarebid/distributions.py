@@ -49,7 +49,6 @@ __all__ = [
     "as_fraction",
     "mean",
     "cdf",
-    "cdf_exact",
     "pdf",
     "ppf",
     "support",
@@ -57,6 +56,7 @@ __all__ = [
     "convolve",
     "atom_lattice",
     "fold_atom_lattices",
+    "lattice_mean",
     "lattice_law",
     "canonical_info",
     "cells",
@@ -227,6 +227,13 @@ def fold_atom_lattices(forms) -> AtomLattice:
     gp = math.gcd(prob_den, *masses)
     return AtomLattice(value_den // gv, prob_den // gp,
                        tuple(x // gv for x in nums), tuple(m // gp for m in masses))
+
+
+def lattice_mean(form: AtomLattice) -> Fraction:
+    """Exact mean of an integer form: the sum of numerators times masses
+    over the value denominator times the probability denominator."""
+    return Fraction(sum(x * w for x, w in zip(form.nums, form.masses)),
+                    form.value_den * form.prob_den)
 
 
 def lattice_law(form: AtomLattice):
@@ -482,15 +489,6 @@ def cdf(law: Law, x):
     else:
         raise DistributionError(f"unsupported law {law!r}")
     return float(out) if scalar else out
-
-
-def cdf_exact(law, x) -> Fraction:
-    """Exact rational CDF at x for discrete/point-mass laws."""
-    if isinstance(law, PointMass):
-        return Fraction(1) if x >= law.value else Fraction(0)
-    if isinstance(law, DiscreteFinite):
-        return sum((p for v, p in zip(law.values, law.probs) if v <= x), Fraction(0))
-    raise DistributionError("exact CDF only defined for atom laws")
 
 
 def pdf(law: Law, x):

@@ -77,6 +77,7 @@ from .distributions import (
     cells,
     conditional_mean,
     fold_atom_lattices,
+    lattice_mean,
     mean,
     ppf,
 )
@@ -269,10 +270,9 @@ def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> 
         hidden = 0
         for key in unaware[i - 1]:
             law = bid_component(s, *key)
-            f = atom_lattice(law) if isinstance(law, DiscreteFinite) else None
             # a discrete mean is that of the integer form the bids fold
-            hidden += (Fraction(sum(x * w for x, w in zip(f.nums, f.masses)),
-                                f.value_den * f.prob_den) if f else mean(law))
+            hidden += (lattice_mean(atom_lattice(law)) if isinstance(law, DiscreteFinite)
+                       else mean(law))
         bidders.append(BidderEstimate(
             perceived_surplus=surplus_own[i - 1],
             actual_surplus=surplus_full[i - 1],

@@ -19,8 +19,10 @@ repeated convolution.
 
 Order statistics of independent but not identically distributed
 valuations have CDFs given by permanents of the matrix whose columns
-repeat the individual CDFs and their complements; the top-two ranks
-reduce to the familiar product and two-term formulas.
+repeat the individual CDFs and their complements (Bapat & Beg 1989).  One
+formula (``_rank_cdf_terms``) evaluates them by permutation classes on
+float, integer and Fraction columns alike; its first class is the product
+of the CDFs, which is the whole of rank 1.
 
 Expectations integrate the CDF: E = int_0^inf (1-G) - int_{-inf}^0 G, by
 adaptive Simpson between analytic knots for closed forms, by grid trapezoid
@@ -62,10 +64,10 @@ from .distributions import (
     atom_lattice,
     breakpoints,
     cdf,
-    cdf_exact,
     convolve,
     fold_atom_lattices,
     lattice_law,
+    lattice_mean,
     mean,
     quantile_range,
 )
@@ -78,7 +80,6 @@ __all__ = [
     "bid_component",
     "fold_bid_law",
     "valuation_law",
-    "order_cdf",
     "expected_order_stat",
     "clark_normal_max",
     "SIMPSON_TOL",
@@ -121,7 +122,7 @@ def _discrete_component(base: DiscreteFinite, level):
     comp = kept.get(level)
     if comp is None:
         if isinstance(level, NoInfo):
-            comp = PointMass(mean(base))
+            comp = PointMass(lattice_mean(atom_lattice(base)))
         elif isinstance(level, FullInfo) or len(level.cells) == len(base.values):
             comp = base         # singleton cells reveal the value itself
         else:
@@ -201,50 +202,30 @@ class OrderStatLaw:
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         # a law shifted by an exact point mass evaluates on object arrays
         G = np.vstack([cdf(law, y) for law in self.laws]).astype(np.float64, copy=False)
-        out = _rank_cdf_float(G, self.rank)
+        out = _rank_cdf_terms(G, self.rank, one=1.0)
         return float(out[0]) if scalar else out
-
-    def cdf_exact(self, y) -> Fraction:
-        """Exact rational CDF; components must be atom laws."""
-        G = [cdf_exact(law, y) for law in self.laws]
-        return _rank_cdf_terms(G, self.rank, one=Fraction(1))
-
-
-def order_cdf(laws, r: int) -> OrderStatLaw:
-    return OrderStatLaw(tuple(laws), r)
-
-
-def _rank_cdf_float(G: np.ndarray, rank: int) -> np.ndarray:
-    n = G.shape[0]
-    if rank == 1:
-        return np.prod(G, axis=0)
-    if rank == 2:
-        prod = np.prod(G, axis=0)
-        out = prod.copy()
-        for i in range(n):
-            rest = np.prod(np.delete(G, i, axis=0), axis=0)
-            out += (1.0 - G[i]) * rest
-        return out
-    cols = [G[i] for i in range(n)]
-    return _rank_cdf_terms(cols, rank, one=1.0)
 
 
 def _rank_cdf_terms(G, rank: int, one):
-    """P(rank-th largest <= y) = P(at least n+1-rank of the values <= y).
+    """P(rank-th largest <= y) = P(fewer than rank of the values exceed y),
+    for columns ``G`` of CDF values (float arrays, integer or Fraction
+    columns, or scalars) and ``one``, the value of probability 1 in them.
 
     Evaluates the permanent formula by permutation classes: the permanent of
     the matrix with m columns G and n-m columns 1-G equals m!(n-m)! times
     the sum over m-subsets S of prod_{i in S} G_i prod_{i not in S} (1-G_i),
     so the factorial weights cancel and each class contributes one subset
-    product.
+    product.  Classes run from m = n (no value above y, the product of the
+    G_i and all of rank 1) down to m = n+1-rank, so complements are built
+    only for rank > 1.
     """
-    n = len(G)
-    comp = [one - g for g in G]
-    total = G[0] * 0
-    for m in range(n + 1 - rank, n + 1):
-        for S in combinations(range(n), m):
-            inS = set(S)
-            total = total + math.prod(G[i] if i in inS else comp[i] for i in range(n))
+    total = math.prod(G)
+    if rank > 1:
+        n = len(G)
+        comp = [one - g for g in G]
+        for k in range(1, rank):
+            for above in combinations(range(n), k):
+                total = total + math.prod(comp[i] if i in above else G[i] for i in range(n))
     return total
 
 

@@ -11,6 +11,7 @@ from awarebid.distributions import (
     DiscreteFinite,
     FullInfo,
     NoInfo,
+    PointMass,
     UniformContinuous,
     cells,
     conditional_mean,
@@ -68,6 +69,15 @@ def permanent(matrix):
             term = term * rows[i][sigma[i]]
         total = total + term
     return total
+
+
+def atom_cdf(law, y):
+    """Exact Fraction CDF of a discrete or point-mass law at y, one point at a
+    time: the oracle the library's integer and float CDF columns are checked
+    against."""
+    if isinstance(law, PointMass):
+        return F(1) if y >= law.value else F(0)
+    return sum((p for v, p in zip(law.values, law.probs) if v <= y), F(0))
 
 
 def mc_reference(s, p, draws):

@@ -17,18 +17,18 @@ from awarebid.distributions import (
     FullInfo,
     Normal,
     UniformContinuous,
-    cdf_exact,
 )
 from awarebid.engine import EstimatorConfig, estimate, sample_draws
 from awarebid.fees import curse_gap, revenue
 from awarebid.orderstats import (
+    OrderStatLaw,
+    _rank_cdf_terms,
     clark_normal_max,
     expected_order_stat,
-    order_cdf,
     valuation_law,
 )
 from awarebid.scenario import Perspective, validate
-from conftest import EXACT, KS_COEFF_001, build_d1, coin, ks_statistic, permanent
+from conftest import EXACT, KS_COEFF_001, atom_cdf, build_d1, coin, ks_statistic, permanent
 
 
 def _report(num, label):
@@ -47,10 +47,10 @@ def test_criterion_1_example1_values():
     s, p = validate(2, 2, [[u5, un], [u5, un]], [[1, 2], [1]],
                     [{1: FullInfo(), 2: FullInfo()}, {1: FullInfo()}])
 
-    base = expected_order_stat(order_cdf([u5, u5], 1))
+    base = expected_order_stat(OrderStatLaw((u5, u5), 1))
     assert abs(base - 10 / 3) < 1e-9
     laws = [valuation_law(s, p, i, Perspective(s.full_set)) for i in (1, 2)]
-    raised = expected_order_stat(order_cdf(laws, 1))
+    raised = expected_order_stat(OrderStatLaw(tuple(laws), 1))
     assert abs(raised - 505 / 132) < 1e-9
 
     cfg = EstimatorConfig(backend="mc", n_samples=1_000_000, seed=101)
@@ -184,12 +184,13 @@ def test_criterion_6_order_stat_laws():
         bids = draws.sum(axis=2)
         ordered = np.sort(bids, axis=1)
         for rank, col in ((1, ordered[:, -1]), (2, ordered[:, -2])):
-            law = order_cdf(vlaws, rank)
+            law = OrderStatLaw(tuple(vlaws), rank)
             stat = ks_statistic(col, law.cdf, has_atoms=atoms)
             worst = max(worst, stat)
             assert stat < bound, (seed, rank, stat, bound)
 
-    # general permanent path equals the specialized formulas exactly, n <= 6
+    # the permanent-class formula, on exact Fraction columns, equals the
+    # specialized formulas exactly, n <= 6
     rng = random.Random("acc6perm")
     for n in range(2, 7):
         laws = []
@@ -198,16 +199,16 @@ def test_criterion_6_order_stat_laws():
             laws.append(DiscreteFinite(vals, [F(1, 3), F(2, 3)]))
         grid = sorted({v for law in laws for v in law.values})
         for y in grid:
-            G = [cdf_exact(law, y) for law in laws]
+            G = [atom_cdf(law, y) for law in laws]
             prod = math.prod(G)
             two = prod + sum(
                 (1 - G[i]) * math.prod(G[k] for k in range(n) if k != i)
                 for i in range(n))
-            assert order_cdf(laws, 1).cdf_exact(y) == prod
-            assert order_cdf(laws, 2).cdf_exact(y) == two
+            assert _rank_cdf_terms(G, 1, one=F(1)) == prod
+            assert _rank_cdf_terms(G, 2, one=F(1)) == two
             cols = [G] * (n - 1) + [[1 - g for g in G]]
             per = permanent([[col[i] for col in cols] for i in range(n)])
-            assert order_cdf(laws, 2).cdf_exact(y) == \
+            assert _rank_cdf_terms(G, 2, one=F(1)) == \
                 prod + F(1, math.factorial(n - 1)) * per
     _report(6, f"order statistics: 10 scenarios x 2 ranks within KS 0.001 bound "
                f"(worst {worst:.4f} < {bound:.4f}); permanent path exact for n<=6")

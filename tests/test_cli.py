@@ -1,6 +1,9 @@
+import ast
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -378,3 +381,21 @@ def test_analytic_cli_output_is_byte_identical(capsysbinary, scenario_dir, golde
     status, out = run_cli(capsysbinary, args + ["--samples", "20000"])
     assert status == 0
     assert out == (GOLDEN_DIR / golden).read_bytes()
+
+
+def test_public_names_resolve():
+    # every __all__ entry of every module, and every name the package root
+    # imports, is a live public name of its module: a deleted function
+    # leaves no stale export behind
+    for info in pkgutil.iter_modules(awarebid.__path__):
+        mod = importlib.import_module(f"awarebid.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), (info.name, name)
+    tree = ast.parse(pathlib.Path(awarebid.__file__).read_text())
+    imported = [(node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imported
+    for module, name in imported:
+        mod = importlib.import_module(f"awarebid.{module}")
+        assert name in mod.__all__, (module, name)
+        assert getattr(awarebid, name) is getattr(mod, name)

@@ -16,12 +16,13 @@ from awarebid.distributions import (
     NoInfo,
     Partition,
     PointMass,
+    atom_lattice,
     cell_probability,
-    cdf_exact,
     cells,
     conditional_mean,
     convolve,
     fold_atom_lattices,
+    lattice_mean,
     mean,
 )
 from awarebid.fees import revenue
@@ -35,7 +36,7 @@ from awarebid.orderstats import (
     valuation_law,
 )
 from awarebid.scenario import Perspective, Scenario, perceive, validate
-from conftest import EXACT, SCENARIO_DIR
+from conftest import EXACT, SCENARIO_DIR, atom_cdf
 
 
 # --- plain-Python reference: the pairwise Fraction fold -------------------
@@ -247,6 +248,29 @@ def test_float_atom_cell_means_are_their_exact_binary_rationals():
     assert comp.probs == (F(7, 10), F(3, 10))
 
 
+def test_float_atom_means_are_one_exact_rational():
+    # the NoInfo point mass, a two-cell component's mean and the exact
+    # backend's hidden mean all take the integer form's mean, not the
+    # float-rounded sum of p * v; rational atoms keep their mean
+    law = DiscreteFinite([0.1, 0.7, 2.3], [F(1, 5), F(1, 2), F(3, 10)])
+    exact_mean = sum(F(v) * q for v, q in zip(law.values, law.probs))
+    assert lattice_mean(atom_lattice(law)) == exact_mean != F(mean(law))
+    s = Scenario(1, 1, ((law,),))
+    no_info = bid_component(s, 1, 1, NoInfo())
+    assert type(no_info.value) is F and no_info == PointMass(exact_mean)
+    assert mean(bid_component(s, 1, 1, Partition(cells=[(0, 1), (2,)]))) == exact_mean
+    coin = DiscreteFinite([0, 1], [F(1, 2), F(1, 2)])
+    wide = DiscreteFinite([0, 3], [F(1, 2), F(1, 2)])
+    s, p = validate(2, 2, [[coin, law], [wide, law]], [[1, 2], [1]],
+                    [{1: FullInfo(), 2: NoInfo()}, {1: FullInfo()}])
+    hidden = engine.estimate(s, p, EXACT).bidders[1]
+    assert hidden.hidden_win_value == exact_mean * hidden.win_prob_actual != 0
+    rational = DiscreteFinite([F(1, 10), F(7, 10), F(23, 10)], law.probs)
+    s = Scenario(1, 1, ((rational,),))
+    assert bid_component(s, 1, 1, NoInfo()) == PointMass(mean(rational))
+    assert lattice_mean(atom_lattice(rational)) == mean(rational) == F(53, 50)
+
+
 def test_float_point_masses_shift_in_floating_point():
     # the mean of a continuous law is a float point mass: the fold adds it
     # in floating point, as convolve's shift does, and makes no Fractions
@@ -271,9 +295,9 @@ def test_verify_margins_are_exact_and_prop6_is_tight():
 
 
 def reference_expected_max(laws):
-    """E[max] summed over the support with Fraction CDFs (``cdf_exact``)."""
+    """E[max] summed over the support with Fraction CDFs (``atom_cdf``)."""
     support = sorted({v for law in laws for v, _p in _atoms(law)})
-    below = [math.prod(cdf_exact(law, v) for law in laws) for v in support]
+    below = [math.prod(atom_cdf(law, v) for law in laws) for v in support]
     return sum(v * (g - prev) for v, g, prev in zip(support, below, [0] + below[:-1]))
 
 

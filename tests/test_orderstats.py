@@ -19,7 +19,7 @@ from awarebid.distributions import (
     TrapezoidLaw,
     UniformContinuous,
     breakpoints,
-    cdf_exact,
+    cdf,
     convolve,
     mean,
     quantile_range,
@@ -28,14 +28,14 @@ from awarebid.engine import EstimatorConfig, estimate, sample_draws
 from awarebid.orderstats import (
     SIMPSON_TOL,
     OrderStatLaw,
+    _rank_cdf_terms,
     clark_normal_max,
     expected_order_stat,
-    order_cdf,
     valuation_law,
 )
 from awarebid.piecewise import expected_value, order_stat_rational
 from awarebid.scenario import Perspective, validate
-from conftest import KS_COEFF_001, ks_statistic, permanent
+from conftest import KS_COEFF_001, atom_cdf, ks_statistic, permanent
 
 
 def _full_policy(laws, m):
@@ -89,7 +89,7 @@ def test_valuation_law_respects_view_projection():
 
 def test_quadrature_matches_clark_on_normal_pairs():
     for mu_a, sa, mu_b, sb in [(1.5, 1.0, 1.0, 1.0), (-0.5, 2.0, 0.7, 0.3)]:
-        got = expected_order_stat(order_cdf([Normal(mu_a, sa), Normal(mu_b, sb)], 1))
+        got = expected_order_stat(OrderStatLaw((Normal(mu_a, sa), Normal(mu_b, sb)), 1))
         want = clark_normal_max(mu_a, sa ** 2, mu_b, sb ** 2)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -97,7 +97,7 @@ def test_quadrature_matches_clark_on_normal_pairs():
 def test_rank_two_rational_oracle_three_laws():
     rng = random.Random(31)
     laws = _random_atom_laws(rng, 3)
-    assert expected_order_stat(order_cdf(laws, 2)) == \
+    assert expected_order_stat(OrderStatLaw(tuple(laws), 2)) == \
         expected_value(order_stat_rational(laws, 2))
 
 
@@ -111,8 +111,8 @@ def test_valuation_law_rejects_continuous_partition():
 
 def test_order_cdf_uniform_pair_closed_forms():
     u = UniformContinuous(0, 1)
-    top = order_cdf([u, u], 1)
-    second = order_cdf([u, u], 2)
+    top = OrderStatLaw((u, u), 1)
+    second = OrderStatLaw((u, u), 2)
     ys = np.linspace(0, 1, 11)
     assert np.allclose(top.cdf(ys), ys ** 2, atol=1e-12)
     assert np.allclose(second.cdf(ys), 2 * ys - ys ** 2, atol=1e-12)
@@ -122,9 +122,9 @@ def test_order_cdf_uniform_pair_closed_forms():
 def test_order_cdf_rank_validation():
     u = UniformContinuous(0, 1)
     with pytest.raises(DistributionError):
-        order_cdf([u, u], 3)
+        OrderStatLaw((u, u), 3)
     with pytest.raises(DistributionError):
-        order_cdf([], 1)
+        OrderStatLaw((), 1)
 
 
 def _random_atom_laws(rng, n):
@@ -150,8 +150,9 @@ def test_atom_grid_expectation_matches_cdf_exact_sweep(seed):
     grid = sorted({F(v) for law in laws
                    for v in (law.values if isinstance(law, DiscreteFinite) else (law.value,))})
     for r in range(1, n + 1):
-        os_law = order_cdf(laws, r)
-        cdfs = [os_law.cdf_exact(v) for v in grid]
+        os_law = OrderStatLaw(tuple(laws), r)
+        cdfs = [_rank_cdf_terms([atom_cdf(law, v) for law in laws], r, one=F(1))
+                for v in grid]
         want = sum(v * (g - prev) for v, g, prev in zip(grid, cdfs, [0] + cdfs[:-1]))
         got = orderstats._expected_exact(os_law)
         assert isinstance(got, F) and got == want
@@ -163,14 +164,13 @@ def test_general_rank_formula_matches_specialized_exactly(n):
     rng = random.Random(100 + n)
     laws = _random_atom_laws(rng, n)
     grid = sorted({v for law in laws for v in law.values})
-    os1, os2 = order_cdf(laws, 1), order_cdf(laws, 2)
     for y in grid:
-        G = [cdf_exact(law, y) for law in laws]
+        G = [atom_cdf(law, y) for law in laws]
         prod = math.prod(G)
         two = prod + sum((1 - G[i]) * math.prod(G[k] for k in range(n) if k != i)
                          for i in range(n))
-        assert os1.cdf_exact(y) == prod
-        assert os2.cdf_exact(y) == two
+        assert _rank_cdf_terms(G, 1, one=F(1)) == prod
+        assert _rank_cdf_terms(G, 2, one=F(1)) == two
         # literal permanent formula for every rank
         for r in range(1, n + 1):
             total = F(0)
@@ -179,26 +179,30 @@ def test_general_rank_formula_matches_specialized_exactly(n):
                 matrix = [[col[i] for col in cols] for i in range(n)]
                 total += F(1, math.factorial(m_cols) * math.factorial(n - m_cols)) \
                     * permanent(matrix)
-            assert order_cdf(laws, r).cdf_exact(y) == total
+            assert _rank_cdf_terms(G, r, one=F(1)) == total
+            # the same formula on the float columns OrderStatLaw.cdf evaluates
+            assert abs(OrderStatLaw(tuple(laws), r).cdf(float(y)) - total) <= 1e-15
+        assert OrderStatLaw(tuple(laws), 1).cdf(float(y)) == \
+            np.prod([cdf(law, float(y)) for law in laws])
 
 
 def test_rank_cdfs_nondecreasing_in_rank():
     rng = random.Random(77)
     laws = _random_atom_laws(rng, 4)
     ys = np.linspace(-5, 6, 23)
-    curves = [order_cdf(laws, r).cdf(ys) for r in range(1, 5)]
+    curves = [OrderStatLaw(tuple(laws), r).cdf(ys) for r in range(1, 5)]
     for lo, hi in zip(curves, curves[1:]):
         assert np.all(hi - lo >= -1e-12)
-    individual = [np.asarray([float(cdf_exact(law, y)) for y in ys]) for law in laws]
+    individual = [np.asarray([float(atom_cdf(law, y)) for y in ys]) for law in laws]
     for g in individual:
         assert np.all(curves[0] <= g + 1e-12)
 
 
 def test_expected_order_stat_paper_values():
     u5 = UniformContinuous(0, 5)
-    assert expected_order_stat(order_cdf([u5, u5], 1)) == pytest.approx(10 / 3, abs=1e-9)
+    assert expected_order_stat(OrderStatLaw((u5, u5), 1)) == pytest.approx(10 / 3, abs=1e-9)
     trap = TrapezoidLaw(-6, -1, 5, 10)
-    got = expected_order_stat(order_cdf([trap, u5], 1))
+    got = expected_order_stat(OrderStatLaw((trap, u5), 1))
     assert got == pytest.approx(505 / 132, abs=1e-9)
     # independent exact route through rational piecewise polynomials
     assert expected_value(order_stat_rational([trap, u5], 1)) == F(505, 132)
@@ -211,7 +215,7 @@ def test_expected_max_of_two_iid_uniforms_closed_form():
         u = UniformContinuous(a, b)
         want = F(a) + F(2 * (b - a), 3)
         assert expected_value(order_stat_rational([u, u], 1)) == want
-        assert expected_order_stat(order_cdf([u, u], 1)) == pytest.approx(
+        assert expected_order_stat(OrderStatLaw((u, u), 1)) == pytest.approx(
             float(want), abs=1e-9)
     u01 = UniformContinuous(0, 1)
     assert expected_value(order_stat_rational([u01, u01], 1)) == F(2, 3)
@@ -221,14 +225,14 @@ def test_expected_max_of_two_iid_uniforms_closed_form():
 def test_expected_order_stat_point_mass_every_rank():
     pm = PointMass(F(7, 3))
     for r in (1, 2, 3):
-        assert expected_order_stat(order_cdf([pm, pm, pm], r)) == F(7, 3)
+        assert expected_order_stat(OrderStatLaw((pm, pm, pm), r)) == F(7, 3)
 
 
 def test_expected_order_stat_discrete_exact_vs_rational_oracle():
     rng = random.Random(5)
     laws = _random_atom_laws(rng, 3)
     for r in (1, 2):
-        got = expected_order_stat(order_cdf(laws, r))
+        got = expected_order_stat(OrderStatLaw(tuple(laws), r))
         assert isinstance(got, F)
         if r == 1:
             assert got == expected_value(order_stat_rational(laws, 1))
@@ -282,8 +286,8 @@ def test_full_info_beats_no_info_expected_max():
     rng = random.Random(21)
     for _ in range(20):
         laws = _random_atom_laws(rng, rng.randint(2, 3))
-        full = expected_order_stat(order_cdf(laws, 1))
-        blind = expected_order_stat(order_cdf([PointMass(mean(l)) for l in laws], 1))
+        full = expected_order_stat(OrderStatLaw(tuple(laws), 1))
+        blind = expected_order_stat(OrderStatLaw(tuple(PointMass(mean(l)) for l in laws), 1))
         assert full >= blind
 
 
@@ -316,7 +320,7 @@ def test_order_cdf_matches_engine_draws(seed):
     first, second = _empirical_order_stats(s, p, seed=900 + seed, count=count)
     bound = KS_COEFF_001 / math.sqrt(count)
     for r, samples in ((1, first), (2, second)):
-        law = order_cdf(vlaws, r)
+        law = OrderStatLaw(tuple(vlaws), r)
         assert ks_statistic(samples, law.cdf, has_atoms=atoms) < bound
 
 
@@ -391,7 +395,7 @@ def _random_float_mixes(seed, count):
 def test_quadrature_equals_recursive_simpson_exactly(seed):
     for laws in _random_float_mixes(seed, 12):
         for r in (1, 2):
-            os_law = order_cdf(laws, r)
+            os_law = OrderStatLaw(tuple(laws), r)
             assert expected_order_stat(os_law) == _reference_expectation(os_law)
 
 
@@ -409,7 +413,7 @@ def test_quadrature_evaluates_each_level_in_one_call(monkeypatch):
     for laws in mixes:
         for r in (1, 2):
             counts.append(0)
-            expected_order_stat(order_cdf(laws, r))
+            expected_order_stat(OrderStatLaw(tuple(laws), r))
             assert 1 <= counts[-1] <= 64
 
 
@@ -419,7 +423,7 @@ def test_grid_quadrature_is_one_call(monkeypatch):
     monkeypatch.setattr(OrderStatLaw, "cdf",
                         lambda self, y: calls.append(np.size(y)) or plain(self, y))
     grid = GridLaw(np.linspace(-1.0, 2.0, 64), np.ones(64))
-    expected_order_stat(order_cdf([grid, Normal(0.0, 1.0)], 1))
+    expected_order_stat(OrderStatLaw((grid, Normal(0.0, 1.0)), 1))
     assert len(calls) == 1 and calls[0] >= GRID_POINTS
 
 
@@ -444,7 +448,7 @@ def test_quadrature_work_is_bounded_on_random_mixes(monkeypatch):
         for laws in _random_float_mixes(seed, 12):
             for r in (1, 2):
                 counts[0] = 0
-                expected_order_stat(order_cdf(laws, r))
+                expected_order_stat(OrderStatLaw(tuple(laws), r))
                 assert counts[0] <= 16
 
 
@@ -454,7 +458,7 @@ def test_point_mass_against_uniform_closed_form(monkeypatch, c):
     # A Fraction knot rounds to a float on one side of the jump; the
     # one-ulp-inside end values see the right side either way.
     counts = _counting_cdf(monkeypatch)
-    got = expected_order_stat(order_cdf([PointMass(c), UniformContinuous(-1, 2)], 1))
+    got = expected_order_stat(OrderStatLaw((PointMass(c), UniformContinuous(-1, 2)), 1))
     q = F(c)
     assert got == pytest.approx(float(q * (q + 1) / 3 + (4 - q * q) / 6), abs=1e-12)
     assert counts[0] <= 4
@@ -466,7 +470,7 @@ def test_normal_against_point_mass_matches_clark(monkeypatch, mu, sigma, c):
     # the remaining error is Simpson's own at SIMPSON_TOL (about 1e-12 here;
     # it falls below 3e-13 at a tolerance of 1e-12), not the jump at c
     counts = _counting_cdf(monkeypatch)
-    got = expected_order_stat(order_cdf([Normal(mu, sigma), PointMass(c)], 1))
+    got = expected_order_stat(OrderStatLaw((Normal(mu, sigma), PointMass(c)), 1))
     assert got == pytest.approx(clark_normal_max(mu, sigma ** 2, float(c), 0.0),
                                 abs=SIMPSON_TOL / 10)
     assert counts[0] <= 16
@@ -493,23 +497,23 @@ def _fine_trapezoid(os_law, points=2_000_000):
 def test_grid_quadrature_takes_one_sided_limits_at_knots(other):
     grid = convolve(Normal(0.3, 1.0), UniformContinuous(-1.0, 0.5))
     assert isinstance(grid, GridLaw)
-    os_law = order_cdf([grid, other], 1)
+    os_law = OrderStatLaw((grid, other), 1)
     assert expected_order_stat(os_law) == pytest.approx(_fine_trapezoid(os_law), abs=1e-6)
 
 
 def test_exact_point_mass_shift_quadrature_runs_on_floats():
     shifted = UniformContinuous(F(1), F(6))        # U(0, 5) plus a point mass at 1
-    law = order_cdf([shifted, Normal(2.0, 1.0)], 1)
+    law = OrderStatLaw((shifted, Normal(2.0, 1.0)), 1)
     assert law.cdf(np.linspace(0.0, 7.0, 5)).dtype == np.float64
     assert expected_order_stat(law) == expected_order_stat(
-        order_cdf([UniformContinuous(1.0, 6.0), Normal(2.0, 1.0)], 1))
+        OrderStatLaw((UniformContinuous(1.0, 6.0), Normal(2.0, 1.0)), 1))
 
 
 def test_quadrature_rejects_nan_cdf_without_recursing(monkeypatch):
     grid = GridLaw(np.linspace(-1.0, 2.0, 64), np.ones(64))
     grid.cdf_values[20] = np.nan                     # GridLaw itself rejects a NaN pdf
     with pytest.raises(DistributionError, match="not finite"):
-        expected_order_stat(order_cdf([grid, Normal(0.0, 1.0)], 1))
+        expected_order_stat(OrderStatLaw((grid, Normal(0.0, 1.0)), 1))
     # the Simpson route stops at the first level that sees a NaN
     calls = []
     plain = orderstats.cdf
@@ -521,7 +525,7 @@ def test_quadrature_rejects_nan_cdf_without_recursing(monkeypatch):
 
     monkeypatch.setattr(orderstats, "cdf", nan_above_one)
     with pytest.raises(DistributionError, match="not finite"):
-        expected_order_stat(order_cdf([Normal(0.0, 1.0), UniformContinuous(0.0, 2.0)], 1))
+        expected_order_stat(OrderStatLaw((Normal(0.0, 1.0), UniformContinuous(0.0, 2.0)), 1))
     assert len(calls) == 2                           # one integrand call, two laws
 
 
@@ -539,4 +543,4 @@ def test_quadrature_evaluation_bound(monkeypatch):
     # finite but never within tolerance: rounding at 1e200 dominates every level
     wide = UniformContinuous(-1e200, 1e200)
     with pytest.raises(DistributionError, match="evaluations"):
-        expected_order_stat(order_cdf([wide, Normal(0.0, 1.0)], 1))
+        expected_order_stat(OrderStatLaw((wide, Normal(0.0, 1.0)), 1))

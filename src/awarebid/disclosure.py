@@ -44,7 +44,7 @@ from .distributions import (
     fold_atom_lattices,
     mean,
 )
-from .engine import EstimatorConfig, estimate_policies
+from .engine import EstimatorConfig, estimate_policies, score_policies
 from .fees import RevenueReport, revenue
 from .orderstats import (
     OrderStatLaw,
@@ -141,12 +141,14 @@ def _rank_key(value, p: DisclosurePolicy):
 
 
 def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
-    """Revenue of each policy, and the bundle it was read from where the
-    engine estimated it (None where the analytic common-awareness route
-    gave it).  Every engine-estimated policy goes through one batched call,
-    so they all share one pass over the draws.  The analytic policy ranked
-    first by ``_rank_key`` is scored in that call too, keeping its analytic
-    value, so a report on it needs no second pass."""
+    """Revenue of each policy, and a bundle for the one the report may need
+    without a second pass (None elsewhere).  Every policy without an
+    analytic common-awareness value is scored in one batched call
+    (``score_policies``), which computes only its revenue.  The analytic
+    policy ranked first by ``_rank_key`` keeps its analytic value and is
+    estimated in full in that same pass, so a report on an analytic winner
+    draws each chunk once; a report on a scored winner makes one more pass,
+    over that policy alone."""
     values = [None] * len(policies)
     pending = []
     for k, p in enumerate(policies):
@@ -158,13 +160,14 @@ def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
                 pass    # e.g. continuous partition: estimate through the engine
         pending.append(k)
     analytic = [k for k in range(len(policies)) if values[k] is not None]
-    scored = pending + ([max(analytic, key=lambda k: _rank_key(values[k], policies[k]))]
-                        if analytic else [])
+    best = [max(analytic, key=lambda k: _rank_key(values[k], policies[k]))] if analytic else []
+    scores, reports = score_policies(s, [policies[k] for k in pending], config,
+                                     bundled=[policies[k] for k in best])
+    for k, v in zip(pending, scores):
+        values[k] = v
     bundles = [None] * len(policies)
-    for k, b in zip(scored, estimate_policies(s, [policies[k] for k in scored], config)):
+    for k, b in zip(best, reports):
         bundles[k] = b
-    for k in pending:
-        values[k] = revenue(s, policies[k], config, bundle=bundles[k]).total_revenue
     return values, bundles
 
 
@@ -242,11 +245,12 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
 def _optimize_greedy(s, config, info, regime) -> OptimizeResult:
     """Greedy hill climb: repeatedly add the single (bidder, characteristic)
     awareness pair with the largest strict revenue improvement.  Each sweep
-    scores all of its single-pair trials in one batched call, and the common
-    start joins the first sweep's.  A sweep then holds at most one
-    common-awareness policy (the start, or the one trial that equalizes
-    every awareness set), which that call scores too, so the final report
-    reuses a bundle instead of drawing every chunk again."""
+    scores all of its single-pair trials in one batched call
+    (``_revenue_values``), and the common start joins the first sweep's.  A
+    sweep holds at most one common-awareness policy (the start, or the one
+    trial that equalizes every awareness set), which that call estimates in
+    full, so a report on it reuses that bundle; a report on any other
+    winner makes one more pass over the draws."""
     current = [frozenset({1})] * s.n_bidders
     trials = [("start", current, policy_with_info(s, current, info))]
     best = None                 # (value, awareness, policy, bundle)

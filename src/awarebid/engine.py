@@ -30,7 +30,12 @@ bidder omits is what a full-information contribution would add.
   surplus in scratch columns reused across bidders, fields and policies,
   reduced to per-field sums and sums of squares.  Top-two results are not
   kept across policies.  A field that overflows double precision raises
-  EstimationError instead of being reported.
+  EstimationError instead of being reported.  ``score_policies`` ranks
+  policies on the same pass and draws, for the policy search: each
+  distinct view any scored policy reads is settled once per chunk and
+  reduced only to the sums its revenue needs (each reading bidder's
+  surplus, and the price of a full view), so only floats outlive a view;
+  a score is ``==`` to the revenue report of that policy.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
   bids are independent across bidders, so each bid column's law is the
   integer fold (``distributions.fold_atom_lattices``) of its keys'
@@ -38,7 +43,9 @@ bidder omits is what a full-information contribution would add.
   common integer atom grid (``orderstats.atom_grid``); the order-statistic
   moments, every bidder's unique-winner surplus and the 1/#ties win credit
   follow from per-bidder CDF columns and prefix sums, at a cost of bidders
-  times bid support, not the product of supports.  Each column's form is
+  times bid support, not the product of supports.  A column whose
+  product of contribution supports exceeds ``_FOLD_CAP`` is refused before
+  it is folded.  Each column's form is
   built once per scenario and each view settled once per scenario: both
   are kept on the scenario instance, so every policy read on the same
   scenario reuses them.  Ties contribute zero surplus since the price
@@ -92,12 +99,16 @@ __all__ = [
     "estimate",
     "estimate_policies",
     "exact_cap_check",
+    "score_policies",
     "sample_draws",
 ]
 
 _CHUNK = 1 << 16
 _SUB_BLOCK = 1 << 12           # draws per cache-resident Philox sub-block
 _U64 = (1 << 64) - 1
+# support points an exact bid column may fold to, bounded by the product of
+# its contributions' support sizes
+_FOLD_CAP = 1 << 16
 
 
 class EstimationError(RuntimeError):
@@ -186,7 +197,26 @@ def estimate_policies(s: Scenario, policies, config: EstimatorConfig) -> tuple:
         raise EstimationError("second-price auction needs at least 2 bidders")
     if config.backend == "exact":
         return tuple(_exact_bundle(s, p, config) for p in policies)
-    return _mc_bundles(s, policies, config)
+    return _mc_pass(s, (), policies, config)[1]
+
+
+def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=()):
+    """The revenue of each policy, ``==`` to what ``fees.revenue(s, p,
+    config).total_revenue`` reports, and ``estimate_policies(s, bundled,
+    config)``, from one pass over the draws.  A score is each bidder's
+    perceived surplus summed in bidder order plus the expected price, and
+    nothing else is computed for it; the exact backend reads it off the
+    policy's bundle, whose views are settled once per scenario."""
+    policies, bundled = tuple(policies), tuple(bundled)
+    if not (policies or bundled):
+        return (), ()
+    if s.n_bidders < 2:
+        raise EstimationError("second-price auction needs at least 2 bidders")
+    if config.backend == "exact":
+        return (tuple(sum(be.perceived_surplus for be in b.bidders) + b.second_order_stat
+                      for b in (_exact_bundle(s, p, config) for p in policies)),
+                tuple(_exact_bundle(s, p, config) for p in bundled))
+    return _mc_pass(s, policies, bundled, config)
 
 
 def _effective_views(s: Scenario, p: DisclosurePolicy):
@@ -228,8 +258,16 @@ def _policy_layout(s: Scenario, p: DisclosurePolicy):
 def _bid_lattice(s: Scenario, keys):
     """Integer form of one bid column's law: the fold of the laws of its
     (bidder, characteristic, level) contributions (``bid_component``), in
-    the column's order."""
-    return fold_atom_lattices(atom_lattice(bid_component(s, *key)) for key in keys)
+    the column's order.  The product of their support sizes bounds the
+    fold's; past ``_FOLD_CAP`` it raises EstimationError before folding."""
+    forms = [atom_lattice(bid_component(s, *key)) for key in keys]
+    size = math.prod(len(form.nums) for form in forms)
+    if size > _FOLD_CAP:
+        raise EstimationError(
+            f"exact backend: bidder {keys[0][0]}'s bid over characteristics "
+            f"{[j for _i, j, _level in keys]} has up to {size} support points, past the "
+            f"bound of {_FOLD_CAP}; use the mc backend or fewer characteristics")
+    return fold_atom_lattices(forms)
 
 
 def _settled_view(s: Scenario, view, full: bool):
@@ -254,6 +292,12 @@ def _settled_view(s: Scenario, view, full: bool):
     return got
 
 
+def _exact_mean(law):
+    """A law's mean; a discrete one's is that of the integer form the bids
+    fold, so both backends read one rational on float atoms too."""
+    return lattice_mean(atom_lattice(law)) if isinstance(law, DiscreteFinite) else mean(law)
+
+
 def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> EstimateBundle:
     if exact_cap_check(s, p) is None:
         raise EstimationError("exact backend requires finite discrete laws in scope")
@@ -269,10 +313,7 @@ def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> 
         win_actual = credit_full[i - 1]
         hidden = 0
         for key in unaware[i - 1]:
-            law = bid_component(s, *key)
-            # a discrete mean is that of the integer form the bids fold
-            hidden += (lattice_mean(atom_lattice(law)) if isinstance(law, DiscreteFinite)
-                       else mean(law))
+            hidden += _exact_mean(bid_component(s, *key))
         bidders.append(BidderEstimate(
             perceived_surplus=surplus_own[i - 1],
             actual_surplus=surplus_full[i - 1],
@@ -339,7 +380,7 @@ def _contribution_rule(law, level):
     ``orderstats.bid_component`` does, so a full-information contribution
     is the realized value on every law."""
     if isinstance(level, NoInfo):
-        return float(mean(law))
+        return float(_exact_mean(law))
     if isinstance(law, DiscreteFinite):
         if isinstance(level, FullInfo) or len(level.cells) == len(law.values):
             table = np.array([float(v) for v in law.values])
@@ -365,14 +406,13 @@ def _bid_column(L, keys, contribs):
     return col
 
 
-def _mc_chunk(s, rules, layouts, entries, seed, start, stop):
-    """Pure function of the draw range: inverts each (bidder,
-    characteristic) entry in ``entries`` once and frees the uniforms, then
-    computes each contribution in ``rules`` once and settles every policy
-    in turn; returns per policy the per-field (sum, sum of squares).  Bid
-    columns are built on first use and shared by every policy of the batch,
-    so each distinct one is summed once per chunk; the policies also share
-    four scratch columns."""
+def _chunk_columns(s, rules, entries, seed, start, stop):
+    """The shared start of settling one chunk, a pure function of the draw
+    range: inverts each (bidder, characteristic) entry in ``entries`` once
+    and frees the uniforms, then computes each contribution in ``rules``
+    once.  Returns the chunk length, the contributions and ``column(keys)``,
+    which builds a bid column on first use and keeps it for the chunk, so
+    each distinct one is summed once however many policies read it."""
     L = stop - start
     U = _uniform_chunk(seed, start, stop, s.n_bidders, s.m_characteristics)
     draws = {}
@@ -391,8 +431,49 @@ def _mc_chunk(s, rules, layouts, entries, seed, start, stop):
             built[keys] = _bid_column(L, keys, contribs)
         return built[keys]
 
+    return L, contribs, column
+
+
+def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop):
+    """One chunk's score sums for ``plan`` (``_score_sums``) and, per policy
+    layout in ``layouts``, its per-field (sum, sum of squares); the bid
+    columns are shared by both, and the policies share four scratch
+    columns."""
+    L, contribs, column = _chunk_columns(s, rules, entries, seed, start, stop)
     scratch = np.empty((4, L))
-    return [_policy_fields(column, contribs, layout, scratch) for layout in layouts]
+    return (_score_sums(column, plan, scratch[0]),
+            [_policy_fields(column, contribs, layout, scratch) for layout in layouts])
+
+
+def _score_plan(layouts):
+    """What scoring the policies of ``layouts`` reads: per distinct view
+    (tuple of bid-column keys), the 0-based bidders whose perceived surplus
+    it gives, and whether it is some policy's full view, which gives the
+    price."""
+    plan = {}
+    for columns, _unaware, full_idx, bidder_idx in layouts:
+        for i, v in enumerate(bidder_idx):
+            plan.setdefault(columns[v], [set(), False])[0].add(i)
+        plan.setdefault(columns[full_idx], [set(), False])[1] = True
+    return plan
+
+
+def _score_sums(column, plan, scratch):
+    """One chunk's sums for ``plan``, keyed (view, 0-based bidder) for the
+    bidder's surplus and (view, None) for a full view's price: each the
+    float ``_policy_fields`` sums for that field.  Each view is settled by
+    one top-two pass whose arrays are dropped before the next, so only
+    floats outlive a view."""
+    sums = {}
+    for view, (bidders, full) in plan.items():
+        first, second, _n_top, masks = top_two([column(keys) for keys in view])
+        gap = np.subtract(first, second, out=first)
+        for i in bidders:
+            sums[view, i] = float(np.multiply(masks[i], gap, out=scratch).sum())
+        if full:
+            sums[view, None] = float(second.sum())
+        del first, second, masks, gap
+    return sums
 
 
 def _policy_fields(column, contribs, layout, scratch):
@@ -450,10 +531,17 @@ def _policy_fields(column, contribs, layout, scratch):
     return fields
 
 
-def _mc_bundles(s: Scenario, policies: tuple, config: EstimatorConfig) -> tuple:
-    layouts = [_policy_layout(s, p) for p in policies]
-    used = {key for columns, unaware, _f, _b in layouts
-            for keys in chain(*columns, unaware) for key in keys}
+def _mc_pass(s: Scenario, scored: tuple, bundled: tuple, config: EstimatorConfig):
+    """Revenue scores of ``scored`` and bundles of ``bundled``, from one pass
+    over the draws.  A scored policy reads only its bid columns: no hidden
+    value, credit, first order statistic or sum of squares is computed for
+    it, and an entry it reads only as a hidden value is not inverted."""
+    score_layouts = [_policy_layout(s, p) for p in scored]
+    layouts = [_policy_layout(s, p) for p in bundled]
+    plan = _score_plan(score_layouts)
+    used = {key for keys in chain(*plan) for key in keys}
+    used.update(key for columns, unaware, _f, _b in layouts
+                for keys in chain(*columns, unaware) for key in keys)
     rules = {key: _contribution_rule(s.law(*key[:2]), key[2]) for key in used}
     # an entry is inverted when some rule reads its draw; an entry read
     # only under NoInfo needs no inverse CDF
@@ -462,18 +550,40 @@ def _mc_bundles(s: Scenario, policies: tuple, config: EstimatorConfig) -> tuple:
     ranges = [(a, min(a + _CHUNK, S)) for a in range(0, S, _CHUNK)]
 
     def run(rng):
-        # an overflow is not warned about: _mc_bundle_from rejects every
-        # non-finite field
+        # an overflow is not warned about: every non-finite mean is rejected
+        # below, and every non-finite field by _mc_bundle_from
         with np.errstate(over="ignore", invalid="ignore"):
-            return _mc_chunk(s, rules, layouts, entries, config.seed, rng[0], rng[1])
+            return _mc_chunk(s, rules, plan, layouts, entries, config.seed, rng[0], rng[1])
 
     if config.workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             partials = list(pool.map(run, ranges))
     else:
         partials = [run(r) for r in ranges]
-    return tuple(_mc_bundle_from(s, [part[k] for part in partials], config)
-                 for k in range(len(policies)))
+
+    means = {}
+    for key in partials[0][0]:
+        acc = 0.0
+        for part in partials:     # merge in draw-index order, as bundles do
+            acc += part[0][key]
+        mu = acc / S
+        if not math.isfinite(mu):
+            i = key[1]
+            raise _not_finite("second" if i is None else f"surplus_perc_{i + 1}",
+                              f"mean {mu!r}")
+        means[key] = mu
+    # Python's sum over bidders in order, plus the price: the float that
+    # fees.revenue reports as total_revenue
+    scores = tuple(sum(means[columns[v], i] for i, v in enumerate(bidder_idx))
+                   + means[columns[full_idx], None]
+                   for columns, _u, full_idx, bidder_idx in score_layouts)
+    return scores, tuple(_mc_bundle_from(s, [part[1][k] for part in partials], config)
+                         for k in range(len(layouts)))
+
+
+def _not_finite(name, detail):
+    return EstimationError(f"Monte Carlo estimate {name!r} is not finite ({detail}): "
+                           "the values overflow double precision")
 
 
 def _mc_bundle_from(s: Scenario, partials: list, config: EstimatorConfig) -> EstimateBundle:
@@ -491,9 +601,7 @@ def _mc_bundle_from(s: Scenario, partials: list, config: EstimatorConfig) -> Est
         mu = sm / S
         se = None if S < 2 else math.sqrt(max(sq - sm * sm / S, 0.0) / (S - 1) / S)
         if not (math.isfinite(mu) and (se is None or math.isfinite(se))):
-            raise EstimationError(
-                f"Monte Carlo estimate {name!r} is not finite (mean {mu!r}, standard "
-                f"error {se!r}): the values overflow double precision")
+            raise _not_finite(name, f"mean {mu!r}, standard error {se!r}")
         return mu, se
 
     first, se_first = stat("first")

@@ -13,8 +13,10 @@ from awarebid.distributions import (
     NoInfo,
     PointMass,
     UniformContinuous,
+    atom_lattice,
     cells,
     conditional_mean,
+    lattice_mean,
     mean,
 )
 from awarebid.engine import _CHUNK, EstimatorConfig
@@ -93,7 +95,8 @@ def mc_reference(s, p, draws):
     def contribution(i, j):
         law, level, x = s.law(i, j), p.level(i, j), draws[:, i - 1, j - 1]
         if isinstance(level, NoInfo):
-            return np.full(count, float(mean(law)))
+            exact = lattice_mean(atom_lattice(law)) if isinstance(law, DiscreteFinite) else mean(law)
+            return np.full(count, float(exact))
         if isinstance(law, DiscreteFinite):
             table = np.empty(len(law.values))
             for cell in cells(law, level):

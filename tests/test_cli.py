@@ -6,6 +6,7 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -231,6 +232,51 @@ def test_mc_overflow_exits_one_without_rows(capsysbinary, scenario_dir, tmp_path
     assert status == 1
     assert captured.out == b""
     assert captured.err.startswith(b"error: Monte Carlo estimate 'first' is not finite")
+
+
+@pytest.mark.parametrize("law", [
+    {"kind": "discrete", "atoms": [[0, "1/2"], [1e308, "1/2"]]},
+    {"kind": "normal", "mean": 0, "stddev": 1e300},
+], ids=["discrete", "normal"])
+def test_mc_overflow_in_a_search_exits_one_without_rows(capsysbinary, scenario_dir,
+                                                        tmp_path, law):
+    # the scoring pass rejects a non-finite revenue score; an overflow only
+    # in sums of squares is rejected by the winner's report pass
+    doc = json.loads((scenario_dir / "example1.json").read_text())
+    doc["characteristics"][1]["distributions"] = [law, law]
+    status = main(["optimize", "--scenario", _write(tmp_path, doc), "--regime", "individual",
+                   "--samples", "1000"])
+    captured = capsysbinary.readouterr()
+    assert status == 1
+    assert captured.out == b""
+    assert captured.err.startswith(b"error: Monte Carlo estimate '")
+    assert b"is not finite" in captured.err
+
+
+def test_exact_fold_past_the_bound_exits_one_promptly(capsysbinary, tmp_path):
+    # 2 bidders, 13 three-atom characteristics with distinct rational values,
+    # full awareness: a bid column of up to 3^13 support points, which would
+    # take seconds and hundreds of MB to fold
+    def law(j, d):
+        return {"kind": "discrete", "atoms": [[f"{j + d}/3", "1/4"], [f"{7 * j + 1 + d}/7", "1/4"],
+                                              [f"{5 * j + 12 + d}/5", "1/2"]]}
+
+    m = 13
+    doc = {"bidders": 2,
+           "characteristics": [{"distributions": [law(j, 0), law(j, 1)]} for j in range(1, m + 1)],
+           "awareness": [list(range(1, m + 1))] * 2,
+           "info": [{str(j): "full" for j in range(1, m + 1)}] * 2,
+           "estimator": {"backend": "exact"}}
+    path = _write(tmp_path, doc)
+    start = time.perf_counter()
+    status = main(["revenue", "--scenario", path, "--backend", "exact"])
+    elapsed = time.perf_counter() - start
+    captured = capsysbinary.readouterr()
+    assert status == 1 and captured.out == b""
+    assert captured.err.startswith(b"error: exact backend: bidder 1's bid over characteristics "
+                                   + str(list(range(1, m + 1))).encode())
+    assert f"up to {3 ** m} support points, past the bound of {2 ** 16}".encode() in captured.err
+    assert elapsed < 1.0
 
 
 def _package_env():

@@ -9,6 +9,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awarebid import disclosure, engine
 from awarebid.cli import main
@@ -22,7 +24,7 @@ from awarebid.disclosure import (
     random_discrete_scenario,
     verify_suite,
 )
-from awarebid.distributions import DiscreteFinite, FullInfo, Normal, UniformContinuous
+from awarebid.distributions import DiscreteFinite, FullInfo, NoInfo, Normal, UniformContinuous
 from awarebid.engine import _CHUNK, EstimatorConfig, estimate, sample_draws
 from awarebid.fees import revenue
 from awarebid.scenario import Scenario, ScenarioError, validate
@@ -406,37 +408,71 @@ def _per_policy_loop(s, policies, config):
     return tuple(estimate(s, p, config) for p in policies)
 
 
-def _batched_and_per_policy(monkeypatch, run):
-    """``run()`` on the batched route, recording every batched call and the
-    start of every uniform chunk drawn, then ``run()`` again with each batch
-    replaced by a plain per-policy loop over ``estimate``.  Every recorded
-    bundle is checked against ``estimate`` of its policy alone and against
-    the plain reference on the same draws."""
-    calls, starts = [], []
-    stock, stock_chunk = disclosure.estimate_policies, engine._uniform_chunk
+def _per_policy_scores(s, policies, config, bundled=()):
+    return (tuple(revenue(s, p, config).total_revenue for p in policies),
+            _per_policy_loop(s, bundled, config))
 
-    def spy(s, policies, config):
-        out = stock(s, policies, config)
-        calls.append((s, tuple(policies), config, out))
+
+def _spied(monkeypatch, run, route, reference):
+    """``run()`` on the batched route ``disclosure.<route>``, recording every
+    call's (arguments, result) and the start of every uniform chunk drawn,
+    then ``run()`` again with the route replaced by ``reference``, a plain
+    per-policy loop."""
+    calls, starts = [], []
+    stock, stock_chunk = getattr(disclosure, route), engine._uniform_chunk
+
+    def spy(*args, **kwargs):
+        out = stock(*args, **kwargs)
+        calls.append((args, kwargs, out))
         return out
 
     def counting(seed, start, stop, n, m):
         starts.append(start)
         return stock_chunk(seed, start, stop, n, m)
 
-    monkeypatch.setattr(disclosure, "estimate_policies", spy)
+    monkeypatch.setattr(disclosure, route, spy)
     monkeypatch.setattr(engine, "_uniform_chunk", counting)
     got = run()
     monkeypatch.setattr(engine, "_uniform_chunk", stock_chunk)
-    monkeypatch.setattr(disclosure, "estimate_policies", _per_policy_loop)
+    monkeypatch.setattr(disclosure, route, reference)
     want = run()
-    for s, policies, config, out in calls:
-        assert len(out) == len(policies)
-        draws = sample_draws(s, config.seed, config.n_samples)
-        for p, b in zip(policies, out):
-            assert b == estimate(s, p, config)
-            assert bundle_means(b) == mc_reference(s, p, draws)
     return got, want, calls, starts
+
+
+def _check_bundles(s, policies, config, out):
+    """Every batched bundle is ``estimate`` of its policy alone and the plain
+    reference on the same draws."""
+    assert len(out) == len(policies)
+    draws = sample_draws(s, config.seed, config.n_samples)
+    for p, b in zip(policies, out):
+        assert b == estimate(s, p, config)
+        assert bundle_means(b) == mc_reference(s, p, draws)
+
+
+def _batched_and_per_policy(monkeypatch, run):
+    """``_spied`` on ``estimate_policies``; returns (got, want, [(scenario,
+    policies, config)] per call, chunk starts)."""
+    got, want, calls, starts = _spied(monkeypatch, run, "estimate_policies",
+                                      _per_policy_loop)
+    for (s, policies, config), _kwargs, out in calls:
+        _check_bundles(s, policies, config, out)
+    return got, want, [args for args, _kwargs, _out in calls], starts
+
+
+def _scored_and_per_policy(monkeypatch, run):
+    """``_spied`` on ``score_policies``; every score is checked against
+    ``revenue(...).total_revenue`` of its policy alone and every bundle as
+    ``_check_bundles`` does.  Returns (got, want, [(scored, bundled)] per
+    call, chunk starts)."""
+    got, want, calls, starts = _spied(monkeypatch, run, "score_policies",
+                                      _per_policy_scores)
+    out = []
+    for (s, policies, config), kwargs, (scores, bundles) in calls:
+        policies, bundled = tuple(policies), tuple(kwargs.get("bundled", ()))
+        assert scores == tuple(revenue(s, p, config).total_revenue for p in policies)
+        _check_bundles(s, bundled, config, bundles)
+        out.append((policies, bundled))
+    return got, want, out, starts
 
 
 @pytest.mark.parametrize("n_bidders,config", [
@@ -444,56 +480,61 @@ def _batched_and_per_policy(monkeypatch, run):
     ids=["16-candidates", "64-candidates"])
 def test_mc_optimize_individual_matches_per_policy_loop(monkeypatch, n_bidders, config):
     s = three_char_scenario(n_bidders)
-    got, want, calls, starts = _batched_and_per_policy(
+    got, want, calls, starts = _scored_and_per_policy(
         monkeypatch, lambda: optimize(s, PolicyRegime.INDIVIDUAL, config))
     assert got == want          # policy, report, trace and tie-break
     assert len(got.trace) == 4 ** n_bidders
     # one batched call scores every candidate without an analytic value
-    # (all but the 4 common-awareness ones) plus the best analytic one, so
-    # the report reuses the winner's bundle and every chunk is drawn once
-    assert [len(c[1]) for c in calls] == [4 ** n_bidders - 3]
+    # (all but the 4 common-awareness ones) and estimates the best analytic
+    # one in full
+    assert [len(scored) + len(bundled) for scored, bundled in calls] == [4 ** n_bidders - 3]
+    assert [len(bundled) for _scored, bundled in calls] == [1]
+    # the winner is scored, so its report is one more pass: each chunk is
+    # drawn twice
     assert len(set(got.policy.awareness)) > 1
-    assert starts == list(range(0, config.n_samples, _CHUNK))
-    assert len(starts) == math.ceil(config.n_samples / _CHUNK)
+    assert starts == list(range(0, config.n_samples, _CHUNK)) * 2
+    assert len(starts) == 2 * math.ceil(config.n_samples / _CHUNK)
     assert got.report == revenue(s, got.policy, config)
 
 
 def test_mc_greedy_matches_per_policy_loop(monkeypatch):
     s = three_char_scenario(3)
-    got, want, calls, _starts = _batched_and_per_policy(
+    got, want, calls, _starts = _scored_and_per_policy(
         monkeypatch, lambda: disclosure._optimize_greedy(
             s, MC_BATCH, {}, PolicyRegime.INDIVIDUAL))
     assert got == want
     # one call per sweep of 6, 5, ... trials; the common start joins the
-    # first, where it is the one analytic policy and is scored with them
-    sizes = [len(c[1]) for c in calls]
+    # first, where it is the one analytic policy and is estimated in full
+    sizes = [len(scored) + len(bundled) for scored, bundled in calls]
     assert len(sizes) > 1
     assert sizes == [7] + [6 - k for k in range(1, len(sizes))]
     assert len(got.trace) == sum(sizes)     # the start, then every trial
+    assert got.report == revenue(s, got.policy, MC_BATCH)
 
 
 def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
     # example1: the common start wins, so its value is analytic; it is
-    # scored in the one sweep's batch and the report reuses that bundle
+    # estimated in full in the one sweep's batch and the report reuses
+    # that bundle
     s = example1_scenario()
     config = EstimatorConfig(backend="mc", n_samples=4 * _CHUNK, seed=5)
     starts, batches = [], []
-    stock, stock_chunk = disclosure.estimate_policies, engine._uniform_chunk
+    stock, stock_chunk = disclosure.score_policies, engine._uniform_chunk
 
-    def spy(s, policies, config):
-        batches.append(len(policies))
-        return stock(s, policies, config)
+    def spy(s, policies, config, bundled=()):
+        batches.append((len(policies), len(bundled)))
+        return stock(s, policies, config, bundled)
 
     def counting(seed, start, stop, n, m):
         starts.append(start)
         return stock_chunk(seed, start, stop, n, m)
 
-    monkeypatch.setattr(disclosure, "estimate_policies", spy)
+    monkeypatch.setattr(disclosure, "score_policies", spy)
     monkeypatch.setattr(engine, "_uniform_chunk", counting)
     got = disclosure._optimize_greedy(s, config, {}, PolicyRegime.INDIVIDUAL)
     monkeypatch.setattr(engine, "_uniform_chunk", stock_chunk)
     assert got.policy.awareness == (frozenset({1}),) * 2
-    assert batches == [3]               # 2 trials plus the analytic start
+    assert batches == [(2, 1)]          # 2 trials plus the analytic start
     assert starts == list(range(0, config.n_samples, _CHUNK))
     assert got.report == revenue(s, got.policy, config)
 
@@ -507,3 +548,75 @@ def test_mc_tradeoff_matches_per_policy_loop(monkeypatch):
     assert [len(c[1]) for c in calls] == [2]
     assert starts == list(range(0, MC_BATCH.n_samples, _CHUNK))
     assert got.revenue_before == revenue(s, base, MC_BATCH).total_revenue
+
+
+# --- search scores are the reported revenue --------------------------------
+
+_QUARTERS = st.integers(-8, 8).map(lambda k: F(k, 4))
+
+
+@st.composite
+def _search_law(draw, discrete_only):
+    kind = "discrete" if discrete_only else draw(st.sampled_from(["discrete", "normal", "uniform"]))
+    if kind == "discrete":
+        values = sorted(draw(st.lists(_QUARTERS, min_size=2, max_size=3, unique=True)))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(values), max_size=len(values)))
+        return DiscreteFinite(values, [F(w, sum(weights)) for w in weights])
+    lo = float(draw(_QUARTERS))
+    width = draw(st.integers(1, 8)) / 4
+    return Normal(lo, width) if kind == "normal" else UniformContinuous(lo, lo + width)
+
+
+@st.composite
+def _search_case(draw, discrete_only):
+    """A 2-3 bidder, 2-3 characteristic scenario and the exogenous info
+    levels of a search on it (no information on some characteristics)."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    s = Scenario(n, m, tuple(tuple(draw(_search_law(discrete_only)) for _j in range(m))
+                             for _i in range(n)))
+    hidden = draw(st.sets(st.integers(2, m)))
+    return s, {j: NoInfo() for j in hidden}
+
+
+def _scored_traces(s, config, info):
+    """Every (policy, value) the exhaustive and the greedy individual
+    searches put in their traces, in trace order."""
+    seen = []
+    stock = disclosure._revenue_values
+
+    def spy(s, policies, config):
+        values, bundles = stock(s, policies, config)
+        seen.extend(zip(policies, values))
+        return values, bundles
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(disclosure, "_revenue_values", spy)
+        searches = [optimize(s, PolicyRegime.INDIVIDUAL, config, char_info=info),
+                    disclosure._optimize_greedy(s, config, info, PolicyRegime.INDIVIDUAL)]
+    assert [v for _p, v in seen] == [v for res in searches for _d, v in res.trace]
+    return seen
+
+
+@given(_search_case(discrete_only=False), st.sampled_from([4099, _CHUNK + 7]),
+       st.integers(0, 1 << 32))
+@settings(max_examples=12, deadline=None)
+def test_mc_search_values_are_reported_revenue(case, n_samples, seed):
+    # every value the engine scored (all but the analytic common-awareness
+    # ones) is the revenue report of its own policy
+    s, info = case
+    config = EstimatorConfig(backend="mc", n_samples=n_samples, seed=seed)
+    for p, value in _scored_traces(s, config, info):
+        if len(set(p.awareness)) > 1:
+            assert value == revenue(s, p, config).total_revenue
+
+
+@given(_search_case(discrete_only=True))
+@settings(max_examples=12, deadline=None)
+def test_exact_search_values_are_reported_revenue(case):
+    # on the exact backend the analytic common-awareness values are the
+    # exact revenue too, so every trace value is its policy's report
+    s, info = case
+    seen = _scored_traces(s, EXACT, info)
+    assert seen
+    for p, value in seen:
+        assert value == revenue(s, p, EXACT).total_revenue

@@ -36,6 +36,7 @@ from awarebid.engine import (
     _CHUNK,
     _uniform_chunk,
 )
+from awarebid.fees import revenue
 from awarebid.scenario import validate
 from conftest import (
     EXACT,
@@ -614,6 +615,50 @@ def test_estimate_policies_equals_per_policy_estimate(monkeypatch, workers):
     # sums with another would show
     hidden = {tuple(be.hidden_win_value for be in b.bidders) for b in batch}
     assert len(hidden) == len(batch)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scores_are_reported_revenue_from_one_pass(monkeypatch, workers):
+    # every score is == the revenue report of its policy alone and the
+    # bundles are == estimate_policies, for any worker count; scores and
+    # bundles share one pass, so each chunk is drawn once
+    s, policies = mixed_candidates()
+    cfg = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 5, seed=99, workers=workers)
+    starts = []
+    stock = engine._uniform_chunk
+
+    def counting(seed, start, stop, n, m):
+        starts.append(start)
+        return stock(seed, start, stop, n, m)
+
+    monkeypatch.setattr(engine, "_uniform_chunk", counting)
+    scores, bundles = engine.score_policies(s, policies, cfg, bundled=policies[:1])
+    assert sorted(starts) == [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK]
+    monkeypatch.setattr(engine, "_uniform_chunk", stock)
+    assert scores == tuple(revenue(s, p, cfg).total_revenue for p in policies)
+    assert bundles == engine.estimate_policies(s, policies[:1], cfg)
+    assert engine.score_policies(s, (), cfg) == ((), ())
+
+
+def test_scoring_inverts_no_entry_read_only_as_a_hidden_value(monkeypatch):
+    # the third policy hides characteristic 2 from bidder 1, whose normal
+    # law no bid column of that policy reads: scoring it draws no inverse
+    # CDF there, estimating it in full does
+    s, policies = mixed_candidates()
+    cfg = EstimatorConfig(backend="mc", n_samples=4099, seed=7)
+    hidden_law = s.law(1, 2)
+    inverted = []
+    stock = engine.ppf
+
+    def spy(law, u):
+        inverted.append(law)
+        return stock(law, u)
+
+    monkeypatch.setattr(engine, "ppf", spy)
+    engine.score_policies(s, policies[2:3], cfg)
+    assert inverted and not any(law is hidden_law for law in inverted)
+    engine.estimate_policies(s, policies[2:3], cfg)
+    assert any(law is hidden_law for law in inverted)
 
 
 def bit_identity_corpus():

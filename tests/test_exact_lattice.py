@@ -271,6 +271,38 @@ def test_float_atom_means_are_one_exact_rational():
     assert lattice_mean(atom_lattice(rational)) == mean(rational) == F(53, 50)
 
 
+def test_mc_no_info_bid_is_the_exact_mean_as_a_float():
+    # both backends bid one float under no information on float atoms: the
+    # integer form's mean, not the float-rounded sum of p * v (1.06)
+    law = DiscreteFinite([0.1, 0.7, 2.3], [F(1, 5), F(1, 2), F(3, 10)])
+    exact_mean = lattice_mean(atom_lattice(law))
+    assert engine._contribution_rule(law, NoInfo()) == float(exact_mean) == 1.0599999999999998
+    assert float(mean(law)) == 1.06
+    s = Scenario(1, 1, ((law,),))
+    assert float(bid_component(s, 1, 1, NoInfo()).value) == engine._contribution_rule(law, NoInfo())
+
+
+def _coin_scenario(m):
+    coin = DiscreteFinite([0, 1], [F(1, 2), F(1, 2)])
+    return validate(2, m, [[coin] * m] * 2, [list(range(1, m + 1))] * 2,
+                     [{j: FullInfo() for j in range(1, m + 1)}] * 2)
+
+
+def test_exact_fold_bound_admits_its_own_size_and_refuses_past_it():
+    # 16 fair coins: a product of supports of exactly the bound folds (to 17
+    # points); a 17th coin is refused before any fold, naming the column
+    assert engine._FOLD_CAP == 2 ** 16
+    s, p = _coin_scenario(16)
+    b = engine.estimate(s, p, EXACT)
+    assert b.first_order_stat > 8 and b.first_order_stat == revenue(s, p, EXACT).total_revenue
+    s, p = _coin_scenario(17)
+    with pytest.raises(engine.EstimationError) as err:
+        engine.estimate(s, p, EXACT)
+    msg = str(err.value)
+    assert "bidder 1" in msg and str(list(range(1, 18))) in msg
+    assert str(2 ** 17) in msg and str(2 ** 16) in msg
+
+
 def test_float_point_masses_shift_in_floating_point():
     # the mean of a continuous law is a float point mass: the fold adds it
     # in floating point, as convolve's shift does, and makes no Fractions

@@ -41,6 +41,7 @@ from .distributions import (
     NoInfo,
     Partition,
     atom_lattice,
+    canonical_info,
     fold_atom_lattices,
     mean,
 )
@@ -50,6 +51,7 @@ from .orderstats import (
     OrderStatLaw,
     atom_grid,
     bid_component,
+    bid_lattice,
     expected_order_stat,
     valuation_law,
 )
@@ -711,8 +713,9 @@ def _claim_full_info_optimal(sid: str, s: Scenario) -> list:
                 for (i, j), levels in entries]
     variants = [_prefix_folds(per_char[k:k + len(aware)])
                 for k in range(0, len(per_char), len(aware))]
-    rev_full = atom_grid(fold_atom_lattices(atom_lattice(s.law(i, j)) for j in aware)
-                         for i in range(1, s.n_bidders + 1)).expected(1)
+    rev_full = atom_grid(
+        bid_lattice(s, tuple((i, j, canonical_info(s.law(i, j), FullInfo())) for j in aware))
+        for i in range(1, s.n_bidders + 1)).expected(1)
 
     # float screen on the common atom grid of every variant law
     grid = atom_grid(form for forms in variants for form in forms)

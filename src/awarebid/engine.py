@@ -22,13 +22,14 @@ bidder omits is what a full-information contribution would add.
   once (to its atom index for a finitely supported law, else its value)
   and the uniforms are freed; then each key's contribution
   (``_contribution_rule``: the mean under no information, else a function
-  of the draw) and each distinct bid column are computed once for the
-  whole batch.  Atom indices and cutpoint cells come from
-  ``distributions.bin_index``, the same integers as ``np.searchsorted``.
-  Each policy in turn settles its views with one top-two pass each
-  (``_kernels.top_two``), whose per-column top masks give win credit and
-  surplus in scratch columns reused across bidders, fields and policies,
-  reduced to per-field sums and sums of squares.  Top-two results are not
+  of the draw, on a discrete law a table of ``orderstats.cell_means``) and
+  each distinct bid column are computed once for the whole batch.  Atom
+  indices and cutpoint cells come from ``distributions.bin_index``, the
+  same integers as ``np.searchsorted``.  Each policy in turn settles its
+  views with one top-two pass each (``_kernels.top_two``), whose
+  per-column top masks give win credit and surplus in scratch columns
+  reused across bidders, fields and policies, reduced to per-field sums
+  and sums of squares.  Top-two results are not
   kept across policies.  A field that overflows double precision raises
   EstimationError instead of being reported.  ``score_policies`` ranks
   policies on the same pass and draws, for the policy search: each
@@ -38,20 +39,18 @@ bidder omits is what a full-information contribution would add.
   a score is ``==`` to the revenue report of that policy.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
   bids are independent across bidders, so each bid column's law is the
-  integer fold (``distributions.fold_atom_lattices``) of its keys'
-  contribution laws (``orderstats.bid_component``), and the forms go on a
-  common integer atom grid (``orderstats.atom_grid``); the order-statistic
-  moments, every bidder's unique-winner surplus and the 1/#ties win credit
-  follow from per-bidder CDF columns and prefix sums, at a cost of bidders
-  times bid support, not the product of supports.  A column whose
-  product of contribution supports exceeds ``_FOLD_CAP`` is refused before
-  it is folded.  Each column's form is
-  built once per scenario and each view settled once per scenario: both
-  are kept on the scenario instance, so every policy read on the same
-  scenario reuses them.  Ties contribute zero surplus since the price
-  equals the bid.  Hidden values are independent of every bid, so a
-  bidder's hidden value is his hidden keys' contribution means times his
-  win credit.
+  integer form ``orderstats.bid_lattice`` folds from its keys, and the
+  forms go on a common integer atom grid (``orderstats.atom_grid``); the
+  order-statistic moments, every bidder's unique-winner surplus and the
+  1/#ties win credit follow from per-bidder CDF columns and prefix sums,
+  at a cost of bidders times bid support, not the product of supports.  A
+  column whose product of contribution supports exceeds ``_FOLD_CAP`` is
+  refused before it is requested.  Each column's form is built once per
+  scenario and each view settled once per scenario: both are kept on the
+  scenario instance, so every policy read on the same scenario reuses
+  them.  Ties contribute zero surplus since the price equals the bid.
+  Hidden values are independent of every bid, so a bidder's hidden value
+  is the bidder's hidden keys' contribution means times its win credit.
 
 Both backends report, for every bidder, the perceived quantities (under the
 bidder's own awareness viewpoint) and the actual ones (under full
@@ -83,12 +82,11 @@ from .distributions import (
     canonical_info,
     cells,
     conditional_mean,
-    fold_atom_lattices,
     lattice_mean,
     mean,
     ppf,
 )
-from .orderstats import atom_grid, bid_component
+from .orderstats import _atom_cells, atom_grid, bid_component, bid_lattice, cell_means
 from .scenario import DisclosurePolicy, Scenario
 
 __all__ = [
@@ -167,11 +165,10 @@ class EstimateBundle:
 # ---------------------------------------------------------------------------
 
 def exact_cap_check(s: Scenario, p: DisclosurePolicy) -> Optional[int]:
-    """Size of the joint outcome space of the in-scope laws: the product of
-    support sizes over (bidder, characteristic) pairs the bidder is aware
-    of, which the perfbench tracer reports.  None when a law in scope is not
-    finitely supported; the exact backend then raises EstimationError.  The
-    exact sweep itself never visits this product space."""
+    """Size of the joint outcome space of the in-scope laws (the product of
+    support sizes over the characteristics each bidder is aware of), which
+    the perfbench tracer reports; None when a law in scope is not finitely
+    supported.  No estimator reads it or visits that space."""
     size = 1
     for i in range(1, s.n_bidders + 1):
         for j in sorted(p.aware(i)):
@@ -255,36 +252,24 @@ def _policy_layout(s: Scenario, p: DisclosurePolicy):
 
 # -- exact backend ----------------------------------------------------------
 
-def _bid_lattice(s: Scenario, keys):
-    """Integer form of one bid column's law: the fold of the laws of its
-    (bidder, characteristic, level) contributions (``bid_component``), in
-    the column's order.  The product of their support sizes bounds the
-    fold's; past ``_FOLD_CAP`` it raises EstimationError before folding."""
-    forms = [atom_lattice(bid_component(s, *key)) for key in keys]
-    size = math.prod(len(form.nums) for form in forms)
-    if size > _FOLD_CAP:
-        raise EstimationError(
-            f"exact backend: bidder {keys[0][0]}'s bid over characteristics "
-            f"{[j for _i, j, _level in keys]} has up to {size} support points, past the "
-            f"bound of {_FOLD_CAP}; use the mc backend or fewer characteristics")
-    return fold_atom_lattices(forms)
-
-
 def _settled_view(s: Scenario, view, full: bool):
     """Settlement of one view, given as its tuple of bid-column keys:
-    (surplus, credit) from ``AtomGrid.settle``, followed for the full view
-    by E[first] and E[second].  Each column's form and each view's results
-    are kept on the scenario instance, as ``atom_lattice`` keeps a law's
-    form on the law, so every claim and policy that reads them again on the
-    same scenario reuses them."""
-    forms = s.__dict__.setdefault("_bid_forms", {})
+    (surplus, credit) from ``AtomGrid.settle`` on the columns' forms
+    (``bid_lattice``), followed for the full view by E[first] and E[second],
+    kept on the scenario instance for every claim and policy that reads the
+    view again.  A column whose product of support sizes, which bounds its
+    fold, exceeds ``_FOLD_CAP`` is refused before it is requested."""
     views = s.__dict__.setdefault("_settled_views", {})
     got = views.get(view)
     if got is None or full and len(got) == 2:
         for keys in view:
-            if keys not in forms:
-                forms[keys] = _bid_lattice(s, keys)
-        grid = atom_grid([forms[keys] for keys in view])
+            size = math.prod(len(atom_lattice(bid_component(s, *key)).nums) for key in keys)
+            if size > _FOLD_CAP:
+                raise EstimationError(
+                    f"exact backend: bidder {keys[0][0]}'s bid over characteristics "
+                    f"{[j for _i, j, _level in keys]} has up to {size} support points, past "
+                    f"the bound of {_FOLD_CAP}; use the mc backend or fewer characteristics")
+        grid = atom_grid([bid_lattice(s, keys) for keys in view])
         got = got or grid.settle()
         if full:
             got += (grid.expected(1), grid.expected(2))
@@ -299,7 +284,8 @@ def _exact_mean(law):
 
 
 def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> EstimateBundle:
-    if exact_cap_check(s, p) is None:
+    if not all(isinstance(s.law(i, j), DiscreteFinite)
+               for i in range(1, s.n_bidders + 1) for j in p.aware(i)):
         raise EstimationError("exact backend requires finite discrete laws in scope")
 
     columns, unaware, full_idx, bidder_idx = _policy_layout(s, p)
@@ -375,20 +361,17 @@ def _contribution_rule(law, level):
     """How one (bidder, characteristic, level) contribution is read off a
     chunk: the NoInfo mean as a float constant, or a function of the
     entry's draw, which is its atom index for a finitely supported law and
-    its realized value otherwise.  Full information on a discrete law (all
-    singleton cells) looks up the atom values themselves, as
-    ``orderstats.bid_component`` does, so a full-information contribution
-    is the realized value on every law."""
+    its realized value otherwise.  A discrete law's table holds the nearest
+    float to each atom's cell mean (``orderstats.cell_means``), so under
+    full information (singleton cells) the atom values themselves: a
+    full-information contribution is the realized value on every law."""
     if isinstance(level, NoInfo):
         return float(_exact_mean(law))
     if isinstance(law, DiscreteFinite):
-        if isinstance(level, FullInfo) or len(level.cells) == len(law.values):
-            table = np.array([float(v) for v in law.values])
-        else:
-            table = np.empty(len(law.values))
-            for cell in cells(law, level):
-                table[list(cell.level.cells[cell.index])] = float(
-                    conditional_mean(law, level, cell))
+        groups = _atom_cells(law, level)
+        table = np.empty(len(law.values))
+        for cell, (_mass, (num, den)) in zip(groups, cell_means(atom_lattice(law), groups)):
+            table[list(cell)] = num / den
         return table.__getitem__
     if isinstance(level, FullInfo):
         return lambda values: values

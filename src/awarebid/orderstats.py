@@ -1,21 +1,18 @@
 """Analytic laws and moments of perceived-valuation order statistics.
 
 A bidder's estimated valuation under a viewpoint is the sum of independent
-per-characteristic contributions, and ``bid_component`` is the one law of a
+per-characteristic contributions.  ``bid_component`` is the one law of a
 (bidder, characteristic, information level) contribution: the value law
-itself under full information (on a discrete law, all singleton cells), a
-point mass at its mean under no information, the law of cell means under a
-discrete partition.  The full-information law is also the law of the value
-a bidder unaware of the characteristic omits.  A valuation law is the fold
-of its components (``fold_bid_law``; ``valuation_law`` folds a policy's
-components under a viewpoint, and the engine's exact backend folds the
-keys of each bid column of its policy layout).  Discrete contributions and
-rational point masses fold on an integer lattice: each law's integer form
-(value numerators over one value denominator, masses over one probability
-denominator, see ``distributions.AtomLattice``) is built once and kept on
-the law, and the fold multiplies and adds Python ints; Fraction atoms
-appear only when a law object is returned.  Other components fold by
-repeated convolution.
+under full information (on a discrete law, all singleton cells), a point
+mass at its mean under no information (one cell), the law of cell means
+under a partition; the full-information law is also that of the value an
+unaware bidder omits.  ``cell_means`` is the one cell-mean rule, in integers
+on a discrete law's integer form (``distributions.AtomLattice``), for these
+components and the engine's Monte Carlo tables.  ``bid_lattice`` is the
+one fold of a bid column's keys, on Python ints, kept per scenario; the
+engine's exact backend, ``valuation_law`` and Prop 6 read it.  Fraction
+atoms appear only when a law object is returned; ``valuation_law`` folds
+other components by repeated convolution.
 
 Order statistics of independent but not identically distributed
 valuations have CDFs given by permanents of the matrix whose columns
@@ -48,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -67,7 +65,6 @@ from .distributions import (
     convolve,
     fold_atom_lattices,
     lattice_law,
-    lattice_mean,
     mean,
     quantile_range,
 )
@@ -78,7 +75,8 @@ __all__ = [
     "AtomGrid",
     "atom_grid",
     "bid_component",
-    "fold_bid_law",
+    "bid_lattice",
+    "cell_means",
     "valuation_law",
     "expected_order_stat",
     "clark_normal_max",
@@ -99,11 +97,10 @@ def bid_component(s: Scenario, bidder: int, char: int, level):
 
     Full information contributes the characteristic law itself, no
     information a point mass at its mean, and a discrete partition the law
-    of cell means, taken on the law's integer form (a float atom at its
-    exact binary value).  A discrete law keeps each of its contributions,
-    one per level, so they and their integer forms are built once.
-    Partitions of continuous laws have no closed-form sum law here;
-    estimate those through the engine instead.
+    of cell means (``cell_means``: a float atom at its exact binary value).
+    A discrete law keeps each of its contributions, one per level, so they
+    and their integer forms are built once.  Partitions of continuous laws
+    have no closed-form sum law here; estimate those through the engine.
     """
     base = s.law(bidder, char)
     if isinstance(base, DiscreteFinite):
@@ -121,27 +118,41 @@ def _discrete_component(base: DiscreteFinite, level):
     kept = base.__dict__.setdefault("_components", {})
     comp = kept.get(level)
     if comp is None:
-        if isinstance(level, NoInfo):
-            comp = PointMass(lattice_mean(atom_lattice(base)))
-        elif isinstance(level, FullInfo) or len(level.cells) == len(base.values):
+        cells = _atom_cells(base, level)
+        if len(cells) == len(base.values):
             comp = base         # singleton cells reveal the value itself
         else:
-            comp = lattice_law(_cell_mean_lattice(atom_lattice(base), level.cells))
+            comp = lattice_law(_cell_mean_lattice(atom_lattice(base), cells))
         kept[level] = comp
     return comp
 
 
-def _cell_mean_lattice(form, cells):
-    """Integer form of the law of cell means: a cell's mass is the sum of its
-    atoms' masses and its mean is the sum of numerators times masses over
-    the value denominator times that mass; equal means merge."""
-    merged = {}
+def _atom_cells(law: DiscreteFinite, level):
+    """A level's cells on a discrete law, as tuples of atom indices."""
+    if isinstance(level, NoInfo):
+        return (tuple(range(len(law.values))),)
+    if isinstance(level, FullInfo):
+        return tuple((k,) for k in range(len(law.values)))
+    return level.cells
+
+
+def cell_means(form, cells):
+    """Per cell of atom indices into an integer form, its mass (over the
+    form's probability denominator) and its exact mean, as a reduced
+    (numerator, denominator) pair: sum of numerators times masses over the
+    value denominator times the mass."""
     for cell in cells:
         mass = sum(form.masses[k] for k in cell)
         num = sum(form.nums[k] * form.masses[k] for k in cell)
         den = form.value_den * mass
         g = math.gcd(num, den)
-        cell_mean = (num // g, den // g)
+        yield mass, (num // g, den // g)
+
+
+def _cell_mean_lattice(form, cells):
+    """Integer form of the law of ``cell_means``; equal means merge."""
+    merged = {}
+    for mass, cell_mean in cell_means(form, cells):
         merged[cell_mean] = merged.get(cell_mean, 0) + mass
     value_den = math.lcm(*(den for _num, den in merged))
     means = sorted((num * (value_den // den), mass) for (num, den), mass in merged.items())
@@ -150,34 +161,36 @@ def _cell_mean_lattice(form, cells):
                        tuple(x for x, _mass in means), tuple(mass // g for _x, mass in means))
 
 
-def fold_bid_law(components):
-    """Law of the sum of independent bid components (sum order kept).
-    Discrete laws and rational point masses fold on their integer forms
-    (``fold_atom_lattices``).  Otherwise the components fold by
-    ``convolve``: a float point mass (the mean of a continuous law) then
-    shifts by float addition, so continuous inputs never pay for the
-    lattice's Fractions."""
-    components = list(components)
+def bid_lattice(s: Scenario, keys):
+    """Integer form of one bid column's law: the fold of its (bidder,
+    characteristic, level) keys' atom-law contributions (``bid_component``)
+    in order, once per scenario and kept on the scenario instance."""
+    forms = s.__dict__.setdefault("_bid_forms", {})
+    form = forms.get(keys)
+    if form is None:
+        form = forms[keys] = fold_atom_lattices(
+            atom_lattice(bid_component(s, *key)) for key in keys)
+    return form
+
+
+def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
+                  view: Perspective):
+    """Law of bidder's estimated valuation as seen from ``view``: the sum of
+    ``bid_component`` over the characteristics the view leaves the bidder
+    aware of, in sorted order, folded by ``bid_lattice`` when every
+    component is a discrete law or a rational point mass, else by
+    ``convolve`` (a float point mass, the mean of a continuous law, then
+    shifts by float addition and makes no Fractions)."""
+    seen = perceive(p, view)
+    keys = tuple((bidder, j, seen.level(bidder, j)) for j in sorted(seen.aware(bidder)))
+    components = [bid_component(s, *key) for key in keys]
     if len(components) == 1:
         return components[0]
     if all(isinstance(comp, DiscreteFinite)
            or isinstance(comp, PointMass) and not isinstance(comp.value, float)
            for comp in components):
-        return lattice_law(fold_atom_lattices(atom_lattice(comp) for comp in components))
-    law = PointMass(0)
-    for comp in components:
-        law = convolve(law, comp)
-    return law
-
-
-def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
-                  view: Perspective):
-    """Law of bidder's estimated valuation as seen from ``view``: the fold of
-    ``bid_component`` over the characteristics the view leaves the bidder
-    aware of."""
-    seen = perceive(p, view)
-    return fold_bid_law((bid_component(s, bidder, j, seen.level(bidder, j))
-                         for j in sorted(seen.aware(bidder))))
+        return lattice_law(bid_lattice(s, keys))
+    return reduce(convolve, components, PointMass(0))
 
 
 @dataclass(frozen=True)

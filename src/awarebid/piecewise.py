@@ -12,6 +12,7 @@ Polynomials are coefficient tuples in ascending degree.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,14 +78,12 @@ class RationalCDF:
                 raise ValueError("knots must be strictly increasing")
 
     def piece_at(self, x):
-        if x < self.knots[0]:
+        k = bisect_right(self.knots, x)     # knots[k-1] <= x < knots[k]
+        if k == 0:
             return _ZERO
-        if x >= self.knots[-1]:
+        if k == len(self.knots):
             return _ONE
-        for i in range(len(self.polys)):
-            if self.knots[i] <= x < self.knots[i + 1]:
-                return self.polys[i]
-        raise AssertionError("unreachable")
+        return self.polys[k - 1]
 
     def __call__(self, x) -> Fraction:
         return _peval(self.piece_at(as_fraction(x)), as_fraction(x))

@@ -5,9 +5,10 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from awarebid import disclosure, engine
+from awarebid import disclosure, engine, orderstats
 from awarebid.cli import parse_scenario
 from awarebid.disclosure import CorpusConfig, random_discrete_scenario, verify_suite
 from awarebid.distributions import (
@@ -16,6 +17,7 @@ from awarebid.distributions import (
     NoInfo,
     Partition,
     PointMass,
+    UniformContinuous,
     atom_lattice,
     cell_probability,
     cells,
@@ -30,8 +32,8 @@ from awarebid.orderstats import (
     AtomGrid,
     OrderStatLaw,
     bid_component,
+    bid_lattice,
     expected_order_stat,
-    fold_bid_law,
     lattice_law,
     valuation_law,
 )
@@ -74,6 +76,12 @@ def reference_component(law, level):
     return DiscreteFinite.from_atoms(pairs)
 
 
+def lattice_fold(components):
+    """The law of the fold ``bid_lattice`` runs on a column's components:
+    ``fold_atom_lattices`` of their integer forms."""
+    return lattice_law(fold_atom_lattices(atom_lattice(comp) for comp in components))
+
+
 def reference_valuation(s, p, bidder, view):
     seen = perceive(p, view)
     return reference_fold(reference_component(s.law(bidder, j), seen.level(bidder, j))
@@ -112,11 +120,11 @@ def test_corpus_bid_laws_equal_the_reference_fold(monkeypatch):
         assert keys == tuple((bidder, j, seen.level(bidder, j))
                              for j in sorted(seen.aware(bidder)))
         want = reference_valuation(s, p, bidder, view)
-        assert lattice_law(engine._bid_lattice(s, keys)) == want
+        assert lattice_law(bid_lattice(s, keys)) == want
         assert valuation_law(s, p, bidder, view) == want
         comps = [bid_component(s, bidder, j, seen.level(bidder, j))
                  for j in sorted(seen.aware(bidder))]
-        assert fold_bid_law(comps) == want
+        assert lattice_fold(comps) == want
 
 
 def test_scenario_memo_is_transparent(monkeypatch):
@@ -148,27 +156,39 @@ def test_prop6_prefix_folds_equal_whole_folds(monkeypatch):
 def test_exact_layer_folds_and_settles_each_view_once(monkeypatch, seed):
     # two corpora the exact-verify benchmark draws: across every claim, a
     # column is folded at most once and a view settled at most once per
-    # scenario.  Scenarios are told apart by identity, and kept alive so
-    # that no id is reused.
+    # scenario.  A column request that folds is a memo miss, whoever asks
+    # (the exact backend, Prop 6 or valuation_law).  Scenarios are told
+    # apart by identity, and kept alive so that no id is reused.
     kept, folds, settles, views = [], [], [], set()
-    stock_bundle, stock_fold = engine._exact_bundle, engine._bid_lattice
-    stock_settle = AtomGrid.settle
+    fold_calls = []
+    stock_bundle, stock_lattice = engine._exact_bundle, orderstats.bid_lattice
+    stock_fold, stock_settle = orderstats.fold_atom_lattices, AtomGrid.settle
 
     def bundle_spy(s, p, config):
         kept.append(s)
         views.update((id(s), view) for view in engine._policy_layout(s, p)[0])
         return stock_bundle(s, p, config)
 
-    def fold_spy(s, keys):
-        folds.append((id(s), keys))
-        return stock_fold(s, keys)
+    def fold_spy(forms):
+        fold_calls.append(1)
+        return stock_fold(forms)
+
+    def lattice_spy(s, keys):
+        kept.append(s)
+        before = len(fold_calls)
+        form = stock_lattice(s, keys)
+        if len(fold_calls) > before:
+            folds.append((id(s), keys))
+        return form
 
     def settle_spy(grid):
         settles.append(grid)
         return stock_settle(grid)
 
     monkeypatch.setattr(engine, "_exact_bundle", bundle_spy)
-    monkeypatch.setattr(engine, "_bid_lattice", fold_spy)
+    monkeypatch.setattr(orderstats, "fold_atom_lattices", fold_spy)
+    for module in (engine, disclosure, orderstats):
+        monkeypatch.setattr(module, "bid_lattice", lattice_spy)
     monkeypatch.setattr(AtomGrid, "settle", settle_spy)
     report = verify_suite(CorpusConfig(count=3, seed=seed))
     assert report.results and not report.failures
@@ -190,7 +210,7 @@ def test_corpus_partition_components_equal_the_reference():
                     assert comp == reference_component(s.law(i, j), lvl)
                 per_char.append(comps)
             for combo in itertools.product(*per_char):
-                assert fold_bid_law(combo) == reference_fold(combo)
+                assert lattice_fold(combo) == reference_fold(combo)
 
 
 @pytest.mark.parametrize("components", [
@@ -210,8 +230,8 @@ def test_corpus_partition_components_equal_the_reference():
 ], ids=["negative", "denominators-2-3", "point-masses", "shifted", "single", "single-point"])
 def test_fold_equals_the_reference(components):
     want = reference_fold(components)
-    assert fold_bid_law(components) == want
-    assert type(fold_bid_law(components)) is type(want)
+    assert lattice_fold(components) == want
+    assert type(lattice_fold(components)) is type(want)
     if len(components) == 2 and all(isinstance(c, DiscreteFinite) for c in components):
         assert convolve(*components) == want
 
@@ -219,7 +239,7 @@ def test_fold_equals_the_reference(components):
 def test_mixed_denominators_fold_to_the_expected_atoms():
     a = DiscreteFinite([F(1, 2), F(3, 2)], [F(1, 2), F(1, 2)])
     b = DiscreteFinite([F(1, 3), F(4, 3)], [F(1, 3), F(2, 3)])
-    law = fold_bid_law([a, b])
+    law = lattice_fold([a, b])
     assert law.values == (F(5, 6), F(11, 6), F(17, 6))
     assert law.probs == (F(1, 6), F(1, 2), F(1, 3))
 
@@ -229,7 +249,7 @@ def test_float_atoms_fold_on_their_exact_binary_values():
     # binary values, not float sums (0.1 + 0.2 is 0.30000000000000004)
     a = DiscreteFinite([0.1, 0.3], [F(1, 2), F(1, 2)])
     b = DiscreteFinite([0.0, 0.2], [F(1, 4), F(3, 4)])
-    law = fold_bid_law([a, b])
+    law = lattice_fold([a, b])
     assert law.values == (F(0.1), F(0.3), F(0.1) + F(0.2), F(0.3) + F(0.2))
     assert law.probs == (F(1, 8), F(1, 8), F(3, 8), F(3, 8))
     assert law.values[2] != 0.1 + 0.2 and float(law.values[2]) == 0.30000000000000004
@@ -281,6 +301,28 @@ def test_mc_no_info_bid_is_the_exact_mean_as_a_float():
     s = Scenario(1, 1, ((law,),))
     assert float(bid_component(s, 1, 1, NoInfo()).value) == engine._contribution_rule(law, NoInfo())
 
+    # every level bids one float per atom: the nearest float to the exact
+    # component's atom for the drawn atom's cell.  The cell 0.1, 0.2 at 1/5,
+    # 1/2 reads 0.17142857142857143, where Fraction-times-float cell sums
+    # gave 0.17142857142857146; rational atoms read what the float of their
+    # Fraction cell mean always gave
+    floats = DiscreteFinite([0.1, 0.2, 0.3], [F(1, 5), F(1, 2), F(3, 10)])
+    rational = DiscreteFinite([F(1, 10), F(2, 10), F(3, 10)], floats.probs)
+
+    def atoms(comp):
+        return [comp.value] if isinstance(comp, PointMass) else comp.values
+
+    halves = Partition(cells=[(0, 1), (2,)])
+    for level, atom_of in [(NoInfo(), [0, 0, 0]), (halves, [0, 0, 1]), (FullInfo(), [0, 1, 2])]:
+        for law in (floats, rational):
+            comp = bid_component(Scenario(1, 1, ((law,),)), 1, 1, level)
+            rule = engine._contribution_rule(law, level)
+            table = [rule] * 3 if isinstance(rule, float) else rule(np.arange(3)).tolist()
+            assert table == [float(atoms(comp)[k]) for k in atom_of]
+        ref = atoms(reference_component(rational, level))
+        assert table == [float(ref[k]) for k in atom_of]
+    assert engine._contribution_rule(floats, halves)(np.arange(1))[0] == 0.17142857142857143
+
 
 def _coin_scenario(m):
     coin = DiscreteFinite([0, 1], [F(1, 2), F(1, 2)])
@@ -304,10 +346,14 @@ def test_exact_fold_bound_admits_its_own_size_and_refuses_past_it():
 
 
 def test_float_point_masses_shift_in_floating_point():
-    # the mean of a continuous law is a float point mass: the fold adds it
-    # in floating point, as convolve's shift does, and makes no Fractions
-    components = [PointMass(0.1), PointMass(0.2), DiscreteFinite([0, 1], [F(1, 2), F(1, 2)])]
-    law = fold_bid_law(components)
+    # the mean of a continuous law is a float point mass: valuation_law adds
+    # it in floating point, as convolve's shift does, and makes no Fractions
+    coin = DiscreteFinite([0, 1], [F(1, 2), F(1, 2)])
+    s, p = validate(1, 3, [[UniformContinuous(0, 0.2), UniformContinuous(0, 0.4), coin]],
+                    [[1, 2, 3]], [{1: NoInfo(), 2: NoInfo(), 3: FullInfo()}])
+    components = [PointMass(0.1), PointMass(0.2), coin]
+    assert [bid_component(s, 1, j, p.level(1, j)) for j in (1, 2, 3)] == components
+    law = valuation_law(s, p, 1, Perspective(s.full_set))
     assert law == reference_fold(components)
     assert law.values == (0.1 + 0.2, 1 + (0.1 + 0.2))
     assert all(type(v) is float for v in law.values)

@@ -33,7 +33,7 @@ from awarebid.orderstats import (
     expected_order_stat,
     valuation_law,
 )
-from awarebid.piecewise import expected_value, order_stat_rational
+from awarebid.piecewise import expected_value, order_stat_rational, rational_cdf
 from awarebid.scenario import Perspective, validate
 from conftest import KS_COEFF_001, atom_cdf, ks_statistic, permanent
 
@@ -207,6 +207,41 @@ def test_expected_order_stat_paper_values():
     # independent exact route through rational piecewise polynomials
     assert expected_value(order_stat_rational([trap, u5], 1)) == F(505, 132)
     assert expected_value(order_stat_rational([u5, u5], 1)) == F(10, 3)
+
+
+@pytest.mark.parametrize("law", [
+    DiscreteFinite([F(-3, 2), 0, F(1, 3), 2, 5], [F(1, 10), F(1, 5), F(1, 4), F(3, 20), F(3, 10)]),
+    DiscreteFinite([0, 1], [F(1, 2), F(1, 2)]),
+    PointMass(F(1, 3)),
+], ids=["five-atoms", "coin", "point-mass"])
+def test_rational_cdf_equals_the_atom_oracle_around_every_knot(law):
+    G = rational_cdf(law)
+    knots = list(G.knots)
+    probes = [knots[0] - 1, *knots, *((a + b) / 2 for a, b in zip(knots, knots[1:])),
+              knots[-1] + 1]
+    for y in probes:
+        assert G(y) == atom_cdf(law, y)
+
+
+def test_rational_cdf_of_a_trapezoid_at_and_between_its_knots():
+    a, b, c, d = F(-6), F(-1), F(5), F(10)
+    G = rational_cdf(TrapezoidLaw(-6, -1, 5, 10))
+    assert G.knots == (a, b, c, d)
+    h = 2 / ((d + c) - (a + b))
+
+    def closed_form(x):
+        if x < a:
+            return 0
+        if x < b:
+            return h * (x - a) ** 2 / (2 * (b - a))
+        if x < c:
+            return h * (b - a) / 2 + h * (x - b)
+        if x < d:
+            return 1 - h * (d - x) ** 2 / (2 * (d - c))
+        return 1
+
+    for x in [a - 1, a, (a + b) / 2, b, (b + c) / 2, c, (c + d) / 2, d, d + 1]:
+        assert G(x) == closed_form(x)
 
 
 def test_expected_max_of_two_iid_uniforms_closed_form():

@@ -10,9 +10,11 @@ bid computation exact for discrete scenarios and cheap for continuous ones.
 
 Finitely supported laws also have an integer form (``AtomLattice``): value
 numerators over one value denominator and integer masses over one
-probability denominator.  Sums of such laws are convolved on those Python
-ints (``fold_atom_lattices``) and turned back into Fraction atoms only when
-a law object is asked for (``lattice_law``).
+probability denominator.  A discrete law's mean and cell means are read
+off that form (``lattice_mean``, ``cell_means``).  Sums of such laws are
+convolved on those Python ints (``fold_atom_lattices``, bounded by
+``_FOLD_CAP`` support points) and turned back into Fraction atoms only
+when a law object is asked for (``lattice_law``).
 
 Sampling is inverse-CDF (``ppf``) applied to uniforms that the Monte Carlo
 backend keys by (seed, draw, bidder, characteristic), so a variate does not
@@ -57,6 +59,7 @@ __all__ = [
     "atom_lattice",
     "fold_atom_lattices",
     "lattice_mean",
+    "cell_means",
     "lattice_law",
     "canonical_info",
     "cells",
@@ -69,6 +72,8 @@ __all__ = [
 # Grid-convolution resolution and the quantile range the grid spans.
 GRID_POINTS = 2 ** 14
 TAIL_EPS = 1e-12
+# support points a sum of discrete laws may reach
+_FOLD_CAP = 2 ** 16
 
 
 class DistributionError(ValueError):
@@ -207,7 +212,8 @@ def atom_lattice(law) -> AtomLattice:
 
 def fold_atom_lattices(forms) -> AtomLattice:
     """Integer form of the sum of independent lattice laws: one convolution
-    of value numerators and masses on Python ints, reduced once at the end."""
+    of value numerators and masses on Python ints, reduced once at the end.
+    Raises DistributionError once a partial sum passes ``_FOLD_CAP`` points."""
     forms = list(forms)
     value_den = math.lcm(*(f.value_den for f in forms))
     acc = {0: 1}
@@ -219,6 +225,9 @@ def fold_atom_lattices(forms) -> AtomLattice:
         for x, m in acc.items():
             for y, w in atoms:
                 out[x + y] = out.get(x + y, 0) + m * w
+            if len(out) > _FOLD_CAP:
+                raise DistributionError(
+                    f"a sum of discrete laws has more than {_FOLD_CAP} support points")
         acc = out
         prob_den *= f.prob_den
     nums = sorted(acc)
@@ -234,6 +243,28 @@ def lattice_mean(form: AtomLattice) -> Fraction:
     over the value denominator times the probability denominator."""
     return Fraction(sum(x * w for x, w in zip(form.nums, form.masses)),
                     form.value_den * form.prob_den)
+
+
+def _atom_cells(law: DiscreteFinite, level):
+    """A level's cells on a discrete law, as tuples of atom indices."""
+    if isinstance(level, NoInfo):
+        return (tuple(range(len(law.values))),)
+    if isinstance(level, FullInfo):
+        return tuple((k,) for k in range(len(law.values)))
+    return level.cells
+
+
+def cell_means(form: AtomLattice, cells):
+    """Per cell of atom indices into an integer form, its mass (over the
+    form's probability denominator) and its exact mean, as a reduced
+    (numerator, denominator) pair: sum of numerators times masses over the
+    value denominator times the mass."""
+    for cell in cells:
+        mass = sum(form.masses[k] for k in cell)
+        num = sum(form.nums[k] * form.masses[k] for k in cell)
+        den = form.value_den * mass
+        g = math.gcd(num, den)
+        yield mass, (num // g, den // g)
 
 
 def lattice_law(form: AtomLattice):
@@ -391,13 +422,13 @@ def _validate_partition(dist: Distribution, level: Partition):
 # ---------------------------------------------------------------------------
 
 def mean(law: Law):
-    """Exact mean; a Fraction for discrete laws with exact values."""
+    """Exact mean; a Fraction for a discrete law (``lattice_mean``)."""
     if isinstance(law, UniformContinuous):
         return (law.lo + law.hi) / 2
     if isinstance(law, Normal):
         return law.mean
     if isinstance(law, DiscreteFinite):
-        return sum(p * v for v, p in zip(law.values, law.probs))
+        return lattice_mean(atom_lattice(law))
     if isinstance(law, PointMass):
         return law.value
     if isinstance(law, TrapezoidLaw):
@@ -676,7 +707,8 @@ def cell_probability(d: Distribution, cell: SignalCell):
     if isinstance(level, FullInfo):
         raise DistributionError("point cells carry zero probability")
     if isinstance(d, DiscreteFinite):
-        return sum((d.probs[i] for i in level.cells[cell.index]), Fraction(0))
+        (mass, _mean), = cell_means(atom_lattice(d), [level.cells[cell.index]])
+        return Fraction(mass, atom_lattice(d).prob_den)
     lo, hi = _interval_of(d, level, cell.index)
     return float(cdf(d, hi) - cdf(d, lo)) if not math.isinf(hi) else float(1.0 - cdf(d, lo))
 
@@ -698,9 +730,8 @@ def conditional_mean(d: Distribution, level: InfoLevel, cell: SignalCell):
     if isinstance(level, FullInfo):
         raise DistributionError("full information on a continuous law has no cells")
     if isinstance(d, DiscreteFinite):
-        idxs = level.cells[cell.index]
-        massed = sum((d.probs[i] for i in idxs), Fraction(0))
-        return sum((d.probs[i] * d.values[i] for i in idxs), Fraction(0)) / massed
+        (_mass, (num, den)), = cell_means(atom_lattice(d), [level.cells[cell.index]])
+        return Fraction(num, den)
     lo, hi = _interval_of(d, level, cell.index)
     if isinstance(d, UniformContinuous):
         return (lo + hi) / 2

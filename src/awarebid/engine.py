@@ -22,7 +22,7 @@ bidder omits is what a full-information contribution would add.
   once (to its atom index for a finitely supported law, else its value)
   and the uniforms are freed; then each key's contribution
   (``_contribution_rule``: the mean under no information, else a function
-  of the draw, on a discrete law a table of ``orderstats.cell_means``) and
+  of the draw, on a discrete law a table of ``distributions.cell_means``) and
   each distinct bid column are computed once for the whole batch.  Atom
   indices and cutpoint cells come from ``distributions.bin_index``, the
   same integers as ``np.searchsorted``.  Each policy in turn settles its
@@ -44,8 +44,8 @@ bidder omits is what a full-information contribution would add.
   order-statistic moments, every bidder's unique-winner surplus and the
   1/#ties win credit follow from per-bidder CDF columns and prefix sums,
   at a cost of bidders times bid support, not the product of supports.  A
-  column whose product of contribution supports exceeds ``_FOLD_CAP`` is
-  refused before it is requested.  Each column's form is built once per
+  column whose fold passes the bound of ``distributions.fold_atom_lattices``
+  is refused, naming the column.  Each column's form is built once per
   scenario and each view settled once per scenario: both are kept on the
   scenario instance, so every policy read on the same scenario reuses
   them.  Ties contribute zero surplus since the price equals the bid.
@@ -76,17 +76,18 @@ from .distributions import (
     DiscreteFinite,
     FullInfo,
     NoInfo,
+    _atom_cells,
     atom_index,
     atom_lattice,
     bin_index,
     canonical_info,
+    cell_means,
     cells,
     conditional_mean,
-    lattice_mean,
     mean,
     ppf,
 )
-from .orderstats import _atom_cells, atom_grid, bid_component, bid_lattice, cell_means
+from .orderstats import atom_grid, bid_component, bid_lattice
 from .scenario import DisclosurePolicy, Scenario
 
 __all__ = [
@@ -104,9 +105,6 @@ __all__ = [
 _CHUNK = 1 << 16
 _SUB_BLOCK = 1 << 12           # draws per cache-resident Philox sub-block
 _U64 = (1 << 64) - 1
-# support points an exact bid column may fold to, bounded by the product of
-# its contributions' support sizes
-_FOLD_CAP = 1 << 16
 
 
 class EstimationError(RuntimeError):
@@ -210,8 +208,7 @@ def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=()):
     if s.n_bidders < 2:
         raise EstimationError("second-price auction needs at least 2 bidders")
     if config.backend == "exact":
-        return (tuple(sum(be.perceived_surplus for be in b.bidders) + b.second_order_stat
-                      for b in (_exact_bundle(s, p, config) for p in policies)),
+        return (tuple(_exact_bundle(s, p, config).total_revenue for p in policies),
                 tuple(_exact_bundle(s, p, config) for p in bundled))
     return _mc_pass(s, policies, bundled, config)
 
@@ -257,30 +254,16 @@ def _settled_view(s: Scenario, view, full: bool):
     (surplus, credit) from ``AtomGrid.settle`` on the columns' forms
     (``bid_lattice``), followed for the full view by E[first] and E[second],
     kept on the scenario instance for every claim and policy that reads the
-    view again.  A column whose product of support sizes, which bounds its
-    fold, exceeds ``_FOLD_CAP`` is refused before it is requested."""
+    view again."""
     views = s.__dict__.setdefault("_settled_views", {})
     got = views.get(view)
     if got is None or full and len(got) == 2:
-        for keys in view:
-            size = math.prod(len(atom_lattice(bid_component(s, *key)).nums) for key in keys)
-            if size > _FOLD_CAP:
-                raise EstimationError(
-                    f"exact backend: bidder {keys[0][0]}'s bid over characteristics "
-                    f"{[j for _i, j, _level in keys]} has up to {size} support points, past "
-                    f"the bound of {_FOLD_CAP}; use the mc backend or fewer characteristics")
         grid = atom_grid([bid_lattice(s, keys) for keys in view])
         got = got or grid.settle()
         if full:
             got += (grid.expected(1), grid.expected(2))
         views[view] = got
     return got
-
-
-def _exact_mean(law):
-    """A law's mean; a discrete one's is that of the integer form the bids
-    fold, so both backends read one rational on float atoms too."""
-    return lattice_mean(atom_lattice(law)) if isinstance(law, DiscreteFinite) else mean(law)
 
 
 def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> EstimateBundle:
@@ -297,9 +280,7 @@ def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> 
     for i in range(1, n + 1):
         surplus_own, credit_own = settled[bidder_idx[i - 1]][:2]
         win_actual = credit_full[i - 1]
-        hidden = 0
-        for key in unaware[i - 1]:
-            hidden += _exact_mean(bid_component(s, *key))
+        hidden = sum(mean(bid_component(s, *key)) for key in unaware[i - 1])
         bidders.append(BidderEstimate(
             perceived_surplus=surplus_own[i - 1],
             actual_surplus=surplus_full[i - 1],
@@ -362,11 +343,11 @@ def _contribution_rule(law, level):
     chunk: the NoInfo mean as a float constant, or a function of the
     entry's draw, which is its atom index for a finitely supported law and
     its realized value otherwise.  A discrete law's table holds the nearest
-    float to each atom's cell mean (``orderstats.cell_means``), so under
+    float to each atom's cell mean (``distributions.cell_means``), so under
     full information (singleton cells) the atom values themselves: a
     full-information contribution is the realized value on every law."""
     if isinstance(level, NoInfo):
-        return float(_exact_mean(law))
+        return float(mean(law))
     if isinstance(law, DiscreteFinite):
         groups = _atom_cells(law, level)
         table = np.empty(len(law.values))

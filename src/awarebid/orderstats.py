@@ -6,13 +6,12 @@ per-characteristic contributions.  ``bid_component`` is the one law of a
 under full information (on a discrete law, all singleton cells), a point
 mass at its mean under no information (one cell), the law of cell means
 under a partition; the full-information law is also that of the value an
-unaware bidder omits.  ``cell_means`` is the one cell-mean rule, in integers
-on a discrete law's integer form (``distributions.AtomLattice``), for these
-components and the engine's Monte Carlo tables.  ``bid_lattice`` is the
-one fold of a bid column's keys, on Python ints, kept per scenario; the
-engine's exact backend, ``valuation_law`` and Prop 6 read it.  Fraction
-atoms appear only when a law object is returned; ``valuation_law`` folds
-other components by repeated convolution.
+unaware bidder omits.  A discrete component's atoms are its cell means
+(``distributions.cell_means``).  ``bid_lattice`` is the one fold of a bid
+column's keys, kept per scenario, and names the column when the fold
+passes its bound; the engine's exact backend, ``valuation_law`` and Prop 6
+read it.  Fraction atoms appear only when a law object is returned;
+``valuation_law`` folds other components by repeated convolution.
 
 Order statistics of independent but not identically distributed
 valuations have CDFs given by permanents of the matrix whose columns
@@ -59,9 +58,13 @@ from .distributions import (
     GridLaw,
     NoInfo,
     PointMass,
+    _atom_cells,
+    _Phi,
+    _phi,
     atom_lattice,
     breakpoints,
     cdf,
+    cell_means,
     convolve,
     fold_atom_lattices,
     lattice_law,
@@ -76,7 +79,6 @@ __all__ = [
     "atom_grid",
     "bid_component",
     "bid_lattice",
-    "cell_means",
     "valuation_law",
     "expected_order_stat",
     "clark_normal_max",
@@ -127,28 +129,6 @@ def _discrete_component(base: DiscreteFinite, level):
     return comp
 
 
-def _atom_cells(law: DiscreteFinite, level):
-    """A level's cells on a discrete law, as tuples of atom indices."""
-    if isinstance(level, NoInfo):
-        return (tuple(range(len(law.values))),)
-    if isinstance(level, FullInfo):
-        return tuple((k,) for k in range(len(law.values)))
-    return level.cells
-
-
-def cell_means(form, cells):
-    """Per cell of atom indices into an integer form, its mass (over the
-    form's probability denominator) and its exact mean, as a reduced
-    (numerator, denominator) pair: sum of numerators times masses over the
-    value denominator times the mass."""
-    for cell in cells:
-        mass = sum(form.masses[k] for k in cell)
-        num = sum(form.nums[k] * form.masses[k] for k in cell)
-        den = form.value_den * mass
-        g = math.gcd(num, den)
-        yield mass, (num // g, den // g)
-
-
 def _cell_mean_lattice(form, cells):
     """Integer form of the law of ``cell_means``; equal means merge."""
     merged = {}
@@ -164,12 +144,18 @@ def _cell_mean_lattice(form, cells):
 def bid_lattice(s: Scenario, keys):
     """Integer form of one bid column's law: the fold of its (bidder,
     characteristic, level) keys' atom-law contributions (``bid_component``)
-    in order, once per scenario and kept on the scenario instance."""
+    in order, once per scenario and kept on the scenario instance; a fold
+    past the bound is refused naming the column."""
     forms = s.__dict__.setdefault("_bid_forms", {})
     form = forms.get(keys)
     if form is None:
-        form = forms[keys] = fold_atom_lattices(
-            atom_lattice(bid_component(s, *key)) for key in keys)
+        try:
+            form = fold_atom_lattices(atom_lattice(bid_component(s, *key)) for key in keys)
+        except DistributionError as exc:
+            raise DistributionError(
+                f"bidder {keys[0][0]}'s bid over characteristics "
+                f"{[j for _i, j, _level in keys]}: {exc}") from exc
+        forms[keys] = form
     return form
 
 
@@ -469,6 +455,4 @@ def clark_normal_max(mu_a: float, var_a: float, mu_b: float, var_b: float) -> fl
     if s == 0.0:
         return max(mu_a, mu_b)
     theta = (mu_a - mu_b) / s
-    Phi = lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-    phi = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return mu_a * Phi(theta) + mu_b * Phi(-theta) + s * phi(theta)
+    return mu_a * _Phi(theta) + mu_b * _Phi(-theta) + s * _phi(theta)

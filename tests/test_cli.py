@@ -253,30 +253,50 @@ def test_mc_overflow_in_a_search_exits_one_without_rows(capsysbinary, scenario_d
     assert b"is not finite" in captured.err
 
 
+def _sum_doc(m, law):
+    """2 bidders aware of m characteristics, fully informed; ``law(j, d)``
+    is characteristic j's law for the bidder with offset d in {0, 1}."""
+    return {"bidders": 2,
+            "characteristics": [{"distributions": [law(j, 0), law(j, 1)]}
+                                for j in range(1, m + 1)],
+            "awareness": [list(range(1, m + 1))] * 2,
+            "info": [{str(j): "full" for j in range(1, m + 1)}] * 2,
+            "estimator": {"backend": "exact"}}
+
+
 def test_exact_fold_past_the_bound_exits_one_promptly(capsysbinary, tmp_path):
-    # 2 bidders, 13 three-atom characteristics with distinct rational values,
-    # full awareness: a bid column of up to 3^13 support points, which would
-    # take seconds and hundreds of MB to fold
-    def law(j, d):
+    # 13 three-atom characteristics whose sums collapse: bidder 1's bid folds
+    # to 2,835 points, not 3^13, so the exact backend answers
+    def collapsing(j, d):
         return {"kind": "discrete", "atoms": [[f"{j + d}/3", "1/4"], [f"{7 * j + 1 + d}/7", "1/4"],
                                               [f"{5 * j + 12 + d}/5", "1/2"]]}
 
-    m = 13
-    doc = {"bidders": 2,
-           "characteristics": [{"distributions": [law(j, 0), law(j, 1)]} for j in range(1, m + 1)],
-           "awareness": [list(range(1, m + 1))] * 2,
-           "info": [{str(j): "full" for j in range(1, m + 1)}] * 2,
-           "estimator": {"backend": "exact"}}
-    path = _write(tmp_path, doc)
-    start = time.perf_counter()
+    path = _write(tmp_path, _sum_doc(13, collapsing))
     status = main(["revenue", "--scenario", path, "--backend", "exact"])
-    elapsed = time.perf_counter() - start
     captured = capsysbinary.readouterr()
-    assert status == 1 and captured.out == b""
-    assert captured.err.startswith(b"error: exact backend: bidder 1's bid over characteristics "
-                                   + str(list(range(1, m + 1))).encode())
-    assert f"up to {3 ** m} support points, past the bound of {2 ** 16}".encode() in captured.err
-    assert elapsed < 1.0
+    assert status == 0 and b"total_revenue" in captured.out
+
+    # 11 characteristics over distinct prime denominators: every sum is
+    # distinct, 3^11 points, past the bound of 2^16; both the exact backend
+    # and the analytic laws refuse the fold within a second, naming it
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+    def distinct(j, d):
+        p = primes[j - 1]
+        return {"kind": "discrete", "atoms": [[f"{d}/{p}", "1/4"], [f"{1 + d}/{p}", "1/4"],
+                                              [f"{2 + d}/{p}", "1/2"]]}
+
+    path = _write(tmp_path, _sum_doc(11, distinct))
+    for args in (["revenue", "--backend", "exact"], ["orderstats"]):
+        start = time.perf_counter()
+        status = main([args[0], "--scenario", path, *args[1:]])
+        elapsed = time.perf_counter() - start
+        captured = capsysbinary.readouterr()
+        assert status == 1 and captured.out == b""
+        assert captured.err.startswith(b"error: bidder 1's bid over characteristics "
+                                       + str(list(range(1, 12))).encode())
+        assert str(2 ** 16).encode() in captured.err
+        assert elapsed < 1.0
 
 
 def _package_env():
@@ -427,6 +447,14 @@ def test_analytic_cli_output_is_byte_identical(capsysbinary, scenario_dir, golde
     status, out = run_cli(capsysbinary, args + ["--samples", "20000"])
     assert status == 0
     assert out == (GOLDEN_DIR / golden).read_bytes()
+
+
+def test_every_golden_file_is_compared():
+    # a golden file that drops out of every parametrization would silently
+    # stop guarding byte-identity; test_disclosure reads verify-claims-20.csv
+    compared = {g for table in (GOLDEN, MC_GOLDEN, ANALYTIC_GOLDEN) for g, _a in table}
+    assert len(compared) == sum(map(len, (GOLDEN, MC_GOLDEN, ANALYTIC_GOLDEN)))
+    assert {f.name for f in GOLDEN_DIR.iterdir()} == compared | {"verify-claims-20.csv"}
 
 
 def test_public_names_resolve():

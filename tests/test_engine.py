@@ -332,7 +332,7 @@ def test_exact_hidden_value_on_float_atoms_is_the_bids_rational():
     # must be the same rational, not the float-rounded sum of p * v
     law = DiscreteFinite([0.1, 0.7, 2.3], [F(1, 5), F(1, 2), F(3, 10)])
     exact_mean = sum(F(v) * q for v, q in zip(law.values, law.probs))
-    assert F(mean(law)) - exact_mean == F(23, 180143985094819840)
+    assert mean(law) == exact_mean
     s, p = validate(2, 2, [[coin([0, 1]), law]] * 2, [[1, 2], [1]],
                     [{1: FullInfo(), 2: FullInfo()}, {1: FullInfo()}])
     b = estimate(s, p, EXACT)

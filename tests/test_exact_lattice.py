@@ -8,17 +8,19 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from awarebid import disclosure, engine, orderstats
+from awarebid import disclosure, distributions, engine, orderstats
 from awarebid.cli import parse_scenario
 from awarebid.disclosure import CorpusConfig, random_discrete_scenario, verify_suite
 from awarebid.distributions import (
     DiscreteFinite,
+    DistributionError,
     FullInfo,
     NoInfo,
     Partition,
     PointMass,
     UniformContinuous,
     atom_lattice,
+    cell_means,
     cell_probability,
     cells,
     conditional_mean,
@@ -268,13 +270,31 @@ def test_float_atom_cell_means_are_their_exact_binary_rationals():
     assert comp.probs == (F(7, 10), F(3, 10))
 
 
+def test_float_atom_conditional_means_read_the_integer_form():
+    # conditional_mean and cell_probability of a discrete cell are the
+    # integer form's cell mean and mass (``cell_means``), so they equal the
+    # component's atoms, not Fraction-times-float sums
+    law = DiscreteFinite([0.1, 0.7, 2.3], [F(1, 5), F(1, 2), F(3, 10)])
+    form = atom_lattice(law)
+    for level in (NoInfo(), Partition(cells=[(0, 1), (2,)]), FullInfo()):
+        comp = bid_component(Scenario(1, 1, ((law,),)), 1, 1, level)
+        atoms = [(F(1), comp.value)] if isinstance(comp, PointMass) else list(
+            zip(comp.probs, comp.values))
+        got = [(cell_probability(law, c), conditional_mean(law, level, c))
+               for c in cells(law, level)]
+        want = [(F(mass, form.prob_den), F(*cell_mean))
+                for mass, cell_mean in cell_means(form, distributions._atom_cells(law, level))]
+        assert got == want == atoms
+        assert all(type(x) is F for pair in got for x in pair)
+
+
 def test_float_atom_means_are_one_exact_rational():
-    # the NoInfo point mass, a two-cell component's mean and the exact
+    # mean, the NoInfo point mass, a two-cell component's mean and the exact
     # backend's hidden mean all take the integer form's mean, not the
     # float-rounded sum of p * v; rational atoms keep their mean
     law = DiscreteFinite([0.1, 0.7, 2.3], [F(1, 5), F(1, 2), F(3, 10)])
     exact_mean = sum(F(v) * q for v, q in zip(law.values, law.probs))
-    assert lattice_mean(atom_lattice(law)) == exact_mean != F(mean(law))
+    assert lattice_mean(atom_lattice(law)) == exact_mean == mean(law)
     s = Scenario(1, 1, ((law,),))
     no_info = bid_component(s, 1, 1, NoInfo())
     assert type(no_info.value) is F and no_info == PointMass(exact_mean)
@@ -297,7 +317,7 @@ def test_mc_no_info_bid_is_the_exact_mean_as_a_float():
     law = DiscreteFinite([0.1, 0.7, 2.3], [F(1, 5), F(1, 2), F(3, 10)])
     exact_mean = lattice_mean(atom_lattice(law))
     assert engine._contribution_rule(law, NoInfo()) == float(exact_mean) == 1.0599999999999998
-    assert float(mean(law)) == 1.06
+    assert float(mean(law)) == 1.0599999999999998
     s = Scenario(1, 1, ((law,),))
     assert float(bid_component(s, 1, 1, NoInfo()).value) == engine._contribution_rule(law, NoInfo())
 
@@ -324,25 +344,56 @@ def test_mc_no_info_bid_is_the_exact_mean_as_a_float():
     assert engine._contribution_rule(floats, halves)(np.arange(1))[0] == 0.17142857142857143
 
 
-def _coin_scenario(m):
-    coin = DiscreteFinite([0, 1], [F(1, 2), F(1, 2)])
-    return validate(2, m, [[coin] * m] * 2, [list(range(1, m + 1))] * 2,
-                     [{j: FullInfo() for j in range(1, m + 1)}] * 2)
+def _sum_scenario(laws):
+    """2 bidders, each aware of every law and fully informed of it."""
+    m = len(laws)
+    return validate(2, m, [laws] * 2, [list(range(1, m + 1))] * 2,
+                    [{j: FullInfo() for j in range(1, m + 1)}] * 2)
+
+
+def _column(p, bidder):
+    return tuple((bidder, j, p.level(bidder, j)) for j in sorted(p.aware(bidder)))
 
 
 def test_exact_fold_bound_admits_its_own_size_and_refuses_past_it():
-    # 16 fair coins: a product of supports of exactly the bound folds (to 17
-    # points); a 17th coin is refused before any fold, naming the column
-    assert engine._FOLD_CAP == 2 ** 16
-    s, p = _coin_scenario(16)
+    # the bound is on the support a fold reaches: 16 laws {0, 2^(j-1)} fold
+    # to exactly the bound's 2^16 distinct sums and are admitted; a 17th is
+    # refused, naming the column; fair coins collapse to m + 1 points, so 17
+    # and 40 of them fold however large the product of their supports
+    assert distributions._FOLD_CAP == 2 ** 16
+    powers = [DiscreteFinite([0, 2 ** (j - 1)], [F(1, 2), F(1, 2)]) for j in range(1, 18)]
+    s, p = _sum_scenario(powers[:16])
     b = engine.estimate(s, p, EXACT)
-    assert b.first_order_stat > 8 and b.first_order_stat == revenue(s, p, EXACT).total_revenue
-    s, p = _coin_scenario(17)
-    with pytest.raises(engine.EstimationError) as err:
+    assert len(bid_lattice(s, _column(p, 1)).nums) == 2 ** 16
+    assert b.first_order_stat > (2 ** 16 - 1) / 2
+    s, p = _sum_scenario(powers)
+    with pytest.raises(DistributionError) as err:
         engine.estimate(s, p, EXACT)
     msg = str(err.value)
-    assert "bidder 1" in msg and str(list(range(1, 18))) in msg
-    assert str(2 ** 17) in msg and str(2 ** 16) in msg
+    assert "bidder 1" in msg and str(list(range(1, 18))) in msg and str(2 ** 16) in msg
+    coin = DiscreteFinite([0, 1], [F(1, 2), F(1, 2)])
+    for m in (17, 40):
+        s, p = _sum_scenario([coin] * m)
+        b = engine.estimate(s, p, EXACT)
+        assert len(bid_lattice(s, _column(p, 1)).nums) == m + 1
+        assert F(m, 2) < b.first_order_stat == revenue(s, p, EXACT).total_revenue
+
+
+def test_analytic_value_past_the_bound_falls_back_to_monte_carlo(monkeypatch):
+    # a common-awareness candidate whose valuation law folds past the bound
+    # has no analytic value: the search scores it by Monte Carlo, and the
+    # exact backend refuses it, naming the column
+    monkeypatch.setattr(distributions, "_FOLD_CAP", 4)
+    s, _p, _cfg = parse_scenario(str(SCENARIO_DIR / "example1_discrete.json"))
+    config = engine.EstimatorConfig(backend="mc", n_samples=20_000, seed=3)
+    values = dict(disclosure.optimize(s, "public-full-info", config).trace)
+    policy = disclosure._common_policy(s, frozenset({1, 2}), {1: FullInfo(), 2: FullInfo()})
+    assert values["common=[1]"] == F(175, 54)
+    assert values["common=[1, 2]"] == revenue(s, policy, config).total_revenue
+    assert isinstance(values["common=[1, 2]"], float)
+    with pytest.raises(DistributionError) as err:
+        disclosure.optimize(s, "public-full-info", EXACT)
+    assert "bidder 1" in str(err.value) and "[1, 2]" in str(err.value)
 
 
 def test_float_point_masses_shift_in_floating_point():

@@ -11,12 +11,11 @@ from .distributions import (
     DiscreteFinite,
     DistributionError,
     FullInfo,
-    GridLaw,
     NoInfo,
     Normal,
     Partition,
     PointMass,
-    TrapezoidLaw,
+    SumLaw,
     UniformContinuous,
     cdf,
     conditional_mean,

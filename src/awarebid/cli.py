@@ -34,7 +34,7 @@ from .distributions import (
     Normal,
     Partition,
     PointMass,
-    TrapezoidLaw,
+    SumLaw,
     UniformContinuous,
     as_fraction,
 )
@@ -79,6 +79,17 @@ def _dist_from_dict(obj, path):
     raise ParseError(path, f"unknown distribution kind {kind!r}")
 
 
+def _count(value, path):
+    """A JSON count as an int: an integer, an integral float or a numeric
+    string; a boolean or a fractional number is refused with its path."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ParseError(path, f"need an integer, got {json.dumps(value)}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(path, str(exc)) from exc
+
+
 def _level_from_json(obj, path):
     if obj == "none":
         return NoInfo()
@@ -87,7 +98,7 @@ def _level_from_json(obj, path):
     if isinstance(obj, dict) and "cutpoints" in obj:
         return Partition(cutpoints=[float(c) for c in obj["cutpoints"]])
     if isinstance(obj, dict) and "cells" in obj:
-        return Partition(cells=[[int(i) for i in cell] for cell in obj["cells"]])
+        return Partition(cells=[[_count(i, path) for i in cell] for cell in obj["cells"]])
     raise ParseError(path, f"unknown info level {obj!r}")
 
 
@@ -106,12 +117,10 @@ def parse_scenario(path: str):
     if not isinstance(doc, dict):
         raise ParseError("", "top level must be an object")
     try:
-        n = int(doc["bidders"])
+        n = _count(doc["bidders"], "bidders")
         chars = doc["characteristics"]
     except KeyError as exc:
         raise ParseError("", f"missing top-level field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError("bidders", str(exc)) from exc
     if not isinstance(chars, list) or not chars:
         raise ParseError("characteristics", "need a nonempty list")
     m = len(chars)
@@ -128,7 +137,8 @@ def parse_scenario(path: str):
     if not isinstance(awareness, list) or len(awareness) != n:
         raise ParseError("awareness", f"need one list of characteristic ids per bidder ({n})")
     for i, a in enumerate(awareness):
-        if not isinstance(a, list) or not all(isinstance(j, int) for j in a):
+        if not isinstance(a, list) or not all(
+                isinstance(j, int) and not isinstance(j, bool) for j in a):
             raise ParseError(f"awareness[{i}]", "need a list of integer characteristic ids")
     info_doc = doc.get("info")
     if not isinstance(info_doc, list) or len(info_doc) != n:
@@ -148,12 +158,11 @@ def parse_scenario(path: str):
     est = doc.get("estimator", {})
     if not isinstance(est, dict):
         raise ParseError("estimator", "need an object")
+    counts = {field: _count(est.get(key, default), f"estimator.{key}")
+              for field, key, default in (("n_samples", "samples", 100_000),
+                                          ("seed", "seed", 0), ("workers", "workers", 1))}
     try:
-        config = EstimatorConfig(
-            n_samples=int(est.get("samples", 100_000)),
-            seed=int(est.get("seed", 0)),
-            backend=str(est.get("backend", "mc")),
-            workers=int(est.get("workers", 1)))
+        config = EstimatorConfig(backend=str(est.get("backend", "mc")), **counts)
     except (EstimationError, TypeError, ValueError) as exc:
         raise ParseError("estimator", str(exc)) from exc
 
@@ -255,8 +264,9 @@ def _cmd_curse(s, p, config, args) -> ReportDocument:
     return rep
 
 
-def _uniform_family(law) -> bool:
-    return isinstance(law, (UniformContinuous, TrapezoidLaw, DiscreteFinite, PointMass))
+def _rational_cdf_law(law) -> bool:
+    """A law without a normal part, whose exact CDF ``rational_cdf`` builds."""
+    return not isinstance(law, Normal) and not (isinstance(law, SumLaw) and law.sigma)
 
 
 def _cmd_orderstats(s, p, config, args) -> ReportDocument:
@@ -268,7 +278,7 @@ def _cmd_orderstats(s, p, config, args) -> ReportDocument:
     if s.n_bidders >= 2:
         e2 = expected_order_stat(OrderStatLaw(tuple(laws), 2))
         rep.add("expected_second_order_stat", e2, None, "analytic")
-    if all(_uniform_family(law) for law in laws):
+    if all(_rational_cdf_law(law) for law in laws):
         ref = expected_value(order_stat_rational(laws, 1))
         rep.add("reference_expected_first_order_stat", ref, None, "exact")
         rep.add("agreement_1e9", bool(abs(float(e1) - float(ref)) < 1e-9), None, "")

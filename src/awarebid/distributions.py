@@ -2,8 +2,9 @@
 
 Three constructible laws (uniform interval, normal, finite discrete with
 exact rational atom probabilities), plus the derived laws that arise when
-laws are summed: point masses, trapezoids (sum of two uniforms) and numeric
-grid CDFs.  Information about a realized value is modeled as a finite
+laws are summed: point masses and closed-form sum laws (``SumLaw``, a
+discrete part plus uniform parts plus a normal part; ``sum_pieces``).
+Information about a realized value is modeled as a finite
 measurable partition of the support; conditional expectations given a
 partition cell are closed-form for every supported kind, which is what makes
 bid computation exact for discrete scenarios and cheap for continuous ones.
@@ -38,8 +39,7 @@ __all__ = [
     "DiscreteFinite",
     "PointMass",
     "AtomLattice",
-    "TrapezoidLaw",
-    "GridLaw",
+    "SumLaw",
     "Distribution",
     "Law",
     "NoInfo",
@@ -51,11 +51,11 @@ __all__ = [
     "as_fraction",
     "mean",
     "cdf",
-    "pdf",
     "ppf",
     "support",
     "breakpoints",
     "convolve",
+    "sum_pieces",
     "atom_lattice",
     "fold_atom_lattices",
     "lattice_mean",
@@ -65,14 +65,12 @@ __all__ = [
     "cells",
     "cell_probability",
     "conditional_mean",
-    "GRID_POINTS",
     "TAIL_EPS",
 ]
 
-# Grid-convolution resolution and the quantile range the grid spans.
-GRID_POINTS = 2 ** 14
+# tail mass that quantile_range leaves out on each side
 TAIL_EPS = 1e-12
-# support points a sum of discrete laws may reach
+# support points a sum of discrete laws, and knots a sum law, may reach
 _FOLD_CAP = 2 ** 16
 
 
@@ -278,51 +276,28 @@ def lattice_law(form: AtomLattice):
 
 
 @dataclass(frozen=True)
-class TrapezoidLaw:
-    """Density rising linearly on [a, b], flat on [b, c], falling on [c, d].
+class SumLaw:
+    """Law of D + U_1 + ... + U_k + N, the independent sum that ``convolve``
+    returns whenever a sum is not a base law: D finitely supported (its
+    integer form ``lattice``), U_i uniform on [0, ``widths[i]``] (exact
+    Fractions), N a centred normal with standard deviation ``sigma`` (0.0
+    for none).  Without N the CDF is the exact piecewise polynomial of
+    ``sum_pieces``; with N each piece is smoothed in closed form."""
 
-    The sum of two independent uniforms is the symmetric case b - a == d - c.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
+    lattice: AtomLattice
+    widths: tuple
+    sigma: float = 0.0
 
     def __post_init__(self):
-        if not (self.a <= self.b <= self.c <= self.d) or self.a == self.d:
-            raise DistributionError("trapezoid needs a <= b <= c <= d with a < d")
-
-    @property
-    def height(self) -> float:
-        return 2.0 / float((self.d + self.c) - (self.a + self.b))
-
-
-class GridLaw:
-    """Numeric CDF on an equally spaced grid (fallback convolution output)."""
-
-    __slots__ = ("xs", "pdf", "cdf_values")
-
-    def __init__(self, xs: np.ndarray, pdf: np.ndarray):
-        self.xs = np.asarray(xs, dtype=np.float64)
-        self.pdf = np.asarray(pdf, dtype=np.float64)
-        if self.xs.ndim != 1 or self.xs.shape != self.pdf.shape or self.xs.size < 8:
-            raise DistributionError("grid law needs matching 1-d arrays")
-        h = self.xs[1] - self.xs[0]
-        cdf = np.concatenate([[0.0], np.cumsum((self.pdf[1:] + self.pdf[:-1]) * 0.5 * h)])
-        total = cdf[-1]
-        if not (math.isfinite(total) and total > 0):
-            raise DistributionError(f"grid law mass must be finite and positive, got {total}")
-        # trapezoid accumulation drifts by quadrature error; renormalize.
-        self.pdf = self.pdf / total
-        self.cdf_values = cdf / total
-
-    def __repr__(self):
-        return f"GridLaw(n={self.xs.size}, [{self.xs[0]:.6g}, {self.xs[-1]:.6g}])"
+        _require_finite("sum law", sigma=self.sigma)
+        if any(w <= 0 for w in self.widths) or self.sigma < 0:
+            raise DistributionError("a sum law needs positive widths and sigma >= 0")
+        if not (self.widths or self.sigma):
+            raise DistributionError("a sum law needs a uniform or a normal part")
 
 
 Distribution = Union[UniformContinuous, Normal, DiscreteFinite]
-Law = Union[Distribution, PointMass, TrapezoidLaw, GridLaw]
+Law = Union[Distribution, PointMass, SumLaw]
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +397,8 @@ def _validate_partition(dist: Distribution, level: Partition):
 # ---------------------------------------------------------------------------
 
 def mean(law: Law):
-    """Exact mean; a Fraction for a discrete law (``lattice_mean``)."""
+    """Exact mean; a Fraction for a discrete law (``lattice_mean``) and for
+    a sum law."""
     if isinstance(law, UniformContinuous):
         return (law.lo + law.hi) / 2
     if isinstance(law, Normal):
@@ -431,17 +407,8 @@ def mean(law: Law):
         return lattice_mean(atom_lattice(law))
     if isinstance(law, PointMass):
         return law.value
-    if isinstance(law, TrapezoidLaw):
-        a, b, c, d = law.a, law.b, law.c, law.d
-        h = law.height
-        m_rise = h * (b - a) / 2
-        m_flat = h * (c - b)
-        m_fall = h * (d - c) / 2
-        return (m_rise * (a + 2 * (b - a) / 3)
-                + m_flat * (b + c) / 2
-                + m_fall * (c + (d - c) / 3))
-    if isinstance(law, GridLaw):
-        return float(np.trapezoid(law.xs * law.pdf, law.xs))
+    if isinstance(law, SumLaw):
+        return lattice_mean(law.lattice) + sum(law.widths, Fraction(0)) / 2
     raise DistributionError(f"unsupported law {law!r}")
 
 
@@ -454,25 +421,32 @@ def support(law: Law):
         return law.values[0], law.values[-1]
     if isinstance(law, PointMass):
         return law.value, law.value
-    if isinstance(law, TrapezoidLaw):
-        return law.a, law.d
-    if isinstance(law, GridLaw):
-        return float(law.xs[0]), float(law.xs[-1])
+    if isinstance(law, SumLaw):
+        return (-math.inf, math.inf) if law.sigma else _span(law)
     raise DistributionError(f"unsupported law {law!r}")
+
+
+def _span(law):
+    """Exact support of a law's discrete and uniform parts."""
+    form, widths, _sigma = _sum_parts(law)
+    return (Fraction(form.nums[0], form.value_den),
+            Fraction(form.nums[-1], form.value_den) + sum(widths, Fraction(0)))
 
 
 def quantile_range(law: Law):
     """Finite interval carrying all mass except at most TAIL_EPS per tail."""
-    lo, hi = support(law)
-    if math.isinf(lo) or math.isinf(hi):
-        from scipy.special import ndtri
-        z = float(ndtri(TAIL_EPS))
-        return law.mean + z * law.stddev, law.mean - z * law.stddev
-    return float(lo), float(hi)
+    if not isinstance(law, (Normal, SumLaw)):
+        lo, hi = support(law)
+        return float(lo), float(hi)
+    from scipy.special import ndtri
+    lo, hi = _span(law)
+    spread = float(ndtri(TAIL_EPS)) * _sum_parts(law)[2]
+    return float(lo) + spread, float(hi) - spread
 
 
 def breakpoints(law: Law) -> list:
-    """Knots where the CDF changes analytic form (quadrature hints)."""
+    """Knots where the CDF changes analytic form or, with a normal part,
+    bends (quadrature hints)."""
     if isinstance(law, UniformContinuous):
         return [law.lo, law.hi]
     if isinstance(law, Normal):
@@ -481,10 +455,8 @@ def breakpoints(law: Law) -> list:
         return [float(v) for v in law.values]
     if isinstance(law, PointMass):
         return [float(law.value)]
-    if isinstance(law, TrapezoidLaw):
-        return [law.a, law.b, law.c, law.d]
-    if isinstance(law, GridLaw):
-        return []
+    if isinstance(law, SumLaw):
+        return _float_pieces(law)[0].tolist()
     raise DistributionError(f"unsupported law {law!r}")
 
 
@@ -503,47 +475,10 @@ def cdf(law: Law, x):
         out = cum[np.searchsorted(vals, x, side="right")]
     elif isinstance(law, PointMass):
         out = np.where(x >= law.value, 1.0, 0.0)
-    elif isinstance(law, TrapezoidLaw):
-        a, b, c, d = law.a, law.b, law.c, law.d
-        h = law.height
-        out = np.zeros_like(x)
-        if b > a:
-            rise = np.clip(x, a, b)
-            out += h * (rise - a) ** 2 / (2 * (b - a))
-        out += h * (np.clip(x, b, c) - b)
-        if d > c:
-            fall = np.clip(x, c, d)
-            out += h * ((fall - c) - (fall - c) ** 2 / (2 * (d - c)))
-        out = np.clip(out, 0.0, 1.0)
-    elif isinstance(law, GridLaw):
-        out = np.interp(x, law.xs, law.cdf_values, left=0.0, right=1.0)
+    elif isinstance(law, SumLaw):
+        out = _sum_cdf(law, x)
     else:
         raise DistributionError(f"unsupported law {law!r}")
-    return float(out) if scalar else out
-
-
-def pdf(law: Law, x):
-    """Density for continuous laws (used by grid convolution)."""
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=np.float64)
-    if isinstance(law, UniformContinuous):
-        out = np.where((x >= law.lo) & (x <= law.hi), 1.0 / (law.hi - law.lo), 0.0)
-    elif isinstance(law, Normal):
-        z = (x - law.mean) / law.stddev
-        out = np.exp(-0.5 * z * z) / (law.stddev * math.sqrt(2 * math.pi))
-    elif isinstance(law, TrapezoidLaw):
-        a, b, c, d = law.a, law.b, law.c, law.d
-        h = law.height
-        out = np.zeros_like(x)
-        if b > a:
-            out = np.where((x >= a) & (x < b), h * (x - a) / (b - a), out)
-        out = np.where((x >= b) & (x <= c), h, out)
-        if d > c:
-            out = np.where((x > c) & (x <= d), h * (d - x) / (d - c), out)
-    elif isinstance(law, GridLaw):
-        out = np.interp(x, law.xs, law.pdf, left=0.0, right=0.0)
-    else:
-        raise DistributionError(f"no density for {law!r}")
     return float(out) if scalar else out
 
 
@@ -611,78 +546,176 @@ def _shift(law: Law, c) -> Law:
         return DiscreteFinite([v + c for v in law.values], law.probs)
     if isinstance(law, PointMass):
         return PointMass(law.value + c)
-    if isinstance(law, TrapezoidLaw):
-        return TrapezoidLaw(law.a + c, law.b + c, law.c + c, law.d + c)
-    if isinstance(law, GridLaw):
-        out = GridLaw.__new__(GridLaw)
-        out.xs = law.xs + float(c)
-        out.pdf = law.pdf
-        out.cdf_values = law.cdf_values
-        return out
     raise DistributionError(f"cannot shift {law!r}")
 
 
 def convolve(a: Law, b: Law) -> Law:
-    """Law of the sum of two independent laws.
+    """Law of the sum of two independent laws, in closed form.
 
-    Closed forms: normal+normal, discrete+discrete (exact rational atoms,
-    by ``fold_atom_lattices``), uniform+uniform (trapezoid), and any shift
-    by a point mass.  Every other pairing falls back to a numeric grid CDF
-    of ``GRID_POINTS`` points spanning the combined 1e-12 quantile range;
-    support edges then land within one grid step, so grid-law moments and
-    CDF values are accurate to O(span / GRID_POINTS), about 1e-4.
+    A point mass shifts a base law, two discrete laws fold exactly
+    (``fold_atom_lattices``) and two normals add variances.  Every other
+    sum is a ``SumLaw``: the discrete parts fold, the uniform widths are
+    collected and the normal deviations add in quadrature.
     """
     for law in (a, b):
-        if not isinstance(law, (UniformContinuous, Normal, DiscreteFinite,
-                                PointMass, TrapezoidLaw, GridLaw)):
+        if not isinstance(law, (UniformContinuous, Normal, DiscreteFinite, PointMass, SumLaw)):
             raise DistributionError(f"cannot convolve {law!r}")
-    if isinstance(a, PointMass):
+    if isinstance(a, PointMass) and not isinstance(b, SumLaw):
         return _shift(b, a.value)
-    if isinstance(b, PointMass):
+    if isinstance(b, PointMass) and not isinstance(a, SumLaw):
         return _shift(a, b.value)
     if isinstance(a, DiscreteFinite) and isinstance(b, DiscreteFinite):
         return lattice_law(fold_atom_lattices((atom_lattice(a), atom_lattice(b))))
     if isinstance(a, Normal) and isinstance(b, Normal):
         return Normal(a.mean + b.mean, math.hypot(a.stddev, b.stddev))
-    if isinstance(a, UniformContinuous) and isinstance(b, UniformContinuous):
-        w1 = min(a.hi - a.lo, b.hi - b.lo)
-        w2 = max(a.hi - a.lo, b.hi - b.lo)
-        lo = a.lo + b.lo
-        return TrapezoidLaw(lo, lo + w1, lo + w2, lo + w1 + w2)
-    return _grid_convolve(a, b)
+    (form_a, widths_a, sigma_a), (form_b, widths_b, sigma_b) = _sum_parts(a), _sum_parts(b)
+    return SumLaw(fold_atom_lattices((form_a, form_b)), tuple(sorted(widths_a + widths_b)),
+                  math.hypot(sigma_a, sigma_b))
 
 
-def _grid_convolve(a: Law, b: Law) -> GridLaw:
-    # An atom law shifts the other law's density; evaluate the mixture
-    # directly on the output grid instead of smearing atoms over bins.
-    if isinstance(b, DiscreteFinite) and not isinstance(a, DiscreteFinite):
-        a, b = b, a
-    if isinstance(a, DiscreteFinite):
-        alo, ahi = float(a.values[0]), float(a.values[-1])
-        blo, bhi = quantile_range(b)
-        xs = np.linspace(alo + blo, ahi + bhi, GRID_POINTS)
-        dens = np.zeros_like(xs)
-        for v, p in zip(a.values, a.probs):
-            dens += float(p) * pdf(b, xs - float(v))
-        return GridLaw(xs, dens)
-    alo, ahi = quantile_range(a)
-    blo, bhi = quantile_range(b)
-    dx = ((ahi - alo) + (bhi - blo)) / (GRID_POINTS - 1)
-    na = max(int(round((ahi - alo) / dx)) + 1, 2)
-    nb = max(int(round((bhi - blo) / dx)) + 1, 2)
-    xa = alo + dx * np.arange(na)
-    xb = blo + dx * np.arange(nb)
-    pa = pdf(a, xa)
-    pb = pdf(b, xb)
-    # trapezoid end-weights: the grids start and end exactly on the support
-    # bounds, where bounded densities jump; full weight there overcounts.
-    pa[0] *= 0.5
-    pa[-1] *= 0.5
-    pb[0] *= 0.5
-    pb[-1] *= 0.5
-    dens = np.convolve(pa, pb) * dx
-    xs = alo + blo + dx * np.arange(na + nb - 1)
-    return GridLaw(xs, dens)
+# ---------------------------------------------------------------------------
+# Sum laws
+# ---------------------------------------------------------------------------
+
+def _sum_parts(law: Law):
+    """(integer form, uniform widths, normal sigma) of a law read as a sum;
+    uniform bounds, normal means and point masses enter through
+    ``as_fraction``."""
+    if isinstance(law, SumLaw):
+        return law.lattice, law.widths, law.sigma
+    if isinstance(law, DiscreteFinite):
+        return atom_lattice(law), (), 0.0
+    if isinstance(law, UniformContinuous):
+        lo = as_fraction(law.lo)
+        return atom_lattice(PointMass(lo)), (as_fraction(law.hi) - lo,), 0.0
+    if isinstance(law, Normal):
+        return atom_lattice(PointMass(as_fraction(law.mean))), (), float(law.stddev)
+    if isinstance(law, PointMass):
+        return atom_lattice(PointMass(as_fraction(law.value))), (), 0.0
+    raise DistributionError(f"unsupported law {law!r}")
+
+
+def _pieces(law):
+    """(knots, polys) of a law's discrete and uniform parts, kept on it.
+
+    The CDF is sum_{d,S} (-1)^|S| p_d (x - d - sum_{i in S} w_i)_+^k /
+    (k! prod w_i).  Its knots' signed weights are the discrete masses, then
+    one difference delta_0 - delta_w per width, merged as they are built
+    (past ``_FOLD_CAP`` knots, DistributionError); a cancelled weight leaves
+    no knot.  A sweep on integers then keeps each piece in powers of the
+    distance to its left knot: a Taylor shift per knot gap, plus the knot's
+    weight on the top coefficient.
+    """
+    kept = law.__dict__.get("_pieces")
+    if kept is None:
+        form, widths, _sigma = _sum_parts(law)
+        den = math.lcm(form.value_den, *(w.denominator for w in widths))
+        steps = [w.numerator * (den // w.denominator) for w in widths]
+        weights = {x * (den // form.value_den): m for x, m in zip(form.nums, form.masses)}
+        for w in steps:
+            out = dict(weights)
+            for t, c in weights.items():
+                out[t + w] = out.get(t + w, 0) - c
+                if len(out) > _FOLD_CAP:
+                    raise DistributionError(f"a sum law has more than {_FOLD_CAP} knots")
+            weights = {t: c for t, c in out.items() if c}
+        k = len(steps)
+        scale = form.prob_den * math.factorial(k) * math.prod(steps)
+        powers = [den ** l for l in range(k + 1)]
+        nums = sorted(weights)
+        coef = [0] * (k + 1)
+        polys = []
+        for prev, n in zip(nums, nums[1:]):
+            coef[k] += weights[prev]
+            polys.append(tuple(Fraction(a * p, scale) for a, p in zip(coef, powers)))
+            _taylor_shift(coef, n - prev)
+        kept = tuple(Fraction(n, den) for n in nums), tuple(polys)
+        object.__setattr__(law, "_pieces", kept)
+    return kept
+
+
+def _taylor_shift(coef, delta):
+    """In place: ascending coefficients of p(X + delta) from those of p(X)."""
+    k = len(coef) - 1
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            coef[j] += delta * coef[j + 1]
+
+
+def sum_pieces(law):
+    """Exact CDF of a law without a normal part as (knots, polys): Fraction
+    knots and, on each [knots[j], knots[j+1]), the ascending coefficients
+    of the CDF in powers of x - knots[j]; the CDF is 0 below the first
+    knot and 1 from the last."""
+    if _sum_parts(law)[2]:
+        raise DistributionError(f"no exact piecewise CDF for {law!r}")
+    return _pieces(law)
+
+
+def _float_pieces(law: SumLaw):
+    """A sum law's pieces rounded once to float64, kept on it: the knots,
+    and one row of local coefficients per piece."""
+    kept = law.__dict__.get("_floats")
+    if kept is None:
+        knots, polys = _pieces(law)
+        kept = (np.array(knots, dtype=np.float64),
+                np.array(polys, dtype=np.float64).reshape(len(polys), len(law.widths) + 1))
+        object.__setattr__(law, "_floats", kept)
+    return kept
+
+
+# points x pieces per block of the smoothed CDF
+_SMOOTH_BLOCK = 2 ** 17
+
+
+def _sum_cdf(law: SumLaw, x: np.ndarray) -> np.ndarray:
+    """CDF of a sum law at float64 points: each point's piece found by
+    ``searchsorted`` and read by Horner in its local basis, or smoothed."""
+    knots, coefs = _float_pieces(law)
+    if law.sigma:
+        return _smoothed_cdf(knots, coefs, law.sigma, x)
+    j = np.searchsorted(knots, x, side="right") - 1
+    piece = np.clip(j, 0, len(coefs) - 1)
+    h = x - knots[piece]
+    out = coefs[piece, -1]
+    for col in range(coefs.shape[1] - 2, -1, -1):
+        out = out * h + coefs[piece, col]
+    return np.where(j < 0, 0.0, np.where(j >= len(coefs), 1.0, out))
+
+
+def _smoothed_cdf(knots, coefs, sigma, x):
+    """int G(u) phi_sigma(x - u) du for the piecewise polynomial G of
+    ``knots`` and ``coefs``, piece by piece: with u = x + sigma z a piece is
+    sum_r T_r (sigma z)^r, T_r its Taylor coefficients at x, and M_r = int
+    z^r phi(z) dz over its z-interval [a, b] is M_0 = Phi(b) - Phi(a) (from
+    the smaller tails), M_1 = phi(a) - phi(b), M_r = a^(r-1) phi(a) -
+    b^(r-1) phi(b) + (r-1) M_(r-2) (Owen 1980).  Above the last knot G is 1,
+    which adds Phi((x - last knot) / sigma)."""
+    from scipy.special import ndtr
+    flat = x.reshape(-1)
+    out = ndtr((flat - knots[-1]) / sigma)
+    degree = coefs.shape[1] - 1
+    step = max(1, _SMOOTH_BLOCK // len(knots))
+    for start in range(0, flat.size, step):
+        xs = flat[start:start + step]
+        z = (knots[:, None] - xs) / sigma
+        tail = ndtr(-np.abs(z))
+        dens = np.exp(-0.5 * z * z) * (1.0 / math.sqrt(2.0 * math.pi))
+        za, zb, ta, tb = z[:-1], z[1:], tail[:-1], tail[1:]
+        moments = [np.where(za > 0, ta - tb, np.where(zb <= 0, tb - ta, 1.0 - ta - tb))]
+        taylor = list(coefs.T[:, :, None] * np.ones(xs.size))
+        _taylor_shift(taylor, xs - knots[:-1, None])
+        total = taylor[0] * moments[0]
+        edge_a, edge_b = dens[:-1], dens[1:]
+        for r in range(1, degree + 1):
+            m = edge_a - edge_b
+            if r >= 2:
+                m = m + (r - 1) * moments[r - 2]
+            moments.append(m)
+            total += taylor[r] * (sigma ** r * m)
+            edge_a, edge_b = edge_a * za, edge_b * zb
+        out[start:start + step] += total.sum(axis=0)
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -185,14 +185,7 @@ def estimate_policies(s: Scenario, policies, config: EstimatorConfig) -> tuple:
     """One bundle per policy, in order; each is ``==`` to ``estimate`` of
     that policy alone.  Under Monte Carlo every policy is settled on the
     same draws, and each chunk of draws is generated once for all of them."""
-    policies = tuple(policies)
-    if not policies:
-        return ()
-    if s.n_bidders < 2:
-        raise EstimationError("second-price auction needs at least 2 bidders")
-    if config.backend == "exact":
-        return tuple(_exact_bundle(s, p, config) for p in policies)
-    return _mc_pass(s, (), policies, config)[1]
+    return score_policies(s, (), config, bundled=policies)[1]
 
 
 def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=()):

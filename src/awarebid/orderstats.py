@@ -11,7 +11,8 @@ unaware bidder omits.  A discrete component's atoms are its cell means
 column's keys, kept per scenario, and names the column when the fold
 passes its bound; the engine's exact backend, ``valuation_law`` and Prop 6
 read it.  Fraction atoms appear only when a law object is returned;
-``valuation_law`` folds other components by repeated convolution.
+``valuation_law`` folds other components by repeated convolution into a
+``SumLaw``, kept per scenario like the folds.
 
 Order statistics of independent but not identically distributed
 valuations have CDFs given by permanents of the matrix whose columns
@@ -21,22 +22,22 @@ float, integer and Fraction columns alike; its first class is the product
 of the CDFs, which is the whole of rank 1.
 
 Expectations integrate the CDF: E = int_0^inf (1-G) - int_{-inf}^0 G, by
-adaptive Simpson between analytic knots for closed forms, by grid trapezoid
-when a grid law is involved, and by an exact sweep over a common integer
-atom grid (``AtomGrid``) when every law is finitely supported.  The atom
-grid is the one exact route: ``atom_grid`` only rescales integer forms to
-common denominators and merges their supports, and the grid also settles
-exact second-price auctions (per-law surplus and 1/#ties win credit) for
-the engine; its results are the only Fractions it makes.  The numeric
-routes evaluate G on arrays: the grid in one call, adaptive Simpson level
-by level with every pending interval of a level in one call (at most
-``max_depth`` + 2 calls).  The integrand jumps at 0 (from -G to 1-G) and at
-every atom, all of them knots, so both routes take each knot interval's end
-values one ulp inside it: the one-sided limits that interval needs.  An
-expectation then takes about 10 calls (12 at most over the random mixes in
-the tests) instead of refining the interval at a jump to ``max_depth``.
-Both are bounded: a non-finite integrand value, or more than
-``MAX_EVALUATIONS`` points for one expectation, raises DistributionError.
+adaptive Simpson between analytic knots when some law is continuous, and
+by an exact sweep over a common integer atom grid (``AtomGrid``) when
+every law is finitely supported.  The atom grid is the one exact route:
+``atom_grid`` only rescales integer forms to common denominators and
+merges their supports, and the grid also settles exact second-price
+auctions (per-law surplus and 1/#ties win credit) for the engine; its
+results are the only Fractions it makes.  The numeric route evaluates G
+on arrays, adaptive Simpson level by level with every pending interval of
+a level in one call (at most ``max_depth`` + 2 calls).  The integrand
+jumps at 0 (from -G to 1-G) and at every atom, all of them knots, so it
+takes each knot interval's end values one ulp inside it: the one-sided
+limits that interval needs.  An expectation then takes about 10 calls (12
+at most over the random mixes in the tests) instead of refining the
+interval at a jump to ``max_depth``.  It is bounded: a non-finite
+integrand value, or more than ``MAX_EVALUATIONS`` points for one
+expectation beyond five per knot interval, raises DistributionError.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from .distributions import (
-    GRID_POINTS,
     AtomLattice,
     DiscreteFinite,
     DistributionError,
     FullInfo,
-    GridLaw,
     NoInfo,
     PointMass,
     _atom_cells,
@@ -87,8 +86,8 @@ __all__ = [
 ]
 
 SIMPSON_TOL = 1e-10
-# Hard cap on CDF evaluations per numeric expectation.  Smooth inputs need a
-# few thousand at most; a grid law needs GRID_POINTS plus its knots.
+# Hard cap on CDF evaluations per numeric expectation beyond the five that
+# each knot interval takes; smooth inputs need a few thousand at most.
 MAX_EVALUATIONS = 2 ** 18
 _GENERAL_RANK_MAX = 12
 
@@ -165,8 +164,10 @@ def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
     ``bid_component`` over the characteristics the view leaves the bidder
     aware of, in sorted order, folded by ``bid_lattice`` when every
     component is a discrete law or a rational point mass, else by
-    ``convolve`` (a float point mass, the mean of a continuous law, then
-    shifts by float addition and makes no Fractions)."""
+    ``convolve`` (a float point mass, the mean of a continuous law, shifts a
+    base law by float addition and makes no Fractions).  A sum law is built
+    once per column and kept on the scenario, its pieces included; past
+    ``_FOLD_CAP`` knots it is refused naming the column."""
     seen = perceive(p, view)
     keys = tuple((bidder, j, seen.level(bidder, j)) for j in sorted(seen.aware(bidder)))
     components = [bid_component(s, *key) for key in keys]
@@ -176,7 +177,18 @@ def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
            or isinstance(comp, PointMass) and not isinstance(comp.value, float)
            for comp in components):
         return lattice_law(bid_lattice(s, keys))
-    return reduce(convolve, components, PointMass(0))
+    laws = s.__dict__.setdefault("_sum_laws", {})
+    law = laws.get(keys)
+    if law is None:
+        try:
+            law = reduce(convolve, components, PointMass(0))
+            breakpoints(law)            # builds and bounds a sum law's pieces
+        except DistributionError as exc:
+            raise DistributionError(
+                f"bidder {bidder}'s bid over characteristics "
+                f"{[j for _i, j, _level in keys]}: {exc}") from exc
+        laws[keys] = law
+    return law
 
 
 @dataclass(frozen=True)
@@ -338,14 +350,18 @@ def _expected_numeric(os_law: OrderStatLaw) -> float:
     los, his = zip(*(quantile_range(law) for law in os_law.laws))
     lo, hi = min(los), max(his)
     lo, hi = min(lo, 0.0), max(hi, 0.0)
+    # knots may be Fractions (a law shifted by an exact point mass); the
+    # quadrature works on float arrays.
+    knots = sorted({float(k) for k in (lo, hi, 0.0, *(
+        k for law in os_law.laws for k in breakpoints(law) if lo < k < hi))})
+    budget = MAX_EVALUATIONS + 5 * (len(knots) - 1)
     evaluations = 0
 
     def integrand(ys):
         nonlocal evaluations
         evaluations += ys.size
-        if evaluations > MAX_EVALUATIONS:
-            raise DistributionError(
-                f"quadrature needs more than {MAX_EVALUATIONS} CDF evaluations")
+        if evaluations > budget:
+            raise DistributionError(f"quadrature needs more than {budget} CDF evaluations")
         g = os_law.cdf(ys)
         out = np.where(ys >= 0, 1.0 - g, -g)
         bad = ~np.isfinite(out)
@@ -354,36 +370,12 @@ def _expected_numeric(os_law: OrderStatLaw) -> float:
                 f"order-statistic CDF is not finite at y={float(ys[bad][0])!r}")
         return out
 
-    # knots may be Fractions (a law shifted by an exact point mass); the
-    # quadrature works on float arrays.
-    knots = sorted({float(k) for k in (lo, hi, 0.0, *(
-        k for law in os_law.laws for k in breakpoints(law) if lo < k < hi))})
-    if any(isinstance(law, GridLaw) for law in os_law.laws):
-        return _integrate_grid(integrand, knots)
     # summed in order, as the recursion did; np.sum and Python 3.12's sum()
     # would round differently
     total = 0.0
     for part in _simpson_by_level(integrand, np.asarray(knots), SIMPSON_TOL):
         total += part
     return total
-
-
-def _integrate_grid(fn, knots) -> float:
-    """Trapezoid on a uniform grid plus the knots, in one ``fn`` call.
-
-    Every knot interval's end values are taken one ulp inside it, so an
-    interior knot appears twice, as the end of one interval and the start
-    of the next; the zero-width step between the two copies adds nothing.
-    """
-    knots = np.asarray(knots)
-    xs = np.unique(np.concatenate([
-        np.linspace(knots[0], knots[-1], GRID_POINTS), knots]))
-    xs = np.insert(xs, np.searchsorted(xs, knots[1:-1]), knots[1:-1])
-    first = np.searchsorted(xs, knots)        # an interior knot's second copy follows
-    ys = xs.copy()
-    ys[first[:-1] + (np.arange(knots.size - 1) > 0)] = np.nextafter(knots[:-1], np.inf)
-    ys[first[1:]] = np.nextafter(knots[1:], -np.inf)
-    return float(np.trapezoid(fn(ys), xs))
 
 
 def _simpson_by_level(fn, knots, tol, max_depth=48):

@@ -1,29 +1,26 @@
-"""Exact rational CDFs for the uniform family of laws.
+"""Exact rational CDFs for laws without a normal part.
 
-Uniform, trapezoid (sum of two uniforms), atom and point-mass laws with
-rational parameters all have CDFs that are piecewise polynomials with
-rational coefficients.  Products and rank-two combinations of such CDFs
-stay piecewise polynomial, and their expected values integrate in closed
-form, giving an independent exact route to the order-statistic moments that
-the quadrature path computes in floating point.
+Uniform, discrete and point-mass laws with rational parameters, and every
+sum of them (``distributions.SumLaw`` without a normal part), have CDFs
+that are piecewise polynomials with rational coefficients
+(``distributions.sum_pieces``).  Products and rank-two combinations of
+such CDFs stay piecewise polynomial, and their expected values integrate
+in closed form, giving an independent exact route to the order-statistic
+moments that the quadrature path computes in floating point.
 
 Polynomials are coefficient tuples in ascending degree.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
-from .distributions import (
-    DiscreteFinite,
-    DistributionError,
-    PointMass,
-    TrapezoidLaw,
-    UniformContinuous,
-    as_fraction,
-)
+from .distributions import _taylor_shift, as_fraction, sum_pieces
 
 __all__ = ["RationalCDF", "rational_cdf", "order_stat_rational", "expected_value"]
 
@@ -77,68 +74,40 @@ class RationalCDF:
             if not a < b:
                 raise ValueError("knots must be strictly increasing")
 
-    def piece_at(self, x):
-        k = bisect_right(self.knots, x)     # knots[k-1] <= x < knots[k]
-        if k == 0:
-            return _ZERO
-        if k == len(self.knots):
-            return _ONE
-        return self.polys[k - 1]
-
     def __call__(self, x) -> Fraction:
-        return _peval(self.piece_at(as_fraction(x)), as_fraction(x))
+        x = as_fraction(x)
+        k = bisect_right(self.knots, x)     # knots[k-1] <= x < knots[k]
+        return _peval(_ZERO if k == 0 else _ONE if k == len(self.knots) else self.polys[k - 1], x)
 
 
 def rational_cdf(law) -> RationalCDF:
-    """Exact CDF of a uniform-family law with rational parameters."""
-    if isinstance(law, UniformContinuous):
-        lo, hi = as_fraction(law.lo), as_fraction(law.hi)
-        w = hi - lo
-        return RationalCDF((lo, hi), ((-lo / w, 1 / w),))
-    if isinstance(law, TrapezoidLaw):
-        a, b, c, d = (as_fraction(v) for v in (law.a, law.b, law.c, law.d))
-        h = 2 / ((d + c) - (a + b))
-        knots = [a]
-        polys = []
-        if b > a:
-            # h (x-a)^2 / (2(b-a))
-            k = h / (2 * (b - a))
-            polys.append((k * a * a, -2 * k * a, k))
-            knots.append(b)
-        gb = h * (b - a) / 2
-        if c > b:
-            polys.append(_padd((gb - h * b,), (Fraction(0), h)))
-            knots.append(c)
-        if d > c:
-            # 1 - h (d-x)^2 / (2(d-c))
-            k = h / (2 * (d - c))
-            polys.append((1 - k * d * d, 2 * k * d, -k))
-            knots.append(d)
-        return RationalCDF(tuple(knots), tuple(polys))
-    if isinstance(law, DiscreteFinite):
-        vals = tuple(as_fraction(v) for v in law.values)
-        cum = []
-        run = Fraction(0)
-        for p in law.probs[:-1]:
-            run += p
-            cum.append((run,))
-        return RationalCDF(vals, tuple(cum))
-    if isinstance(law, PointMass):
-        return RationalCDF((as_fraction(law.value),), ())
-    raise DistributionError(f"no rational CDF for {law!r}")
+    """Exact CDF of a law without a normal part: ``sum_pieces`` with each
+    piece re-expanded in powers of x.  Law parameters enter through
+    ``as_fraction``."""
+    knots, polys = sum_pieces(law)
+    coefs = [list(poly) for poly in polys]
+    for knot, coef in zip(knots, coefs):
+        _taylor_shift(coef, -knot)
+    return RationalCDF(knots, tuple(map(tuple, coefs)))
 
 
 def _combine(cdfs, term_fn):
     """Piecewise combination of CDFs; term_fn maps a tuple of piece polys to
-    the combined poly on that interval."""
-    knots = sorted({k for c in cdfs for k in c.knots})
-    out_knots = [knots[0]]
-    out_polys = []
-    for lo, hi in zip(knots, knots[1:]):
-        pieces = tuple(c.piece_at(lo) for c in cdfs)
-        out_polys.append(term_fn(pieces))
-        out_knots.append(hi)
-    return RationalCDF(tuple(out_knots), tuple(out_polys))
+    the combined poly on that interval.  One merge sweep over the CDFs'
+    sorted knot lists keeps each CDF's current piece."""
+    pieces = [_ZERO] * len(cdfs)
+    passed = [0] * len(cdfs)
+    knots, polys = [], []
+    events = heapq.merge(*([(k, i) for k in c.knots] for i, c in enumerate(cdfs)))
+    for knot, group in groupby(events, key=itemgetter(0)):
+        if knots:
+            polys.append(term_fn(tuple(pieces)))
+        for _knot, i in group:
+            passed[i] += 1
+            c = cdfs[i]
+            pieces[i] = c.polys[passed[i] - 1] if passed[i] < len(c.knots) else _ONE
+        knots.append(knot)
+    return RationalCDF(tuple(knots), tuple(polys))
 
 
 def order_stat_rational(laws, rank: int) -> RationalCDF:

@@ -90,6 +90,38 @@ def test_parse_unknown_kind_and_level(tmp_path):
         parse_scenario(_write(tmp_path, doc))
 
 
+def _set(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("where,value,path", [
+    (("bidders",), 2.9, "bidders"),
+    (("bidders",), True, "bidders"),
+    (("estimator", "samples"), 2.5, "estimator.samples"),
+    (("estimator", "seed"), 7.9, "estimator.seed"),
+    (("estimator", "workers"), 1.7, "estimator.workers"),
+    (("awareness",), [[True, 2], [1]], "awareness[0]"),
+    (("info", 0, "1"), {"cells": [[0.7], [1]]}, "info[0].1"),
+], ids=["bidders", "bidders-bool", "samples", "seed", "workers", "awareness-bool",
+        "cell-index"])
+def test_non_integral_counts_exit_one_with_their_path(capsysbinary, tmp_path, where, value,
+                                                      path):
+    # each was once truncated (2.9 bidders ran as 2, a cell [0.7] as [0])
+    # or read true as characteristic 1, and the command exited 0
+    doc = _d1_doc()
+    _set(doc, where, value)
+    assert main(["revenue", "--scenario", _write(tmp_path, doc)]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.startswith(f"error: {path}: ".encode())
+    whole = dict(_d1_doc(), bidders=2.0)
+    whole["estimator"] = dict(whole["estimator"], samples=1000.0)
+    assert parse_scenario(_write(tmp_path, whole))[2].n_samples == 1000
+
+
 def test_revenue_command_on_d1(capsysbinary, scenario_dir):
     status, out = run_cli(capsysbinary,
                           ["revenue", "--scenario", str(scenario_dir / "d1.json")])

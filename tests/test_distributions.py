@@ -11,15 +11,15 @@ from awarebid.distributions import (
     DiscreteFinite,
     DistributionError,
     FullInfo,
-    GridLaw,
     NoInfo,
     Normal,
     Partition,
     PointMass,
     SignalCell,
-    TrapezoidLaw,
+    SumLaw,
     UniformContinuous,
     atom_index,
+    atom_lattice,
     bin_index,
     canonical_info,
     cdf,
@@ -28,8 +28,9 @@ from awarebid.distributions import (
     conditional_mean,
     convolve,
     mean,
-    pdf,
     ppf,
+    quantile_range,
+    sum_pieces,
     support,
 )
 from awarebid.engine import _uniform_chunk, sample_draws
@@ -74,16 +75,16 @@ def test_constructors_reject_non_finite_parameters(build, x):
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-def test_grid_law_rejects_non_finite_mass(x):
-    density = np.ones(16)
-    density[5] = x
+def test_sum_law_rejects_non_finite_sigma(x):
     with pytest.raises(DistributionError, match="finite"):
-        GridLaw(np.linspace(0.0, 1.0, 16), density)
+        SumLaw(atom_lattice(PointMass(0)), (F(1),), x)
 
 
-def test_grid_law_rejects_zero_mass():
+def test_sum_law_rejects_an_empty_continuous_part():
+    with pytest.raises(DistributionError, match="uniform or a normal"):
+        SumLaw(atom_lattice(PointMass(0)), ())
     with pytest.raises(DistributionError, match="positive"):
-        GridLaw(np.linspace(0.0, 1.0, 16), np.zeros(16))
+        SumLaw(atom_lattice(PointMass(0)), (F(0),))
 
 
 def test_cdf_examples():
@@ -220,18 +221,57 @@ def test_sample_uses_inverse_cdf():
 
 # --- convolution -----------------------------------------------------------
 
+def _exact_density(law, y):
+    """Right derivative at y of the exact piecewise CDF of ``law``."""
+    knots, polys = sum_pieces(law)
+    j = max(k for k in range(len(polys)) if knots[k] <= y)
+    h = y - knots[j]
+    return sum(l * c * h ** (l - 1) for l, c in enumerate(polys[j]) if l)
+
+
 def test_convolve_uniforms_gives_trapezoid_density():
     trap = convolve(UniformContinuous(0, 5), UniformContinuous(-6, 5))
-    assert isinstance(trap, TrapezoidLaw)
-    assert (trap.a, trap.b, trap.c, trap.d) == (-6, -1, 5, 10)
-    for y in (-5.5, -3.0, -1.0):
-        assert pdf(trap, y) == pytest.approx((6 + y) / 55, abs=1e-12)
-    for y in (-0.5, 2.0, 5.0):
-        assert pdf(trap, y) == pytest.approx(1 / 11, abs=1e-12)
-    for y in (6.0, 8.5, 9.9):
-        assert pdf(trap, y) == pytest.approx((10 - y) / 55, abs=1e-12)
+    assert trap == SumLaw(atom_lattice(PointMass(-6)), (F(5), F(11)))
+    assert sum_pieces(trap)[0] == (-6, -1, 5, 10)
+    for y in (F(-11, 2), F(-3), F(-1)):
+        assert _exact_density(trap, y) == (6 + y) / 55
+    for y in (F(-1, 2), F(2), F(5)):
+        assert _exact_density(trap, y) == F(1, 11)
+    for y in (F(6), F(17, 2), F(99, 10)):
+        assert _exact_density(trap, y) == (10 - y) / 55
     assert cdf(trap, -6) == 0.0 and cdf(trap, 10) == 1.0
-    assert mean(trap) == pytest.approx(2.0, abs=1e-12)
+    assert mean(trap) == 2
+
+
+def _trapezoid_cdf(x):
+    """CDF of U(0, 5) + U(-6, 5) in closed form."""
+    if x < -1:
+        return max(x + 6, 0) ** 2 / 110
+    if x < 5:
+        return (5 + 2 * x + 2) / 22
+    return 1 - max(10 - x, 0) ** 2 / 110
+
+
+def test_uniform_sums_cdf_is_their_closed_form():
+    xs = np.linspace(-7.0, 11.0, 1801)
+    trap = convolve(UniformContinuous(0, 5), UniformContinuous(-6, 5))
+    assert np.max(np.abs(cdf(trap, xs) - [_trapezoid_cdf(x) for x in xs])) <= 1e-14
+    # prop4_demo's bidder under common awareness of characteristics 1 and 3
+    law = convolve(UniformContinuous(0, 5), DiscreteFinite([0, 2], [F(1, 2), F(1, 2)]))
+    want = (np.clip(xs / 5, 0, 1) + np.clip((xs - 2) / 5, 0, 1)) / 2
+    assert np.max(np.abs(cdf(law, xs) - want)) <= 1e-14
+
+
+def test_normal_plus_uniform_cdf_is_its_closed_form():
+    # N(0, 1) + U(0, 1) has CDF psi(x) - psi(x - 1), psi(z) = z Phi(z) + phi(z)
+    from scipy.special import ndtr
+
+    def psi(z):
+        return z * ndtr(z) + np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+    xs = np.linspace(-8.0, 9.0, 1701)
+    law = convolve(Normal(0.0, 1.0), UniformContinuous(0.0, 1.0))
+    assert np.max(np.abs(cdf(law, xs) - (psi(xs) - psi(xs - 1)))) <= 1e-14
 
 
 def test_convolve_normals_closed_form():
@@ -258,15 +298,14 @@ def test_convolve_point_mass_shifts():
 
 def test_convolve_grid_fallback_preserves_mass_and_mean():
     out = convolve(UniformContinuous(0, 1), Normal(2.0, 0.5))
-    assert isinstance(out, GridLaw)
-    assert cdf(out, out.xs[0]) == pytest.approx(0.0, abs=1e-9)
-    assert cdf(out, out.xs[-1]) == pytest.approx(1.0, abs=1e-9)
-    # documented accuracy of the 2^14-point fallback: support edges land
-    # within one grid step, so moments are good to O(span / points)
-    assert mean(out) == pytest.approx(2.5, abs=5e-4)
+    assert out == SumLaw(atom_lattice(PointMass(2)), (F(1),), 0.5)
+    lo, hi = quantile_range(out)
+    assert cdf(out, lo) == pytest.approx(0.0, abs=2e-12)
+    assert cdf(out, hi) == pytest.approx(1.0, abs=2e-12)
+    assert mean(out) == F(5, 2)
     mixed = convolve(DiscreteFinite([0, 3], [F(1, 2), F(1, 2)]), UniformContinuous(0, 1))
-    assert mean(mixed) == pytest.approx(2.0, abs=1e-9)
-    assert cdf(mixed, 1.0) == pytest.approx(0.5, abs=5e-4)
+    assert mean(mixed) == 2
+    assert cdf(mixed, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_convolve_rejects_invalid_input():

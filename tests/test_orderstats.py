@@ -7,17 +7,16 @@ import pytest
 
 from awarebid import orderstats
 from awarebid.distributions import (
-    GRID_POINTS,
     DiscreteFinite,
     DistributionError,
     FullInfo,
-    GridLaw,
     NoInfo,
     Normal,
     Partition,
     PointMass,
-    TrapezoidLaw,
+    SumLaw,
     UniformContinuous,
+    atom_lattice,
     breakpoints,
     cdf,
     convolve,
@@ -48,7 +47,10 @@ def test_valuation_law_example1_trapezoid():
     u1, u2 = UniformContinuous(0, 5), UniformContinuous(-6, 5)
     s, p = _full_policy([[u1, u2], [u1, u2]], 2)
     law = valuation_law(s, p, 1, Perspective(s.full_set))
-    assert law == TrapezoidLaw(-6, -1, 5, 10)
+    assert law == convolve(u1, u2) == SumLaw(atom_lattice(PointMass(-6)), (F(5), F(11)))
+    assert rational_cdf(law).knots == (-6, -1, 5, 10)
+    # built once per column and kept on the scenario
+    assert valuation_law(s, p, 1, Perspective(s.full_set)) is law
 
 
 def test_valuation_law_no_info_point_mass():
@@ -201,7 +203,7 @@ def test_rank_cdfs_nondecreasing_in_rank():
 def test_expected_order_stat_paper_values():
     u5 = UniformContinuous(0, 5)
     assert expected_order_stat(OrderStatLaw((u5, u5), 1)) == pytest.approx(10 / 3, abs=1e-9)
-    trap = TrapezoidLaw(-6, -1, 5, 10)
+    trap = convolve(u5, UniformContinuous(-6, 5))
     got = expected_order_stat(OrderStatLaw((trap, u5), 1))
     assert got == pytest.approx(505 / 132, abs=1e-9)
     # independent exact route through rational piecewise polynomials
@@ -225,7 +227,7 @@ def test_rational_cdf_equals_the_atom_oracle_around_every_knot(law):
 
 def test_rational_cdf_of_a_trapezoid_at_and_between_its_knots():
     a, b, c, d = F(-6), F(-1), F(5), F(10)
-    G = rational_cdf(TrapezoidLaw(-6, -1, 5, 10))
+    G = rational_cdf(convolve(UniformContinuous(0, 5), UniformContinuous(-6, 5)))
     assert G.knots == (a, b, c, d)
     h = 2 / ((d + c) - (a + b))
 
@@ -412,7 +414,7 @@ def _random_float_law(rng):
     if kind == 2:
         a, w1 = rng.uniform(-5, 5), rng.uniform(0.1, 3)
         w2 = w1 + rng.uniform(0, 3)
-        return TrapezoidLaw(a, a + w1, a + w2, a + w1 + w2)
+        return convolve(UniformContinuous(a, a + w1), UniformContinuous(0.0, w2))
     return PointMass(rng.uniform(-3, 3))
 
 
@@ -444,22 +446,12 @@ def test_quadrature_evaluates_each_level_in_one_call(monkeypatch):
 
     monkeypatch.setattr(OrderStatLaw, "cdf", counted)
     u5 = UniformContinuous(0, 5)
-    mixes = _random_float_mixes(2, 8) + [[TrapezoidLaw(-6, -1, 5, 10), u5]]
+    mixes = _random_float_mixes(2, 8) + [[convolve(u5, UniformContinuous(-6, 5)), u5]]
     for laws in mixes:
         for r in (1, 2):
             counts.append(0)
             expected_order_stat(OrderStatLaw(tuple(laws), r))
             assert 1 <= counts[-1] <= 64
-
-
-def test_grid_quadrature_is_one_call(monkeypatch):
-    calls = []
-    plain = OrderStatLaw.cdf
-    monkeypatch.setattr(OrderStatLaw, "cdf",
-                        lambda self, y: calls.append(np.size(y)) or plain(self, y))
-    grid = GridLaw(np.linspace(-1.0, 2.0, 64), np.ones(64))
-    expected_order_stat(OrderStatLaw((grid, Normal(0.0, 1.0)), 1))
-    assert len(calls) == 1 and calls[0] >= GRID_POINTS
 
 
 def _counting_cdf(monkeypatch):
@@ -530,10 +522,12 @@ def _fine_trapezoid(os_law, points=2_000_000):
 
 @pytest.mark.parametrize("other", [PointMass(-0.2), Normal(-0.1, 0.7)], ids=str)
 def test_grid_quadrature_takes_one_sided_limits_at_knots(other):
-    grid = convolve(Normal(0.3, 1.0), UniformContinuous(-1.0, 0.5))
-    assert isinstance(grid, GridLaw)
-    os_law = OrderStatLaw((grid, other), 1)
-    assert expected_order_stat(os_law) == pytest.approx(_fine_trapezoid(os_law), abs=1e-6)
+    # a sum law with a normal part against a fine trapezoid that takes
+    # one-sided limits at every knot
+    law = convolve(Normal(0.3, 1.0), UniformContinuous(-1.0, 0.5))
+    assert law == SumLaw(atom_lattice(PointMass(F(-7, 10))), (F(3, 2),), 1.0)
+    os_law = OrderStatLaw((law, other), 1)
+    assert expected_order_stat(os_law) == pytest.approx(_fine_trapezoid(os_law), abs=1e-9)
 
 
 def test_exact_point_mass_shift_quadrature_runs_on_floats():
@@ -545,10 +539,12 @@ def test_exact_point_mass_shift_quadrature_runs_on_floats():
 
 
 def test_quadrature_rejects_nan_cdf_without_recursing(monkeypatch):
-    grid = GridLaw(np.linspace(-1.0, 2.0, 64), np.ones(64))
-    grid.cdf_values[20] = np.nan                     # GridLaw itself rejects a NaN pdf
+    # a sum law whose float pieces hold a NaN coefficient
+    law = convolve(UniformContinuous(-1.0, 2.0), UniformContinuous(0.0, 1.0))
+    breakpoints(law)                                 # builds the float pieces
+    law._floats[1][0, 0] = np.nan
     with pytest.raises(DistributionError, match="not finite"):
-        expected_order_stat(OrderStatLaw((grid, Normal(0.0, 1.0)), 1))
+        expected_order_stat(OrderStatLaw((law, Normal(0.0, 1.0)), 1))
     # the Simpson route stops at the first level that sees a NaN
     calls = []
     plain = orderstats.cdf

@@ -59,24 +59,61 @@ class ParseError(ValueError):
 # Scenario file schema
 # ---------------------------------------------------------------------------
 
+_TOP_FIELDS = ("bidders", "characteristics", "awareness", "info", "estimator")
+_LAW_FIELDS = {"uniform": ("lo", "hi"), "normal": ("mean", "stddev"), "discrete": ("atoms",)}
+_ESTIMATOR_FIELDS = ("backend", "samples", "seed", "workers")
+
+
+def _at(path, key):
+    return f"{path}.{key}" if path else str(key)
+
+
+def _known_fields(obj, path, allowed):
+    """Refuse the first key of ``obj`` outside ``allowed``, with its path."""
+    for key in obj:
+        if key not in allowed:
+            raise ParseError(_at(path, key),
+                             f"unknown field; expected one of {', '.join(allowed)}")
+
+
+def _not_bool(value, path, what):
+    if isinstance(value, bool):
+        raise ParseError(path, f"need {what}, got {json.dumps(value)}")
+
+
+def _number(value, path):
+    """A JSON number (or numeric string) as a float; a boolean is refused."""
+    _not_bool(value, path, "a number")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(path, str(exc)) from exc
+
+
 def _dist_from_dict(obj, path):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(path, "distribution must be an object with a 'kind'")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _LAW_FIELDS:
+        raise ParseError(path, f"unknown distribution kind {kind!r}")
+    _known_fields(obj, path, ("kind",) + _LAW_FIELDS[kind])
     try:
         if kind == "uniform":
-            return UniformContinuous(float(obj["lo"]), float(obj["hi"]))
+            return UniformContinuous(*(_number(obj[key], _at(path, key)) for key in ("lo", "hi")))
         if kind == "normal":
-            return Normal(float(obj["mean"]), float(obj["stddev"]))
-        if kind == "discrete":
-            atoms = obj["atoms"]
-            return DiscreteFinite([as_fraction(v) for v, _p in atoms],
-                                  [as_fraction(p) for _v, p in atoms])
+            return Normal(*(_number(obj[key], _at(path, key)) for key in ("mean", "stddev")))
+        atoms = obj["atoms"]
+        for k, atom in enumerate(atoms):
+            for part in atom:
+                _not_bool(part, f"{path}.atoms[{k}]", "a number or a rational string")
+        return DiscreteFinite([as_fraction(v) for v, _p in atoms],
+                              [as_fraction(p) for _v, p in atoms])
     except KeyError as exc:
         raise ParseError(path, f"missing field {exc}") from exc
+    except ParseError:
+        raise
     except (DistributionError, ValueError, TypeError) as exc:
         raise ParseError(path, str(exc)) from exc
-    raise ParseError(path, f"unknown distribution kind {kind!r}")
 
 
 def _count(value, path):
@@ -96,8 +133,11 @@ def _level_from_json(obj, path):
     if obj == "full":
         return FullInfo()
     if isinstance(obj, dict) and "cutpoints" in obj:
-        return Partition(cutpoints=[float(c) for c in obj["cutpoints"]])
+        _known_fields(obj, path, ("cutpoints",))
+        return Partition(cutpoints=[_number(c, f"{path}.cutpoints[{k}]")
+                                    for k, c in enumerate(obj["cutpoints"])])
     if isinstance(obj, dict) and "cells" in obj:
+        _known_fields(obj, path, ("cells",))
         return Partition(cells=[[_count(i, path) for i in cell] for cell in obj["cells"]])
     raise ParseError(path, f"unknown info level {obj!r}")
 
@@ -116,6 +156,7 @@ def parse_scenario(path: str):
             raise ParseError("", f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("", "top level must be an object")
+    _known_fields(doc, "", _TOP_FIELDS)
     try:
         n = _count(doc["bidders"], "bidders")
         chars = doc["characteristics"]
@@ -130,6 +171,7 @@ def parse_scenario(path: str):
         if not isinstance(dists, list) or len(dists) != n:
             raise ParseError(f"characteristics[{j}]",
                              f"need a 'distributions' list with {n} entries")
+        _known_fields(entry, f"characteristics[{j}]", ("distributions",))
         for i, dd in enumerate(dists):
             laws[i][j] = _dist_from_dict(dd, f"characteristics[{j}].distributions[{i}]")
 
@@ -158,6 +200,7 @@ def parse_scenario(path: str):
     est = doc.get("estimator", {})
     if not isinstance(est, dict):
         raise ParseError("estimator", "need an object")
+    _known_fields(est, "estimator", _ESTIMATOR_FIELDS)
     counts = {field: _count(est.get(key, default), f"estimator.{key}")
               for field, key, default in (("n_samples", "samples", 100_000),
                                           ("seed", "seed", 0), ("workers", "workers", 1))}

@@ -142,15 +142,17 @@ def _rank_key(value, p: DisclosurePolicy):
     return (value, -_aware_pairs(p), -_policy_disclosure(p))
 
 
-def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
-    """Revenue of each policy, and a bundle for the one the report may need
-    without a second pass (None elsewhere).  Every policy without an
-    analytic common-awareness value is scored in one batched call
+def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig, pick):
+    """Revenue of each policy, and for some a function giving its bundle
+    without another full pass (None for the rest).  Every policy without
+    an analytic common-awareness value is scored in one batched call
     (``score_policies``), which computes only its revenue.  The analytic
     policy ranked first by ``_rank_key`` keeps its analytic value and is
-    estimated in full in that same pass, so a report on an analytic winner
-    draws each chunk once; a report on a scored winner makes one more pass,
-    over that policy alone."""
+    estimated in full in that same pass.  ``pick`` maps the final values to
+    the index of the policy whose report the caller wants, or None; when
+    that policy is scored, the pass settles it on its last chunk, so its
+    bundle redraws every chunk but the last and a one-chunk search draws
+    each chunk once."""
     values = [None] * len(policies)
     pending = []
     for k, p in enumerate(policies):
@@ -163,14 +165,25 @@ def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
         pending.append(k)
     analytic = [k for k in range(len(policies)) if values[k] is not None]
     best = [max(analytic, key=lambda k: _rank_key(values[k], policies[k]))] if analytic else []
-    scores, reports = score_policies(s, [policies[k] for k in pending], config,
-                                     bundled=[policies[k] for k in best])
+    slot = {k: t for t, k in enumerate(pending)}
+
+    def pick_scored(scores):
+        for k, v in zip(pending, scores):
+            values[k] = v
+        return slot.get(pick(values))
+
+    scores, bundles, settled = score_policies(s, [policies[k] for k in pending], config,
+                                              bundled=[policies[k] for k in best],
+                                              pick=pick_scored)
     for k, v in zip(pending, scores):
         values[k] = v
-    bundles = [None] * len(policies)
-    for k, b in zip(best, reports):
-        bundles[k] = b
-    return values, bundles
+    reports = [None] * len(policies)
+    for k, b in zip(best, bundles):
+        reports[k] = lambda b=b: b
+    if settled is not None:
+        t, settle = settled
+        reports[pending[t]] = settle
+    return values, reports
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +244,18 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
     else:  # COMMON_FREE_INFO
         candidates = _free_info_candidates(s, partition_cap)
 
-    values, bundles = _revenue_values(s, [pol for _desc, pol in candidates], config)
-    best = None
-    trace = []
-    for (desc, pol), val, bundle in zip(candidates, values, bundles):
-        trace.append((desc, val))
-        key = _rank_key(val, pol)
-        if best is None or key > best[0]:
-            best = (key, pol, bundle)
-    _key, pol, bundle = best
-    return OptimizeResult(pol, revenue(s, pol, config, bundle=bundle), tuple(trace),
+    policies = [pol for _desc, pol in candidates]
+
+    def winner(values):
+        """The first candidate of highest ``_rank_key``."""
+        return max(range(len(policies)), key=lambda k: _rank_key(values[k], policies[k]))
+
+    values, reports = _revenue_values(s, policies, config, winner)
+    k = winner(values)
+    report = reports[k]
+    return OptimizeResult(policies[k], revenue(s, policies[k], config,
+                                               bundle=report and report()),
+                          tuple((desc, val) for (desc, _p), val in zip(candidates, values)),
                           regime, True)
 
 
@@ -251,11 +266,12 @@ def _optimize_greedy(s, config, info, regime) -> OptimizeResult:
     (``_revenue_values``), and the common start joins the first sweep's.  A
     sweep holds at most one common-awareness policy (the start, or the one
     trial that equalizes every awareness set), which that call estimates in
-    full, so a report on it reuses that bundle; a report on any other
-    winner makes one more pass over the draws."""
+    full, and the call settles the sweep's step on its last chunk; the
+    report reuses the winner's bundle, redrawing every chunk but the last
+    when the winner was scored."""
     current = [frozenset({1})] * s.n_bidders
     trials = [("start", current, policy_with_info(s, current, info))]
-    best = None                 # (value, awareness, policy, bundle)
+    best = None                 # (value, policy, report)
     trace = []
     while True:
         for i in range(s.n_bidders):
@@ -266,20 +282,28 @@ def _optimize_greedy(s, config, info, regime) -> OptimizeResult:
                 trial[i] = trial[i] | {j}
                 trials.append((f"try bidder {i + 1} char {j}", trial,
                                policy_with_info(s, trial, info)))
-        values, bundles = _revenue_values(s, [cand for _d, _t, cand in trials], config)
-        step = None
-        for (desc, trial, cand), val, b in zip(trials, values, bundles):
-            trace.append((desc, val))
-            if best is None:
-                best = (val, trial, cand, b)        # the start
-            elif val > best[0] and (step is None or val > step[0]):
-                step = (val, trial, cand, b)
-        if step is None:
+        first = 1 if best is None else 0    # the start is no step
+
+        def step(values):
+            """The trial of largest strict improvement (the first of equals),
+            or None."""
+            k, top = None, values[0] if best is None else best[0]
+            for t in range(first, len(values)):
+                if values[t] > top:
+                    k, top = t, values[t]
+            return k
+
+        values, reports = _revenue_values(s, [cand for _d, _t, cand in trials], config, step)
+        k = step(values)
+        trace.extend((desc, val) for (desc, _t, _c), val in zip(trials, values))
+        if best is None:
+            best = (values[0], trials[0][2], reports[0])
+        if k is None:
             break
-        best, current, trials = step, step[1], []
-    _val, _aw, pol, bundle = best
-    return OptimizeResult(pol, revenue(s, pol, config, bundle=bundle), tuple(trace),
-                          regime, False)
+        best, current, trials = (values[k], trials[k][2], reports[k]), trials[k][1], []
+    _val, pol, report = best
+    return OptimizeResult(pol, revenue(s, pol, config, bundle=report and report()),
+                          tuple(trace), regime, False)
 
 
 def _set_partitions(k: int):

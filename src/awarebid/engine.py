@@ -36,7 +36,12 @@ bidder omits is what a full-information contribution would add.
   distinct view any scored policy reads is settled once per chunk and
   reduced only to the sums its revenue needs (each reading bidder's
   surplus, and the price of a full view), so only floats outlive a view;
-  a score is ``==`` to the revenue report of that policy.
+  a score is ``==`` to the revenue report of that policy.  Once the last
+  chunk's sums complete every score, a caller's pick may name one scored
+  policy (the search's winner), whose full fields are then summed on that
+  chunk's bid columns, its hidden-only entries inverted for it alone; its
+  bundle redraws only the earlier chunks, so a one-chunk search draws each
+  chunk once.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
   bids are independent across bidders, so each bid column's law is the
   integer form ``orderstats.bid_lattice`` folds from its keys, and the
@@ -188,22 +193,32 @@ def estimate_policies(s: Scenario, policies, config: EstimatorConfig) -> tuple:
     return score_policies(s, (), config, bundled=policies)[1]
 
 
-def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=()):
+def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=(), pick=None):
     """The revenue of each policy, ``==`` to what ``fees.revenue(s, p,
     config).total_revenue`` reports, and ``estimate_policies(s, bundled,
     config)``, from one pass over the draws.  A score is each bidder's
     perceived surplus summed in bidder order plus the expected price, and
     nothing else is computed for it; the exact backend reads it off the
-    policy's bundle, whose views are settled once per scenario."""
+    policy's bundle, whose views are settled once per scenario.
+
+    ``pick``, if given, is called once with the final scores and names one
+    scored policy by its index, or None.  The third result is then
+    ``(index, settle)``, where ``settle()`` is that policy's bundle, ``==``
+    ``estimate(s, policies[index], config)`` (else None).  Under Monte
+    Carlo its fields are summed on the last chunk's bid columns before
+    they are freed, and ``settle`` redraws only the earlier chunks, for
+    that policy alone."""
     policies, bundled = tuple(policies), tuple(bundled)
     if not (policies or bundled):
-        return (), ()
+        return (), (), None
     if s.n_bidders < 2:
         raise EstimationError("second-price auction needs at least 2 bidders")
     if config.backend == "exact":
-        return (tuple(_exact_bundle(s, p, config).total_revenue for p in policies),
-                tuple(_exact_bundle(s, p, config) for p in bundled))
-    return _mc_pass(s, policies, bundled, config)
+        scores = tuple(_exact_bundle(s, p, config).total_revenue for p in policies)
+        k = pick(scores) if pick is not None and policies else None
+        return (scores, tuple(_exact_bundle(s, p, config) for p in bundled),
+                None if k is None else (k, lambda: _exact_bundle(s, policies[k], config)))
+    return _mc_pass(s, policies, bundled, config, pick)
 
 
 def _effective_views(s: Scenario, p: DisclosurePolicy):
@@ -363,24 +378,54 @@ def _bid_column(L, keys, contribs):
     return col
 
 
-def _chunk_columns(s, rules, entries, seed, start, stop):
+def _invert(law, u):
+    """An entry's draw from its uniforms: the atom index of a finitely
+    supported law, else the realized value."""
+    return (atom_index if isinstance(law, DiscreteFinite) else ppf)(law, u)
+
+
+def _reading(s, keys):
+    """The contribution rule of each key, and the entries some rule reads
+    the draw of: an entry read only under NoInfo needs no inverse CDF."""
+    rules = {key: _contribution_rule(s.law(*key[:2]), key[2]) for key in keys}
+    return rules, {key[:2] for key, rule in rules.items() if not isinstance(rule, float)}
+
+
+def _chunk_contributions(s, rules, entries, seed, start, stop, held=()):
     """The shared start of settling one chunk, a pure function of the draw
     range: inverts each (bidder, characteristic) entry in ``entries`` once
     and frees the uniforms, then computes each contribution in ``rules``
-    once.  Returns the chunk length, the contributions and ``column(keys)``,
-    which builds a bid column on first use and keeps it for the chunk, so
-    each distinct one is summed once however many policies read it."""
+    once.  Returns the chunk length, the contributions and
+    ``draw(entry)`` for the entries in ``held``, whose draws (or, if not in
+    ``entries``, uniforms, inverted on request) are kept for the chunk."""
     L = stop - start
     U = _uniform_chunk(seed, start, stop, s.n_bidders, s.m_characteristics)
-    draws = {}
-    for i, j in entries:
-        law = s.law(i, j)
-        invert = atom_index if isinstance(law, DiscreteFinite) else ppf
-        draws[i, j] = invert(law, U[:, i - 1, j - 1])
+    draws = {(i, j): _invert(s.law(i, j), U[:, i - 1, j - 1]) for i, j in entries}
+    kept = {(i, j): draws[i, j] if (i, j) in draws else U[:, i - 1, j - 1].copy()
+            for i, j in held}
     del U                  # no view of the block is left: this frees it
     contribs = {key: rule if isinstance(rule, float) else rule(draws[key[:2]])
                 for key, rule in rules.items()}
     del draws
+
+    def draw(entry):
+        return kept[entry] if entry in entries else _invert(s.law(*entry), kept[entry])
+
+    return L, contribs, draw
+
+
+def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop,
+              choose=None, held=({}, ())):
+    """One chunk's score sums for ``plan`` (``_score_sums``) and, per policy
+    layout in ``layouts``, its per-field (sum, sum of squares).  Each
+    distinct bid column is built on first use and kept for the chunk, so
+    it is summed once however many policies read it; the policies share
+    four scratch columns.  ``choose``, if given, maps the score sums to
+    one scored layout or None, whose fields are appended; ``held`` is the
+    ``_reading`` of the hidden-value keys it may need beyond ``rules``."""
+    held_rules, held_entries = held
+    L, contribs, draw = _chunk_contributions(s, rules, entries, seed, start, stop,
+                                             held_entries)
     built = {}
 
     def column(keys):
@@ -388,18 +433,20 @@ def _chunk_columns(s, rules, entries, seed, start, stop):
             built[keys] = _bid_column(L, keys, contribs)
         return built[keys]
 
-    return L, contribs, column
-
-
-def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop):
-    """One chunk's score sums for ``plan`` (``_score_sums``) and, per policy
-    layout in ``layouts``, its per-field (sum, sum of squares); the bid
-    columns are shared by both, and the policies share four scratch
-    columns."""
-    L, contribs, column = _chunk_columns(s, rules, entries, seed, start, stop)
     scratch = np.empty((4, L))
-    return (_score_sums(column, plan, scratch[0]),
-            [_policy_fields(column, contribs, layout, scratch) for layout in layouts])
+    sums = _score_sums(column, plan, scratch[0])
+    fields = [_policy_fields(column, contribs, layout, scratch) for layout in layouts]
+    layout = None if choose is None else choose(sums)
+    if layout is not None:
+        reads = set(chain(*layout[0]))
+        for keys in [keys for keys in built if keys not in reads]:
+            del built[keys]         # no other policy reads it in this chunk
+        for key in chain(*layout[1]):
+            if key not in contribs:
+                rule = held_rules[key]
+                contribs[key] = rule if isinstance(rule, float) else rule(draw(key[:2]))
+        fields.append(_policy_fields(column, contribs, layout, scratch))
+    return sums, fields
 
 
 def _score_plan(layouts):
@@ -488,54 +535,102 @@ def _policy_fields(column, contribs, layout, scratch):
     return fields
 
 
-def _mc_pass(s: Scenario, scored: tuple, bundled: tuple, config: EstimatorConfig):
-    """Revenue scores of ``scored`` and bundles of ``bundled``, from one pass
+def _mc_pass(s: Scenario, scored: tuple, bundled: tuple, config: EstimatorConfig, pick=None):
+    """Revenue scores of ``scored``, bundles of ``bundled`` and the scored
+    policy ``pick`` names, as ``score_policies`` returns them, from one pass
     over the draws.  A scored policy reads only its bid columns: no hidden
     value, credit, first order statistic or sum of squares is computed for
-    it, and an entry it reads only as a hidden value is not inverted."""
+    it, and an entry it reads only as a hidden value is not inverted.  The
+    picked policy is the exception, on the last chunk alone: once that
+    chunk's sums complete every score, its fields are summed on the
+    chunk's bid columns, so a one-chunk pass settles it without a redraw."""
+    S = config.n_samples
+    ranges = [(a, min(a + _CHUNK, S)) for a in range(0, S, _CHUNK)]
     score_layouts = [_policy_layout(s, p) for p in scored]
+    chosen = []                 # (final scores, picked index), on the last chunk
+
+    def choose(sums):
+        scores = _final_scores(score_layouts, sums, S)
+        chosen.append((scores, pick(scores)))
+        k = chosen[0][1]
+        return None if k is None else score_layouts[k]
+
+    partials = _mc_partials(s, score_layouts, bundled, config, ranges,
+                            choose if pick is not None and scored else None)
+    scores, k = chosen[0] if chosen else (
+        _final_scores(score_layouts, [part[0] for part in partials], S), None)
+    bundles = tuple(_mc_bundle_from(s, [part[1][b] for part in partials], config)
+                    for b in range(len(bundled)))
+    if k is None:
+        return scores, bundles, None
+    last = partials[-1][1][-1]
+
+    def settle():
+        head = _mc_partials(s, (), (scored[k],), config, ranges[:-1])
+        return _mc_bundle_from(s, [part[1][0] for part in head] + [last], config)
+
+    return scores, bundles, (k, settle)
+
+
+def _mc_partials(s, score_layouts, bundled, config, ranges, choose=None):
+    """Per draw range, in draw-index order: the chunk's score sums for
+    ``score_layouts`` and the per-field sums of each ``bundled`` policy.
+    With ``choose``, the last chunk also sums the fields of the scored
+    layout that ``choose`` names given every chunk's score sums."""
     layouts = [_policy_layout(s, p) for p in bundled]
     plan = _score_plan(score_layouts)
     used = {key for keys in chain(*plan) for key in keys}
     used.update(key for columns, unaware, _f, _b in layouts
                 for keys in chain(*columns, unaware) for key in keys)
-    rules = {key: _contribution_rule(s.law(*key[:2]), key[2]) for key in used}
-    # an entry is inverted when some rule reads its draw; an entry read
-    # only under NoInfo needs no inverse CDF
-    entries = {key[:2] for key, rule in rules.items() if not isinstance(rule, float)}
-    S = config.n_samples
-    ranges = [(a, min(a + _CHUNK, S)) for a in range(0, S, _CHUNK)]
+    rules, entries = _reading(s, used)
+    # hidden values no bid column reads: held on the last chunk, and
+    # inverted only for the picked policy
+    hidden = {key for _c, unaware, _f, _b in score_layouts for key in chain(*unaware)}
+    held = _reading(s, hidden - rules.keys())
 
-    def run(rng):
+    def run(rng, earlier=None):
+        choose_here = None
+        if choose is not None and earlier is not None:
+            def choose_here(sums):
+                return choose([part[0] for part in earlier()] + [sums])
         # an overflow is not warned about: every non-finite mean is rejected
-        # below, and every non-finite field by _mc_bundle_from
+        # by _final_scores, and every non-finite field by _mc_bundle_from
         with np.errstate(over="ignore", invalid="ignore"):
-            return _mc_chunk(s, rules, plan, layouts, entries, config.seed, rng[0], rng[1])
+            return _mc_chunk(s, rules, plan, layouts, entries, config.seed, *rng,
+                             choose_here, held)
 
-    if config.workers > 1 and len(ranges) > 1:
+    if not ranges:
+        return []
+    head, tail = ranges[:-1], ranges[-1]
+    if config.workers > 1 and head:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            partials = list(pool.map(run, ranges))
-    else:
-        partials = [run(r) for r in ranges]
+            futures = [pool.submit(run, r) for r in head]
+            # the last chunk is queued after every earlier one, so what it
+            # waits for has started
+            final = pool.submit(run, tail, lambda: [f.result() for f in futures])
+            return [f.result() for f in futures] + [final.result()]
+    done = [run(r) for r in head]
+    return done + [run(tail, lambda: done)]
 
+
+def _final_scores(score_layouts, partials, S):
+    """Each scored layout's revenue from the per-chunk score sums: Python's
+    sum over bidders in order, plus the price, the float that fees.revenue
+    reports as total_revenue."""
     means = {}
-    for key in partials[0][0]:
+    for key in partials[0]:
         acc = 0.0
         for part in partials:     # merge in draw-index order, as bundles do
-            acc += part[0][key]
+            acc += part[key]
         mu = acc / S
         if not math.isfinite(mu):
             i = key[1]
             raise _not_finite("second" if i is None else f"surplus_perc_{i + 1}",
                               f"mean {mu!r}")
         means[key] = mu
-    # Python's sum over bidders in order, plus the price: the float that
-    # fees.revenue reports as total_revenue
-    scores = tuple(sum(means[columns[v], i] for i, v in enumerate(bidder_idx))
-                   + means[columns[full_idx], None]
-                   for columns, _u, full_idx, bidder_idx in score_layouts)
-    return scores, tuple(_mc_bundle_from(s, [part[1][k] for part in partials], config)
-                         for k in range(len(layouts)))
+    return tuple(sum(means[columns[v], i] for i, v in enumerate(bidder_idx))
+                 + means[columns[full_idx], None]
+                 for columns, _u, full_idx, bidder_idx in score_layouts)
 
 
 def _not_finite(name, detail):

@@ -3,10 +3,11 @@
 Uniform, discrete and point-mass laws with rational parameters, and every
 sum of them (``distributions.SumLaw`` without a normal part), have CDFs
 that are piecewise polynomials with rational coefficients
-(``distributions.sum_pieces``).  Products and rank-two combinations of
-such CDFs stay piecewise polynomial, and their expected values integrate
-in closed form, giving an independent exact route to the order-statistic
-moments that the quadrature path computes in floating point.
+(``distributions.sum_pieces``).  Products of such CDFs, the CDF of the
+maximum of independent laws, stay piecewise polynomial, and their
+expected values integrate in closed form: an independent exact route to
+the expected maximum that the quadrature path computes in floating
+point.
 
 Polynomials are coefficient tuples in ascending degree.
 """
@@ -25,22 +26,12 @@ from .distributions import _taylor_shift, as_fraction, sum_pieces
 __all__ = ["RationalCDF", "rational_cdf", "order_stat_rational", "expected_value"]
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(n))
-
-
 def _pmul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return tuple(out)
-
-
-def _pscale(a, c):
-    return tuple(c * x for x in a)
 
 
 def _peval(a, x):
@@ -111,31 +102,19 @@ def _combine(cdfs, term_fn):
 
 
 def order_stat_rational(laws, rank: int) -> RationalCDF:
-    """Exact CDF of the highest (rank 1) or second-highest (rank 2) of
-    independent uniform-family laws."""
+    """Exact CDF of the highest (rank 1) of independent laws without a
+    normal part: the product of their CDFs.  Other ranks are refused;
+    ``orderstats._rank_cdf_terms`` gives every rank on exact columns."""
+    if rank != 1:
+        raise ValueError("rational route supports rank 1")
     cdfs = [law if isinstance(law, RationalCDF) else rational_cdf(law) for law in laws]
-    n = len(cdfs)
-    if rank == 1:
-        def term(pieces):
-            out = _ONE
-            for p in pieces:
-                out = _pmul(out, p)
-            return out
-    elif rank == 2 and n >= 2:
-        def term(pieces):
-            prod = _ONE
-            for p in pieces:
-                prod = _pmul(prod, p)
-            out = prod
-            for i in range(n):
-                rest = _ONE
-                for j, p in enumerate(pieces):
-                    if j != i:
-                        rest = _pmul(rest, p)
-                out = _padd(out, _pmul(_padd(_ONE, _pscale(pieces[i], -1)), rest))
-            return out
-    else:
-        raise ValueError("rational route supports ranks 1 and 2")
+
+    def term(pieces):
+        out = _ONE
+        for p in pieces:
+            out = _pmul(out, p)
+        return out
+
     return _combine(cdfs, term)
 
 

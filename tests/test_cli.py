@@ -122,6 +122,43 @@ def test_non_integral_counts_exit_one_with_their_path(capsysbinary, tmp_path, wh
     assert parse_scenario(_write(tmp_path, whole))[2].n_samples == 1000
 
 
+_LAW = ("characteristics", 0, "distributions", 0)
+
+
+@pytest.mark.parametrize("name,where,value,path", [
+    ("example1", _LAW, {"kind": "uniform", "lo": False, "hi": True},
+     "characteristics[0].distributions[0].lo"),
+    ("example1", _LAW + ("stdev",), 5, "characteristics[0].distributions[0].stdev"),
+    ("example1", ("estimator", "sampels"), 50, "estimator.sampels"),
+    ("example1", ("extra",), 1, "extra"),
+    ("example1", ("characteristics", 1, "note"), "x", "characteristics[1].note"),
+    ("example1", ("info", 0, "2"), {"cutpoints": [False]}, "info[0].2.cutpoints[0]"),
+    ("example1", ("info", 0, "2"), {"cutpoints": [1.0], "cells": [[0]]}, "info[0].2.cells"),
+    ("d1", _LAW + ("atoms", 1, 0), True, "characteristics[0].distributions[0].atoms[1]"),
+    ("d1", _LAW + ("atoms", 1, 1), False, "characteristics[0].distributions[0].atoms[1]"),
+], ids=["law-bools", "law-stray-key", "estimator-typo", "top-level-extra",
+        "characteristic-extra", "cutpoint-bool", "info-extra", "atom-value-bool",
+        "atom-mass-bool"])
+def test_booleans_and_unknown_fields_exit_one_with_their_path(capsysbinary, tmp_path,
+                                                              scenario_dir, name, where,
+                                                              value, path):
+    # each of these once ran with exit 0: false and true as 0 and 1, and
+    # an unknown key ignored
+    doc = json.loads((scenario_dir / f"{name}.json").read_text())
+    _set(doc, where, value)
+    assert main(["fees", "--scenario", _write(tmp_path, doc), "--samples", "1000"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.startswith(f"error: {path}: ".encode())
+    assert captured.err.count(path.encode()) == 1
+
+
+def test_bundled_scenarios_name_only_known_fields(scenario_dir):
+    # every bundled scenario still parses, and reads the fields it names
+    for path in sorted(scenario_dir.glob("*.json")):
+        parse_scenario(str(path))
+
+
 def test_revenue_command_on_d1(capsysbinary, scenario_dir):
     status, out = run_cli(capsysbinary,
                           ["revenue", "--scenario", str(scenario_dir / "d1.json")])

@@ -24,7 +24,14 @@ from awarebid.disclosure import (
     random_discrete_scenario,
     verify_suite,
 )
-from awarebid.distributions import DiscreteFinite, FullInfo, NoInfo, Normal, UniformContinuous
+from awarebid.distributions import (
+    DiscreteFinite,
+    FullInfo,
+    NoInfo,
+    Normal,
+    Partition,
+    UniformContinuous,
+)
 from awarebid.engine import _CHUNK, EstimatorConfig, estimate, sample_draws
 from awarebid.fees import revenue
 from awarebid.scenario import Scenario, ScenarioError, validate
@@ -408,9 +415,11 @@ def _per_policy_loop(s, policies, config):
     return tuple(estimate(s, p, config) for p in policies)
 
 
-def _per_policy_scores(s, policies, config, bundled=()):
-    return (tuple(revenue(s, p, config).total_revenue for p in policies),
-            _per_policy_loop(s, bundled, config))
+def _per_policy_scores(s, policies, config, bundled=(), pick=None):
+    scores = tuple(revenue(s, p, config).total_revenue for p in policies)
+    k = pick(scores) if pick is not None and policies else None
+    return (scores, _per_policy_loop(s, bundled, config),
+            None if k is None else (k, lambda: estimate(s, policies[k], config)))
 
 
 def _spied(monkeypatch, run, route, reference):
@@ -461,17 +470,20 @@ def _batched_and_per_policy(monkeypatch, run):
 
 def _scored_and_per_policy(monkeypatch, run):
     """``_spied`` on ``score_policies``; every score is checked against
-    ``revenue(...).total_revenue`` of its policy alone and every bundle as
-    ``_check_bundles`` does.  Returns (got, want, [(scored, bundled)] per
-    call, chunk starts)."""
+    ``revenue(...).total_revenue`` of its policy alone, and every bundle,
+    the picked policy's too, as ``_check_bundles`` does.  Returns (got,
+    want, [(scored, bundled, picked index or None)] per call, chunk
+    starts)."""
     got, want, calls, starts = _spied(monkeypatch, run, "score_policies",
                                       _per_policy_scores)
     out = []
-    for (s, policies, config), kwargs, (scores, bundles) in calls:
+    for (s, policies, config), kwargs, (scores, bundles, settled) in calls:
         policies, bundled = tuple(policies), tuple(kwargs.get("bundled", ()))
         assert scores == tuple(revenue(s, p, config).total_revenue for p in policies)
         _check_bundles(s, bundled, config, bundles)
-        out.append((policies, bundled))
+        if settled is not None:
+            _check_bundles(s, [policies[settled[0]]], config, [settled[1]()])
+        out.append((policies, bundled, settled and settled[0]))
     return got, want, out, starts
 
 
@@ -487,13 +499,17 @@ def test_mc_optimize_individual_matches_per_policy_loop(monkeypatch, n_bidders, 
     # one batched call scores every candidate without an analytic value
     # (all but the 4 common-awareness ones) and estimates the best analytic
     # one in full
-    assert [len(scored) + len(bundled) for scored, bundled in calls] == [4 ** n_bidders - 3]
-    assert [len(bundled) for _scored, bundled in calls] == [1]
-    # the winner is scored, so its report is one more pass: each chunk is
-    # drawn twice
+    assert [len(scored) + len(bundled) for scored, bundled, _k in calls] == [4 ** n_bidders - 3]
+    assert [len(bundled) for _scored, bundled, _k in calls] == [1]
+    # the winner is scored and picked in that call, which settles it on
+    # the last chunk's bid columns: its report redraws every chunk but the
+    # last, so a one-chunk search (64 candidates) draws its chunk once
     assert len(set(got.policy.awareness)) > 1
-    assert starts == list(range(0, config.n_samples, _CHUNK)) * 2
-    assert len(starts) == 2 * math.ceil(config.n_samples / _CHUNK)
+    scored, _bundled, k = calls[0]
+    assert scored[k] == got.policy
+    chunks = list(range(0, config.n_samples, _CHUNK))
+    assert starts == chunks + chunks[:-1]
+    assert len(starts) == 2 * math.ceil(config.n_samples / _CHUNK) - 1
     assert got.report == revenue(s, got.policy, config)
 
 
@@ -505,11 +521,16 @@ def test_mc_greedy_matches_per_policy_loop(monkeypatch):
     assert got == want
     # one call per sweep of 6, 5, ... trials; the common start joins the
     # first, where it is the one analytic policy and is estimated in full
-    sizes = [len(scored) + len(bundled) for scored, bundled in calls]
+    sizes = [len(scored) + len(bundled) for scored, bundled, _k in calls]
     assert len(sizes) > 1
     assert sizes == [7] + [6 - k for k in range(1, len(sizes))]
     assert len(got.trace) == sum(sizes)     # the start, then every trial
     assert got.report == revenue(s, got.policy, MC_BATCH)
+
+
+# characteristic 2 is read without information and 3 through a partition,
+# so no bid column reads a hidden value of either at full information
+HIDING = {2: NoInfo(), 3: Partition(cutpoints=[0.0])}
 
 
 def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
@@ -521,9 +542,9 @@ def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
     starts, batches = [], []
     stock, stock_chunk = disclosure.score_policies, engine._uniform_chunk
 
-    def spy(s, policies, config, bundled=()):
+    def spy(s, policies, config, bundled=(), pick=None):
         batches.append((len(policies), len(bundled)))
-        return stock(s, policies, config, bundled)
+        return stock(s, policies, config, bundled, pick)
 
     def counting(seed, start, stop, n, m):
         starts.append(start)
@@ -537,6 +558,74 @@ def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
     assert batches == [(2, 1)]          # 2 trials plus the analytic start
     assert starts == list(range(0, config.n_samples, _CHUNK))
     assert got.report == revenue(s, got.policy, config)
+    # a scored winner, the first sweep's step: each sweep's pass draws every
+    # chunk once and the report redraws all but the last, one chunk fewer
+    # than a separate report pass over the winner
+    s = three_char_scenario(2)
+    config = EstimatorConfig(backend="mc", n_samples=4 * _CHUNK, seed=23)
+    starts.clear()
+    batches.clear()
+    monkeypatch.setattr(engine, "_uniform_chunk", counting)
+    got = disclosure._optimize_greedy(s, config, HIDING, PolicyRegime.INDIVIDUAL)
+    monkeypatch.setattr(engine, "_uniform_chunk", stock_chunk)
+    assert got.policy.awareness == (frozenset({1}), frozenset({1, 2}))
+    assert batches == [(4, 1), (2, 1)]
+    chunks = list(range(0, config.n_samples, _CHUNK))
+    assert starts == chunks * 2 + chunks[:-1]
+    assert got.report == revenue(s, got.policy, config)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_samples", [1 << 14, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+@pytest.mark.parametrize("search", ["individual", "greedy"])
+def test_mc_search_settles_a_scored_winner_on_its_scoring_pass(monkeypatch, search,
+                                                               n_samples, workers):
+    s = three_char_scenario(2)
+    config = EstimatorConfig(backend="mc", n_samples=n_samples, seed=23, workers=workers)
+    if search == "individual":
+        def run():
+            return optimize(s, PolicyRegime.INDIVIDUAL, config, char_info=HIDING)
+    else:
+        def run():
+            return disclosure._optimize_greedy(s, config, HIDING, PolicyRegime.INDIVIDUAL)
+    got, want, calls, starts = _scored_and_per_policy(monkeypatch, run)
+    assert got == want          # policy, report, trace and tie-break
+    # the winner hides characteristics 2 and 3 from bidder 1 and 3 from
+    # bidder 2, so its hidden values read draws no bid column reads
+    assert got.policy.awareness == (frozenset({1}), frozenset({1, 2}))
+    assert got.report == revenue(s, got.policy, config)
+    # one call picks the winner (greedy: the step of its first sweep, and
+    # its second finds none)
+    assert [scored[k] for scored, _b, k in calls if k is not None] == [got.policy]
+    # each scoring pass draws every chunk once, and the report redraws
+    # every chunk but the last: one chunk fewer than a separate report pass
+    chunks = list(range(0, n_samples, _CHUNK))
+    want_starts = chunks * len(calls) + chunks[:-1]
+    if workers > 1:
+        starts, want_starts = sorted(starts), sorted(want_starts)
+    assert starts == want_starts
+
+
+def test_mc_search_inverts_a_hidden_only_entry_for_the_winner_alone(monkeypatch):
+    # bidder 1's characteristic 2 is hidden by the winner and read by no bid
+    # column: it is inverted on the scoring pass's last chunk and on the
+    # report's redraw of the first; bidder 2's is hidden only by losing
+    # candidates (the analytic one estimated in full hides neither) and is
+    # never inverted
+    s = three_char_scenario(2)
+    config = EstimatorConfig(backend="mc", n_samples=_CHUNK + 1, seed=23)
+    inverted = []
+    stock = engine.ppf
+
+    def spy(law, u):
+        inverted.append(law)
+        return stock(law, u)
+
+    monkeypatch.setattr(engine, "ppf", spy)
+    res = optimize(s, PolicyRegime.INDIVIDUAL, config, char_info=HIDING)
+    assert res.policy.awareness == (frozenset({1}), frozenset({1, 2}))
+    assert sum(law is s.law(1, 2) for law in inverted) == 2
+    assert not any(law is s.law(2, 2) for law in inverted)
 
 
 def test_mc_tradeoff_matches_per_policy_loop(monkeypatch):
@@ -584,10 +673,10 @@ def _scored_traces(s, config, info):
     seen = []
     stock = disclosure._revenue_values
 
-    def spy(s, policies, config):
-        values, bundles = stock(s, policies, config)
+    def spy(s, policies, config, pick):
+        values, reports = stock(s, policies, config, pick)
         seen.extend(zip(policies, values))
-        return values, bundles
+        return values, reports
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(disclosure, "_revenue_values", spy)

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -632,12 +634,79 @@ def test_scores_are_reported_revenue_from_one_pass(monkeypatch, workers):
         return stock(seed, start, stop, n, m)
 
     monkeypatch.setattr(engine, "_uniform_chunk", counting)
-    scores, bundles = engine.score_policies(s, policies, cfg, bundled=policies[:1])
+    scores, bundles, settled = engine.score_policies(s, policies, cfg, bundled=policies[:1])
     assert sorted(starts) == [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK]
     monkeypatch.setattr(engine, "_uniform_chunk", stock)
     assert scores == tuple(revenue(s, p, cfg).total_revenue for p in policies)
     assert bundles == engine.estimate_policies(s, policies[:1], cfg)
-    assert engine.score_policies(s, (), cfg) == ((), ())
+    assert settled is None
+    assert engine.score_policies(s, (), cfg) == ((), (), None)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_picked_policy_is_settled_on_the_scoring_pass(monkeypatch, workers):
+    # the pick sees the final scores once and names each policy in turn;
+    # its bundle is == its own estimate, summed on the scoring pass's last
+    # chunk plus a redraw of every earlier chunk for it alone
+    s, policies = mixed_candidates()
+    cfg = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 5, seed=99, workers=workers)
+    chunks = [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK]
+    stock = engine._uniform_chunk
+    for k, p in enumerate(policies):
+        starts, seen = [], []
+
+        def counting(seed, start, stop, n, m):
+            starts.append(start)
+            return stock(seed, start, stop, n, m)
+
+        def pick(scores):
+            seen.append(scores)
+            return k
+
+        monkeypatch.setattr(engine, "_uniform_chunk", counting)
+        scores, bundles, (picked, settle) = engine.score_policies(s, policies, cfg, pick=pick)
+        assert sorted(starts) == chunks
+        bundle = settle()
+        assert sorted(starts) == sorted(chunks + chunks[:-1])
+        monkeypatch.setattr(engine, "_uniform_chunk", stock)
+        assert (seen, picked, bundles) == ([scores], k, ())
+        assert bundle == estimate(s, p, cfg)
+        assert revenue(s, p, cfg, bundle=bundle).total_revenue == scores[k]
+        assert engine.score_policies(s, policies, cfg, pick=lambda scores: None)[2] is None
+    # the exact backend reads the picked policy's bundle off its views
+    s, p = build_d1()
+    scores, _bundles, (picked, settle) = engine.score_policies(s, [p], EXACT,
+                                                               pick=lambda scores: 0)
+    assert picked == 0 and settle() == estimate(s, p, EXACT)
+
+
+def test_a_picked_pass_with_more_workers_than_cores_finishes(monkeypatch):
+    # the last chunk waits in the pool for the earlier ones before the
+    # pick; with more workers than cores and a short switch interval, every
+    # worker count finishes with the one-worker result
+    s, policies = mixed_candidates()
+    results = {}
+
+    def run(workers):
+        cfg = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 5, seed=3, workers=workers)
+        scores, bundles, (k, settle) = engine.score_policies(
+            s, policies[1:], cfg, bundled=policies[:1], pick=lambda scores: 2)
+        results[workers] = (scores, bundles, k, settle())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(w,), daemon=True) for w in (1, 2, 4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results[2] == results[4] == results[1]
+    assert results[1][3] == estimate(s, policies[3], EstimatorConfig(
+        backend="mc", n_samples=3 * _CHUNK + 5, seed=3))
 
 
 def test_scoring_inverts_no_entry_read_only_as_a_hidden_value(monkeypatch):

@@ -97,10 +97,15 @@ def test_quadrature_matches_clark_on_normal_pairs():
 
 
 def test_rank_two_rational_oracle_three_laws():
+    # E[second] = sum over the atoms v of v times the jump of the rank-2
+    # CDF at v, that CDF taken from _rank_cdf_terms on Fraction columns
     rng = random.Random(31)
     laws = _random_atom_laws(rng, 3)
-    assert expected_order_stat(OrderStatLaw(tuple(laws), 2)) == \
-        expected_value(order_stat_rational(laws, 2))
+    grid = sorted({v for law in laws for v in law.values})
+    H = [_rank_cdf_terms([atom_cdf(law, v) for law in laws], 2, one=F(1)) for v in grid]
+    want = sum(v * (h - prev) for v, h, prev in zip(grid, H, [0] + H[:-1]))
+    assert H[-1] == 1
+    assert expected_order_stat(OrderStatLaw(tuple(laws), 2)) == want
 
 
 def test_valuation_law_rejects_continuous_partition():
@@ -256,7 +261,13 @@ def test_expected_max_of_two_iid_uniforms_closed_form():
             float(want), abs=1e-9)
     u01 = UniformContinuous(0, 1)
     assert expected_value(order_stat_rational([u01, u01], 1)) == F(2, 3)
-    assert expected_value(order_stat_rational([u01, u01], 2)) == F(1, 3)
+    # the rank-2 CDF of two U(0, 1) on Fraction columns, 2y - y^2, is a
+    # quadratic, which Simpson's rule integrates exactly
+    H = [_rank_cdf_terms([y, y], 2, one=F(1)) for y in (F(0), F(1, 2), F(1))]
+    assert H == [0, F(3, 4), 1]
+    assert 1 - (H[0] + 4 * H[1] + H[2]) / 6 == F(1, 3)
+    with pytest.raises(ValueError, match="rank 1"):
+        order_stat_rational([u01, u01], 2)
 
 
 def test_expected_order_stat_point_mass_every_rank():

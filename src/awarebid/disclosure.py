@@ -142,17 +142,18 @@ def _rank_key(value, p: DisclosurePolicy):
     return (value, -_aware_pairs(p), -_policy_disclosure(p))
 
 
-def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig, pick):
-    """Revenue of each policy, and for some a function giving its bundle
-    without another full pass (None for the rest).  Every policy without
+def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig, pick=None):
+    """Revenue of each policy, a bundle for each one estimated in full
+    (None elsewhere), and the index ``pick`` names.  Every policy without
     an analytic common-awareness value is scored in one batched call
     (``score_policies``), which computes only its revenue.  The analytic
     policy ranked first by ``_rank_key`` keeps its analytic value and is
-    estimated in full in that same pass.  ``pick`` maps the final values to
-    the index of the policy whose report the caller wants, or None; when
-    that policy is scored, the pass settles it on its last chunk, so its
-    bundle redraws every chunk but the last and a one-chunk search draws
-    each chunk once."""
+    estimated in full in that same pass.  ``pick``, if given, maps the
+    final values to the index of the policy the caller reports; when that
+    policy is scored, the pass settles it on its last chunk, so its bundle
+    redraws every chunk but the last and a one-chunk search draws each
+    chunk once.  Without ``pick`` the index is None, and a report on a
+    scored policy makes one more pass, over that policy alone."""
     values = [None] * len(policies)
     pending = []
     for k, p in enumerate(policies):
@@ -166,24 +167,25 @@ def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig, pick):
     analytic = [k for k in range(len(policies)) if values[k] is not None]
     best = [max(analytic, key=lambda k: _rank_key(values[k], policies[k]))] if analytic else []
     slot = {k: t for t, k in enumerate(pending)}
+    picked = []
 
     def pick_scored(scores):
         for k, v in zip(pending, scores):
             values[k] = v
-        return slot.get(pick(values))
+        picked.append(pick(values))
+        return slot.get(picked[0])
 
-    scores, bundles, settled = score_policies(s, [policies[k] for k in pending], config,
+    scores, reports, settled = score_policies(s, [policies[k] for k in pending], config,
                                               bundled=[policies[k] for k in best],
-                                              pick=pick_scored)
+                                              pick=None if pick is None else pick_scored)
     for k, v in zip(pending, scores):
         values[k] = v
-    reports = [None] * len(policies)
-    for k, b in zip(best, bundles):
-        reports[k] = lambda b=b: b
+    bundles = [None] * len(policies)
+    for k, b in zip(best, reports):
+        bundles[k] = b
     if settled is not None:
-        t, settle = settled
-        reports[pending[t]] = settle
-    return values, reports
+        bundles[pending[settled[0]]] = settled[1]
+    return values, bundles, (picked[0] if picked else None)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +252,8 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
         """The first candidate of highest ``_rank_key``."""
         return max(range(len(policies)), key=lambda k: _rank_key(values[k], policies[k]))
 
-    values, reports = _revenue_values(s, policies, config, winner)
-    k = winner(values)
-    report = reports[k]
-    return OptimizeResult(policies[k], revenue(s, policies[k], config,
-                                               bundle=report and report()),
+    values, bundles, k = _revenue_values(s, policies, config, winner)
+    return OptimizeResult(policies[k], revenue(s, policies[k], config, bundle=bundles[k]),
                           tuple((desc, val) for (desc, _p), val in zip(candidates, values)),
                           regime, True)
 
@@ -266,12 +265,13 @@ def _optimize_greedy(s, config, info, regime) -> OptimizeResult:
     (``_revenue_values``), and the common start joins the first sweep's.  A
     sweep holds at most one common-awareness policy (the start, or the one
     trial that equalizes every awareness set), which that call estimates in
-    full, and the call settles the sweep's step on its last chunk; the
-    report reuses the winner's bundle, redrawing every chunk but the last
-    when the winner was scored."""
+    full, so a report on it reuses that bundle; a report on any other
+    winner makes one more pass over the draws.  A sweep names no pick:
+    only the last step is reported, and settling every step measured no
+    faster than that one report pass."""
     current = [frozenset({1})] * s.n_bidders
     trials = [("start", current, policy_with_info(s, current, info))]
-    best = None                 # (value, policy, report)
+    best = None                 # (value, awareness, policy, bundle)
     trace = []
     while True:
         for i in range(s.n_bidders):
@@ -282,28 +282,20 @@ def _optimize_greedy(s, config, info, regime) -> OptimizeResult:
                 trial[i] = trial[i] | {j}
                 trials.append((f"try bidder {i + 1} char {j}", trial,
                                policy_with_info(s, trial, info)))
-        first = 1 if best is None else 0    # the start is no step
-
-        def step(values):
-            """The trial of largest strict improvement (the first of equals),
-            or None."""
-            k, top = None, values[0] if best is None else best[0]
-            for t in range(first, len(values)):
-                if values[t] > top:
-                    k, top = t, values[t]
-            return k
-
-        values, reports = _revenue_values(s, [cand for _d, _t, cand in trials], config, step)
-        k = step(values)
-        trace.extend((desc, val) for (desc, _t, _c), val in zip(trials, values))
-        if best is None:
-            best = (values[0], trials[0][2], reports[0])
-        if k is None:
+        values, bundles, _k = _revenue_values(s, [cand for _d, _t, cand in trials], config)
+        step = None
+        for (desc, trial, cand), val, b in zip(trials, values, bundles):
+            trace.append((desc, val))
+            if best is None:
+                best = (val, trial, cand, b)        # the start
+            elif val > best[0] and (step is None or val > step[0]):
+                step = (val, trial, cand, b)
+        if step is None:
             break
-        best, current, trials = (values[k], trials[k][2], reports[k]), trials[k][1], []
-    _val, pol, report = best
-    return OptimizeResult(pol, revenue(s, pol, config, bundle=report and report()),
-                          tuple(trace), regime, False)
+        best, current, trials = step, step[1], []
+    _val, _aw, pol, bundle = best
+    return OptimizeResult(pol, revenue(s, pol, config, bundle=bundle), tuple(trace),
+                          regime, False)
 
 
 def _set_partitions(k: int):

@@ -203,11 +203,10 @@ def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=(), p
 
     ``pick``, if given, is called once with the final scores and names one
     scored policy by its index, or None.  The third result is then
-    ``(index, settle)``, where ``settle()`` is that policy's bundle, ``==``
-    ``estimate(s, policies[index], config)`` (else None).  Under Monte
-    Carlo its fields are summed on the last chunk's bid columns before
-    they are freed, and ``settle`` redraws only the earlier chunks, for
-    that policy alone."""
+    ``(index, bundle)``, the bundle ``==`` ``estimate(s, policies[index],
+    config)`` (else None).  Under Monte Carlo its fields are summed on the
+    last chunk's bid columns before they are freed, and only the earlier
+    chunks are redrawn, for that policy alone."""
     policies, bundled = tuple(policies), tuple(bundled)
     if not (policies or bundled):
         return (), (), None
@@ -215,9 +214,9 @@ def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=(), p
         raise EstimationError("second-price auction needs at least 2 bidders")
     if config.backend == "exact":
         scores = tuple(_exact_bundle(s, p, config).total_revenue for p in policies)
-        k = pick(scores) if pick is not None and policies else None
+        k = None if pick is None else pick(scores)
         return (scores, tuple(_exact_bundle(s, p, config) for p in bundled),
-                None if k is None else (k, lambda: _exact_bundle(s, policies[k], config)))
+                None if k is None else (k, _exact_bundle(s, policies[k], config)))
     return _mc_pass(s, policies, bundled, config, pick)
 
 
@@ -415,13 +414,14 @@ def _chunk_contributions(s, rules, entries, seed, start, stop, held=()):
 
 
 def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop,
-              choose=None, held=({}, ())):
+              choose=None, earlier=None, held=({}, ())):
     """One chunk's score sums for ``plan`` (``_score_sums``) and, per policy
     layout in ``layouts``, its per-field (sum, sum of squares).  Each
     distinct bid column is built on first use and kept for the chunk, so
     it is summed once however many policies read it; the policies share
-    four scratch columns.  ``choose``, if given, maps the score sums to
-    one scored layout or None, whose fields are appended; ``held`` is the
+    four scratch columns.  ``choose``, given on a pass's last chunk, maps
+    every chunk's score sums (``earlier()``, then this chunk's) to one
+    scored layout or None, whose fields are appended; ``held`` is the
     ``_reading`` of the hidden-value keys it may need beyond ``rules``."""
     held_rules, held_entries = held
     L, contribs, draw = _chunk_contributions(s, rules, entries, seed, start, stop,
@@ -436,7 +436,7 @@ def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop,
     scratch = np.empty((4, L))
     sums = _score_sums(column, plan, scratch[0])
     fields = [_policy_fields(column, contribs, layout, scratch) for layout in layouts]
-    layout = None if choose is None else choose(sums)
+    layout = None if choose is None else choose(earlier() + [sums])
     if layout is not None:
         reads = set(chain(*layout[0]))
         for keys in [keys for keys in built if keys not in reads]:
@@ -556,20 +556,16 @@ def _mc_pass(s: Scenario, scored: tuple, bundled: tuple, config: EstimatorConfig
         return None if k is None else score_layouts[k]
 
     partials = _mc_partials(s, score_layouts, bundled, config, ranges,
-                            choose if pick is not None and scored else None)
+                            None if pick is None else choose)
     scores, k = chosen[0] if chosen else (
         _final_scores(score_layouts, [part[0] for part in partials], S), None)
     bundles = tuple(_mc_bundle_from(s, [part[1][b] for part in partials], config)
                     for b in range(len(bundled)))
     if k is None:
         return scores, bundles, None
-    last = partials[-1][1][-1]
-
-    def settle():
-        head = _mc_partials(s, (), (scored[k],), config, ranges[:-1])
-        return _mc_bundle_from(s, [part[1][0] for part in head] + [last], config)
-
-    return scores, bundles, (k, settle)
+    head = _mc_partials(s, (), (scored[k],), config, ranges[:-1])
+    return scores, bundles, (k, _mc_bundle_from(
+        s, [part[1][0] for part in head] + [partials[-1][1][-1]], config))
 
 
 def _mc_partials(s, score_layouts, bundled, config, ranges, choose=None):
@@ -583,21 +579,19 @@ def _mc_partials(s, score_layouts, bundled, config, ranges, choose=None):
     used.update(key for columns, unaware, _f, _b in layouts
                 for keys in chain(*columns, unaware) for key in keys)
     rules, entries = _reading(s, used)
-    # hidden values no bid column reads: held on the last chunk, and
+    # hidden values no bid column reads: held on the last chunk alone, and
     # inverted only for the picked policy
     hidden = {key for _c, unaware, _f, _b in score_layouts for key in chain(*unaware)}
     held = _reading(s, hidden - rules.keys())
 
     def run(rng, earlier=None):
-        choose_here = None
-        if choose is not None and earlier is not None:
-            def choose_here(sums):
-                return choose([part[0] for part in earlier()] + [sums])
+        """One chunk's partials; ``earlier()``, passed for the last chunk,
+        gives the earlier chunks' score sums."""
+        last = () if choose is None or earlier is None else (choose, earlier, held)
         # an overflow is not warned about: every non-finite mean is rejected
         # by _final_scores, and every non-finite field by _mc_bundle_from
         with np.errstate(over="ignore", invalid="ignore"):
-            return _mc_chunk(s, rules, plan, layouts, entries, config.seed, *rng,
-                             choose_here, held)
+            return _mc_chunk(s, rules, plan, layouts, entries, config.seed, *rng, *last)
 
     if not ranges:
         return []
@@ -607,10 +601,10 @@ def _mc_partials(s, score_layouts, bundled, config, ranges, choose=None):
             futures = [pool.submit(run, r) for r in head]
             # the last chunk is queued after every earlier one, so what it
             # waits for has started
-            final = pool.submit(run, tail, lambda: [f.result() for f in futures])
+            final = pool.submit(run, tail, lambda: [f.result()[0] for f in futures])
             return [f.result() for f in futures] + [final.result()]
     done = [run(r) for r in head]
-    return done + [run(tail, lambda: done)]
+    return done + [run(tail, lambda: [part[0] for part in done])]
 
 
 def _final_scores(score_layouts, partials, S):

@@ -417,9 +417,9 @@ def _per_policy_loop(s, policies, config):
 
 def _per_policy_scores(s, policies, config, bundled=(), pick=None):
     scores = tuple(revenue(s, p, config).total_revenue for p in policies)
-    k = pick(scores) if pick is not None and policies else None
+    k = None if pick is None else pick(scores)
     return (scores, _per_policy_loop(s, bundled, config),
-            None if k is None else (k, lambda: estimate(s, policies[k], config)))
+            None if k is None else (k, estimate(s, policies[k], config)))
 
 
 def _spied(monkeypatch, run, route, reference):
@@ -482,7 +482,7 @@ def _scored_and_per_policy(monkeypatch, run):
         assert scores == tuple(revenue(s, p, config).total_revenue for p in policies)
         _check_bundles(s, bundled, config, bundles)
         if settled is not None:
-            _check_bundles(s, [policies[settled[0]]], config, [settled[1]()])
+            _check_bundles(s, [policies[settled[0]]], config, [settled[1]])
         out.append((policies, bundled, settled and settled[0]))
     return got, want, out, starts
 
@@ -559,8 +559,7 @@ def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
     assert starts == list(range(0, config.n_samples, _CHUNK))
     assert got.report == revenue(s, got.policy, config)
     # a scored winner, the first sweep's step: each sweep's pass draws every
-    # chunk once and the report redraws all but the last, one chunk fewer
-    # than a separate report pass over the winner
+    # chunk once and the report makes one more pass, over the winner alone
     s = three_char_scenario(2)
     config = EstimatorConfig(backend="mc", n_samples=4 * _CHUNK, seed=23)
     starts.clear()
@@ -571,15 +570,14 @@ def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
     assert got.policy.awareness == (frozenset({1}), frozenset({1, 2}))
     assert batches == [(4, 1), (2, 1)]
     chunks = list(range(0, config.n_samples, _CHUNK))
-    assert starts == chunks * 2 + chunks[:-1]
+    assert starts == chunks * 3
     assert got.report == revenue(s, got.policy, config)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n_samples", [1 << 14, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
 @pytest.mark.parametrize("search", ["individual", "greedy"])
-def test_mc_search_settles_a_scored_winner_on_its_scoring_pass(monkeypatch, search,
-                                                               n_samples, workers):
+def test_mc_search_report_matches_per_policy_loop(monkeypatch, search, n_samples, workers):
     s = three_char_scenario(2)
     config = EstimatorConfig(backend="mc", n_samples=n_samples, seed=23, workers=workers)
     if search == "individual":
@@ -594,13 +592,17 @@ def test_mc_search_settles_a_scored_winner_on_its_scoring_pass(monkeypatch, sear
     # bidder 2, so its hidden values read draws no bid column reads
     assert got.policy.awareness == (frozenset({1}), frozenset({1, 2}))
     assert got.report == revenue(s, got.policy, config)
-    # one call picks the winner (greedy: the step of its first sweep, and
-    # its second finds none)
-    assert [scored[k] for scored, _b, k in calls if k is not None] == [got.policy]
-    # each scoring pass draws every chunk once, and the report redraws
-    # every chunk but the last: one chunk fewer than a separate report pass
+    # each scoring pass draws every chunk once.  The individual search's one
+    # call picks the winner and settles it on its last chunk, so the report
+    # redraws every chunk but the last; the greedy search picks no step,
+    # and its report is one more pass over every chunk
     chunks = list(range(0, n_samples, _CHUNK))
-    want_starts = chunks * len(calls) + chunks[:-1]
+    if search == "individual":
+        assert [scored[k] for scored, _b, k in calls] == [got.policy]
+        want_starts = chunks + chunks[:-1]
+    else:
+        assert [k for _s, _b, k in calls] == [None, None]
+        want_starts = chunks * 3
     if workers > 1:
         starts, want_starts = sorted(starts), sorted(want_starts)
     assert starts == want_starts
@@ -626,6 +628,34 @@ def test_mc_search_inverts_a_hidden_only_entry_for_the_winner_alone(monkeypatch)
     assert res.policy.awareness == (frozenset({1}), frozenset({1, 2}))
     assert sum(law is s.law(1, 2) for law in inverted) == 2
     assert not any(law is s.law(2, 2) for law in inverted)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_search_holds_hidden_only_entries_on_the_picking_chunk_alone(monkeypatch,
+                                                                        workers):
+    # the winner's hidden values that no bid column reads are kept on the
+    # scoring pass's last chunk only, where the pick is made; no earlier
+    # chunk and no chunk of the report's redraw holds any
+    s = three_char_scenario(2)
+    config = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 7, seed=23,
+                             workers=workers)
+    held = []
+    stock = engine._chunk_contributions
+
+    def spy(s, rules, entries, seed, start, stop, held_entries=()):
+        held.append((start, tuple(held_entries)))
+        return stock(s, rules, entries, seed, start, stop, held_entries)
+
+    monkeypatch.setattr(engine, "_chunk_contributions", spy)
+    res = optimize(s, PolicyRegime.INDIVIDUAL, config, char_info=HIDING)
+    monkeypatch.setattr(engine, "_chunk_contributions", stock)
+    assert res.policy.awareness == (frozenset({1}), frozenset({1, 2}))
+    assert res.report == revenue(s, res.policy, config)
+    last = 3 * _CHUNK
+    assert sorted(start for start, _h in held) == [0, 0, _CHUNK, _CHUNK, 2 * _CHUNK,
+                                                   2 * _CHUNK, last]
+    assert all(not h for start, h in held if start != last)
+    assert [h for start, h in held if start == last][0]
 
 
 def test_mc_tradeoff_matches_per_policy_loop(monkeypatch):
@@ -673,10 +703,10 @@ def _scored_traces(s, config, info):
     seen = []
     stock = disclosure._revenue_values
 
-    def spy(s, policies, config, pick):
-        values, reports = stock(s, policies, config, pick)
-        seen.extend(zip(policies, values))
-        return values, reports
+    def spy(s, policies, config, pick=None):
+        out = stock(s, policies, config, pick)
+        seen.extend(zip(policies, out[0]))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(disclosure, "_revenue_values", spy)

@@ -664,9 +664,7 @@ def test_a_picked_policy_is_settled_on_the_scoring_pass(monkeypatch, workers):
             return k
 
         monkeypatch.setattr(engine, "_uniform_chunk", counting)
-        scores, bundles, (picked, settle) = engine.score_policies(s, policies, cfg, pick=pick)
-        assert sorted(starts) == chunks
-        bundle = settle()
+        scores, bundles, (picked, bundle) = engine.score_policies(s, policies, cfg, pick=pick)
         assert sorted(starts) == sorted(chunks + chunks[:-1])
         monkeypatch.setattr(engine, "_uniform_chunk", stock)
         assert (seen, picked, bundles) == ([scores], k, ())
@@ -675,9 +673,9 @@ def test_a_picked_policy_is_settled_on_the_scoring_pass(monkeypatch, workers):
         assert engine.score_policies(s, policies, cfg, pick=lambda scores: None)[2] is None
     # the exact backend reads the picked policy's bundle off its views
     s, p = build_d1()
-    scores, _bundles, (picked, settle) = engine.score_policies(s, [p], EXACT,
+    scores, _bundles, (picked, bundle) = engine.score_policies(s, [p], EXACT,
                                                                pick=lambda scores: 0)
-    assert picked == 0 and settle() == estimate(s, p, EXACT)
+    assert picked == 0 and bundle == estimate(s, p, EXACT)
 
 
 def test_a_picked_pass_with_more_workers_than_cores_finishes(monkeypatch):
@@ -689,9 +687,8 @@ def test_a_picked_pass_with_more_workers_than_cores_finishes(monkeypatch):
 
     def run(workers):
         cfg = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 5, seed=3, workers=workers)
-        scores, bundles, (k, settle) = engine.score_policies(
+        results[workers] = engine.score_policies(
             s, policies[1:], cfg, bundled=policies[:1], pick=lambda scores: 2)
-        results[workers] = (scores, bundles, k, settle())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -705,8 +702,8 @@ def test_a_picked_pass_with_more_workers_than_cores_finishes(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results[2] == results[4] == results[1]
-    assert results[1][3] == estimate(s, policies[3], EstimatorConfig(
-        backend="mc", n_samples=3 * _CHUNK + 5, seed=3))
+    assert results[1][2] == (2, estimate(s, policies[3], EstimatorConfig(
+        backend="mc", n_samples=3 * _CHUNK + 5, seed=3)))
 
 
 def test_scoring_inverts_no_entry_read_only_as_a_hidden_value(monkeypatch):

@@ -40,8 +40,13 @@ from .distributions import (
 )
 from .engine import EstimationError, EstimatorConfig
 from .fees import curse_gap, entry_fees, revenue
-from .orderstats import OrderStatLaw, clark_normal_max, expected_order_stat, valuation_law
-from .piecewise import expected_value, order_stat_rational
+from .orderstats import (
+    OrderStatLaw,
+    clark_normal_max,
+    expected_order_stat,
+    law_grid,
+    valuation_law,
+)
 from .scenario import Perspective, ScenarioError, validate
 
 __all__ = ["main", "parse_scenario", "emit", "ParseError"]
@@ -307,8 +312,8 @@ def _cmd_curse(s, p, config, args) -> ReportDocument:
     return rep
 
 
-def _rational_cdf_law(law) -> bool:
-    """A law without a normal part, whose exact CDF ``rational_cdf`` builds."""
+def _no_normal_part(law) -> bool:
+    """A law without a normal part: its CDF is exact on ``law_grid``."""
     return not isinstance(law, Normal) and not (isinstance(law, SumLaw) and law.sigma)
 
 
@@ -321,8 +326,9 @@ def _cmd_orderstats(s, p, config, args) -> ReportDocument:
     if s.n_bidders >= 2:
         e2 = expected_order_stat(OrderStatLaw(tuple(laws), 2))
         rep.add("expected_second_order_stat", e2, None, "analytic")
-    if all(_rational_cdf_law(law) for law in laws):
-        ref = expected_value(order_stat_rational(laws, 1))
+    if all(_no_normal_part(law) for law in laws):
+        # on atom laws e1 is already the grid's Fraction
+        ref = e1 if isinstance(e1, Fraction) else law_grid(laws).expected(1)
         rep.add("reference_expected_first_order_stat", ref, None, "exact")
         rep.add("agreement_1e9", bool(abs(float(e1) - float(ref)) < 1e-9), None, "")
     elif all(isinstance(law, (Normal, PointMass)) for law in laws) and s.n_bidders == 2:

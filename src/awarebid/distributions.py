@@ -39,6 +39,7 @@ __all__ = [
     "DiscreteFinite",
     "PointMass",
     "AtomLattice",
+    "PieceLattice",
     "SumLaw",
     "Distribution",
     "Law",
@@ -56,6 +57,7 @@ __all__ = [
     "breakpoints",
     "convolve",
     "sum_pieces",
+    "piece_lattice",
     "atom_lattice",
     "fold_atom_lattices",
     "lattice_mean",
@@ -595,8 +597,20 @@ def _sum_parts(law: Law):
     raise DistributionError(f"unsupported law {law!r}")
 
 
-def _pieces(law):
-    """(knots, polys) of a law's discrete and uniform parts, kept on it.
+class PieceLattice(NamedTuple):
+    """Integer form of the CDF of a law without a normal part: on
+    [nums[j], nums[j+1]) / value_den the CDF is sum_l coefs[j][l] u^l /
+    prob_den with u = x value_den - nums[j]; it is 0 below the first knot
+    and 1 from the last."""
+
+    value_den: int
+    prob_den: int
+    nums: tuple
+    coefs: tuple
+
+
+def _pieces(law) -> PieceLattice:
+    """Integer form of a law's discrete and uniform parts, kept on it.
 
     The CDF is sum_{d,S} (-1)^|S| p_d (x - d - sum_{i in S} w_i)_+^k /
     (k! prod w_i).  Its knots' signed weights are the discrete masses, then
@@ -620,16 +634,15 @@ def _pieces(law):
                     raise DistributionError(f"a sum law has more than {_FOLD_CAP} knots")
             weights = {t: c for t, c in out.items() if c}
         k = len(steps)
-        scale = form.prob_den * math.factorial(k) * math.prod(steps)
-        powers = [den ** l for l in range(k + 1)]
         nums = sorted(weights)
         coef = [0] * (k + 1)
-        polys = []
+        coefs = []
         for prev, n in zip(nums, nums[1:]):
             coef[k] += weights[prev]
-            polys.append(tuple(Fraction(a * p, scale) for a, p in zip(coef, powers)))
+            coefs.append(tuple(coef))
             _taylor_shift(coef, n - prev)
-        kept = tuple(Fraction(n, den) for n in nums), tuple(polys)
+        kept = PieceLattice(den, form.prob_den * math.factorial(k) * math.prod(steps),
+                            tuple(nums), tuple(coefs))
         object.__setattr__(law, "_pieces", kept)
     return kept
 
@@ -642,24 +655,35 @@ def _taylor_shift(coef, delta):
             coef[j] += delta * coef[j + 1]
 
 
-def sum_pieces(law):
-    """Exact CDF of a law without a normal part as (knots, polys): Fraction
-    knots and, on each [knots[j], knots[j+1]), the ascending coefficients
-    of the CDF in powers of x - knots[j]; the CDF is 0 below the first
-    knot and 1 from the last."""
+def piece_lattice(law) -> PieceLattice:
+    """Integer form of the CDF of a law without a normal part
+    (``_pieces``); a normal part raises DistributionError."""
     if _sum_parts(law)[2]:
         raise DistributionError(f"no exact piecewise CDF for {law!r}")
     return _pieces(law)
 
 
+def sum_pieces(law):
+    """Exact CDF of a law without a normal part as (knots, polys): Fraction
+    knots and, on each [knots[j], knots[j+1]), the ascending coefficients
+    of the CDF in powers of x - knots[j]; the CDF is 0 below the first
+    knot and 1 from the last."""
+    den, scale, nums, coefs = piece_lattice(law)
+    return (tuple(Fraction(n, den) for n in nums),
+            tuple(tuple(Fraction(a * den ** l, scale) for l, a in enumerate(coef))
+                  for coef in coefs))
+
+
 def _float_pieces(law: SumLaw):
     """A sum law's pieces rounded once to float64, kept on it: the knots,
-    and one row of local coefficients per piece."""
+    and one row of local coefficients per piece (``sum_pieces`` in floats;
+    an int quotient rounds correctly, as the Fraction would)."""
     kept = law.__dict__.get("_floats")
     if kept is None:
-        knots, polys = _pieces(law)
-        kept = (np.array(knots, dtype=np.float64),
-                np.array(polys, dtype=np.float64).reshape(len(polys), len(law.widths) + 1))
+        den, scale, nums, coefs = _pieces(law)
+        kept = (np.array([n / den for n in nums]),
+                np.array([[a * den ** l / scale for l, a in enumerate(coef)] for coef in coefs])
+                .reshape(len(coefs), len(law.widths) + 1))
         object.__setattr__(law, "_floats", kept)
     return kept
 

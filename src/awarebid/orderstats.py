@@ -23,12 +23,12 @@ of the CDFs, which is the whole of rank 1.
 
 Expectations integrate the CDF: E = int_0^inf (1-G) - int_{-inf}^0 G, by
 adaptive Simpson between analytic knots when some law is continuous, and
-by an exact sweep over a common integer atom grid (``AtomGrid``) when
-every law is finitely supported.  The atom grid is the one exact route:
-``atom_grid`` only rescales integer forms to common denominators and
-merges their supports, and the grid also settles exact second-price
-auctions (per-law surplus and 1/#ties win credit) for the engine; its
-results are the only Fractions it makes.  The numeric route evaluates G
+on one integer grid (``AtomGrid``), the one exact route for every law
+without a normal part (``law_grid``): on each grid interval a law's CDF
+is an int or an integer polynomial.  The grid also settles exact
+second-price auctions on atom laws (per-law surplus and 1/#ties win
+credit) for the engine; its results are the only Fractions it makes.
+The numeric route evaluates G
 on arrays, adaptive Simpson level by level with every pending interval of
 a level in one call (at most ``max_depth`` + 2 calls).  The integrand
 jumps at 0 (from -G to 1-G) and at every atom, all of them knots, so it
@@ -43,10 +43,11 @@ expectation beyond five per knot interval, raises DistributionError.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, zip_longest
 
 import numpy as np
 
@@ -56,10 +57,13 @@ from .distributions import (
     DistributionError,
     FullInfo,
     NoInfo,
+    PieceLattice,
     PointMass,
     _atom_cells,
     _Phi,
     _phi,
+    _sum_parts,
+    _taylor_shift,
     atom_lattice,
     breakpoints,
     cdf,
@@ -68,6 +72,7 @@ from .distributions import (
     fold_atom_lattices,
     lattice_law,
     mean,
+    piece_lattice,
     quantile_range,
 )
 from .scenario import DisclosurePolicy, Perspective, Scenario, perceive
@@ -76,6 +81,7 @@ __all__ = [
     "OrderStatLaw",
     "AtomGrid",
     "atom_grid",
+    "law_grid",
     "bid_component",
     "bid_lattice",
     "valuation_law",
@@ -219,8 +225,8 @@ class OrderStatLaw:
 
 def _rank_cdf_terms(G, rank: int, one):
     """P(rank-th largest <= y) = P(fewer than rank of the values exceed y),
-    for columns ``G`` of CDF values (float arrays, integer or Fraction
-    columns, or scalars) and ``one``, the value of probability 1 in them.
+    for columns ``G`` of CDF values (float arrays, integer, polynomial or
+    Fraction columns, or scalars) and ``one``, the value of probability 1.
 
     Evaluates the permanent formula by permutation classes: the permanent of
     the matrix with m columns G and n-m columns 1-G equals m!(n-m)! times
@@ -244,21 +250,57 @@ def _rank_cdf_terms(G, rank: int, one):
 # Expectations
 # ---------------------------------------------------------------------------
 
+class _Poly:
+    """Integer polynomial in a grid interval's local variable, ascending
+    coefficients: the column entry of a law with uniform parts.  It has the
+    ``*``, ``+`` and ``one - p`` that ``_rank_cdf_terms`` uses, with ints as
+    constants, and is no sequence, so an object array holds it whole."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Poly([a * other for a in self.c]) if other else 0
+        out = [0] * (len(self.c) + len(other.c) - 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(other.c):
+                out[i + j] += a * b
+        return _Poly(out)
+
+    def __add__(self, other):
+        c = other.c if isinstance(other, _Poly) else (other,)
+        return _Poly([a + b for a, b in zip_longest(self.c, c, fillvalue=0)])
+
+    def __rsub__(self, one):
+        return _Poly([one - self.c[0], *(-a for a in self.c[1:])])
+
+    __rmul__, __radd__ = __mul__, __add__
+
+    def area(self, w, lcm):
+        """lcm times the integral over [0, w]; lcm is a multiple of every
+        degree plus one."""
+        return sum(a * w ** (l + 1) * (lcm // (l + 1)) for l, a in enumerate(self.c))
+
+
 @dataclass(frozen=True)
 class AtomGrid:
-    """Independent atom laws on one common integer grid.
+    """Independent laws without a normal part on one common integer grid.
 
-    Grid point ``points[k]`` stands for the value ``points[k] / value_den``;
-    ``mass[i][k]`` and ``cdf[i][k]`` are law i's probability at and up to
-    that point times ``prob_den``, the same denominator for every law, so
-    ``prob_den - cdf[i][k]`` is the complement.  Sums run in Python
-    integers and divide the scales out once, as a Fraction.
+    Grid point ``points[k]`` stands for the value ``points[k] / value_den``
+    and holds every law's knots.  ``cdf[i][k]`` is law i's CDF on
+    [points[k], points[k+1]) times ``prob_den``, the same denominator for
+    every law, so ``prob_den - cdf[i][k]`` is the complement: a plain int
+    where the CDF is constant there (every entry of an atom law), else a
+    ``_Poly`` in u = (x - points[k]) value_den.  Sums run in Python integers
+    and divide the scales out once, as a Fraction.
     """
 
     points: tuple
     value_den: int
     prob_den: int
-    mass: tuple
     cdf: tuple
 
     def _scale(self) -> int:
@@ -266,20 +308,23 @@ class AtomGrid:
         return self.prob_den ** len(self.cdf)
 
     def expected(self, rank: int) -> Fraction:
-        """E of the rank-th highest law: sum over k of g_k times the rank's
-        CDF jump at g_k, the CDF taken from ``_rank_cdf_terms`` on whole
-        columns."""
+        """E of the rank-th highest law: the top grid value minus the
+        integral of the rank's CDF, taken from ``_rank_cdf_terms`` on whole
+        columns, interval by interval; on int entries the integral is the
+        entry times the interval's width."""
         cols = [np.array(c, dtype=object) for c in self.cdf]
         H = _rank_cdf_terms(cols, rank, one=self.prob_den)
-        num = 0
-        prev = 0
-        for g, h in zip(self.points, H):
-            num += g * (h - prev)
-            prev = h
-        return Fraction(num, self._scale() * self.value_den)
+        lcm = math.lcm(*range(1, 1 + max((len(h.c) for h in H if isinstance(h, _Poly)),
+                                         default=1)))
+        area = 0
+        for h, a, b in zip(H, self.points, self.points[1:]):
+            area += h.area(b - a, lcm) if isinstance(h, _Poly) else h * (b - a) * lcm
+        scale = self._scale() * lcm
+        return Fraction(self.points[-1] * scale - area, scale * self.value_den)
 
     def settle(self):
-        """Second-price settlement of one bid per law, in expectation.
+        """Second-price settlement of one bid per law, in expectation; atom
+        laws only.
 
         Returns (surplus, credit), one Fraction per law: the unique winner's
         expected surplus E[(B_i - M_i) 1{B_i > M_i}], M_i the highest other
@@ -293,8 +338,9 @@ class AtomGrid:
         tie_scale = math.lcm(*range(1, n + 1))
         share = [tie_scale // (k + 1) for k in range(n)]
         widths = [b - a for a, b in zip(self.points, self.points[1:])] + [0]
+        masses = [[b - a for a, b in zip((0, *col), col)] for col in self.cdf]
         surplus, credit = [], []
-        for i, mass_i in enumerate(self.mass):
+        for i, mass_i in enumerate(masses):
             others = [j for j in range(n) if j != i]
             # P(M_i <= g_k): every other law at most g_k
             below = map(math.prod, zip(*(self.cdf[j] for j in others)))
@@ -304,7 +350,7 @@ class AtomGrid:
                     s_num += m * run
                     poly = [1]
                     for j in others:
-                        eq = self.mass[j][k]
+                        eq = masses[j][k]
                         lt = self.cdf[j][k] - eq
                         poly = [a * lt + b * eq for a, b in zip(poly + [0], [0] + poly)]
                     c_num += m * sum(map(math.prod, zip(poly, share)))
@@ -315,35 +361,61 @@ class AtomGrid:
 
 
 def atom_grid(forms) -> AtomGrid:
-    """Put integer forms (``AtomLattice``) on one common grid: rescale each
-    to the lcm of their value and of their probability denominators, and
-    merge their supports."""
+    """Put integer forms on one common grid: atom laws (``AtomLattice``) and
+    the pieces of laws with uniform parts (``PieceLattice``).  Each is
+    rescaled to the lcm of their value denominators and to one probability
+    denominator; their knots are merged."""
     forms = list(forms)
     value_den = math.lcm(*(f.value_den for f in forms))
-    prob_den = math.lcm(*(f.prob_den for f in forms))
-    scaled = [([x * (value_den // f.value_den) for x in f.nums],
-               [m * (prob_den // f.prob_den) for m in f.masses]) for f in forms]
-    points = sorted({x for nums, _masses in scaled for x in nums})
+    # a piece form's denominator once its coefficients are in grid units
+    dens = [f.prob_den if isinstance(f, AtomLattice)
+            else f.prob_den * (value_den // f.value_den) ** (len(f.coefs[0]) - 1)
+            for f in forms]
+    prob_den = math.lcm(*dens)
+    points = sorted({x * (value_den // f.value_den) for f in forms for x in f.nums})
     index = {g: k for k, g in enumerate(points)}
-    mass = []
-    for nums, masses in scaled:
-        col = [0] * len(points)
-        for g, w in zip(nums, masses):
-            col[index[g]] = w
-        mass.append(tuple(col))
-    return AtomGrid(tuple(points), value_den, prob_den, tuple(mass),
-                    tuple(tuple(accumulate(col)) for col in mass))
+    cols = []
+    for f, den in zip(forms, dens):
+        step, up = value_den // f.value_den, prob_den // den
+        if isinstance(f, AtomLattice):
+            col = [0] * len(points)
+            for x, m in zip(f.nums, f.masses):
+                col[index[x * step]] = m * up
+            cols.append(tuple(accumulate(col)))
+        else:
+            cols.append(tuple(_piece_column(f, points, step, up, prob_den)))
+    return AtomGrid(tuple(points), value_den, prob_den, tuple(cols))
+
+
+def _piece_column(f: PieceLattice, points, step: int, up: int, one: int):
+    """A piece form's column on the grid: 0 below its first knot, ``one``
+    from its last, and between them its piece at the grid point, u rescaled
+    by ``step`` (times step^degree) and the denominator by ``up``."""
+    degree = len(f.coefs[0]) - 1
+    knots = [x * step for x in f.nums]
+    for g in points:
+        j = bisect_right(knots, g)
+        if j == 0 or j == len(knots):
+            yield 0 if j == 0 else one
+            continue
+        coef = [a * step ** (degree - l) * up for l, a in enumerate(f.coefs[j - 1])]
+        _taylor_shift(coef, g - knots[j - 1])
+        yield _Poly(coef) if any(coef[1:]) else coef[0]
+
+
+def law_grid(laws) -> AtomGrid:
+    """Laws without a normal part on one grid, read as a sum reads them: a
+    discrete law by its integer form, a point mass through ``as_fraction``
+    (``_sum_parts``), any other law by its pieces (``piece_lattice``)."""
+    return atom_grid(_sum_parts(law)[0] if isinstance(law, (DiscreteFinite, PointMass))
+                     else piece_lattice(law) for law in laws)
 
 
 def expected_order_stat(os_law: OrderStatLaw):
     """E of the rank-th highest; exact Fraction when all laws are atomic."""
     if all(isinstance(law, (DiscreteFinite, PointMass)) for law in os_law.laws):
-        return _expected_exact(os_law)
+        return atom_grid(atom_lattice(law) for law in os_law.laws).expected(os_law.rank)
     return _expected_numeric(os_law)
-
-
-def _expected_exact(os_law: OrderStatLaw) -> Fraction:
-    return atom_grid(atom_lattice(law) for law in os_law.laws).expected(os_law.rank)
 
 
 def _expected_numeric(os_law: OrderStatLaw) -> float:

@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -18,6 +19,7 @@ from awarebid.distributions import (
     conditional_mean,
     lattice_mean,
     mean,
+    sum_pieces,
 )
 from awarebid.engine import _CHUNK, EstimatorConfig
 from awarebid.scenario import validate
@@ -80,6 +82,19 @@ def atom_cdf(law, y):
     if isinstance(law, PointMass):
         return F(1) if y >= law.value else F(0)
     return sum((p for v, p in zip(law.values, law.probs) if v <= y), F(0))
+
+
+def piece_cdf(law, y):
+    """Exact Fraction CDF of a law without a normal part at a rational y,
+    read off its exact pieces (``sum_pieces``) by Horner's rule."""
+    knots, polys = sum_pieces(law)
+    j = bisect_right(knots, y)          # knots[j-1] <= y < knots[j]
+    if j == 0 or j == len(knots):
+        return F(0 if j == 0 else 1)
+    out = F(0)
+    for c in reversed(polys[j - 1]):
+        out = out * (y - knots[j - 1]) + c
+    return out
 
 
 def mc_reference(s, p, draws):

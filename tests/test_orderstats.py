@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from awarebid.distributions import (
     convolve,
     mean,
     quantile_range,
+    sum_pieces,
 )
 from awarebid.engine import EstimatorConfig, estimate, sample_draws
 from awarebid.orderstats import (
@@ -30,11 +32,12 @@ from awarebid.orderstats import (
     _rank_cdf_terms,
     clark_normal_max,
     expected_order_stat,
+    law_grid,
     valuation_law,
 )
-from awarebid.piecewise import expected_value, order_stat_rational, rational_cdf
+from awarebid.piecewise import expected_value, order_stat_rational
 from awarebid.scenario import Perspective, validate
-from conftest import KS_COEFF_001, atom_cdf, ks_statistic, permanent
+from conftest import KS_COEFF_001, atom_cdf, ks_statistic, permanent, piece_cdf
 
 
 def _full_policy(laws, m):
@@ -48,7 +51,7 @@ def test_valuation_law_example1_trapezoid():
     s, p = _full_policy([[u1, u2], [u1, u2]], 2)
     law = valuation_law(s, p, 1, Perspective(s.full_set))
     assert law == convolve(u1, u2) == SumLaw(atom_lattice(PointMass(-6)), (F(5), F(11)))
-    assert rational_cdf(law).knots == (-6, -1, 5, 10)
+    assert sum_pieces(law)[0] == (-6, -1, 5, 10)
     # built once per column and kept on the scenario
     assert valuation_law(s, p, 1, Perspective(s.full_set)) is law
 
@@ -147,7 +150,7 @@ def _random_atom_laws(rng, n):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_atom_grid_expectation_matches_cdf_exact_sweep(seed):
+def test_atom_grid_expectation_matches_the_atom_cdf_sweep(seed):
     # E[rank r] = sum over the support grid of v times the jump of the
     # exact rank-r CDF, for every rank and with point masses mixed in
     rng = random.Random(700 + seed)
@@ -161,7 +164,7 @@ def test_atom_grid_expectation_matches_cdf_exact_sweep(seed):
         cdfs = [_rank_cdf_terms([atom_cdf(law, v) for law in laws], r, one=F(1))
                 for v in grid]
         want = sum(v * (g - prev) for v, g, prev in zip(grid, cdfs, [0] + cdfs[:-1]))
-        got = orderstats._expected_exact(os_law)
+        got = law_grid(laws).expected(r)
         assert isinstance(got, F) and got == want
         assert expected_order_stat(os_law) == want
 
@@ -211,9 +214,19 @@ def test_expected_order_stat_paper_values():
     trap = convolve(u5, UniformContinuous(-6, 5))
     got = expected_order_stat(OrderStatLaw((trap, u5), 1))
     assert got == pytest.approx(505 / 132, abs=1e-9)
-    # independent exact route through rational piecewise polynomials
+    # the exact route: polynomial columns on one integer grid
+    assert law_grid([trap, u5]).expected(1) == F(505, 132)
+    assert law_grid([u5, u5]).expected(1) == F(10, 3)
+    assert law_grid([u5, u5]).expected(2) == F(5, 3)
+
+
+def test_piecewise_names_read_the_grid():
+    # the names the analytic-search benchmark's oracle calls
+    u5 = UniformContinuous(0, 5)
+    trap = convolve(u5, UniformContinuous(-6, 5))
     assert expected_value(order_stat_rational([trap, u5], 1)) == F(505, 132)
-    assert expected_value(order_stat_rational([u5, u5], 1)) == F(10, 3)
+    with pytest.raises(ValueError, match="rank 1"):
+        order_stat_rational([u5, u5], 2)
 
 
 @pytest.mark.parametrize("law", [
@@ -222,18 +235,17 @@ def test_expected_order_stat_paper_values():
     PointMass(F(1, 3)),
 ], ids=["five-atoms", "coin", "point-mass"])
 def test_rational_cdf_equals_the_atom_oracle_around_every_knot(law):
-    G = rational_cdf(law)
-    knots = list(G.knots)
+    knots = list(sum_pieces(law)[0])
     probes = [knots[0] - 1, *knots, *((a + b) / 2 for a, b in zip(knots, knots[1:])),
               knots[-1] + 1]
     for y in probes:
-        assert G(y) == atom_cdf(law, y)
+        assert piece_cdf(law, y) == atom_cdf(law, y)
 
 
 def test_rational_cdf_of_a_trapezoid_at_and_between_its_knots():
     a, b, c, d = F(-6), F(-1), F(5), F(10)
-    G = rational_cdf(convolve(UniformContinuous(0, 5), UniformContinuous(-6, 5)))
-    assert G.knots == (a, b, c, d)
+    trap = convolve(UniformContinuous(0, 5), UniformContinuous(-6, 5))
+    assert sum_pieces(trap)[0] == (a, b, c, d)
     h = 2 / ((d + c) - (a + b))
 
     def closed_form(x):
@@ -248,7 +260,7 @@ def test_rational_cdf_of_a_trapezoid_at_and_between_its_knots():
         return 1
 
     for x in [a - 1, a, (a + b) / 2, b, (b + c) / 2, c, (c + d) / 2, d, d + 1]:
-        assert G(x) == closed_form(x)
+        assert piece_cdf(trap, x) == closed_form(x)
 
 
 def test_expected_max_of_two_iid_uniforms_closed_form():
@@ -256,18 +268,17 @@ def test_expected_max_of_two_iid_uniforms_closed_form():
     for a, b in [(-6, 5), (0, 1), (0, 5)]:
         u = UniformContinuous(a, b)
         want = F(a) + F(2 * (b - a), 3)
-        assert expected_value(order_stat_rational([u, u], 1)) == want
+        assert law_grid([u, u]).expected(1) == want
         assert expected_order_stat(OrderStatLaw((u, u), 1)) == pytest.approx(
             float(want), abs=1e-9)
     u01 = UniformContinuous(0, 1)
-    assert expected_value(order_stat_rational([u01, u01], 1)) == F(2, 3)
+    assert law_grid([u01, u01]).expected(1) == F(2, 3)
     # the rank-2 CDF of two U(0, 1) on Fraction columns, 2y - y^2, is a
     # quadratic, which Simpson's rule integrates exactly
     H = [_rank_cdf_terms([y, y], 2, one=F(1)) for y in (F(0), F(1, 2), F(1))]
     assert H == [0, F(3, 4), 1]
     assert 1 - (H[0] + 4 * H[1] + H[2]) / 6 == F(1, 3)
-    with pytest.raises(ValueError, match="rank 1"):
-        order_stat_rational([u01, u01], 2)
+    assert law_grid([u01, u01]).expected(2) == F(1, 3)
 
 
 def test_expected_order_stat_point_mass_every_rank():
@@ -276,14 +287,94 @@ def test_expected_order_stat_point_mass_every_rank():
         assert expected_order_stat(OrderStatLaw((pm, pm, pm), r)) == F(7, 3)
 
 
-def test_expected_order_stat_discrete_exact_vs_rational_oracle():
-    rng = random.Random(5)
-    laws = _random_atom_laws(rng, 3)
-    for r in (1, 2):
-        got = expected_order_stat(OrderStatLaw(tuple(laws), r))
-        assert isinstance(got, F)
-        if r == 1:
-            assert got == expected_value(order_stat_rational(laws, 1))
+def _uniform_sum_cdf(sp, x, parts):
+    """CDF of a sum of independent uniforms on ``parts`` (pairs of bounds)
+    by symbolic convolution of their densities, then integration."""
+    t = sp.Symbol("t", real=True)
+    density = [sp.Piecewise((1 / (hi - lo), (x >= lo) & (x <= hi)), (0, True))
+               for lo, hi in (map(sp.Rational, part) for part in parts)]
+    f = density[0]
+    for g in density[1:]:
+        f = sp.integrate(f.subs(x, t) * g.subs(x, x - t), (t, -sp.oo, sp.oo))
+    return sp.integrate(f.subs(x, t), (t, -sp.oo, x))
+
+
+def _sympy_expected(sp, x, laws, rank):
+    """E[rank-th highest] of sums of uniforms, rank 1 or 2: the top of the
+    support minus the integral of the rank's CDF, on each interval between
+    the laws' knots the polynomial through the sympy CDFs' exact values at
+    degree + 1 points inside it."""
+    cdfs = [_uniform_sum_cdf(sp, x, parts) for parts in laws]
+    knots = sorted({sum(pick) for parts in laws
+                    for pick in itertools.product(*parts)})
+    total = 0
+    for a, b in zip(knots, knots[1:]):
+        polys = []
+        for G, parts in zip(cdfs, laws):
+            xs = [a + (b - a) * F(k + 1, len(parts) + 2) for k in range(len(parts) + 1)]
+            polys.append(sp.interpolate([(sp.Rational(v), G.subs(x, sp.Rational(v))) for v in xs], x))
+        H = sp.Mul(*polys)
+        if rank == 2:
+            H += sum((1 - polys[i]) * sp.Mul(*polys[:i], *polys[i + 1:]) for i in range(len(polys)))
+        total += sp.integrate(sp.expand(H), (x, sp.Rational(a), sp.Rational(b)))
+    return sp.Rational(knots[-1]) - total
+
+
+def test_grid_equals_symbolic_convolution_of_uniform_densities():
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x", real=True)
+
+    def grid(laws):
+        return law_grid([convolve(*(UniformContinuous(*part) for part in parts))
+                         if len(parts) > 1 else UniformContinuous(*parts[0]) for parts in laws])
+
+    def exact(value):
+        return F(int(value.p), int(value.q))
+
+    trap, u5 = [(0, 5), (-6, 5)], [(0, 5)]
+    assert exact(_sympy_expected(sp, x, [trap, u5], 1)) == grid([trap, u5]).expected(1) == F(505, 132)
+    assert exact(_sympy_expected(sp, x, [u5, u5], 1)) == grid([u5, u5]).expected(1) == F(10, 3)
+    rng = random.Random(11)
+    for n in (2, 3):
+        laws = []
+        for _ in range(n):
+            parts = []
+            for _ in range(rng.randint(1, 2)):
+                lo = F(rng.randint(-4, 2), 2)
+                parts.append((lo, lo + F(rng.randint(2, 6), 2)))
+            laws.append(parts)
+        for rank in (1, 2):
+            assert exact(_sympy_expected(sp, x, laws, rank)) == grid(laws).expected(rank)
+
+
+def _atoms_and_uniforms(rng):
+    """One to three atoms at thirds in -3..3, plus zero to three uniforms
+    with bounds in tenths."""
+    k = rng.randint(1, 3)
+    values = sorted(rng.sample(range(-9, 10), k))
+    if k == 1:
+        law = PointMass(F(values[0], 3))
+    else:
+        weights = [rng.randint(1, 5) for _ in values]
+        law = DiscreteFinite([F(v, 3) for v in values], [F(w, sum(weights)) for w in weights])
+    for _ in range(rng.randint(0, 3)):
+        lo = rng.randint(-30, 30)
+        law = convolve(law, UniformContinuous(F(lo, 10), F(lo + rng.randint(1, 30), 10)))
+    return law
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_every_rank_matches_quadrature_on_atoms_and_uniforms(seed):
+    # ten seeded mixes of two to four laws per seed; the grid's Fractions
+    # against the numeric route's floats, every rank
+    rng = random.Random(2024 + seed)
+    for _ in range(10):
+        laws = tuple(_atoms_and_uniforms(rng) for _ in range(rng.randint(2, 4)))
+        grid = law_grid(laws)
+        for r in range(1, len(laws) + 1):
+            got = grid.expected(r)
+            assert isinstance(got, F)
+            assert abs(float(got) - expected_order_stat(OrderStatLaw(laws, r))) <= 1e-9
 
 
 def test_clark_iid_reduction():

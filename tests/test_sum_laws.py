@@ -25,13 +25,13 @@ from awarebid.distributions import (
     cdf,
     convolve,
     quantile_range,
+    sum_pieces,
 )
 from awarebid.engine import EstimatorConfig
 from awarebid.fees import revenue
 from awarebid.orderstats import valuation_law
-from awarebid.piecewise import rational_cdf
 from awarebid.scenario import Perspective, validate
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, piece_cdf
 
 
 def _random_sum(rng, uniforms, normal):
@@ -115,11 +115,10 @@ def test_rational_cdf_of_each_sum_equals_its_float_cdf():
     laws = [law for law in _sample() if not law.sigma]
     assert len(laws) >= 15
     for law in laws:
-        G = rational_cdf(law)
-        knots = [float(k) for k in G.knots]
+        knots = [float(k) for k in sum_pieces(law)[0]]
         xs = np.concatenate([_probes(law, 25), knots, np.nextafter(knots, -np.inf)])
         for x, g in zip(xs, cdf(law, xs)):
-            assert abs(float(G(F(x))) - g) <= 1e-14, (law, x)
+            assert abs(float(piece_cdf(law, F(x))) - g) <= 1e-14, (law, x)
 
 
 def test_sum_law_knots_are_bounded_on_both_sides():

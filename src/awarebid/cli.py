@@ -43,7 +43,7 @@ from .fees import curse_gap, entry_fees, revenue
 from .orderstats import (
     OrderStatLaw,
     clark_normal_max,
-    expected_order_stat,
+    expected_order_stats,
     law_grid,
     valuation_law,
 )
@@ -321,11 +321,14 @@ def _cmd_orderstats(s, p, config, args) -> ReportDocument:
     rep = ReportDocument()
     view = Perspective(s.full_set)
     laws = [valuation_law(s, p, i, view) for i in range(1, s.n_bidders + 1)]
-    e1 = expected_order_stat(OrderStatLaw(tuple(laws), 1))
-    rep.add("expected_first_order_stat", e1, None, "analytic")
-    if s.n_bidders >= 2:
-        e2 = expected_order_stat(OrderStatLaw(tuple(laws), 2))
-        rep.add("expected_second_order_stat", e2, None, "analytic")
+    # E[first] and E[second] in one batch
+    values = expected_order_stats(OrderStatLaw(tuple(laws), r)
+                                  for r in range(1, min(s.n_bidders, 2) + 1))
+    for name, value in zip(("expected_first_order_stat", "expected_second_order_stat"), values):
+        if isinstance(value, DistributionError):
+            raise value
+        rep.add(name, value, None, "analytic")
+    e1 = values[0]
     if all(_no_normal_part(law) for law in laws):
         # on atom laws e1 is already the grid's Fraction
         ref = e1 if isinstance(e1, Fraction) else law_grid(laws).expected(1)

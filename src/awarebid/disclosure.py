@@ -53,6 +53,7 @@ from .orderstats import (
     bid_component,
     bid_lattice,
     expected_order_stat,
+    expected_order_stats,
     valuation_law,
 )
 from .scenario import (
@@ -127,13 +128,13 @@ def _policy_disclosure(p: DisclosurePolicy) -> int:
 # Revenue evaluation
 # ---------------------------------------------------------------------------
 
-def _common_awareness_revenue(s: Scenario, p: DisclosurePolicy):
-    """Revenue of a common-awareness policy: with equal awareness all rents
-    vanish, so revenue equals the expected maximum of the bidders' estimated
-    valuation laws (exact for finitely supported laws)."""
-    laws = [valuation_law(s, p, i, Perspective(s.full_set))
-            for i in range(1, s.n_bidders + 1)]
-    return expected_order_stat(OrderStatLaw(tuple(laws), 1))
+def _common_awareness_max(s: Scenario, p: DisclosurePolicy) -> OrderStatLaw:
+    """The maximum whose expectation is a common-awareness policy's revenue:
+    with equal awareness all rents vanish, so revenue equals the expected
+    maximum of the bidders' estimated valuation laws (exact for finitely
+    supported laws)."""
+    return OrderStatLaw(tuple(valuation_law(s, p, i, Perspective(s.full_set))
+                              for i in range(1, s.n_bidders + 1)), 1)
 
 
 def _rank_key(value, p: DisclosurePolicy):
@@ -153,17 +154,23 @@ def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig, pick=N
     policy is scored, the pass settles it on its last chunk, so its bundle
     redraws every chunk but the last and a one-chunk search draws each
     chunk once.  Without ``pick`` the index is None, and a report on a
-    scored policy makes one more pass, over that policy alone."""
+    scored policy makes one more pass, over that policy alone.  The
+    analytic values of a call come from one ``expected_order_stats`` batch;
+    a policy without one (a continuous partition, a failed quadrature) is
+    scored."""
     values = [None] * len(policies)
-    pending = []
+    common, maxima = [], []
     for k, p in enumerate(policies):
         if len(set(p.awareness)) == 1:
             try:
-                values[k] = _common_awareness_revenue(s, p)
-                continue
+                maxima.append(_common_awareness_max(s, p))
             except DistributionError:
-                pass    # e.g. continuous partition: estimate through the engine
-        pending.append(k)
+                continue    # e.g. continuous partition: estimate through the engine
+            common.append(k)
+    for k, value in zip(common, expected_order_stats(maxima)):
+        if not isinstance(value, DistributionError):
+            values[k] = value
+    pending = [k for k in range(len(policies)) if values[k] is None]
     analytic = [k for k in range(len(policies)) if values[k] is not None]
     best = [max(analytic, key=lambda k: _rank_key(values[k], policies[k]))] if analytic else []
     slot = {k: t for t, k in enumerate(pending)}

@@ -25,19 +25,26 @@ Expectations integrate the CDF: E = int_0^inf (1-G) - int_{-inf}^0 G, by
 adaptive Simpson between analytic knots when some law is continuous, and
 on one integer grid (``AtomGrid``), the one exact route for every law
 without a normal part (``law_grid``): on each grid interval a law's CDF
-is an int or an integer polynomial.  The grid also settles exact
-second-price auctions on atom laws (per-law surplus and 1/#ties win
-credit) for the engine; its results are the only Fractions it makes.
-The numeric route evaluates G
-on arrays, adaptive Simpson level by level with every pending interval of
-a level in one call (at most ``max_depth`` + 2 calls).  The integrand
-jumps at 0 (from -G to 1-G) and at every atom, all of them knots, so it
-takes each knot interval's end values one ulp inside it: the one-sided
-limits that interval needs.  An expectation then takes about 10 calls (12
-at most over the random mixes in the tests) instead of refining the
-interval at a jump to ``max_depth``.  It is bounded: a non-finite
-integrand value, or more than ``MAX_EVALUATIONS`` points for one
-expectation beyond five per knot interval, raises DistributionError.
+is an int or an integer polynomial.  Atom laws are read there as a sum
+reads them, a float point mass through ``as_fraction``.  The grid also
+settles exact second-price auctions on atom laws (per-law surplus and
+1/#ties win credit) for the engine; its results are the only Fractions it
+makes.
+
+The numeric route values a batch of expectations at once
+(``expected_order_stats``): one adaptive Simpson, level by level, with
+every pending interval of every member in one integrand call, so a batch
+takes at most ``max_depth`` + 2 calls, about 10 in practice, however many
+members it has.  A call evaluates each distinct law (by ``==``) once on
+all of its points and the rank formula once per group of members of equal
+size and rank; a law's quantile range and float breakpoints are computed
+once and kept on it.  The integrand jumps at 0 (from -G to 1-G) and at
+every atom, all of them knots, so it takes each knot interval's end
+values one ulp inside it: the one-sided limits that interval needs, so no
+interval at a jump refines to ``max_depth``.  Each member is bounded on
+its own: a non-finite integrand value, or more than ``MAX_EVALUATIONS``
+points beyond five per knot interval, gives that member a
+DistributionError and leaves the others as they would be alone.
 """
 
 from __future__ import annotations
@@ -86,6 +93,7 @@ __all__ = [
     "bid_lattice",
     "valuation_law",
     "expected_order_stat",
+    "expected_order_stats",
     "clark_normal_max",
     "SIMPSON_TOL",
     "MAX_EVALUATIONS",
@@ -412,46 +420,207 @@ def law_grid(laws) -> AtomGrid:
 
 
 def expected_order_stat(os_law: OrderStatLaw):
-    """E of the rank-th highest; exact Fraction when all laws are atomic."""
-    if all(isinstance(law, (DiscreteFinite, PointMass)) for law in os_law.laws):
-        return atom_grid(atom_lattice(law) for law in os_law.laws).expected(os_law.rank)
-    return _expected_numeric(os_law)
+    """E of the rank-th highest: ``expected_order_stats`` on a batch of one,
+    its error raised."""
+    value, = expected_order_stats([os_law])
+    if isinstance(value, DistributionError):
+        raise value
+    return value
 
 
-def _expected_numeric(os_law: OrderStatLaw) -> float:
-    los, his = zip(*(quantile_range(law) for law in os_law.laws))
-    lo, hi = min(los), max(his)
-    lo, hi = min(lo, 0.0), max(hi, 0.0)
-    # knots may be Fractions (a law shifted by an exact point mass); the
-    # quadrature works on float arrays.
-    knots = sorted({float(k) for k in (lo, hi, 0.0, *(
-        k for law in os_law.laws for k in breakpoints(law) if lo < k < hi))})
-    budget = MAX_EVALUATIONS + 5 * (len(knots) - 1)
-    evaluations = 0
+def expected_order_stats(os_laws) -> list:
+    """E of the rank-th highest for each order-statistic law, in one pass.
 
-    def integrand(ys):
-        nonlocal evaluations
-        evaluations += ys.size
-        if evaluations > budget:
-            raise DistributionError(f"quadrature needs more than {budget} CDF evaluations")
-        g = os_law.cdf(ys)
+    A member whose laws are all atomic gets the exact Fraction of
+    ``law_grid`` (members with the same law objects share one grid); the
+    others are valued together by one batched quadrature
+    (``_expected_numeric``).  A member that fails gets its DistributionError
+    in its place, and the other members keep their values."""
+    os_laws = list(os_laws)
+    out = [None] * len(os_laws)
+    grids = {}
+    numeric = []
+    for k, os_law in enumerate(os_laws):
+        if not all(isinstance(law, (DiscreteFinite, PointMass)) for law in os_law.laws):
+            numeric.append(k)
+            continue
+        key = tuple(map(id, os_law.laws))
+        try:
+            if key not in grids:
+                grids[key] = law_grid(os_law.laws)
+            out[k] = grids[key].expected(os_law.rank)
+        except DistributionError as exc:
+            out[k] = exc
+    for k, value in zip(numeric, _expected_numeric([os_laws[k] for k in numeric])):
+        out[k] = value
+    return out
+
+
+def _quadrature_inputs(law):
+    """A law's ``quantile_range`` and its ``breakpoints`` as a float array,
+    computed once per law instance and kept on it."""
+    kept = law.__dict__.get("_quadrature")
+    if kept is None:
+        lo, hi = quantile_range(law)
+        kept = (lo, hi, np.array([float(k) for k in breakpoints(law)], dtype=np.float64))
+        object.__setattr__(law, "_quadrature", kept)
+    return kept
+
+
+def _knots(os_law: OrderStatLaw) -> np.ndarray:
+    """0, the ends of the laws' quantile ranges (widened to 0) and every
+    breakpoint strictly between them, sorted, as floats.  A Fraction
+    breakpoint lies strictly inside exactly when its float does or rounds
+    onto an end, so reading floats keeps the knots."""
+    inputs = [_quadrature_inputs(law) for law in os_law.laws]
+    lo = min(min(q[0] for q in inputs), 0.0)
+    hi = max(max(q[1] for q in inputs), 0.0)
+    return np.unique(np.concatenate(
+        [[lo, hi, 0.0], *(k[(lo < k) & (k < hi)] for _lo, _hi, k in inputs)]))
+
+
+class _Batch:
+    """The members of one batched quadrature.  Each distinct law (by ``==``:
+    equal frozen laws have equal CDFs) gets an index, and ``lid[k, i]`` is
+    the index of member k's i-th law (-1 past its last).  ``shared[d]``
+    marks a law every member holds, ``column[i]`` the law every member has
+    at position i (else -1).  Members of equal size and rank form one group
+    for ``_rank_cdf_terms``.  Per member: its evaluation budget and count,
+    and, once it leaves the batch, its error."""
+
+    def __init__(self, os_laws, budgets):
+        index = {}
+        rows = [[index.setdefault(law, len(index)) for law in os_law.laws]
+                for os_law in os_laws]
+        self.laws = list(index)
+        width = max(map(len, rows))
+        self.lid = np.array([row + [-1] * (width - len(row)) for row in rows])
+        held = [set(row) for row in rows]
+        self.uses = np.array([[d in h for h in held] for d in range(len(index))])
+        self.shared = [all(d in h for h in held) for d in range(len(index))]
+        self.column = [rows[0][i] if all(row[i:i + 1] == rows[0][i:i + 1] for row in rows)
+                       else -1 for i in range(width)]
+        self.positions = [sorted({i for row in rows for i, e in enumerate(row) if e == d})
+                          for d in range(len(index))]
+        groups = {}
+        self.gid = np.array([groups.setdefault((len(row), os_law.rank), len(groups))
+                             for row, os_law in zip(rows, os_laws)])
+        self.groups = list(groups)
+        self.budgets = budgets
+        self.evaluations = np.zeros(len(rows), dtype=np.int64)
+        self.live = np.ones(len(rows), dtype=bool)
+        self.errors = {}
+
+    def fail(self, k: int, message: str):
+        self.live[k] = False
+        self.errors[k] = DistributionError(message)
+
+
+def _integrand(batch: _Batch, ys, owner):
+    """One quadrature call for a whole batch: ``ys`` with the member
+    ``owner`` of each point.
+
+    A live member is first charged its points; past its budget it leaves
+    the batch unevaluated.  Each distinct law's CDF is then evaluated once,
+    through ``cdf``, on the points of the live members that hold it, and
+    per group ``_rank_cdf_terms`` gives the order statistic's CDF G; the
+    integrand is 1 - G at y >= 0 and -G below.  A member with a non-finite
+    value leaves the batch, naming its first such point.  Returns the
+    values (0 on the points of members out of the batch) and the mask of
+    live members.
+    """
+    batch.evaluations += np.bincount(owner, minlength=batch.live.size)
+    over = batch.live & (batch.evaluations > batch.budgets)
+    if over.any():
+        for k in np.flatnonzero(over).tolist():
+            batch.fail(k, f"quadrature needs more than {batch.budgets[k]} CDF evaluations")
+    everyone = batch.live.all()
+    live = None if everyone else batch.live[owner]
+    G = np.zeros((batch.lid.shape[1], ys.size))
+    lid = None
+    for d, law in enumerate(batch.laws):
+        if everyone and batch.shared[d]:
+            vals = np.asarray(cdf(law, ys), dtype=np.float64)
+        else:
+            at = batch.uses[d][owner]
+            if live is not None:
+                at &= live
+            if not at.any():
+                continue
+            if len(batch.positions[d]) == 1:
+                G[batch.positions[d][0], at] = cdf(law, ys[at])
+                continue
+            vals = np.zeros(ys.size)
+            vals[at] = cdf(law, ys[at])
+        for i in batch.positions[d]:
+            if everyone and batch.column[i] == d:
+                G[i] = vals
+            else:
+                if lid is None:
+                    lid = batch.lid[owner]
+                here = lid[:, i] == d
+                G[i, here] = vals[here]
+    if len(batch.groups) == 1:
+        (n, rank), = batch.groups
+        g = _rank_cdf_terms(G[:n], rank, one=1.0)
         out = np.where(ys >= 0, 1.0 - g, -g)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            raise DistributionError(
-                f"order-statistic CDF is not finite at y={float(ys[bad][0])!r}")
+    else:
+        out = np.empty(ys.size)
+        gid = batch.gid[owner]
+        for j, (n, rank) in enumerate(batch.groups):
+            here = gid == j
+            g = _rank_cdf_terms(G[:n, here], rank, one=1.0)
+            out[here] = np.where(ys[here] >= 0, 1.0 - g, -g)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        for k in np.unique(owner[bad if everyone else bad & live]).tolist():
+            first = float(ys[bad & (owner == k)][0])
+            batch.fail(k, f"order-statistic CDF is not finite at y={first!r}")
+        out[bad] = 0.0
+    return out, batch.live
+
+
+def _expected_numeric(os_laws) -> list:
+    """E of each order statistic by one adaptive Simpson over all of them:
+    every knot interval of every member (``_knots``) in one
+    ``_simpson_by_level``, so a level is one ``_integrand`` call for the
+    whole batch.  Each member keeps its own budget, ``MAX_EVALUATIONS``
+    plus five per knot interval, and sums its intervals' parts in order, so
+    its value is the one it has alone.  A failing member's entry is its
+    DistributionError."""
+    out = [None] * len(os_laws)
+    members, knots = [], []
+    for k, os_law in enumerate(os_laws):
+        try:
+            knots.append(_knots(os_law))
+        except DistributionError as exc:
+            out[k] = exc
+            continue
+        members.append(k)
+    if not members:
         return out
+    sizes = [len(kn) - 1 for kn in knots]
+    batch = _Batch([os_laws[k] for k in members],
+                   np.array([MAX_EVALUATIONS + 5 * size for size in sizes]))
+    parts = _simpson_by_level(
+        lambda ys, owner: _integrand(batch, ys, owner),
+        np.concatenate([kn[:-1] for kn in knots]), np.concatenate([kn[1:] for kn in knots]),
+        np.repeat(np.arange(len(members)), sizes), SIMPSON_TOL)
+    start = 0
+    for j, (k, size) in enumerate(zip(members, sizes)):
+        # summed in order, as the recursion did; np.sum and Python 3.12's
+        # sum() would round differently
+        total = 0.0
+        for part in parts[start:start + size]:
+            total += part
+        out[k] = batch.errors.get(j, total)
+        start += size
+    return out
 
-    # summed in order, as the recursion did; np.sum and Python 3.12's sum()
-    # would round differently
-    total = 0.0
-    for part in _simpson_by_level(integrand, np.asarray(knots), SIMPSON_TOL):
-        total += part
-    return total
 
-
-def _simpson_by_level(fn, knots, tol, max_depth=48):
-    """Adaptive Simpson on every interval between ``knots``, level by level.
+def _simpson_by_level(fn, a, b, owner, tol, max_depth=48):
+    """Adaptive Simpson on every knot interval [a, b] of a batch, level by
+    level; ``owner`` names each interval's member.
 
     The first ``fn`` call takes each interval's midpoint and its two end
     values one ulp inside it, ``nextafter(a, +inf)`` and
@@ -460,16 +629,17 @@ def _simpson_by_level(fn, knots, tol, max_depth=48):
     Fraction knot rounded to) gets its one-sided limit, so smooth pieces
     meet the tolerance within a few levels.  Each refinement level
     evaluates the new quarter points of all pending intervals in one ``fn``
-    call.  An interval is accepted when
-    ``|left + right - whole| <= 15 tol`` (or at ``max_depth``) and split
-    otherwise, each half with ``tol / 2``; the per-knot-interval results
-    are then summed back up the same left-plus-right tree a depth-first
-    recursion would build, so the values equal that recursion's exactly.
-    Returns one float per knot interval.
+    call.  ``fn(ys, owners)`` returns the values and the mask of members
+    still in the batch; an interval of a member out of it stops there.  An
+    interval is accepted when ``|left + right - whole| <= 15 tol`` (or at
+    ``max_depth``) and split otherwise, each half with ``tol / 2``; the
+    per-knot-interval results are then summed back up the same
+    left-plus-right tree a depth-first recursion would build, so the values
+    equal that recursion's exactly.  Returns one float per knot interval.
     """
-    a, b = knots[:-1], knots[1:]
     m = 0.5 * (a + b)
-    f = fn(np.concatenate([np.nextafter(a, np.inf), np.nextafter(b, -np.inf), m]))
+    f, _live = fn(np.concatenate([np.nextafter(a, np.inf), np.nextafter(b, -np.inf), m]),
+                  np.concatenate([owner, owner, owner]))
     fa, fb, fm = f[:a.size], f[a.size:2 * a.size], f[2 * a.size:]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     # per level: (accepted mask, accepted values).  The next level holds the
@@ -479,17 +649,21 @@ def _simpson_by_level(fn, knots, tol, max_depth=48):
     while a.size:
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        f = fn(np.concatenate([lm, rm]))
+        f, live = fn(np.concatenate([lm, rm]), np.concatenate([owner, owner]))
         flm, frm = f[:a.size], f[a.size:]
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = left + right - whole
         done = np.abs(err) <= 15.0 * tol if depth > 0 else np.ones(a.size, bool)
+        if not live.all():
+            done |= ~live[owner]
         levels.append((done, (left + right + err / 15.0)[done]))
         split = ~done
         a, m, b, fa, fm, fb, whole = np.concatenate([
             np.array([a, lm, m, fa, flm, fm, left])[:, split],
             np.array([m, rm, b, fm, frm, fb, right])[:, split]], axis=1)
+        owner = owner[split]
+        owner = np.concatenate([owner, owner])
         tol = tol / 2.0
         depth -= 1
     below = np.empty(0)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awarebid import disclosure, engine
-from awarebid.cli import main
+from awarebid import disclosure, engine, orderstats
+from awarebid.cli import main, parse_scenario
 from awarebid.disclosure import (
     CorpusConfig,
     PolicyRegime,
@@ -35,7 +35,7 @@ from awarebid.distributions import (
 from awarebid.engine import _CHUNK, EstimatorConfig, estimate, sample_draws
 from awarebid.fees import revenue
 from awarebid.scenario import Scenario, ScenarioError, validate
-from conftest import EXACT, bundle_means, coin, mc_reference
+from conftest import EXACT, SCENARIO_DIR, bundle_means, coin, mc_reference
 
 MC = EstimatorConfig(backend="mc", n_samples=200_000, seed=17)
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -52,6 +52,44 @@ def example1_discretized():
     x1 = DiscreteFinite([F(5, 6), F(5, 2), F(25, 6)], third)
     x2 = DiscreteFinite([F(-25, 6), F(-1, 2), F(19, 6)], third)
     return Scenario(2, 2, ((x1, x2), (x1, x2)))
+
+
+def test_search_scores_a_candidate_whose_quadrature_fails(monkeypatch):
+    # prop4_demo's public-full-info candidates are valued in one batch; a
+    # non-finite CDF on the laws of common awareness {1, 2, 3} sends that
+    # candidate alone to Monte Carlo scoring
+    s, _p, _cfg = parse_scenario(str(SCENARIO_DIR / "prop4_demo.json"))
+    config = EstimatorConfig(backend="mc", n_samples=20_000, seed=3)
+    clean = dict(optimize(s, "public-full-info", config).trace)
+    policy = disclosure._common_policy(s, frozenset({1, 2, 3}), {j: FullInfo() for j in (1, 2, 3)})
+    broken = disclosure._common_awareness_max(s, policy).laws
+    plain = orderstats.cdf
+    monkeypatch.setattr(orderstats, "cdf", lambda law, y: np.full(np.shape(y), np.nan)
+                        if law in broken else plain(law, y))
+    values = dict(optimize(s, "public-full-info", config).trace)
+    assert list(values) == list(clean) and len(values) == 4
+    for desc in values:
+        if desc != "common=[1, 2, 3]":
+            assert values[desc] == clean[desc]
+    assert values["common=[1, 2, 3]"] == revenue(s, policy, config).total_revenue
+    assert values["common=[1, 2, 3]"] != clean["common=[1, 2, 3]"]
+
+
+def test_free_info_search_values_its_candidates_in_one_quadrature(monkeypatch):
+    # example2: 18 analytic expectations, each about 11 Simpson levels alone,
+    # take one integrand call per level for the whole batch
+    calls = []
+    plain = orderstats._integrand
+
+    def counted(batch, ys, owner):
+        calls.append(batch.live.size)
+        return plain(batch, ys, owner)
+
+    monkeypatch.setattr(orderstats, "_integrand", counted)
+    s, _p, _cfg = parse_scenario(str(SCENARIO_DIR / "example2.json"))
+    res = optimize(s, "common-free-info", EstimatorConfig(backend="mc", n_samples=20_000, seed=1))
+    assert len(res.trace) == 20
+    assert 1 <= len(calls) <= 16 and max(calls) == 18
 
 
 def test_optimize_public_no_info_keeps_negative_mean():

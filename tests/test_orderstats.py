@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -63,6 +64,19 @@ def test_valuation_law_no_info_point_mass():
                     [{1: NoInfo(), 2: NoInfo()}] * n)
     law = valuation_law(s, p, 1, Perspective(s.full_set))
     assert law == PointMass(2.0)
+
+
+def test_float_point_mass_reads_one_way_on_every_route():
+    # NoInfo on U(0, 0.2) and U(0.1, 0.5): the float point masses 0.1 and
+    # 0.3 enter through as_fraction on the atom route as on law_grid, not
+    # as their binary values (5404319552844595/18014398509481984 for 0.3)
+    s, p = validate(2, 1, [[UniformContinuous(0, 0.2)], [UniformContinuous(0.1, 0.5)]],
+                    [[1], [1]], [{1: NoInfo()}] * 2)
+    laws = tuple(valuation_law(s, p, i, Perspective(s.full_set)) for i in (1, 2))
+    assert laws == (PointMass(0.1), PointMass(0.3))
+    assert expected_order_stat(OrderStatLaw(laws, 1)) == F(3, 10)
+    assert law_grid(laws).expected(1) == F(3, 10)
+    assert law_grid((laws[1], UniformContinuous(0, 0.2))).expected(1) == F(3, 10)
 
 
 def test_valuation_law_normal_components():
@@ -538,15 +552,57 @@ def test_quadrature_equals_recursive_simpson_exactly(seed):
             assert expected_order_stat(os_law) == _reference_expectation(os_law)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batch_equals_single_runs_and_recursive_simpson(monkeypatch, seed):
+    mixes = _random_float_mixes(seed, 12)
+    members = [OrderStatLaw(tuple(laws), r) for laws in mixes for r in (1, 2)]
+    # the same law objects again in other members, and equal copies of them
+    members += [OrderStatLaw(tuple(reversed(laws)), 1) for laws in mixes[:4]]
+    members += [OrderStatLaw(tuple(dataclasses.replace(law) for law in laws), 2)
+                for laws in mixes[4:8]]
+    members.append(OrderStatLaw((mixes[0][0], mixes[1][0], mixes[0][0]), 1))
+    counts = _counting_integrand(monkeypatch)
+    got = orderstats.expected_order_stats(members)
+    # one Simpson level per call for the whole batch
+    assert 1 <= counts[0] <= 16
+    assert got == [expected_order_stat(m) for m in members]
+    assert got == [_reference_expectation(m) for m in members]
+
+
+def test_batch_member_failures_leave_the_others():
+    # a sum law whose float pieces hold a NaN coefficient, and a uniform
+    # whose rounding at 1e200 keeps it past its evaluation budget; both
+    # share Normal(0, 1), and the others keep their values
+    nan_law = convolve(UniformContinuous(-1.0, 2.0), UniformContinuous(0.0, 1.0))
+    breakpoints(nan_law)                             # builds the float pieces
+    nan_law._floats[1][0, 0] = np.nan
+    failing = [OrderStatLaw((nan_law, Normal(0.0, 1.0)), 1),
+               OrderStatLaw((UniformContinuous(-1e200, 1e200), Normal(0.0, 1.0)), 1)]
+    good = [OrderStatLaw(tuple(laws), r) for laws in _random_float_mixes(0, 3) for r in (1, 2)]
+    members = [good[0], failing[0], *good[1:4], failing[1], *good[4:]]
+    got = orderstats.expected_order_stats(members)
+    for member, value in zip(members, got):
+        if member in failing:
+            with pytest.raises(DistributionError) as alone:
+                expected_order_stat(member)
+            assert isinstance(value, DistributionError) and str(value) == str(alone.value)
+        else:
+            assert value == expected_order_stat(member)
+    # the wide member's knots are -1e200, 0 and 1e200: two intervals
+    assert [str(got[1]).split(" at ")[0], str(got[5])] == [
+        "order-statistic CDF is not finite",
+        f"quadrature needs more than {orderstats.MAX_EVALUATIONS + 5 * 2} CDF evaluations"]
+
+
 def test_quadrature_evaluates_each_level_in_one_call(monkeypatch):
     counts = []
-    plain = OrderStatLaw.cdf
+    plain = orderstats._integrand
 
-    def counted(self, y):
+    def counted(batch, ys, owner):
         counts[-1] += 1
-        return plain(self, y)
+        return plain(batch, ys, owner)
 
-    monkeypatch.setattr(OrderStatLaw, "cdf", counted)
+    monkeypatch.setattr(orderstats, "_integrand", counted)
     u5 = UniformContinuous(0, 5)
     mixes = _random_float_mixes(2, 8) + [[convolve(u5, UniformContinuous(-6, 5)), u5]]
     for laws in mixes:
@@ -556,29 +612,30 @@ def test_quadrature_evaluates_each_level_in_one_call(monkeypatch):
             assert 1 <= counts[-1] <= 64
 
 
-def _counting_cdf(monkeypatch):
-    """Patch OrderStatLaw.cdf to count its calls; returns the count list."""
+def _counting_integrand(monkeypatch):
+    """Patch the batched quadrature integrand to count its calls, one per
+    Simpson level of a batch; returns the count list."""
     counts = [0]
-    plain = OrderStatLaw.cdf
+    plain = orderstats._integrand
 
-    def counted(self, y):
+    def counted(batch, ys, owner):
         counts[0] += 1
-        return plain(self, y)
+        return plain(batch, ys, owner)
 
-    monkeypatch.setattr(OrderStatLaw, "cdf", counted)
+    monkeypatch.setattr(orderstats, "_integrand", counted)
     return counts
 
 
 def test_quadrature_work_is_bounded_on_random_mixes(monkeypatch):
     # knot intervals ending at 0 or at an atom see their one-sided limit, so
     # none of them refines to max_depth (that took max_depth + 2 = 50 calls)
-    counts = _counting_cdf(monkeypatch)
+    counts = _counting_integrand(monkeypatch)
     for seed in range(6):
         for laws in _random_float_mixes(seed, 12):
             for r in (1, 2):
                 counts[0] = 0
                 expected_order_stat(OrderStatLaw(tuple(laws), r))
-                assert counts[0] <= 16
+                assert 1 <= counts[0] <= 16
 
 
 @pytest.mark.parametrize("c", [F(1, 3), F(2, 3), F(-1, 3), 0.25], ids=str)
@@ -586,11 +643,11 @@ def test_point_mass_against_uniform_closed_form(monkeypatch, c):
     # E[max(c, U)] for U ~ U(-1, 2) and -1 <= c <= 2 is c(c+1)/3 + (4-c^2)/6.
     # A Fraction knot rounds to a float on one side of the jump; the
     # one-ulp-inside end values see the right side either way.
-    counts = _counting_cdf(monkeypatch)
+    counts = _counting_integrand(monkeypatch)
     got = expected_order_stat(OrderStatLaw((PointMass(c), UniformContinuous(-1, 2)), 1))
     q = F(c)
     assert got == pytest.approx(float(q * (q + 1) / 3 + (4 - q * q) / 6), abs=1e-12)
-    assert counts[0] <= 4
+    assert 1 <= counts[0] <= 4
 
 
 @pytest.mark.parametrize("mu,sigma,c", [(0.5, 1.0, 0.0), (0.3, 2.0, -1.0),
@@ -598,11 +655,11 @@ def test_point_mass_against_uniform_closed_form(monkeypatch, c):
 def test_normal_against_point_mass_matches_clark(monkeypatch, mu, sigma, c):
     # the remaining error is Simpson's own at SIMPSON_TOL (about 1e-12 here;
     # it falls below 3e-13 at a tolerance of 1e-12), not the jump at c
-    counts = _counting_cdf(monkeypatch)
+    counts = _counting_integrand(monkeypatch)
     got = expected_order_stat(OrderStatLaw((Normal(mu, sigma), PointMass(c)), 1))
     assert got == pytest.approx(clark_normal_max(mu, sigma ** 2, float(c), 0.0),
                                 abs=SIMPSON_TOL / 10)
-    assert counts[0] <= 16
+    assert 1 <= counts[0] <= 16
 
 
 def _fine_trapezoid(os_law, points=2_000_000):
@@ -664,16 +721,17 @@ def test_quadrature_rejects_nan_cdf_without_recursing(monkeypatch):
 
 def test_quadrature_evaluation_bound(monkeypatch):
     points = []
-    plain = OrderStatLaw.cdf
+    plain = orderstats._integrand
 
-    def guarded(self, y):
-        points.append(np.size(y))
+    def guarded(batch, ys, owner):
+        points.append(ys.size)
         assert len(points) < 1000 and sum(points) <= 2 * orderstats.MAX_EVALUATIONS, \
             "quadrature ran past its evaluation bound"
-        return plain(self, y)
+        return plain(batch, ys, owner)
 
-    monkeypatch.setattr(OrderStatLaw, "cdf", guarded)
+    monkeypatch.setattr(orderstats, "_integrand", guarded)
     # finite but never within tolerance: rounding at 1e200 dominates every level
     wide = UniformContinuous(-1e200, 1e200)
     with pytest.raises(DistributionError, match="evaluations"):
         expected_order_stat(OrderStatLaw((wide, Normal(0.0, 1.0)), 1))
+    assert len(points) >= 1

@@ -29,7 +29,7 @@ from awarebid.distributions import (
 )
 from awarebid.engine import EstimatorConfig
 from awarebid.fees import revenue
-from awarebid.orderstats import valuation_law
+from awarebid.orderstats import expected_order_stat, valuation_law
 from awarebid.scenario import Perspective, validate
 from conftest import SCENARIO_DIR, piece_cdf
 
@@ -157,13 +157,13 @@ def test_search_scores_a_sum_past_the_knot_bound_by_monte_carlo(monkeypatch):
     info = {j: FullInfo() for j in (1, 2, 3)}
     for chars in ([1, 3], [1, 2]):
         assert values[f"common={chars}"] == pytest.approx(
-            float(disclosure._common_awareness_revenue(
-                s, disclosure._common_policy(s, frozenset(chars), info))), abs=1e-15)
+            float(expected_order_stat(disclosure._common_awareness_max(
+                s, disclosure._common_policy(s, frozenset(chars), info)))), abs=1e-15)
     policy = disclosure._common_policy(s, frozenset({1, 2, 3}), info)
     assert values["common=[1, 2, 3]"] == revenue(s, policy, config).total_revenue
     monkeypatch.setattr(distributions, "_FOLD_CAP", 8)
     assert dict(disclosure.optimize(s, "public-full-info", config).trace)[
-        "common=[1, 2, 3]"] == disclosure._common_awareness_revenue(s, policy)
+        "common=[1, 2, 3]"] == expected_order_stat(disclosure._common_awareness_max(s, policy))
 
 
 def test_orderstats_past_the_knot_bound_exits_one_promptly(capsysbinary, tmp_path):

@@ -108,7 +108,11 @@ def _dist_from_dict(obj, path):
         if kind == "normal":
             return Normal(*(_number(obj[key], _at(path, key)) for key in ("mean", "stddev")))
         atoms = obj["atoms"]
+        if not isinstance(atoms, list):
+            raise ParseError(_at(path, "atoms"), "need a list of [value, prob] pairs")
         for k, atom in enumerate(atoms):
+            if not isinstance(atom, list) or len(atom) != 2:
+                raise ParseError(f"{path}.atoms[{k}]", "need a [value, prob] pair")
             for part in atom:
                 _not_bool(part, f"{path}.atoms[{k}]", "a number or a rational string")
         return DiscreteFinite([as_fraction(v) for v, _p in atoms],
@@ -139,11 +143,18 @@ def _level_from_json(obj, path):
         return FullInfo()
     if isinstance(obj, dict) and "cutpoints" in obj:
         _known_fields(obj, path, ("cutpoints",))
+        cuts = obj["cutpoints"]
+        if not isinstance(cuts, list):
+            raise ParseError(f"{path}.cutpoints", "need a list of numbers")
         return Partition(cutpoints=[_number(c, f"{path}.cutpoints[{k}]")
-                                    for k, c in enumerate(obj["cutpoints"])])
+                                    for k, c in enumerate(cuts)])
     if isinstance(obj, dict) and "cells" in obj:
         _known_fields(obj, path, ("cells",))
-        return Partition(cells=[[_count(i, path) for i in cell] for cell in obj["cells"]])
+        cells = obj["cells"]
+        if not (isinstance(cells, list) and all(isinstance(cell, list) for cell in cells)):
+            raise ParseError(f"{path}.cells", "need a list of lists of atom indices")
+        return Partition(cells=[[_count(i, f"{path}.cells[{c}][{k}]") for k, i in enumerate(cell)]
+                                for c, cell in enumerate(cells)])
     raise ParseError(path, f"unknown info level {obj!r}")
 
 
@@ -167,6 +178,8 @@ def parse_scenario(path: str):
         chars = doc["characteristics"]
     except KeyError as exc:
         raise ParseError("", f"missing top-level field {exc}") from exc
+    if n < 1:
+        raise ParseError("bidders", f"need at least one bidder, got {n}")
     if not isinstance(chars, list) or not chars:
         raise ParseError("characteristics", "need a nonempty list")
     m = len(chars)

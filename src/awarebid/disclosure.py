@@ -143,21 +143,17 @@ def _rank_key(value, p: DisclosurePolicy):
     return (value, -_aware_pairs(p), -_policy_disclosure(p))
 
 
-def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig, pick=None):
+def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
     """Revenue of each policy, a bundle for each one estimated in full
-    (None elsewhere), and the index ``pick`` names.  Every policy without
-    an analytic common-awareness value is scored in one batched call
-    (``score_policies``), which computes only its revenue.  The analytic
-    policy ranked first by ``_rank_key`` keeps its analytic value and is
-    estimated in full in that same pass.  ``pick``, if given, maps the
-    final values to the index of the policy the caller reports; when that
-    policy is scored, the pass settles it on its last chunk, so its bundle
-    redraws every chunk but the last and a one-chunk search draws each
-    chunk once.  Without ``pick`` the index is None, and a report on a
-    scored policy makes one more pass, over that policy alone.  The
-    analytic values of a call come from one ``expected_order_stats`` batch;
-    a policy without one (a continuous partition, a failed quadrature) is
-    scored."""
+    (None elsewhere), and ``settle(k)``, the bundle of a scored policy k.
+    Every policy without an analytic common-awareness value is scored in
+    one batched call (``score_policies``), which computes only its revenue
+    and whose handle settles one scored policy on the same draws, redrawing
+    every chunk but the last.  The analytic policy ranked first by
+    ``_rank_key`` keeps its analytic value and is estimated in full in that
+    same pass.  The analytic values of a call come from one
+    ``expected_order_stats`` batch; a policy without one (a continuous
+    partition, a failed quadrature) is scored."""
     values = [None] * len(policies)
     common, maxima = [], []
     for k, p in enumerate(policies):
@@ -173,26 +169,14 @@ def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig, pick=N
     pending = [k for k in range(len(policies)) if values[k] is None]
     analytic = [k for k in range(len(policies)) if values[k] is not None]
     best = [max(analytic, key=lambda k: _rank_key(values[k], policies[k]))] if analytic else []
-    slot = {k: t for t, k in enumerate(pending)}
-    picked = []
-
-    def pick_scored(scores):
-        for k, v in zip(pending, scores):
-            values[k] = v
-        picked.append(pick(values))
-        return slot.get(picked[0])
-
-    scores, reports, settled = score_policies(s, [policies[k] for k in pending], config,
-                                              bundled=[policies[k] for k in best],
-                                              pick=None if pick is None else pick_scored)
+    scores, reports, settle = score_policies(s, [policies[k] for k in pending], config,
+                                             bundled=[policies[k] for k in best])
     for k, v in zip(pending, scores):
         values[k] = v
     bundles = [None] * len(policies)
     for k, b in zip(best, reports):
         bundles[k] = b
-    if settled is not None:
-        bundles[pending[settled[0]]] = settled[1]
-    return values, bundles, (picked[0] if picked else None)
+    return values, bundles, lambda k: settle(pending.index(k))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +238,12 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
         candidates = _free_info_candidates(s, partition_cap)
 
     policies = [pol for _desc, pol in candidates]
-
-    def winner(values):
-        """The first candidate of highest ``_rank_key``."""
-        return max(range(len(policies)), key=lambda k: _rank_key(values[k], policies[k]))
-
-    values, bundles, k = _revenue_values(s, policies, config, winner)
-    return OptimizeResult(policies[k], revenue(s, policies[k], config, bundle=bundles[k]),
+    values, bundles, settle = _revenue_values(s, policies, config)
+    # the first candidate of highest _rank_key; an analytic winner is the
+    # one its call estimated in full
+    k = max(range(len(policies)), key=lambda k: _rank_key(values[k], policies[k]))
+    bundle = settle(k) if bundles[k] is None else bundles[k]
+    return OptimizeResult(policies[k], revenue(s, policies[k], config, bundle=bundle),
                           tuple((desc, val) for (desc, _p), val in zip(candidates, values)),
                           regime, True)
 
@@ -273,9 +256,9 @@ def _optimize_greedy(s, config, info, regime) -> OptimizeResult:
     sweep holds at most one common-awareness policy (the start, or the one
     trial that equalizes every awareness set), which that call estimates in
     full, so a report on it reuses that bundle; a report on any other
-    winner makes one more pass over the draws.  A sweep names no pick:
-    only the last step is reported, and settling every step measured no
-    faster than that one report pass."""
+    winner makes one more pass over the draws.  A sweep's settle handle is
+    dropped: only the last step is reported, and settling every step
+    measured no faster than that one report pass."""
     current = [frozenset({1})] * s.n_bidders
     trials = [("start", current, policy_with_info(s, current, info))]
     best = None                 # (value, awareness, policy, bundle)
@@ -289,7 +272,7 @@ def _optimize_greedy(s, config, info, regime) -> OptimizeResult:
                 trial[i] = trial[i] | {j}
                 trials.append((f"try bidder {i + 1} char {j}", trial,
                                policy_with_info(s, trial, info)))
-        values, bundles, _k = _revenue_values(s, [cand for _d, _t, cand in trials], config)
+        values, bundles, _settle = _revenue_values(s, [cand for _d, _t, cand in trials], config)
         step = None
         for (desc, trial, cand), val, b in zip(trials, values, bundles):
             trace.append((desc, val))

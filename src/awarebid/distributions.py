@@ -738,7 +738,9 @@ def _smoothed_cdf(knots, coefs, sigma, x):
             moments.append(m)
             total += taylor[r] * (sigma ** r * m)
             edge_a, edge_b = edge_a * za, edge_b * zb
-        out[start:start + step] += total.sum(axis=0)
+        # pieces summed in order for every block size: total.sum(axis=0)
+        # adds a one-point block pairwise, an ulp off a larger block's sum
+        out[start:start + step] += np.cumsum(total, axis=0)[-1]
     return out.reshape(x.shape)
 
 

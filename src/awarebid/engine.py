@@ -36,12 +36,12 @@ bidder omits is what a full-information contribution would add.
   distinct view any scored policy reads is settled once per chunk and
   reduced only to the sums its revenue needs (each reading bidder's
   surplus, and the price of a full view), so only floats outlive a view;
-  a score is ``==`` to the revenue report of that policy.  Once the last
-  chunk's sums complete every score, a caller's pick may name one scored
-  policy (the search's winner), whose full fields are then summed on that
-  chunk's bid columns, its hidden-only entries inverted for it alone; its
-  bundle redraws only the earlier chunks, so a one-chunk search draws each
-  chunk once.
+  a score is ``==`` to the revenue report of that policy.  The pass also
+  returns a handle that settles any one scored policy on the same draws
+  (the search's winner, once it is decided): the last chunk's bid columns,
+  contributions and the uniforms of entries read only as hidden values
+  are kept, the policy's fields are summed on them, and only the chunks
+  before it are redrawn, so a one-chunk search draws each chunk once.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
   bids are independent across bidders, so each bid column's law is the
   integer form ``orderstats.bid_lattice`` folds from its keys, and the
@@ -130,6 +130,8 @@ class EstimatorConfig:
             raise EstimationError("n_samples must be positive")
         if self.workers < 1:
             raise EstimationError("workers must be positive")
+        if not 0 <= self.seed <= _U64:
+            raise EstimationError(f"seed must be in 0..2**64-1, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -193,31 +195,29 @@ def estimate_policies(s: Scenario, policies, config: EstimatorConfig) -> tuple:
     return score_policies(s, (), config, bundled=policies)[1]
 
 
-def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=(), pick=None):
+def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=()):
     """The revenue of each policy, ``==`` to what ``fees.revenue(s, p,
-    config).total_revenue`` reports, and ``estimate_policies(s, bundled,
-    config)``, from one pass over the draws.  A score is each bidder's
-    perceived surplus summed in bidder order plus the expected price, and
-    nothing else is computed for it; the exact backend reads it off the
-    policy's bundle, whose views are settled once per scenario.
+    config).total_revenue`` reports, ``estimate_policies(s, bundled,
+    config)`` and ``settle``, from one pass over the draws.  A score is
+    each bidder's perceived surplus summed in bidder order plus the
+    expected price, and nothing else is computed for it; the exact backend
+    reads it off the policy's bundle, whose views are settled once per
+    scenario.
 
-    ``pick``, if given, is called once with the final scores and names one
-    scored policy by its index, or None.  The third result is then
-    ``(index, bundle)``, the bundle ``==`` ``estimate(s, policies[index],
-    config)`` (else None).  Under Monte Carlo its fields are summed on the
-    last chunk's bid columns before they are freed, and only the earlier
-    chunks are redrawn, for that policy alone."""
+    ``settle(k)`` is ``==`` ``estimate(s, policies[k], config)``, for any k
+    and any number of calls.  Under Monte Carlo it sums that policy's
+    fields on the last chunk's bid columns, which the handle keeps, and
+    redraws only the chunks before it, for that policy alone."""
     policies, bundled = tuple(policies), tuple(bundled)
     if not (policies or bundled):
         return (), (), None
     if s.n_bidders < 2:
         raise EstimationError("second-price auction needs at least 2 bidders")
     if config.backend == "exact":
-        scores = tuple(_exact_bundle(s, p, config).total_revenue for p in policies)
-        k = None if pick is None else pick(scores)
-        return (scores, tuple(_exact_bundle(s, p, config) for p in bundled),
-                None if k is None else (k, _exact_bundle(s, policies[k], config)))
-    return _mc_pass(s, policies, bundled, config, pick)
+        return (tuple(_exact_bundle(s, p, config).total_revenue for p in policies),
+                tuple(_exact_bundle(s, p, config) for p in bundled),
+                lambda k: _exact_bundle(s, policies[k], config))
+    return _mc_pass(s, policies, bundled, config)
 
 
 def _effective_views(s: Scenario, p: DisclosurePolicy):
@@ -317,7 +317,7 @@ def _uniform_chunk(seed: int, start: int, stop: int, n: int, m: int) -> np.ndarr
     per_draw = n * m
     width = 4 * -(-per_draw // 4)
     count = stop - start
-    gen = Generator(Philox(key=np.array([seed & _U64, 0], dtype=np.uint64),
+    gen = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64),
                            counter=start * (width // 4)))
     cols = np.empty((per_draw, count))
     block = np.empty(min(_SUB_BLOCK, count) * width)
@@ -413,17 +413,17 @@ def _chunk_contributions(s, rules, entries, seed, start, stop, held=()):
     return L, contribs, draw
 
 
-def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop,
-              choose=None, earlier=None, held=({}, ())):
+def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop, held=None):
     """One chunk's score sums for ``plan`` (``_score_sums``) and, per policy
     layout in ``layouts``, its per-field (sum, sum of squares).  Each
     distinct bid column is built on first use and kept for the chunk, so
     it is summed once however many policies read it; the policies share
-    four scratch columns.  ``choose``, given on a pass's last chunk, maps
-    every chunk's score sums (``earlier()``, then this chunk's) to one
-    scored layout or None, whose fields are appended; ``held`` is the
-    ``_reading`` of the hidden-value keys it may need beyond ``rules``."""
-    held_rules, held_entries = held
+    four scratch columns.  ``held``, given on a pass's last chunk, is the
+    ``_reading`` of the hidden-value keys a scored layout may need beyond
+    ``rules``; the chunk then keeps its bid columns, contributions and
+    held entries, and also returns ``layout_fields(layout)``, the
+    per-field sums of one scored layout on them."""
+    held_rules, held_entries = held or ({}, ())
     L, contribs, draw = _chunk_contributions(s, rules, entries, seed, start, stop,
                                              held_entries)
     built = {}
@@ -436,17 +436,18 @@ def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop,
     scratch = np.empty((4, L))
     sums = _score_sums(column, plan, scratch[0])
     fields = [_policy_fields(column, contribs, layout, scratch) for layout in layouts]
-    layout = None if choose is None else choose(earlier() + [sums])
-    if layout is not None:
-        reads = set(chain(*layout[0]))
-        for keys in [keys for keys in built if keys not in reads]:
-            del built[keys]         # no other policy reads it in this chunk
+    if held is None:
+        return sums, fields
+
+    def layout_fields(layout):
         for key in chain(*layout[1]):
             if key not in contribs:
                 rule = held_rules[key]
                 contribs[key] = rule if isinstance(rule, float) else rule(draw(key[:2]))
-        fields.append(_policy_fields(column, contribs, layout, scratch))
-    return sums, fields
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _policy_fields(column, contribs, layout, np.empty((4, L)))
+
+    return sums, fields, layout_fields
 
 
 def _score_plan(layouts):
@@ -535,44 +536,36 @@ def _policy_fields(column, contribs, layout, scratch):
     return fields
 
 
-def _mc_pass(s: Scenario, scored: tuple, bundled: tuple, config: EstimatorConfig, pick=None):
-    """Revenue scores of ``scored``, bundles of ``bundled`` and the scored
-    policy ``pick`` names, as ``score_policies`` returns them, from one pass
-    over the draws.  A scored policy reads only its bid columns: no hidden
-    value, credit, first order statistic or sum of squares is computed for
-    it, and an entry it reads only as a hidden value is not inverted.  The
-    picked policy is the exception, on the last chunk alone: once that
-    chunk's sums complete every score, its fields are summed on the
-    chunk's bid columns, so a one-chunk pass settles it without a redraw."""
+def _mc_pass(s: Scenario, scored: tuple, bundled: tuple, config: EstimatorConfig):
+    """Revenue scores of ``scored``, bundles of ``bundled`` and the handle
+    that settles one scored policy, as ``score_policies`` returns them,
+    from one pass over the draws.  A scored policy reads only its bid
+    columns: no hidden value, credit, first order statistic or sum of
+    squares is computed for it, and an entry it reads only as a hidden
+    value is not inverted unless the handle settles it, on the last chunk
+    alone."""
     S = config.n_samples
     ranges = [(a, min(a + _CHUNK, S)) for a in range(0, S, _CHUNK)]
     score_layouts = [_policy_layout(s, p) for p in scored]
-    chosen = []                 # (final scores, picked index), on the last chunk
-
-    def choose(sums):
-        scores = _final_scores(score_layouts, sums, S)
-        chosen.append((scores, pick(scores)))
-        k = chosen[0][1]
-        return None if k is None else score_layouts[k]
-
-    partials = _mc_partials(s, score_layouts, bundled, config, ranges,
-                            None if pick is None else choose)
-    scores, k = chosen[0] if chosen else (
-        _final_scores(score_layouts, [part[0] for part in partials], S), None)
+    partials = _mc_partials(s, score_layouts, bundled, config, ranges)
+    scores = _final_scores(score_layouts, [part[0] for part in partials], S)
     bundles = tuple(_mc_bundle_from(s, [part[1][b] for part in partials], config)
                     for b in range(len(bundled)))
-    if k is None:
-        return scores, bundles, None
-    head = _mc_partials(s, (), (scored[k],), config, ranges[:-1])
-    return scores, bundles, (k, _mc_bundle_from(
-        s, [part[1][0] for part in head] + [partials[-1][1][-1]], config))
+    last = partials[-1]
+
+    def settle(k):
+        head = _mc_partials(s, (), (scored[k],), config, ranges[:-1])
+        return _mc_bundle_from(s, [part[1][0] for part in head]
+                               + [last[2](score_layouts[k])], config)
+
+    return scores, bundles, settle
 
 
-def _mc_partials(s, score_layouts, bundled, config, ranges, choose=None):
+def _mc_partials(s, score_layouts, bundled, config, ranges):
     """Per draw range, in draw-index order: the chunk's score sums for
     ``score_layouts`` and the per-field sums of each ``bundled`` policy.
-    With ``choose``, the last chunk also sums the fields of the scored
-    layout that ``choose`` names given every chunk's score sums."""
+    When anything is scored, the last chunk also returns its
+    ``layout_fields`` (``_mc_chunk``)."""
     layouts = [_policy_layout(s, p) for p in bundled]
     plan = _score_plan(score_layouts)
     used = {key for keys in chain(*plan) for key in keys}
@@ -580,31 +573,21 @@ def _mc_partials(s, score_layouts, bundled, config, ranges, choose=None):
                 for keys in chain(*columns, unaware) for key in keys)
     rules, entries = _reading(s, used)
     # hidden values no bid column reads: held on the last chunk alone, and
-    # inverted only for the picked policy
+    # inverted only for a policy the handle settles
     hidden = {key for _c, unaware, _f, _b in score_layouts for key in chain(*unaware)}
     held = _reading(s, hidden - rules.keys())
 
-    def run(rng, earlier=None):
-        """One chunk's partials; ``earlier()``, passed for the last chunk,
-        gives the earlier chunks' score sums."""
-        last = () if choose is None or earlier is None else (choose, earlier, held)
+    def run(rng):
         # an overflow is not warned about: every non-finite mean is rejected
         # by _final_scores, and every non-finite field by _mc_bundle_from
         with np.errstate(over="ignore", invalid="ignore"):
-            return _mc_chunk(s, rules, plan, layouts, entries, config.seed, *rng, *last)
+            return _mc_chunk(s, rules, plan, layouts, entries, config.seed, *rng,
+                             held if score_layouts and rng == ranges[-1] else None)
 
-    if not ranges:
-        return []
-    head, tail = ranges[:-1], ranges[-1]
-    if config.workers > 1 and head:
+    if config.workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(run, r) for r in head]
-            # the last chunk is queued after every earlier one, so what it
-            # waits for has started
-            final = pool.submit(run, tail, lambda: [f.result()[0] for f in futures])
-            return [f.result() for f in futures] + [final.result()]
-    done = [run(r) for r in head]
-    return done + [run(tail, lambda: [part[0] for part in done])]
+            return list(pool.map(run, ranges))
+    return [run(r) for r in ranges]
 
 
 def _final_scores(score_layouts, partials, S):

@@ -104,7 +104,7 @@ def _set(doc, path, value):
     (("estimator", "seed"), 7.9, "estimator.seed"),
     (("estimator", "workers"), 1.7, "estimator.workers"),
     (("awareness",), [[True, 2], [1]], "awareness[0]"),
-    (("info", 0, "1"), {"cells": [[0.7], [1]]}, "info[0].1"),
+    (("info", 0, "1"), {"cells": [[0.7], [1]]}, "info[0].1.cells[0][0]"),
 ], ids=["bidders", "bidders-bool", "samples", "seed", "workers", "awareness-bool",
         "cell-index"])
 def test_non_integral_counts_exit_one_with_their_path(capsysbinary, tmp_path, where, value,
@@ -136,14 +136,22 @@ _LAW = ("characteristics", 0, "distributions", 0)
     ("example1", ("info", 0, "2"), {"cutpoints": [1.0], "cells": [[0]]}, "info[0].2.cells"),
     ("d1", _LAW + ("atoms", 1, 0), True, "characteristics[0].distributions[0].atoms[1]"),
     ("d1", _LAW + ("atoms", 1, 1), False, "characteristics[0].distributions[0].atoms[1]"),
+    ("d1", _LAW + ("atoms",), 5, "characteristics[0].distributions[0].atoms"),
+    ("d1", _LAW + ("atoms", 1), [2], "characteristics[0].distributions[0].atoms[1]"),
+    ("example1", ("info", 0, "2"), {"cells": 5}, "info[0].2.cells"),
+    ("example1", ("info", 0, "2"), {"cells": [[0], ["x"]]}, "info[0].2.cells[1][0]"),
+    ("example1", ("info", 0, "2"), {"cutpoints": 5}, "info[0].2.cutpoints"),
+    ("example1", ("bidders",), 0, "bidders"),
 ], ids=["law-bools", "law-stray-key", "estimator-typo", "top-level-extra",
         "characteristic-extra", "cutpoint-bool", "info-extra", "atom-value-bool",
-        "atom-mass-bool"])
+        "atom-mass-bool", "atoms-not-list", "atom-not-pair", "cells-not-list",
+        "cell-index-string", "cutpoints-not-list", "no-bidders"])
 def test_booleans_and_unknown_fields_exit_one_with_their_path(capsysbinary, tmp_path,
                                                               scenario_dir, name, where,
                                                               value, path):
-    # each of these once ran with exit 0: false and true as 0 and 1, and
-    # an unknown key ignored
+    # each of these once ran with exit 0 (false and true as 0 and 1, an
+    # unknown key ignored) or named a parent of the field at fault (a
+    # scalar where a list belongs, no bidders)
     doc = json.loads((scenario_dir / f"{name}.json").read_text())
     _set(doc, where, value)
     assert main(["fees", "--scenario", _write(tmp_path, doc), "--samples", "1000"]) == 1
@@ -232,6 +240,21 @@ def test_output_is_byte_stable(capsysbinary, scenario_dir):
     _s1, mc1 = run_cli(capsysbinary, args_mc)
     _s2, mc2 = run_cli(capsysbinary, args_mc)
     assert mc1 == mc2
+
+
+@pytest.mark.parametrize("seed", ["-5", str((1 << 64) + 3)])
+def test_seeds_outside_u64_exit_one(capsysbinary, scenario_dir, tmp_path, seed):
+    # each once ran as the seed equal to it modulo 2^64 and exited 0
+    path = scenario_dir / "example1.json"
+    status, out = run_cli(capsysbinary, ["revenue", "--scenario", str(path),
+                                         "--samples", "20000", "--seed", seed])
+    assert (status, out) == (1, b"")
+    doc = json.loads(path.read_text())
+    doc["estimator"]["seed"] = int(seed)
+    assert main(["revenue", "--scenario", _write(tmp_path, doc), "--samples", "20000"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.startswith(b"error: estimator: seed must be in 0..2**64-1")
 
 
 def test_text_format_alignment(capsysbinary, scenario_dir):
@@ -459,6 +482,10 @@ MC_GOLDEN = [
      ["optimize", "--scenario", "prop5_demo.json", "--regime", "individual"]),
     ("example1-tradeoff.csv",
      ["tradeoff", "--scenario", "example1.json", "--bidder", "2", "--char", "2"]),
+    # the one golden whose winner is scored, so its report is settled
+    # through the scoring pass's handle
+    ("hiding_demo-optimize-individual.csv",
+     ["optimize", "--scenario", "hiding_demo.json", "--regime", "individual"]),
 ]
 
 

@@ -453,11 +453,10 @@ def _per_policy_loop(s, policies, config):
     return tuple(estimate(s, p, config) for p in policies)
 
 
-def _per_policy_scores(s, policies, config, bundled=(), pick=None):
+def _per_policy_scores(s, policies, config, bundled=()):
     scores = tuple(revenue(s, p, config).total_revenue for p in policies)
-    k = None if pick is None else pick(scores)
     return (scores, _per_policy_loop(s, bundled, config),
-            None if k is None else (k, estimate(s, policies[k], config)))
+            lambda k: estimate(s, policies[k], config))
 
 
 def _spied(monkeypatch, run, route, reference):
@@ -507,21 +506,37 @@ def _batched_and_per_policy(monkeypatch, run):
 
 
 def _scored_and_per_policy(monkeypatch, run):
-    """``_spied`` on ``score_policies``; every score is checked against
+    """``_spied`` on ``score_policies``, whose handle records each policy
+    it settles; every score is checked against
     ``revenue(...).total_revenue`` of its policy alone, and every bundle,
-    the picked policy's too, as ``_check_bundles`` does.  Returns (got,
-    want, [(scored, bundled, picked index or None)] per call, chunk
+    the settled policy's too, as ``_check_bundles`` does.  Returns (got,
+    want, [(scored, bundled, settled index or None)] per call, chunk
     starts)."""
+    stock = disclosure.score_policies
+
+    def recording(s, policies, config, bundled=()):
+        scores, bundles, settle = stock(s, policies, config, bundled)
+
+        def handle(k):
+            bundle = settle(k)
+            handle.settled.append((k, bundle))
+            return bundle
+
+        handle.settled = []
+        return scores, bundles, handle
+
+    monkeypatch.setattr(disclosure, "score_policies", recording)
     got, want, calls, starts = _spied(monkeypatch, run, "score_policies",
                                       _per_policy_scores)
     out = []
-    for (s, policies, config), kwargs, (scores, bundles, settled) in calls:
+    for (s, policies, config), kwargs, (scores, bundles, handle) in calls:
         policies, bundled = tuple(policies), tuple(kwargs.get("bundled", ()))
         assert scores == tuple(revenue(s, p, config).total_revenue for p in policies)
         _check_bundles(s, bundled, config, bundles)
-        if settled is not None:
-            _check_bundles(s, [policies[settled[0]]], config, [settled[1]])
-        out.append((policies, bundled, settled and settled[0]))
+        assert len(handle.settled) <= 1
+        for k, bundle in handle.settled:
+            _check_bundles(s, [policies[k]], config, [bundle])
+        out.append((policies, bundled, handle.settled[0][0] if handle.settled else None))
     return got, want, out, starts
 
 
@@ -539,8 +554,8 @@ def test_mc_optimize_individual_matches_per_policy_loop(monkeypatch, n_bidders, 
     # one in full
     assert [len(scored) + len(bundled) for scored, bundled, _k in calls] == [4 ** n_bidders - 3]
     assert [len(bundled) for _scored, bundled, _k in calls] == [1]
-    # the winner is scored and picked in that call, which settles it on
-    # the last chunk's bid columns: its report redraws every chunk but the
+    # the winner is scored in that call, whose handle settles it on the
+    # last chunk's kept bid columns: its report redraws every chunk but the
     # last, so a one-chunk search (64 candidates) draws its chunk once
     assert len(set(got.policy.awareness)) > 1
     scored, _bundled, k = calls[0]
@@ -580,9 +595,9 @@ def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
     starts, batches = [], []
     stock, stock_chunk = disclosure.score_policies, engine._uniform_chunk
 
-    def spy(s, policies, config, bundled=(), pick=None):
+    def spy(s, policies, config, bundled=()):
         batches.append((len(policies), len(bundled)))
-        return stock(s, policies, config, bundled, pick)
+        return stock(s, policies, config, bundled)
 
     def counting(seed, start, stop, n, m):
         starts.append(start)
@@ -630,9 +645,9 @@ def test_mc_search_report_matches_per_policy_loop(monkeypatch, search, n_samples
     # bidder 2, so its hidden values read draws no bid column reads
     assert got.policy.awareness == (frozenset({1}), frozenset({1, 2}))
     assert got.report == revenue(s, got.policy, config)
-    # each scoring pass draws every chunk once.  The individual search's one
-    # call picks the winner and settles it on its last chunk, so the report
-    # redraws every chunk but the last; the greedy search picks no step,
+    # each scoring pass draws every chunk once.  The individual search
+    # settles its winner through its one call's handle, so the report
+    # redraws every chunk but the last; the greedy search settles no step,
     # and its report is one more pass over every chunk
     chunks = list(range(0, n_samples, _CHUNK))
     if search == "individual":
@@ -671,9 +686,9 @@ def test_mc_search_inverts_a_hidden_only_entry_for_the_winner_alone(monkeypatch)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_search_holds_hidden_only_entries_on_the_picking_chunk_alone(monkeypatch,
                                                                         workers):
-    # the winner's hidden values that no bid column reads are kept on the
-    # scoring pass's last chunk only, where the pick is made; no earlier
-    # chunk and no chunk of the report's redraw holds any
+    # the hidden values that no bid column reads are kept on the scoring
+    # pass's last chunk only, which the handle settles the winner on; no
+    # earlier chunk and no chunk of the report's redraw holds any
     s = three_char_scenario(2)
     config = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 7, seed=23,
                              workers=workers)
@@ -741,8 +756,8 @@ def _scored_traces(s, config, info):
     seen = []
     stock = disclosure._revenue_values
 
-    def spy(s, policies, config, pick=None):
-        out = stock(s, policies, config, pick)
+    def spy(s, policies, config):
+        out = stock(s, policies, config)
         seen.extend(zip(policies, out[0]))
         return out
 

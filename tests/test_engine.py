@@ -421,6 +421,21 @@ def test_config_rejects_nonpositive_workers(workers):
         EstimatorConfig(backend="mc", n_samples=1000, workers=workers)
 
 
+@pytest.mark.parametrize("seed", [-1, -5, 1 << 64, (1 << 64) + 3])
+def test_config_rejects_seeds_outside_u64(seed):
+    # a seed outside 0..2^64-1 once keyed Philox by its low 64 bits, so -5
+    # drew the draws of 2^64 - 5 and 2^64 + 3 those of 3
+    with pytest.raises(EstimationError, match="seed"):
+        EstimatorConfig(backend="mc", n_samples=1000, seed=seed)
+
+
+def test_config_accepts_both_ends_of_u64(d1):
+    s, p = d1
+    for seed in (0, (1 << 64) - 1):
+        b = estimate(s, p, EstimatorConfig(backend="mc", n_samples=1000, seed=seed))
+        assert math.isfinite(b.total_revenue)
+
+
 def test_mc_worker_count_invariance(d1):
     s, p = d1
     one = estimate(s, p, EstimatorConfig(backend="mc", n_samples=200_000, seed=42, workers=1))
@@ -634,61 +649,59 @@ def test_scores_are_reported_revenue_from_one_pass(monkeypatch, workers):
         return stock(seed, start, stop, n, m)
 
     monkeypatch.setattr(engine, "_uniform_chunk", counting)
-    scores, bundles, settled = engine.score_policies(s, policies, cfg, bundled=policies[:1])
+    scores, bundles, _settle = engine.score_policies(s, policies, cfg, bundled=policies[:1])
     assert sorted(starts) == [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK]
     monkeypatch.setattr(engine, "_uniform_chunk", stock)
     assert scores == tuple(revenue(s, p, cfg).total_revenue for p in policies)
     assert bundles == engine.estimate_policies(s, policies[:1], cfg)
-    assert settled is None
     assert engine.score_policies(s, (), cfg) == ((), (), None)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_picked_policy_is_settled_on_the_scoring_pass(monkeypatch, workers):
-    # the pick sees the final scores once and names each policy in turn;
-    # its bundle is == its own estimate, summed on the scoring pass's last
-    # chunk plus a redraw of every earlier chunk for it alone
+    # one pass's handle settles every scored policy in turn: each bundle is
+    # == its own estimate, summed on the pass's kept last chunk plus a
+    # redraw of every chunk before it for that policy alone
     s, policies = mixed_candidates()
     cfg = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 5, seed=99, workers=workers)
     chunks = [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK]
+    starts = []
     stock = engine._uniform_chunk
+
+    def counting(seed, start, stop, n, m):
+        starts.append(start)
+        return stock(seed, start, stop, n, m)
+
+    monkeypatch.setattr(engine, "_uniform_chunk", counting)
+    scores, bundles, settle = engine.score_policies(s, policies, cfg)
+    assert sorted(starts) == chunks and bundles == ()
     for k, p in enumerate(policies):
-        starts, seen = [], []
-
-        def counting(seed, start, stop, n, m):
-            starts.append(start)
-            return stock(seed, start, stop, n, m)
-
-        def pick(scores):
-            seen.append(scores)
-            return k
-
+        starts.clear()
         monkeypatch.setattr(engine, "_uniform_chunk", counting)
-        scores, bundles, (picked, bundle) = engine.score_policies(s, policies, cfg, pick=pick)
-        assert sorted(starts) == sorted(chunks + chunks[:-1])
+        bundle = settle(k)
+        assert sorted(starts) == chunks[:-1]
         monkeypatch.setattr(engine, "_uniform_chunk", stock)
-        assert (seen, picked, bundles) == ([scores], k, ())
         assert bundle == estimate(s, p, cfg)
         assert revenue(s, p, cfg, bundle=bundle).total_revenue == scores[k]
-        assert engine.score_policies(s, policies, cfg, pick=lambda scores: None)[2] is None
-    # the exact backend reads the picked policy's bundle off its views
+    assert settle(0) == estimate(s, policies[0], cfg)      # a handle settles again
+    # the exact backend reads the settled policy's bundle off its views
     s, p = build_d1()
-    scores, _bundles, (picked, bundle) = engine.score_policies(s, [p], EXACT,
-                                                               pick=lambda scores: 0)
-    assert picked == 0 and bundle == estimate(s, p, EXACT)
+    _scores, _bundles, settle = engine.score_policies(s, [p], EXACT)
+    assert settle(0) == estimate(s, p, EXACT)
 
 
 def test_a_picked_pass_with_more_workers_than_cores_finishes(monkeypatch):
-    # the last chunk waits in the pool for the earlier ones before the
-    # pick; with more workers than cores and a short switch interval, every
-    # worker count finishes with the one-worker result
+    # every chunk of a pass runs alike in the pool, the last one keeping
+    # its columns for the handle; with more workers than cores and a short
+    # switch interval, every worker count finishes with the one-worker result
     s, policies = mixed_candidates()
     results = {}
 
     def run(workers):
         cfg = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 5, seed=3, workers=workers)
-        results[workers] = engine.score_policies(
-            s, policies[1:], cfg, bundled=policies[:1], pick=lambda scores: 2)
+        scores, bundles, settle = engine.score_policies(s, policies[1:], cfg,
+                                                        bundled=policies[:1])
+        results[workers] = scores, bundles, settle(2)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -702,8 +715,8 @@ def test_a_picked_pass_with_more_workers_than_cores_finishes(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results[2] == results[4] == results[1]
-    assert results[1][2] == (2, estimate(s, policies[3], EstimatorConfig(
-        backend="mc", n_samples=3 * _CHUNK + 5, seed=3)))
+    assert results[1][2] == estimate(s, policies[3], EstimatorConfig(
+        backend="mc", n_samples=3 * _CHUNK + 5, seed=3))
 
 
 def test_scoring_inverts_no_entry_read_only_as_a_hidden_value(monkeypatch):

@@ -121,6 +121,22 @@ def test_rational_cdf_of_each_sum_equals_its_float_cdf():
             assert abs(float(piece_cdf(law, F(x))) - g) <= 1e-14, (law, x)
 
 
+def test_smoothed_cdf_is_the_same_float_alone_and_in_any_batch():
+    # each block of points sums its pieces in order; numpy's sum once added
+    # a one-point block pairwise, so about half of these points read an ulp
+    # apart alone (a scalar or a one-point call) and in one call
+    law = DiscreteFinite([F(k, 7) for k in range(40)], [F(1, 40)] * 40)
+    law = convolve(convolve(law, UniformContinuous(0, 0.33)), Normal(0, 0.4))
+    xs = _probes(law, 2001)
+    batch = cdf(law, xs)
+    assert [float(cdf(law, float(x))) for x in xs] == batch.tolist()
+    assert [cdf(law, xs[k:k + 1])[0] for k in range(len(xs))] == batch.tolist()
+    # a call whose last block holds one point
+    step = distributions._SMOOTH_BLOCK // len(distributions._float_pieces(law)[0])
+    assert step + 1 < len(xs)
+    assert cdf(law, xs[:step + 1]).tolist() == batch[:step + 1].tolist()
+
+
 def test_sum_law_knots_are_bounded_on_both_sides():
     # atoms at the even integers plus U(0, 1): two knots per atom, none shared
     cap = distributions._FOLD_CAP

@@ -1,10 +1,7 @@
 """Command-line front end: scenario files in, deterministic tables out.
 
-Scenario files are JSON (UTF-8, LF) with keys ``bidders``,
-``characteristics`` (list of per-characteristic entries, each holding one
-``distributions`` list with a law per bidder), ``awareness`` (list of
-characteristic ids per bidder), ``info`` (per bidder, map id -> level) and
-``estimator``.  Probabilities and discrete values accept "p/q" strings.
+Scenario files are JSON (UTF-8, LF), read by the schema tables below; the
+README's field table lists their fields.
 
 All randomness flows from the single seed (file or --seed flag).  Output is
 byte-stable: fixed row order, 12 significant digits, LF endings, no
@@ -37,6 +34,7 @@ from .distributions import (
     SumLaw,
     UniformContinuous,
     as_fraction,
+    canonical_info,
 )
 from .engine import EstimationError, EstimatorConfig
 from .fees import curse_gap, entry_fees, revenue
@@ -61,177 +59,176 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Scenario file schema
+# Scenario file schema: a reader per kind of field, a table per object
 # ---------------------------------------------------------------------------
 
-_TOP_FIELDS = ("bidders", "characteristics", "awareness", "info", "estimator")
-_LAW_FIELDS = {"uniform": ("lo", "hi"), "normal": ("mean", "stddev"), "discrete": ("atoms",)}
-_ESTIMATOR_FIELDS = ("backend", "samples", "seed", "workers")
-
-
 def _at(path, key):
-    return f"{path}.{key}" if path else str(key)
+    key = json.dumps(key)[1:-1]         # a control character in a key stays escaped
+    return f"{path}.{key}" if path else key
 
 
-def _known_fields(obj, path, allowed):
-    """Refuse the first key of ``obj`` outside ``allowed``, with its path."""
-    for key in obj:
-        if key not in allowed:
-            raise ParseError(_at(path, key),
-                             f"unknown field; expected one of {', '.join(allowed)}")
+def _reader(what, convert, item=None, accept=lambda value: True):
+    """A field reader ``read(value, path, *context)``: ``convert`` on a value
+    ``accept`` takes and that is not a boolean, a failure reported at ``path``.
+    ``item`` is what a list or object reader reads inside it."""
+    def read(value, path, *context):
+        if isinstance(value, bool) or not accept(value):
+            raise ParseError(path, f"need {what}, got {json.dumps(value)}")
+        try:
+            return convert(value, path, *context)
+        except ParseError:
+            raise
+        except ZeroDivisionError as exc:
+            raise ParseError(path, f"zero denominator in {json.dumps(value)}") from exc
+        except (ArithmeticError, TypeError, ValueError, EstimationError) as exc:
+            raise ParseError(path, str(exc)) from exc
+    read.item = item
+    return read
 
 
-def _not_bool(value, path, what):
-    if isinstance(value, bool):
-        raise ParseError(path, f"need {what}, got {json.dumps(value)}")
+_number = _reader("a number", lambda value, path: float(value))
+_rational = _reader("a number or a rational string", lambda value, path: as_fraction(value))
+_count = _reader("an integer", lambda value, path: int(value),
+                 accept=lambda value: not isinstance(value, float) or value.is_integer())
+_name = _reader("a string", lambda value, path: value, accept=lambda value: isinstance(value, str))
+_is_object = lambda value: isinstance(value, dict)
 
 
-def _number(value, path):
-    """A JSON number (or numeric string) as a float; a boolean is refused."""
-    _not_bool(value, path, "a number")
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, str(exc)) from exc
+def _list(item, what="a list", size=None):
+    return _reader(what, lambda value, path: [item(v, f"{path}[{k}]")
+                                              for k, v in enumerate(value)],
+                   item, lambda value: isinstance(value, list) and size in (None, len(value)))
 
 
-def _dist_from_dict(obj, path):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(path, "distribution must be an object with a 'kind'")
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _LAW_FIELDS:
-        raise ParseError(path, f"unknown distribution kind {kind!r}")
-    _known_fields(obj, path, ("kind",) + _LAW_FIELDS[kind])
-    try:
-        if kind == "uniform":
-            return UniformContinuous(*(_number(obj[key], _at(path, key)) for key in ("lo", "hi")))
-        if kind == "normal":
-            return Normal(*(_number(obj[key], _at(path, key)) for key in ("mean", "stddev")))
-        atoms = obj["atoms"]
-        if not isinstance(atoms, list):
-            raise ParseError(_at(path, "atoms"), "need a list of [value, prob] pairs")
-        for k, atom in enumerate(atoms):
-            if not isinstance(atom, list) or len(atom) != 2:
-                raise ParseError(f"{path}.atoms[{k}]", "need a [value, prob] pair")
-            for part in atom:
-                _not_bool(part, f"{path}.atoms[{k}]", "a number or a rational string")
-        return DiscreteFinite([as_fraction(v) for v, _p in atoms],
-                              [as_fraction(p) for _v, p in atoms])
-    except KeyError as exc:
-        raise ParseError(path, f"missing field {exc}") from exc
-    except ParseError:
-        raise
-    except (DistributionError, ValueError, TypeError) as exc:
-        raise ParseError(path, str(exc)) from exc
+class _Object(dict):
+    """A JSON object as read; ``repeated`` is a key the file names twice in it."""
 
 
-def _count(value, path):
-    """A JSON count as an int: an integer, an integral float or a numeric
-    string; a boolean or a fractional number is refused with its path."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ParseError(path, f"need an integer, got {json.dumps(value)}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, str(exc)) from exc
+def _json_object(pairs):
+    obj, seen = _Object(pairs), set()
+    obj.repeated = next((key for key, _v in pairs if key in seen or seen.add(key)), None)
+    return obj
 
 
-def _level_from_json(obj, path):
-    if obj == "none":
-        return NoInfo()
-    if obj == "full":
-        return FullInfo()
-    if isinstance(obj, dict) and "cutpoints" in obj:
-        _known_fields(obj, path, ("cutpoints",))
-        cuts = obj["cutpoints"]
-        if not isinstance(cuts, list):
-            raise ParseError(f"{path}.cutpoints", "need a list of numbers")
-        return Partition(cutpoints=[_number(c, f"{path}.cutpoints[{k}]")
-                                    for k, c in enumerate(cuts)])
-    if isinstance(obj, dict) and "cells" in obj:
-        _known_fields(obj, path, ("cells",))
-        cells = obj["cells"]
-        if not (isinstance(cells, list) and all(isinstance(cell, list) for cell in cells)):
-            raise ParseError(f"{path}.cells", "need a list of lists of atom indices")
-        return Partition(cells=[[_count(i, f"{path}.cells[{c}][{k}]") for k, i in enumerate(cell)]
-                                for c, cell in enumerate(cells)])
-    raise ParseError(path, f"unknown info level {obj!r}")
+def _fields(value, path):
+    if value.repeated is not None:
+        raise ParseError(_at(path, value.repeated), "key repeated in its object")
+    return value
+
+
+def _object(table, build=dict, optional=()):
+    """Reader of a JSON object with the keys of ``table`` (key -> reader) as
+    ``build(**fields)``; an unknown key, or a missing one not ``optional``, is refused."""
+    def convert(value, path):
+        for key in _fields(value, path):
+            if key not in table:
+                raise ParseError(_at(path, key),
+                                 f"unknown field; expected one of {', '.join(table)}")
+        for key in table:
+            if key not in value and key not in optional:
+                raise ParseError(_at(path, key), "missing field")
+        return build(**{key: read(value[key], _at(path, key))
+                        for key, read in table.items() if key in value})
+    return _reader("an object", convert, table, _is_object)
+
+
+_LAWS = {
+    "uniform": _object({"kind": _name, "lo": _number, "hi": _number},
+                       lambda kind, lo, hi: UniformContinuous(lo, hi)),
+    "normal": _object({"kind": _name, "mean": _number, "stddev": _number},
+                      lambda kind, mean, stddev: Normal(mean, stddev)),
+    "discrete": _object({"kind": _name,
+                         "atoms": _list(_list(_rational, "a [value, prob] pair", 2))},
+                        lambda kind, atoms: DiscreteFinite([v for v, _p in atoms],
+                                                           [p for _v, p in atoms])),
+}
+
+
+def _read_law(value, path):
+    kind = value.get("kind")
+    if not isinstance(kind, str) or kind not in _LAWS:
+        raise ParseError(_at(path, "kind"), f"unknown distribution kind {json.dumps(kind)}; "
+                                            f"expected one of {', '.join(_LAWS)}")
+    return _LAWS[kind](value, path)
+
+
+# a partition holds one of these keys: the first one present picks the
+# table, which refuses the other
+_PARTITIONS = {
+    "cutpoints": _object({"cutpoints": _list(_number)}, Partition),
+    "cells": _object({"cells": _list(_list(_count))}, Partition),
+}
+
+
+def _read_level(value, path, law):
+    """An info level, canonical against ``law`` (None for an id outside the
+    scenario, which ``validate`` refuses)."""
+    key = next((k for k in _PARTITIONS if isinstance(value, dict) and k in value), None)
+    if key is not None:
+        level = _PARTITIONS[key](value, path)
+    elif value in ("none", "full"):
+        level = NoInfo() if value == "none" else FullInfo()
+    else:
+        raise ParseError(path, f"unknown info level {json.dumps(value)}")
+    return level if law is None else canonical_info(law, level)
+
+
+def _read_info(value, path, laws):
+    """One bidder's info map: ids by the count reader, each level read against
+    the bidder's law for it; two keys naming one id are refused."""
+    levels = {}
+    for key, level in _fields(value, path).items():
+        if (j := _count(key, _at(path, key))) in levels:
+            raise ParseError(_at(path, key), f"names characteristic {j} a second time")
+        levels[j] = _level(level, _at(path, key), laws[j - 1] if 1 <= j <= len(laws) else None)
+    return levels
+
+
+_law = _reader("a distribution", _read_law, _LAWS, _is_object)
+_level = _reader("an info level", _read_level, _PARTITIONS)
+_info = _reader("a map of characteristic id to level", _read_info, accept=_is_object)
+
+# each bidder's info map is read by ``_info`` once the laws are known
+_TOP = _object(
+    {"bidders": _count,
+     "characteristics": _list(_object({"distributions": _list(_law)},
+                                      lambda distributions: distributions)),
+     "awareness": _list(_list(_count)),
+     "info": _list(_reader("an object", _fields, accept=_is_object)),
+     "estimator": _object({"backend": _name, "samples": _count, "seed": _count, "workers": _count},
+                          lambda samples=EstimatorConfig.n_samples, **fields:
+                              EstimatorConfig(n_samples=samples, **fields),
+                          optional=("backend", "samples", "seed", "workers"))},
+    optional=("estimator",))
 
 
 def parse_scenario(path: str):
-    """Load and validate a scenario file.
-
-    Returns (Scenario, DisclosurePolicy, EstimatorConfig).  Raises
-    ParseError with a JSON path for schema problems and propagates
-    validation messages from the scenario layer.
-    """
-    with open(path, "rb") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("", f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("", "top level must be an object")
-    _known_fields(doc, "", _TOP_FIELDS)
+    """Load and validate a scenario file as (Scenario, DisclosurePolicy,
+    EstimatorConfig).  Raises ParseError with the JSON path of a schema
+    problem (the file's path when it cannot be read) or the scenario layer's
+    validation message."""
     try:
-        n = _count(doc["bidders"], "bidders")
-        chars = doc["characteristics"]
-    except KeyError as exc:
-        raise ParseError("", f"missing top-level field {exc}") from exc
+        with open(path, "rb") as fh:
+            doc = json.load(fh, object_pairs_hook=_json_object)
+    except (OSError, RecursionError, ValueError) as exc:   # unreadable, not UTF-8 or JSON
+        raise ParseError(path, getattr(exc, "strerror", None) or str(exc)) from exc
+    top = _TOP(doc, "")
+    n, chars = top["bidders"], top["characteristics"]
     if n < 1:
         raise ParseError("bidders", f"need at least one bidder, got {n}")
-    if not isinstance(chars, list) or not chars:
+    if not chars:
         raise ParseError("characteristics", "need a nonempty list")
-    m = len(chars)
-    laws = [[None] * m for _ in range(n)]
-    for j, entry in enumerate(chars):
-        dists = entry.get("distributions") if isinstance(entry, dict) else None
-        if not isinstance(dists, list) or len(dists) != n:
-            raise ParseError(f"characteristics[{j}]",
-                             f"need a 'distributions' list with {n} entries")
-        _known_fields(entry, f"characteristics[{j}]", ("distributions",))
-        for i, dd in enumerate(dists):
-            laws[i][j] = _dist_from_dict(dd, f"characteristics[{j}].distributions[{i}]")
-
-    awareness = doc.get("awareness")
-    if not isinstance(awareness, list) or len(awareness) != n:
-        raise ParseError("awareness", f"need one list of characteristic ids per bidder ({n})")
-    for i, a in enumerate(awareness):
-        if not isinstance(a, list) or not all(
-                isinstance(j, int) and not isinstance(j, bool) for j in a):
-            raise ParseError(f"awareness[{i}]", "need a list of integer characteristic ids")
-    info_doc = doc.get("info")
-    if not isinstance(info_doc, list) or len(info_doc) != n:
-        raise ParseError("info", f"need one map per bidder ({n})")
-    info = []
-    for i, levels in enumerate(info_doc):
-        if not isinstance(levels, dict):
-            raise ParseError(f"info[{i}]", "need a map of characteristic id to level")
-        try:
-            info.append({int(j): _level_from_json(lvl, f"info[{i}].{j}")
-                         for j, lvl in levels.items()})
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(f"info[{i}]", str(exc)) from exc
-
-    est = doc.get("estimator", {})
-    if not isinstance(est, dict):
-        raise ParseError("estimator", "need an object")
-    _known_fields(est, "estimator", _ESTIMATOR_FIELDS)
-    counts = {field: _count(est.get(key, default), f"estimator.{key}")
-              for field, key, default in (("n_samples", "samples", 100_000),
-                                          ("seed", "seed", 0), ("workers", "workers", 1))}
+    for key, entries in [("awareness", top["awareness"]), ("info", top["info"])] + [
+            (f"characteristics[{j}].distributions", laws) for j, laws in enumerate(chars)]:
+        if len(entries) != n:
+            raise ParseError(key, f"need one entry per bidder ({n})")
+    laws = [list(row) for row in zip(*chars)]
+    info = [_info(levels, f"info[{i}]", laws[i]) for i, levels in enumerate(top["info"])]
     try:
-        config = EstimatorConfig(backend=str(est.get("backend", "mc")), **counts)
-    except (EstimationError, TypeError, ValueError) as exc:
-        raise ParseError("estimator", str(exc)) from exc
-
-    try:
-        scenario, policy = validate(n, m, laws, [list(a) for a in awareness], info)
+        scenario, policy = validate(n, len(chars), laws, top["awareness"], info)
     except (ScenarioError, DistributionError) as exc:
         raise ParseError("", str(exc)) from exc
-    return scenario, policy, config
+    return scenario, policy, top.get("estimator", EstimatorConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +243,9 @@ class ReportDocument:
         self.rows = []
 
     def add(self, field, value, stderr=None, backend=""):
+        if any(isinstance(x, (float, Fraction)) and not abs(x) <= sys.float_info.max
+               for x in (value, stderr)):
+            raise EstimationError(f"{field} is not finite in double precision")
         self.rows.append((field, value, stderr, backend))
         if isinstance(value, Fraction):
             self.rows.append((f"{field}_exact",
@@ -457,21 +457,17 @@ def main(argv=None) -> int:
             out.write(emit(rep, args.format))
             return status
         scenario, policy, config = parse_scenario(args.scenario)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.samples is not None:
-            overrides["n_samples"] = args.samples
-        if args.backend is not None:
-            overrides["backend"] = args.backend
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        for flag, field in (("seed", "seed"), ("samples", "n_samples"), ("backend", "backend")):
+            value = getattr(args, flag)
+            try:
+                config = config if value is None else dataclasses.replace(config, **{field: value})
+            except EstimationError as exc:
+                raise ParseError(f"--{flag}", str(exc)) from exc
         handler = {"fees": _cmd_fees, "revenue": _cmd_revenue, "curse": _cmd_curse,
                    "orderstats": _cmd_orderstats, "optimize": _cmd_optimize,
                    "tradeoff": _cmd_tradeoff}[args.command]
         rep = handler(scenario, policy, config, args)
-    except (ParseError, ScenarioError, DistributionError, EstimationError,
-            FileNotFoundError) as exc:
+    except (ParseError, ScenarioError, DistributionError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out.write(emit(rep, args.format))

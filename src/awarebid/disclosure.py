@@ -387,31 +387,23 @@ def _combine_se(a, b):
     return math.sqrt(a * a + b * b)
 
 
-def check_tradeoff(s: Scenario, base: DisclosurePolicy, target: Optional[int],
+def check_tradeoff(s: Scenario, base: DisclosurePolicy, target: int,
                    char: int, config: EstimatorConfig) -> TradeoffBreakdown:
     """Evaluate the raise-one-more-bidder trade-off from a base policy in
     which some bidders are aware of ``char`` on top of a common set and the
     rest (including ``target``) are not.  The raised bidder gets the
     information level the first aware bidder has on ``char``, or full
-    information when nobody is aware of it.  ``target=None`` means nobody is
-    left to make aware: all components are zero and the decision is keep.
-    A target outside 1..n or a characteristic outside 2..m raises
-    ScenarioError."""
+    information when nobody is aware of it.  A target outside 1..n or a
+    characteristic outside 2..m raises ScenarioError."""
     return _tradeoff(s, base, target, char, config)[0]
 
 
 def _tradeoff(s, base, target, char, config):
     """``check_tradeoff``'s breakdown and the base policy's revenue report."""
-    if target is not None and not 1 <= target <= s.n_bidders:
+    if not 1 <= target <= s.n_bidders:
         raise ScenarioError(f"bidder {target} outside 1..{s.n_bidders}")
     if not 2 <= char <= s.m_characteristics:
         raise ScenarioError(f"characteristic {char} outside 2..{s.m_characteristics}")
-    zero = Fraction(0) if config.backend == "exact" else 0.0
-    if target is None:
-        rep = revenue(s, base, config)
-        return TradeoffBreakdown(zero, zero, zero, "keep",
-                                 rep.total_revenue, rep.total_revenue), rep
-
     aware_of_char = [i for i in range(1, s.n_bidders + 1) if char in base.aware(i)]
     if char in base.aware(target):
         raise ScenarioError(f"bidder {target} is already aware of characteristic {char}")
@@ -438,7 +430,7 @@ def _tradeoff(s, base, target, char, config):
     remaining = [i for i in range(1, s.n_bidders + 1)
                  if i != target and i not in aware_of_char]
     delta_rents = sum((after.fee_schedule.rents[i - 1] - before.fee_schedule.rents[i - 1]
-                       for i in remaining), zero)
+                       for i in remaining), Fraction(0) if config.backend == "exact" else 0.0)
     lost = before.fee_schedule.rents[target - 1]
     decision = "raise" if delta_first + delta_rents > lost else "keep"
 

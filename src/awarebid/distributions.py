@@ -27,6 +27,7 @@ package does not pay for it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
@@ -99,10 +100,11 @@ def as_fraction(x) -> Fraction:
 
 
 def _require_finite(kind: str, **params):
-    """Reject NaN and infinite law parameters; rationals are always finite."""
+    """Reject law parameters that are not finite doubles: NaN, inf, a rational past 1.8e308."""
     for name, x in params.items():
-        if not isinstance(x, (int, Fraction)) and not math.isfinite(x):
-            raise DistributionError(f"{kind} needs a finite {name}, got {x}")
+        if not abs(x) <= int(sys.float_info.max):    # an int bound: exact and cheap on rationals
+            raise DistributionError(f"{kind} needs a finite {name}, got "
+                                    f"{x if isinstance(x, float) else 'a rational past 1.8e308'}")
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +683,12 @@ def _float_pieces(law: SumLaw):
     kept = law.__dict__.get("_floats")
     if kept is None:
         den, scale, nums, coefs = _pieces(law)
-        kept = (np.array([n / den for n in nums]),
-                np.array([[a * den ** l / scale for l, a in enumerate(coef)] for coef in coefs])
-                .reshape(len(coefs), len(law.widths) + 1))
+        try:
+            kept = (np.array([n / den for n in nums]),
+                    np.array([[a * den ** l / scale for l, a in enumerate(coef)]
+                              for coef in coefs]).reshape(len(coefs), len(law.widths) + 1))
+        except OverflowError as exc:     # a density past double precision's range
+            raise DistributionError(f"density past double precision's range ({exc})") from exc
         object.__setattr__(law, "_floats", kept)
     return kept
 
@@ -716,6 +721,7 @@ def _smoothed_cdf(knots, coefs, sigma, x):
     b^(r-1) phi(b) + (r-1) M_(r-2) (Owen 1980).  Above the last knot G is 1,
     which adds Phi((x - last knot) / sigma)."""
     from scipy.special import ndtr
+    sigma = np.float64(sigma)           # so sigma ** r overflows to inf, not OverflowError
     flat = x.reshape(-1)
     out = ndtr((flat - knots[-1]) / sigma)
     degree = coefs.shape[1] - 1

@@ -333,7 +333,8 @@ def sample_draws(s: Scenario, seed: int, count: int) -> np.ndarray:
     (count, bidders, characteristics): the inverse CDF of every entry at
     the same per-(draw, entry) uniforms as ``estimate``, so empirical
     statistics computed from these draws are the Monte Carlo backend's
-    draws."""
+    draws.  A seed outside 0..2**64-1 raises EstimationError."""
+    EstimatorConfig(seed=seed)                # the one check of a seed's range
     n, m = s.n_bidders, s.m_characteristics
     out = np.empty((count, n, m))
     for a in range(0, count, _CHUNK):
@@ -440,11 +441,11 @@ def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop, held=None):
         return sums, fields
 
     def layout_fields(layout):
-        for key in chain(*layout[1]):
-            if key not in contribs:
-                rule = held_rules[key]
-                contribs[key] = rule if isinstance(rule, float) else rule(draw(key[:2]))
         with np.errstate(over="ignore", invalid="ignore"):
+            for key in chain(*layout[1]):
+                if key not in contribs:
+                    rule = held_rules[key]
+                    contribs[key] = rule if isinstance(rule, float) else rule(draw(key[:2]))
             return _policy_fields(column, contribs, layout, np.empty((4, L)))
 
     return sums, fields, layout_fields

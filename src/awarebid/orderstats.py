@@ -602,10 +602,12 @@ def _expected_numeric(os_laws) -> list:
     sizes = [len(kn) - 1 for kn in knots]
     batch = _Batch([os_laws[k] for k in members],
                    np.array([MAX_EVALUATIONS + 5 * size for size in sizes]))
-    parts = _simpson_by_level(
-        lambda ys, owner: _integrand(batch, ys, owner),
-        np.concatenate([kn[:-1] for kn in knots]), np.concatenate([kn[1:] for kn in knots]),
-        np.repeat(np.arange(len(members)), sizes), SIMPSON_TOL)
+    # laws near double range overflow on the way: a non-finite result fails its member
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        parts = _simpson_by_level(
+            lambda ys, owner: _integrand(batch, ys, owner),
+            np.concatenate([kn[:-1] for kn in knots]), np.concatenate([kn[1:] for kn in knots]),
+            np.repeat(np.arange(len(members)), sizes), SIMPSON_TOL)
     start = 0
     for j, (k, size) in enumerate(zip(members, sizes)):
         # summed in order, as the recursion did; np.sum and Python 3.12's
@@ -613,7 +615,8 @@ def _expected_numeric(os_laws) -> list:
         total = 0.0
         for part in parts[start:start + size]:
             total += part
-        out[k] = batch.errors.get(j, total)
+        out[k] = batch.errors.get(j, total if math.isfinite(total) else DistributionError(
+            f"expected order statistic is not finite ({total})"))
         start += size
     return out
 

@@ -1,9 +1,11 @@
 import ast
+import collections
 import importlib
 import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -103,7 +105,7 @@ def _set(doc, path, value):
     (("estimator", "samples"), 2.5, "estimator.samples"),
     (("estimator", "seed"), 7.9, "estimator.seed"),
     (("estimator", "workers"), 1.7, "estimator.workers"),
-    (("awareness",), [[True, 2], [1]], "awareness[0]"),
+    (("awareness",), [[True, 2], [1]], "awareness[0][0]"),
     (("info", 0, "1"), {"cells": [[0.7], [1]]}, "info[0].1.cells[0][0]"),
 ], ids=["bidders", "bidders-bool", "samples", "seed", "workers", "awareness-bool",
         "cell-index"])
@@ -134,8 +136,8 @@ _LAW = ("characteristics", 0, "distributions", 0)
     ("example1", ("characteristics", 1, "note"), "x", "characteristics[1].note"),
     ("example1", ("info", 0, "2"), {"cutpoints": [False]}, "info[0].2.cutpoints[0]"),
     ("example1", ("info", 0, "2"), {"cutpoints": [1.0], "cells": [[0]]}, "info[0].2.cells"),
-    ("d1", _LAW + ("atoms", 1, 0), True, "characteristics[0].distributions[0].atoms[1]"),
-    ("d1", _LAW + ("atoms", 1, 1), False, "characteristics[0].distributions[0].atoms[1]"),
+    ("d1", _LAW + ("atoms", 1, 0), True, "characteristics[0].distributions[0].atoms[1][0]"),
+    ("d1", _LAW + ("atoms", 1, 1), False, "characteristics[0].distributions[0].atoms[1][1]"),
     ("d1", _LAW + ("atoms",), 5, "characteristics[0].distributions[0].atoms"),
     ("d1", _LAW + ("atoms", 1), [2], "characteristics[0].distributions[0].atoms[1]"),
     ("example1", ("info", 0, "2"), {"cells": 5}, "info[0].2.cells"),
@@ -159,6 +161,104 @@ def test_booleans_and_unknown_fields_exit_one_with_their_path(capsysbinary, tmp_
     assert captured.out == b""
     assert captured.err.startswith(f"error: {path}: ".encode())
     assert captured.err.count(path.encode()) == 1
+
+
+@pytest.mark.parametrize("where,value,path", [
+    (_LAW + ("atoms", 0, 0), "1/0", "characteristics[0].distributions[0].atoms[0][0]"),
+    (_LAW + ("atoms", 0, 1), "1/0", "characteristics[0].distributions[0].atoms[0][1]"),
+    (("info", 0, "02"), "full", "info[0].02"),
+    (("info", 0, "x"), "full", "info[0].x"),
+    (("info", 0, "1"), {"cells": [[0], [0]]}, "info[0].1"),
+    (_LAW + ("atoms", 1, 0), "1e309", "characteristics[0].distributions[0]"),
+], ids=["atom-value-zero-denominator", "atom-mass-zero-denominator", "info-id-twice",
+        "info-id-not-a-number", "partition-misfit", "atom-past-double"])
+def test_fields_refused_at_their_path(capsysbinary, tmp_path, where, value, path):
+    # "1/0" once ended in a ZeroDivisionError traceback, "1e309" in an
+    # OverflowError; "02" beside "2" silently replaced bidder 1's level for
+    # characteristic 2; a partition's misfit and a non-numeric id were
+    # reported without the key at fault
+    doc = _d1_doc()
+    _set(doc, where, value)
+    assert main(["fees", "--scenario", _write(tmp_path, doc)]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.startswith(f"error: {path}: ".encode())
+    assert captured.err.count(b"\n") == 1
+
+
+def test_a_key_repeated_in_one_object_exits_one(capsysbinary, tmp_path):
+    # json.load kept the last value, so this ran with seed 2
+    text = json.dumps(_d1_doc()).replace('"seed": 1', '"seed": 1, "seed": 2')
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["fees", "--scenario", str(path)]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err == b"error: estimator.seed: key repeated in its object\n"
+
+
+def test_awareness_ids_are_counts(tmp_path):
+    # awareness ids read like every other count: an integral float or an
+    # integer string stands for its integer
+    doc = _d1_doc()
+    doc["awareness"] = [[1.0, "2"], ["1"]]
+    assert parse_scenario(_write(tmp_path, doc)) == parse_scenario(_write(tmp_path, _d1_doc()))
+
+
+def test_unreadable_scenario_file_exits_one_with_its_path(capsysbinary, tmp_path):
+    # a directory, bytes that are not UTF-8 and nesting past the decoder's
+    # recursion limit each once ended in a traceback
+    (tmp_path / "latin1.json").write_bytes(b'{"bidders": "\xff"}')
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    for path, reason in ((tmp_path, "Is a directory"),
+                         (tmp_path / "missing.json", "No such file or directory"),
+                         (tmp_path / "latin1.json", "'utf-8' codec can't decode byte 0xff"),
+                         (tmp_path / "deep.json", "maximum recursion depth exceeded")):
+        assert main(["fees", "--scenario", str(path)]) == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(f"error: {path}: {reason}".encode())
+        assert captured.err.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--samples", "0", "n_samples must be positive"),
+    ("--seed", "-1", "seed must be in 0..2**64-1, got -1"),
+])
+def test_refused_flag_is_named(capsysbinary, scenario_dir, flag, value, message):
+    status = main(["fees", "--scenario", str(scenario_dir / "d1.json"), flag, value])
+    captured = capsysbinary.readouterr()
+    assert (status, captured.out) == (1, b"")
+    assert captured.err == f"error: {flag}: {message}\n".encode()
+
+
+def test_readme_field_table_matches_the_parser_tables():
+    # each row names a reader (cli._<reader>) and the fields it reads; the
+    # parser's side walks its tables, lists unwrapped
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Scenario files")[1].split("\n### ")[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| ") and not line.startswith(("| Reader", "| ---"))]
+    documented = {getattr(cli, f"_{reader.strip()}"): set(re.findall(r"`(\w+)`", fields))
+                  for reader, fields in rows}
+    parsed = collections.defaultdict(set)
+
+    def walk(key, read):
+        if isinstance(read.item, dict):
+            for field, inner in read.item.items():
+                walk(field, inner)
+        elif read.item is not None:
+            walk(key, read.item)
+        else:
+            parsed[read].add(key)
+
+    walk("", cli._TOP)
+    # each info map is read once the laws are known: its ids by the count
+    # reader, its levels by cli._level
+    del parsed[cli._TOP.item["info"].item]
+    walk("info", cli._level)
+    parsed[cli._count].add("info")
+    assert documented == parsed
 
 
 def test_bundled_scenarios_name_only_known_fields(scenario_dir):

@@ -248,17 +248,6 @@ def test_tradeoff_d1_extended(d1):
     assert td.revenue_after == F(17, 8)
 
 
-def test_tradeoff_nobody_left_to_raise(d1):
-    s, _p = d1
-    p_full = validate(2, 2, s.laws, [[1, 2], [1, 2]],
-                      [{1: FullInfo(), 2: FullInfo()}] * 2)[1]
-    td = check_tradeoff(s, p_full, None, 2, EXACT)
-    assert td.delta_first_order_stat == 0
-    assert td.lost_rent_newly_aware == 0
-    assert td.decision == "keep"
-    assert td.revenue_before == td.revenue_after
-
-
 def test_tradeoff_rejects_malformed_base():
     d = coin([0, 1])
     s, p = validate(3, 3, [[d, d, d]] * 3,

@@ -429,6 +429,13 @@ def test_config_rejects_seeds_outside_u64(seed):
         EstimatorConfig(backend="mc", n_samples=1000, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_sample_draws_rejects_seeds_outside_u64(d1, seed):
+    # numpy's Philox key once raised OverflowError here
+    with pytest.raises(EstimationError, match="seed must be in 0..2\\*\\*64-1"):
+        sample_draws(d1[0], seed, 10)
+
+
 def test_config_accepts_both_ends_of_u64(d1):
     s, p = d1
     for seed in (0, (1 << 64) - 1):

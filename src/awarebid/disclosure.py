@@ -12,6 +12,10 @@ Regimes
 * ``common-free-info``: common awareness plus a free choice of finite
   partition information per (bidder, characteristic).
 
+Every candidate of a search or a claim comes from one constructor
+(``_policy``): ``lattice`` sets and levels made canonical once per search
+(``_levels``), so only policies from outside go through ``validate``.
+
 The verification suite replays the theory's claims on randomized
 finite-support scenarios with the exact backend, recording for every claim
 whether its hypothesis held and the exact rational margin by which the
@@ -61,6 +65,7 @@ from .scenario import (
     Perspective,
     Scenario,
     ScenarioError,
+    _canonical_level,
     lattice,
     validate,
 )
@@ -77,7 +82,6 @@ __all__ = [
     "verify_suite",
     "counterexample_search",
     "random_discrete_scenario",
-    "policy_with_info",
 ]
 
 
@@ -97,19 +101,19 @@ _PARTITION_CAP = 20000
 # Policy construction helpers
 # ---------------------------------------------------------------------------
 
-def policy_with_info(s: Scenario, awareness: Sequence, char_info: dict) -> DisclosurePolicy:
-    """Policy with the given awareness sets and one exogenous info level per
-    characteristic (defaulting to full information)."""
-    info = [{j: char_info.get(j, FullInfo()) for j in sorted(a)} for a in awareness]
-    return validate(s.n_bidders, s.m_characteristics, s.laws, list(awareness), info)[1]
+def _levels(s: Scenario, char_info: dict) -> dict:
+    """Each (bidder, characteristic j)'s level ``char_info.get(j, FullInfo())``,
+    canonical for its law: a search's levels, checked once."""
+    return {(i, j): _canonical_level(s, i, j, char_info.get(j, FullInfo()))
+            for i in range(1, s.n_bidders + 1) for j in range(1, s.m_characteristics + 1)}
 
 
-def _common_policy(s: Scenario, aware: frozenset, char_info: dict) -> DisclosurePolicy:
-    return policy_with_info(s, [aware] * s.n_bidders, char_info)
-
-
-def _aware_pairs(p: DisclosurePolicy) -> int:
-    return sum(len(a) for a in p.awareness)
+def _policy(awareness: Sequence, levels: dict) -> DisclosurePolicy:
+    """The one candidate constructor: bidder i aware of the frozenset
+    ``awareness[i - 1]`` at ``levels[i, j]`` on each j in it.  On ``lattice``
+    sets and ``_levels`` it is ``==`` ``validate``'s policy, unchecked."""
+    return DisclosurePolicy(tuple(awareness), tuple({j: levels[i, j] for j in sorted(a)}
+                                                    for i, a in enumerate(awareness, start=1)))
 
 
 def _disclosure_rank(level: InfoLevel) -> int:
@@ -140,7 +144,7 @@ def _common_awareness_max(s: Scenario, p: DisclosurePolicy) -> OrderStatLaw:
 def _rank_key(value, p: DisclosurePolicy):
     """Optimizer order: higher revenue, then fewer aware pairs, then less
     disclosure."""
-    return (value, -_aware_pairs(p), -_policy_disclosure(p))
+    return (value, -sum(map(len, p.awareness)), -_policy_disclosure(p))
 
 
 def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
@@ -222,20 +226,18 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
             raise ScenarioError(f"awareness space of {bits} bits exceeds the exhaustive cap"
                                 + ("; pass the greedy flag" if individual else ""))
         return _optimize_greedy(s, config, info, regime)
-    if individual:
-        candidates = [(f"awareness={[sorted(a) for a in combo]}",
-                       policy_with_info(s, combo, info))
-                      for combo in _awareness_candidates(s)]
-    elif regime is PolicyRegime.PUBLIC_NO_INFO:
-        candidates = [(f"common={sorted(aw)}", _common_policy(
-            s, aw, {j: info.get(j, FullInfo()) if j == 1 else NoInfo() for j in aw}))
-            for aw in lattice(s.m_characteristics)]
-    elif regime is PolicyRegime.PUBLIC_FULL_INFO:
-        candidates = [(f"common={sorted(aw)}",
-                       _common_policy(s, aw, {j: FullInfo() for j in aw}))
-                      for aw in lattice(s.m_characteristics)]
-    else:  # COMMON_FREE_INFO
+    if regime is PolicyRegime.COMMON_FREE_INFO:
         candidates = _free_info_candidates(s, partition_cap)
+    elif individual:
+        levels = _levels(s, info)
+        candidates = [(f"awareness={[sorted(a) for a in combo]}", _policy(combo, levels))
+                      for combo in _awareness_candidates(s)]
+    else:
+        levels = _levels(s, {j: FullInfo() for j in s.full_set}
+                         if regime is PolicyRegime.PUBLIC_FULL_INFO else
+                         {j: info.get(j, FullInfo()) if j == 1 else NoInfo() for j in s.full_set})
+        candidates = [(f"common={sorted(aw)}", _policy([aw] * s.n_bidders, levels))
+                      for aw in lattice(s.m_characteristics)]
 
     policies = [pol for _desc, pol in candidates]
     values, bundles, settle = _revenue_values(s, policies, config)
@@ -259,19 +261,16 @@ def _optimize_greedy(s, config, info, regime) -> OptimizeResult:
     winner makes one more pass over the draws.  A sweep's settle handle is
     dropped: only the last step is reported, and settling every step
     measured no faster than that one report pass."""
+    levels = _levels(s, info)
     current = [frozenset({1})] * s.n_bidders
-    trials = [("start", current, policy_with_info(s, current, info))]
+    trials = [("start", current, _policy(current, levels))]
     best = None                 # (value, awareness, policy, bundle)
     trace = []
     while True:
         for i in range(s.n_bidders):
-            for j in range(2, s.m_characteristics + 1):
-                if j in current[i]:
-                    continue
-                trial = list(current)
-                trial[i] = trial[i] | {j}
-                trials.append((f"try bidder {i + 1} char {j}", trial,
-                               policy_with_info(s, trial, info)))
+            for j in sorted(s.full_set - current[i]):
+                trial = [a | {j} if k == i else a for k, a in enumerate(current)]
+                trials.append((f"try bidder {i + 1} char {j}", trial, _policy(trial, levels)))
         values, bundles, _settle = _revenue_values(s, [cand for _d, _t, cand in trials], config)
         step = None
         for (desc, trial, cand), val, b in zip(trials, values, bundles):
@@ -301,8 +300,8 @@ def _set_partitions(k: int):
 
 
 def _info_variants(law):
-    """A law's information levels, lazily: every partition of a discrete
-    law's atoms (one cell is NoInfo), or a continuous law's two extremes."""
+    """A law's canonical information levels, lazily: every partition of a
+    discrete law's atoms (one cell is NoInfo), or a continuous law's two extremes."""
     if not isinstance(law, DiscreteFinite):
         yield from (NoInfo(), FullInfo())
         return
@@ -340,13 +339,9 @@ def _free_info_candidates(s: Scenario, cap: int):
         if entries is None:
             if len(aw) > 1:
                 continue
-            entries = [((i, 1), [FullInfo()]) for i in range(1, s.n_bidders + 1)]
+            entries = [((i, 1), [lv]) for (i, j), lv in _levels(s, {}).items() if j == 1]
         for assignment in _iproduct(*[v for _k, v in entries]):
-            info = [dict() for _ in range(s.n_bidders)]
-            for ((i, j), _variants), lvl in zip(entries, assignment):
-                info[i - 1][j] = lvl
-            pol = validate(s.n_bidders, s.m_characteristics, s.laws,
-                           [aw] * s.n_bidders, info)[1]
+            pol = _policy([aw] * s.n_bidders, dict(zip([k for k, _v in entries], assignment)))
             candidates.append((f"common={sorted(aw)} info={_policy_disclosure(pol)}", pol))
     return candidates
 
@@ -563,10 +558,6 @@ class VerificationReport:
         return [r for r in self.results if r.claim == claim and r.hypothesis_satisfied]
 
 
-def _full_info(s: Scenario) -> dict:
-    return {j: FullInfo() for j in range(1, s.m_characteristics + 1)}
-
-
 def _nonneg_support(s: Scenario, bidders, ell: int) -> bool:
     return all(s.law(i, ell).values[0] >= 0 for i in bidders)
 
@@ -579,15 +570,14 @@ def _full_info_steps(s: Scenario):
     evaluated once per scenario."""
     if s.m_characteristics < 2:
         return
-    info = _full_info(s)
-    full = revenue(s, _common_policy(s, s.full_set, info), _EXACT).total_revenue
+    levels, n = _levels(s, {}), s.n_bidders
+    full = revenue(s, _policy([s.full_set] * n, levels), _EXACT).total_revenue
     for ell in range(2, s.m_characteristics + 1):
         mprime = s.full_set - {ell}
         e_max = expected_order_stat(
             OrderStatLaw(tuple(s.law(i, ell) for i in range(1, s.n_bidders + 1)), 1))
-        base = revenue(s, _common_policy(s, mprime, info), _EXACT)
-        raised = revenue(s, policy_with_info(
-            s, [s.full_set] + [mprime] * (s.n_bidders - 1), info), _EXACT)
+        base = revenue(s, _policy([mprime] * n, levels), _EXACT)
+        raised = revenue(s, _policy([s.full_set] + [mprime] * (n - 1), levels), _EXACT)
         yield ell, e_max, base, raised, full
 
 
@@ -637,7 +627,7 @@ def _claims_tradeoff(sid: str, s: Scenario, rng: random.Random) -> list:
     mprime = s.full_set - {ell}
     k = rng.randint(1, s.n_bidders - 1)
     awareness = [mprime | {ell}] * k + [mprime] * (s.n_bidders - k)
-    base = policy_with_info(s, awareness, _full_info(s))
+    base = _policy(awareness, _levels(s, {}))
     target = k + 1
     td, before = _tradeoff(s, base, target, ell, _EXACT)
 
@@ -672,14 +662,12 @@ def _claims_public_no_info(sid: str, s: Scenario, char_info: dict) -> list:
     information shifts revenue by exactly its mean."""
     out = []
     iid = set(_iid_chars(s))
+    levels = _levels(s, char_info)
     for ell in range(2, s.m_characteristics + 1):
         hyp = ell in iid
-        mprime = s.full_set - {ell}
-        base_info = {j: char_info.get(j, FullInfo()) for j in mprime}
-        without = _common_policy(s, mprime, base_info)
-        with_info = dict(base_info)
-        with_info[ell] = NoInfo()
-        withp = _common_policy(s, s.full_set, with_info)
+        without = _policy([s.full_set - {ell}] * s.n_bidders, levels)
+        withp = _policy([s.full_set] * s.n_bidders,
+                        levels | {(i, ell): NoInfo() for i in range(1, s.n_bidders + 1)})
         shift = (revenue(s, withp, _EXACT).total_revenue
                  - revenue(s, without, _EXACT).total_revenue)
         resid = shift - mean(s.law(1, ell)) if hyp else Fraction(0)
@@ -773,7 +761,7 @@ def _claim_corollary1(sid: str, s: Scenario, char_info: dict, rng: random.Random
     """Corollary 1: under any equal-awareness policy every rent is exactly
     zero and revenue equals the expected first order statistic."""
     aw = rng.choice(lattice(s.m_characteristics))
-    pol = _common_policy(s, aw, {j: char_info.get(j, FullInfo()) for j in aw})
+    pol = _policy([aw] * s.n_bidders, _levels(s, char_info))
     rep = revenue(s, pol, _EXACT)
     rent = max((abs(r) for r in rep.fee_schedule.rents), default=Fraction(0))
     resid = abs(rep.total_revenue - rep.expected_first_order_stat)

@@ -6,11 +6,12 @@ of his value law given his signal cell.  The second-price auction settles
 to the highest bidder at the second-highest bid.
 
 Both estimation backends read a policy through one layout
-(``_policy_layout``) of (bidder, characteristic, information level) keys:
-per deduplicated viewpoint and bidder, the keys summed into the bid column
-in sorted characteristic order; per bidder, the characteristics he is
-unaware of, keyed at full information, because the hidden value an unaware
-bidder omits is what a full-information contribution would add.
+(``_policy_layout``) in the ids of one table kept on the scenario (``_Ids``):
+each (bidder, characteristic, information level) key is an int, a bid
+column the tuple of its keys' ids in sorted characteristic order, and each
+deduplicated viewpoint an int standing for its bidders' columns; per bidder,
+the unaware characteristics are keyed at full information, because the
+hidden value an unaware bidder omits is what that contribution would add.
 
 * ``mc`` draws states with one fixed uniform variate per
   (bidder, characteristic, draw index) - common random numbers across
@@ -67,6 +68,7 @@ settlement happens only inside the estimators, always with 1/#ties credit.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,14 +176,10 @@ def exact_cap_check(s: Scenario, p: DisclosurePolicy) -> Optional[int]:
     support sizes over the characteristics each bidder is aware of), which
     the perfbench tracer reports; None when a law in scope is not finitely
     supported.  No estimator reads it or visits that space."""
-    size = 1
-    for i in range(1, s.n_bidders + 1):
-        for j in sorted(p.aware(i)):
-            law = s.law(i, j)
-            if not isinstance(law, DiscreteFinite):
-                return None
-            size *= len(law.values)
-    return size
+    laws = [s.law(i, j) for i in range(1, s.n_bidders + 1) for j in p.aware(i)]
+    if all(isinstance(law, DiscreteFinite) for law in laws):
+        return math.prod(len(law.values) for law in laws)
+    return None
 
 
 def estimate(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> EstimateBundle:
@@ -221,51 +219,63 @@ def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=()):
 
 
 def _effective_views(s: Scenario, p: DisclosurePolicy):
-    """Viewpoints needed for a bundle, deduplicated by the bid profiles they
-    induce (two viewpoints that intersect every awareness set identically
-    produce identical bids)."""
-    wanted = [s.full_set] + [p.aware(i) for i in range(1, s.n_bidders + 1)]
-    views = []
-    keys = {}
-    slot = []
-    for v in wanted:
-        key = tuple(tuple(sorted(a & v)) for a in p.awareness)
-        if key not in keys:
-            keys[key] = len(views)
-            views.append(v)
-        slot.append(keys[key])
-    return views, slot[0], slot[1:]
+    """The viewpoint of each view of ``_policy_layout``, and its slots."""
+    views, _unaware, full_idx, bidder_idx = _policy_layout(s, p)
+    wanted, slots = [s.full_set, *p.awareness], [full_idx, *bidder_idx]
+    return [wanted[slots.index(v)] for v in range(len(views))], full_idx, bidder_idx
+
+
+class _Ids:
+    """One scenario's interned ids: id k stands for ``items[k]``, a key or a
+    view (its bid columns in bidder order); ``full[i - 1][j - 1]`` is the id
+    of (i, j) at full information.  Threads intern under ``lock``."""
+
+    def __init__(self, s: Scenario):
+        self.items, self._ids, self.lock = [], {}, threading.Lock()
+        self.full = [[self.intern((i, j, canonical_info(law, FullInfo())))
+                      for j, law in enumerate(row, 1)] for i, row in enumerate(s.laws, 1)]
+
+    def intern(self, item) -> int:
+        got = self._ids.setdefault(item, len(self.items))
+        if got == len(self.items):
+            self.items.append(item)
+        return got
+
+
+def _ids(s: Scenario) -> _Ids:
+    return s.__dict__.get("_ids") or s.__dict__.setdefault("_ids", _Ids(s))
 
 
 def _policy_layout(s: Scenario, p: DisclosurePolicy):
-    """What one policy reads, as (bidder, characteristic, level) keys: per
-    deduplicated view and bidder the contributions summed into the bid
-    column, in sorted characteristic order; per bidder the characteristics
-    he is unaware of, each keyed at full information, since a hidden value
-    is the contribution full information would add; and the view slots of
-    ``_effective_views``."""
-    views, full_idx, bidder_idx = _effective_views(s, p)
-    n = s.n_bidders
-    columns = [tuple(tuple((i, j, p.level(i, j)) for j in sorted(p.aware(i) & view))
-                     for i in range(1, n + 1)) for view in views]
-    unaware = [[(i, j, canonical_info(s.law(i, j), FullInfo()))
-                for j in range(1, s.m_characteristics + 1) if j not in p.aware(i)]
-               for i in range(1, n + 1)]
-    return columns, unaware, full_idx, bidder_idx
+    """What one policy reads, as ``_Ids`` ids: its views, deduplicated by the
+    bid columns they give (viewpoints that meet every awareness set alike
+    give the same bids); per bidder the characteristics he is unaware of,
+    each keyed at full information, since a hidden value is the contribution
+    full information would add; and the slots of the full and own views."""
+    table = _ids(s)
+    with table.lock:
+        held = [[(j, table.intern((i, j, p.level(i, j)))) for j in sorted(a)]
+                for i, a in enumerate(p.awareness, start=1)]
+        wanted = [table.intern(tuple([tuple([k for j, k in keys if j in v]) for keys in held]))
+                  for v in (s.full_set, *p.awareness)]
+    views = tuple(dict.fromkeys(wanted))        # the full view first
+    unaware = [tuple([k for j, k in enumerate(full, start=1) if j not in a])
+               for full, a in zip(table.full, p.awareness)]
+    return views, unaware, 0, [views.index(view) for view in wanted[1:]]
 
 
 # -- exact backend ----------------------------------------------------------
 
-def _settled_view(s: Scenario, view, full: bool):
-    """Settlement of one view, given as its tuple of bid-column keys:
-    (surplus, credit) from ``AtomGrid.settle`` on the columns' forms
-    (``bid_lattice``), followed for the full view by E[first] and E[second],
-    kept on the scenario instance for every claim and policy that reads the
-    view again."""
+def _settled_view(s: Scenario, view: int, full: bool):
+    """Settlement of one view id: (surplus, credit) from ``AtomGrid.settle``
+    on its columns' forms (``bid_lattice``), followed for the full view by
+    E[first] and E[second], kept on the scenario instance for every claim
+    and policy that reads the view again."""
     views = s.__dict__.setdefault("_settled_views", {})
     got = views.get(view)
     if got is None or full and len(got) == 2:
-        grid = atom_grid([bid_lattice(s, keys) for keys in view])
+        items = _ids(s).items
+        grid = atom_grid([bid_lattice(s, tuple(items[k] for k in keys)) for keys in items[view]])
         got = got or grid.settle()
         if full:
             got += (grid.expected(1), grid.expected(2))
@@ -278,16 +288,15 @@ def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> 
                for i in range(1, s.n_bidders + 1) for j in p.aware(i)):
         raise EstimationError("exact backend requires finite discrete laws in scope")
 
-    columns, unaware, full_idx, bidder_idx = _policy_layout(s, p)
-    n = s.n_bidders
-    settled = [_settled_view(s, view, v == full_idx) for v, view in enumerate(columns)]
+    views, unaware, full_idx, bidder_idx = _policy_layout(s, p)
+    settled = [_settled_view(s, view, v == full_idx) for v, view in enumerate(views)]
     surplus_full, credit_full, first, second = settled[full_idx]
 
     bidders = []
-    for i in range(1, n + 1):
+    for i in range(1, s.n_bidders + 1):
         surplus_own, credit_own = settled[bidder_idx[i - 1]][:2]
         win_actual = credit_full[i - 1]
-        hidden = sum(mean(bid_component(s, *key)) for key in unaware[i - 1])
+        hidden = sum(mean(bid_component(s, *_ids(s).items[k])) for k in unaware[i - 1])
         bidders.append(BidderEstimate(
             perceived_surplus=surplus_own[i - 1],
             actual_surplus=surplus_full[i - 1],
@@ -384,11 +393,13 @@ def _invert(law, u):
     return (atom_index if isinstance(law, DiscreteFinite) else ppf)(law, u)
 
 
-def _reading(s, keys):
-    """The contribution rule of each key, and the entries some rule reads
-    the draw of: an entry read only under NoInfo needs no inverse CDF."""
-    rules = {key: _contribution_rule(s.law(*key[:2]), key[2]) for key in keys}
-    return rules, {key[:2] for key, rule in rules.items() if not isinstance(rule, float)}
+def _reading(s, ids):
+    """Per key id, its (bidder, characteristic) entry and contribution rule,
+    and the entries some rule reads the draw of: an entry read only under
+    NoInfo needs no inverse CDF."""
+    keys = _ids(s).items
+    rules = {k: (keys[k][:2], _contribution_rule(s.law(*keys[k][:2]), keys[k][2])) for k in ids}
+    return rules, {entry for entry, rule in rules.values() if not isinstance(rule, float)}
 
 
 def _chunk_contributions(s, rules, entries, seed, start, stop, held=()):
@@ -404,8 +415,8 @@ def _chunk_contributions(s, rules, entries, seed, start, stop, held=()):
     kept = {(i, j): draws[i, j] if (i, j) in draws else U[:, i - 1, j - 1].copy()
             for i, j in held}
     del U                  # no view of the block is left: this frees it
-    contribs = {key: rule if isinstance(rule, float) else rule(draws[key[:2]])
-                for key, rule in rules.items()}
+    contribs = {k: rule if isinstance(rule, float) else rule(draws[entry])
+                for k, (entry, rule) in rules.items()}
     del draws
 
     def draw(entry):
@@ -427,44 +438,44 @@ def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop, held=None):
     held_rules, held_entries = held or ({}, ())
     L, contribs, draw = _chunk_contributions(s, rules, entries, seed, start, stop,
                                              held_entries)
-    built = {}
+    built, views = {}, _ids(s).items
 
-    def column(keys):
-        if keys not in built:
-            built[keys] = _bid_column(L, keys, contribs)
-        return built[keys]
+    def bids(view):
+        for keys in views[view]:
+            if keys not in built:
+                built[keys] = _bid_column(L, keys, contribs)
+        return [built[keys] for keys in views[view]]
 
     scratch = np.empty((4, L))
-    sums = _score_sums(column, plan, scratch[0])
-    fields = [_policy_fields(column, contribs, layout, scratch) for layout in layouts]
+    sums = _score_sums(bids, plan, scratch[0])
+    fields = [_policy_fields(bids, contribs, layout, scratch) for layout in layouts]
     if held is None:
         return sums, fields
 
     def layout_fields(layout):
         with np.errstate(over="ignore", invalid="ignore"):
-            for key in chain(*layout[1]):
-                if key not in contribs:
-                    rule = held_rules[key]
-                    contribs[key] = rule if isinstance(rule, float) else rule(draw(key[:2]))
-            return _policy_fields(column, contribs, layout, np.empty((4, L)))
+            for k in chain(*layout[1]):
+                if k not in contribs:
+                    entry, rule = held_rules[k]
+                    contribs[k] = rule if isinstance(rule, float) else rule(draw(entry))
+            return _policy_fields(bids, contribs, layout, np.empty((4, L)))
 
     return sums, fields, layout_fields
 
 
 def _score_plan(layouts):
     """What scoring the policies of ``layouts`` reads: per distinct view
-    (tuple of bid-column keys), the 0-based bidders whose perceived surplus
-    it gives, and whether it is some policy's full view, which gives the
-    price."""
+    id, the 0-based bidders whose perceived surplus it gives, and whether
+    it is some policy's full view, which gives the price."""
     plan = {}
-    for columns, _unaware, full_idx, bidder_idx in layouts:
+    for views, _unaware, full_idx, bidder_idx in layouts:
         for i, v in enumerate(bidder_idx):
-            plan.setdefault(columns[v], [set(), False])[0].add(i)
-        plan.setdefault(columns[full_idx], [set(), False])[1] = True
+            plan.setdefault(views[v], [set(), False])[0].add(i)
+        plan.setdefault(views[full_idx], [set(), False])[1] = True
     return plan
 
 
-def _score_sums(column, plan, scratch):
+def _score_sums(bids, plan, scratch):
     """One chunk's sums for ``plan``, keyed (view, 0-based bidder) for the
     bidder's surplus and (view, None) for a full view's price: each the
     float ``_policy_fields`` sums for that field.  Each view is settled by
@@ -472,7 +483,7 @@ def _score_sums(column, plan, scratch):
     floats outlive a view."""
     sums = {}
     for view, (bidders, full) in plan.items():
-        first, second, _n_top, masks = top_two([column(keys) for keys in view])
+        first, second, _n_top, masks = top_two(bids(view))
         gap = np.subtract(first, second, out=first)
         for i in bidders:
             sums[view, i] = float(np.multiply(masks[i], gap, out=scratch).sum())
@@ -482,7 +493,7 @@ def _score_sums(column, plan, scratch):
     return sums
 
 
-def _policy_fields(column, contribs, layout, scratch):
+def _policy_fields(bids, contribs, layout, scratch):
     """One policy's per-field (sum, sum of squares) over one chunk.  Each
     distinct view is settled once by one top-two pass, whose masks give
     every win credit and surplus; bidders are then read in order, so the
@@ -492,7 +503,7 @@ def _policy_fields(column, contribs, layout, scratch):
     is the same float as a masked select.  Credit, surplus, hidden value
     and squares are written into the scratch columns, which each field
     reads before the next one overwrites them."""
-    columns, unaware, full_idx, bidder_idx = layout
+    views, unaware, full_idx, bidder_idx = layout
     credit, surplus, hidden, square = scratch
     fields = {}
 
@@ -502,18 +513,18 @@ def _policy_fields(column, contribs, layout, scratch):
     def settle(v):
         """Top bid and price under view v, and its (top masks, top-two gap,
         1/#top bids)."""
-        first, second, n_top, masks = top_two([column(keys) for keys in columns[v]])
+        first, second, n_top, masks = top_two(bids(views[v]))
         return first, second, (masks, first - second, 1.0 / n_top)
 
     def outcome(v, i, kind):
         """Put bidder i's surplus and win credit under settled view v; both
         stay in their scratch columns until the next call."""
-        masks, gap, share = views[v]
+        masks, gap, share = settled[v]
         put(f"surplus_{kind}_{i}", np.multiply(masks[i - 1], gap, out=surplus))
         put(f"credit_{kind}_{i}", np.multiply(masks[i - 1], share, out=credit))
 
-    views = {v: settle(v)[2] for v in set(bidder_idx) - {full_idx}}
-    first, price, views[full_idx] = settle(full_idx)
+    settled = {v: settle(v)[2] for v in set(bidder_idx) - {full_idx}}
+    first, price, settled[full_idx] = settle(full_idx)
     put("first", first)
     put("second", price)
     revenue = price                   # the price column, read only above
@@ -569,13 +580,14 @@ def _mc_partials(s, score_layouts, bundled, config, ranges):
     ``layout_fields`` (``_mc_chunk``)."""
     layouts = [_policy_layout(s, p) for p in bundled]
     plan = _score_plan(score_layouts)
-    used = {key for keys in chain(*plan) for key in keys}
-    used.update(key for columns, unaware, _f, _b in layouts
-                for keys in chain(*columns, unaware) for key in keys)
+    items = _ids(s).items
+    used = {k for view in set(plan).union(*(layout[0] for layout in layouts))
+            for keys in items[view] for k in keys}
+    used.update(k for layout in layouts for k in chain(*layout[1]))
     rules, entries = _reading(s, used)
     # hidden values no bid column reads: held on the last chunk alone, and
     # inverted only for a policy the handle settles
-    hidden = {key for _c, unaware, _f, _b in score_layouts for key in chain(*unaware)}
+    hidden = {k for layout in score_layouts for k in chain(*layout[1])}
     held = _reading(s, hidden - rules.keys())
 
     def run(rng):
@@ -606,9 +618,9 @@ def _final_scores(score_layouts, partials, S):
             raise _not_finite("second" if i is None else f"surplus_perc_{i + 1}",
                               f"mean {mu!r}")
         means[key] = mu
-    return tuple(sum(means[columns[v], i] for i, v in enumerate(bidder_idx))
-                 + means[columns[full_idx], None]
-                 for columns, _u, full_idx, bidder_idx in score_layouts)
+    return tuple(sum(means[views[v], i] for i, v in enumerate(bidder_idx))
+                 + means[views[full_idx], None]
+                 for views, _u, full_idx, bidder_idx in score_layouts)
 
 
 def _not_finite(name, detail):

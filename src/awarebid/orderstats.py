@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -154,6 +155,16 @@ def _cell_mean_lattice(form, cells):
                        tuple(x for x, _mass in means), tuple(mass // g for _x, mass in means))
 
 
+@contextmanager
+def _naming(keys):
+    """Re-raise a DistributionError naming the bid column of ``keys``."""
+    try:
+        yield
+    except DistributionError as exc:
+        raise DistributionError(f"bidder {keys[0][0]}'s bid over characteristics "
+                                f"{[j for _i, j, _level in keys]}: {exc}") from exc
+
+
 def bid_lattice(s: Scenario, keys):
     """Integer form of one bid column's law: the fold of its (bidder,
     characteristic, level) keys' atom-law contributions (``bid_component``)
@@ -162,12 +173,8 @@ def bid_lattice(s: Scenario, keys):
     forms = s.__dict__.setdefault("_bid_forms", {})
     form = forms.get(keys)
     if form is None:
-        try:
+        with _naming(keys):
             form = fold_atom_lattices(atom_lattice(bid_component(s, *key)) for key in keys)
-        except DistributionError as exc:
-            raise DistributionError(
-                f"bidder {keys[0][0]}'s bid over characteristics "
-                f"{[j for _i, j, _level in keys]}: {exc}") from exc
         forms[keys] = form
     return form
 
@@ -181,7 +188,7 @@ def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
     ``convolve`` (a float point mass, the mean of a continuous law, shifts a
     base law by float addition and makes no Fractions).  A sum law is built
     once per column and kept on the scenario, its pieces included; past
-    ``_FOLD_CAP`` knots it is refused naming the column."""
+    ``_FOLD_CAP`` knots or double range it is refused naming the column."""
     seen = perceive(p, view)
     keys = tuple((bidder, j, seen.level(bidder, j)) for j in sorted(seen.aware(bidder)))
     components = [bid_component(s, *key) for key in keys]
@@ -190,17 +197,15 @@ def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
     if all(isinstance(comp, DiscreteFinite)
            or isinstance(comp, PointMass) and not isinstance(comp.value, float)
            for comp in components):
-        return lattice_law(bid_lattice(s, keys))
+        form = bid_lattice(s, keys)
+        with _naming(keys):
+            return lattice_law(form)
     laws = s.__dict__.setdefault("_sum_laws", {})
     law = laws.get(keys)
     if law is None:
-        try:
+        with _naming(keys):
             law = reduce(convolve, components, PointMass(0))
             breakpoints(law)            # builds and bounds a sum law's pieces
-        except DistributionError as exc:
-            raise DistributionError(
-                f"bidder {bidder}'s bid over characteristics "
-                f"{[j for _i, j, _level in keys]}: {exc}") from exc
         laws[keys] = law
     return law
 

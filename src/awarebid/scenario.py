@@ -111,8 +111,7 @@ def validate(n_bidders: int,
 
     if len(awareness) != n_bidders or len(info) != n_bidders:
         raise ScenarioError("awareness and info must list one entry per bidder")
-    aw = []
-    canon_info = []
+    aw, canon_info = [], []
     for i, (aset, levels) in enumerate(zip(awareness, info), start=1):
         aset = frozenset(aset)
         if 1 not in aset:
@@ -127,15 +126,17 @@ def validate(n_bidders: int,
         if missing:
             raise ScenarioError(
                 f"bidder {i}: missing information level for characteristic {sorted(missing)[0]}")
-        levels_c = {}
-        for j in sorted(aset):
-            try:
-                levels_c[j] = canonical_info(scenario.law(i, j), levels[j])
-            except DistributionError as exc:
-                raise ScenarioError(f"bidder {i} characteristic {j}: {exc}") from exc
         aw.append(aset)
-        canon_info.append(levels_c)
+        canon_info.append({j: _canonical_level(scenario, i, j, levels[j]) for j in sorted(aset)})
     return scenario, DisclosurePolicy(tuple(aw), tuple(canon_info))
+
+
+def _canonical_level(s: Scenario, bidder: int, char: int, level: InfoLevel) -> InfoLevel:
+    """``canonical_info`` on the law; an invalid level raises ScenarioError."""
+    try:
+        return canonical_info(s.law(bidder, char), level)
+    except DistributionError as exc:
+        raise ScenarioError(f"bidder {bidder} characteristic {char}: {exc}") from exc
 
 
 def lattice(m: int) -> list:
@@ -146,13 +147,7 @@ def lattice(m: int) -> list:
     """
     if m < 1:
         raise ScenarioError("need m >= 1")
-    rest = range(2, m + 1)
-    out = []
-    for k in range(0, m):
-        for combo in combinations(rest, k):
-            out.append(frozenset({1, *combo}))
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
+    return [frozenset({1, *combo}) for k in range(m) for combo in combinations(range(2, m + 1), k)]
 
 
 def perceive(policy: DisclosurePolicy, view: Perspective) -> DisclosurePolicy:

@@ -8,6 +8,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from awarebid import engine
 from awarebid.distributions import (
     DiscreteFinite,
     FullInfo,
@@ -15,6 +16,7 @@ from awarebid.distributions import (
     PointMass,
     UniformContinuous,
     atom_lattice,
+    canonical_info,
     cells,
     conditional_mean,
     lattice_mean,
@@ -169,6 +171,46 @@ def bundle_means(b):
         out[f"credit_act_{i}"] = be.win_prob_actual
         out[f"hidden_{i}"] = be.hidden_win_value
     return out
+
+
+def checked_policy(s, awareness, char_info):
+    """A policy built outside the program, through ``validate``: bidder i
+    aware of ``awareness[i - 1]``, each aware characteristic j at
+    ``char_info.get(j, FullInfo())``."""
+    info = [{j: char_info.get(j, FullInfo()) for j in a} for a in awareness]
+    return validate(s.n_bidders, s.m_characteristics, s.laws, awareness, info)[1]
+
+
+def reference_layout(s, p):
+    """A policy's layout from its definition, in (bidder, characteristic,
+    level) keys: viewpoints [full set, each bidder's awareness], deduplicated
+    by ``a & v`` over every awareness set a, in first-seen order; per view
+    and bidder the keys of a & v in sorted characteristic order at the
+    policy's levels; per bidder the unaware characteristics at canonical
+    full information; the slots of the full view and each bidder's view."""
+    wanted = [s.full_set, *p.awareness]
+    seen = {}
+    slots = [seen.setdefault(tuple(a & v for a in p.awareness), len(seen)) for v in wanted]
+    views = [wanted[slots.index(k)] for k in range(len(seen))]
+    columns = [tuple(tuple((i, j, p.level(i, j)) for j in sorted(a & v))
+                     for i, a in enumerate(p.awareness, start=1)) for v in views]
+    unaware = [[(i, j, canonical_info(s.law(i, j), FullInfo()))
+                for j in range(1, s.m_characteristics + 1) if j not in a]
+               for i, a in enumerate(p.awareness, start=1)]
+    return columns, unaware, slots[0], slots[1:]
+
+
+def decoded_layout(s, p):
+    """``engine._policy_layout`` with its ids read back through the
+    scenario's id table, in ``reference_layout``'s shape."""
+    views, unaware, full_idx, bidder_idx = engine._policy_layout(s, p)
+    items = engine._ids(s).items
+
+    def keys(ids):
+        return tuple(items[k] for k in ids)
+
+    return ([tuple(keys(column) for column in items[v]) for v in views],
+            [list(keys(ids)) for ids in unaware], full_idx, bidder_idx)
 
 
 def coin(values):

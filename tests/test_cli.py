@@ -491,6 +491,21 @@ def test_exact_fold_past_the_bound_exits_one_promptly(capsysbinary, tmp_path):
         assert elapsed < 1.0
 
 
+def test_a_bid_past_double_range_names_its_column(capsysbinary, scenario_dir, tmp_path):
+    # every atom is a finite double, but bidder 1's bid over both
+    # characteristics starts at 2e308: its folded law is refused naming the
+    # column, as a fold past the bound is, not an atom the file never wrote
+    doc = json.loads((scenario_dir / "d1.json").read_text())
+    law = {"kind": "discrete", "atoms": [[1e308, "1/2"], [1.7e308, "1/2"]]}
+    for char in doc["characteristics"]:
+        char["distributions"] = [law, law]
+    status = main(["orderstats", "--scenario", _write(tmp_path, doc)])
+    captured = capsysbinary.readouterr()
+    assert status == 1 and captured.out == b""
+    assert captured.err == (b"error: bidder 1's bid over characteristics [1, 2]: discrete law "
+                            b"needs a finite values[0], got a rational past 1.8e308\n")
+
+
 def _package_env():
     """Environment for a child interpreter that imports this awarebid."""
     src = str(pathlib.Path(awarebid.__file__).resolve().parent.parent)

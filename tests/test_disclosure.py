@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awarebid import disclosure, engine, orderstats
+from awarebid import disclosure, engine, orderstats, scenario
 from awarebid.cli import main, parse_scenario
 from awarebid.disclosure import (
     CorpusConfig,
@@ -20,7 +20,6 @@ from awarebid.disclosure import (
     check_tradeoff,
     counterexample_search,
     optimize,
-    policy_with_info,
     random_discrete_scenario,
     verify_suite,
 )
@@ -35,7 +34,16 @@ from awarebid.distributions import (
 from awarebid.engine import _CHUNK, EstimatorConfig, estimate, sample_draws
 from awarebid.fees import revenue
 from awarebid.scenario import Scenario, ScenarioError, validate
-from conftest import EXACT, SCENARIO_DIR, bundle_means, coin, mc_reference
+from conftest import (
+    EXACT,
+    SCENARIO_DIR,
+    bundle_means,
+    checked_policy,
+    coin,
+    decoded_layout,
+    mc_reference,
+    reference_layout,
+)
 
 MC = EstimatorConfig(backend="mc", n_samples=200_000, seed=17)
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -61,7 +69,7 @@ def test_search_scores_a_candidate_whose_quadrature_fails(monkeypatch):
     s, _p, _cfg = parse_scenario(str(SCENARIO_DIR / "prop4_demo.json"))
     config = EstimatorConfig(backend="mc", n_samples=20_000, seed=3)
     clean = dict(optimize(s, "public-full-info", config).trace)
-    policy = disclosure._common_policy(s, frozenset({1, 2, 3}), {j: FullInfo() for j in (1, 2, 3)})
+    policy = checked_policy(s, [{1, 2, 3}] * 2, {})
     broken = disclosure._common_awareness_max(s, policy).laws
     plain = orderstats.cdf
     monkeypatch.setattr(orderstats, "cdf", lambda law, y: np.full(np.shape(y), np.nan)
@@ -269,7 +277,7 @@ def test_tradeoff_decision_consistent_with_revenue_on_corpus():
         k = rng.randint(1, s.n_bidders - 1)
         mprime = s.full_set - {2}
         info = {j: FullInfo() for j in range(1, s.m_characteristics + 1)}
-        base = policy_with_info(
+        base = checked_policy(
             s, [mprime | {2}] * k + [mprime] * (s.n_bidders - k), info)
         td = check_tradeoff(s, base, k + 1, 2, EXACT)
         assert (td.decision == "raise") == (td.revenue_after > td.revenue_before)
@@ -366,10 +374,10 @@ def test_prop4_shift_is_exactly_the_mean():
     s, _ = validate(2, 2, [[base, extra], [base, extra]], [[1], [1]],
                     [{1: FullInfo()}, {1: FullInfo()}])
     from awarebid.distributions import NoInfo, mean
-    without = revenue(s, policy_with_info(s, [frozenset({1})] * 2,
-                                          {1: FullInfo()}), EXACT)
-    withp = revenue(s, policy_with_info(s, [frozenset({1, 2})] * 2,
-                                        {1: FullInfo(), 2: NoInfo()}), EXACT)
+    without = revenue(s, checked_policy(s, [frozenset({1})] * 2,
+                                        {1: FullInfo()}), EXACT)
+    withp = revenue(s, checked_policy(s, [frozenset({1, 2})] * 2,
+                                      {1: FullInfo(), 2: NoInfo()}), EXACT)
     assert withp.total_revenue - without.total_revenue == mean(extra)
 
 
@@ -702,7 +710,7 @@ def test_mc_search_holds_hidden_only_entries_on_the_picking_chunk_alone(monkeypa
 
 def test_mc_tradeoff_matches_per_policy_loop(monkeypatch):
     s = three_char_scenario(3)
-    base = policy_with_info(s, [{1, 2, 3}, {1, 3}, {1, 3}], {})
+    base = checked_policy(s, [{1, 2, 3}, {1, 3}, {1, 3}], {})
     got, want, calls, starts = _batched_and_per_policy(
         monkeypatch, lambda: check_tradeoff(s, base, 2, 2, MC_BATCH))
     assert got == want
@@ -781,3 +789,141 @@ def test_exact_search_values_are_reported_revenue(case):
     assert seen
     for p, value in seen:
         assert value == revenue(s, p, EXACT).total_revenue
+
+
+# the level each regime's candidates read on an aware characteristic j,
+# before canonicalization, given the search's char_info and the candidate's
+# own level (common-free-info chooses its levels itself)
+REGIME_LEVEL = {
+    PolicyRegime.INDIVIDUAL: lambda info, j, own: info.get(j, FullInfo()),
+    PolicyRegime.PUBLIC_NO_INFO:
+        lambda info, j, own: info.get(1, FullInfo()) if j == 1 else NoInfo(),
+    PolicyRegime.PUBLIC_FULL_INFO: lambda info, j, own: FullInfo(),
+    PolicyRegime.COMMON_FREE_INFO: lambda info, j, own: own,
+}
+
+
+def _file_char_info(s, p):
+    """The exogenous levels the CLI passes: the file policy's level of j
+    when every bidder aware of j has the same one."""
+    info = {}
+    for j in range(1, s.m_characteristics + 1):
+        levels = [p.level(i, j) for i in range(1, s.n_bidders + 1) if j in p.aware(i)]
+        if levels and all(lvl == levels[0] for lvl in levels):
+            info[j] = levels[0]
+    return info
+
+
+def _searched(monkeypatch, s, regime, config, **kwargs):
+    """The candidates an ``optimize`` call values, and how many times it
+    calls ``validate``."""
+    searched, checks = [], []
+    stock_values, stock_validate = disclosure._revenue_values, scenario.validate
+
+    def values_spy(s_, policies, config_):
+        searched.extend(policies)
+        return stock_values(s_, policies, config_)
+
+    def validate_spy(*args):
+        checks.append(args)
+        return stock_validate(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(disclosure, "_revenue_values", values_spy)
+        for module in (scenario, disclosure):
+            mp.setattr(module, "validate", validate_spy)
+        optimize(s, regime, config, **kwargs)
+    return searched, len(checks)
+
+
+def _check_candidates(s, candidates, regime, info):
+    """Each candidate is ``validate``'s policy for its awareness sets at the
+    regime's levels, and its id layout decodes to the reference layout."""
+    level = REGIME_LEVEL[PolicyRegime(regime)]
+    for cand in candidates:
+        raw = [{j: level(info, j, cand.level(i, j)) for j in a}
+               for i, a in enumerate(cand.awareness, start=1)]
+        assert cand == validate(s.n_bidders, s.m_characteristics, s.laws,
+                                cand.awareness, raw)[1]
+        assert decoded_layout(s, cand) == reference_layout(s, cand)
+
+
+@pytest.mark.parametrize("regime", list(PolicyRegime))
+def test_every_candidate_is_the_validated_policy_with_the_reference_layout(monkeypatch,
+                                                                           regime):
+    # every bundled scenario, with the levels the CLI takes from its file
+    config = EstimatorConfig(backend="mc", n_samples=512, seed=1)
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        s, p, _cfg = parse_scenario(str(path))
+        info = _file_char_info(s, p)
+        searched, checks = _searched(monkeypatch, s, regime, config, char_info=info)
+        assert searched and checks == 0
+        _check_candidates(s, searched, regime, info)
+
+
+def test_capped_free_info_and_greedy_candidates_are_validated_policies(monkeypatch):
+    s, _p, _cfg = parse_scenario(str(SCENARIO_DIR / "prop4_demo.json"))
+    config = EstimatorConfig(backend="mc", n_samples=512, seed=1)
+    searched, checks = _searched(monkeypatch, s, "common-free-info", config, partition_cap=16)
+    assert (len(searched), checks) == (36, 0)
+    _check_candidates(s, searched, "common-free-info", {})
+    # past a cap of one assignment, {1} alone is searched, at full information
+    s, _p, _cfg = parse_scenario(str(SCENARIO_DIR / "d1.json"))
+    searched, checks = _searched(monkeypatch, s, "common-free-info", EXACT, partition_cap=1)
+    assert (len(searched), checks) == (1, 0)
+    _check_candidates(s, searched, "public-full-info", {})
+    # 3 bidders x 7 characteristics: 18 awareness bits, past the exhaustive
+    # cap, searched greedily on the exact backend
+    rng = random.Random(18)
+    laws = [[DiscreteFinite(sorted(rng.sample(range(-3, 6), 2)), [F(1, 4), F(3, 4)])
+             for _j in range(7)] for _i in range(3)]
+    s = Scenario(3, 7, tuple(map(tuple, laws)))
+    info = {2: NoInfo(), 3: Partition(cells=[[1], [0]])}
+    searched, checks = _searched(monkeypatch, s, "individual", EXACT, char_info=info,
+                                 allow_greedy=True)
+    assert len(searched) > 18 and checks == 0
+    _check_candidates(s, searched, "individual", info)
+
+
+def _misfit_scenario(char):
+    """Two bidders who see characteristic ``char`` through laws of three
+    and of two atoms; the other characteristic is a coin."""
+    three = DiscreteFinite([0, 1, 2], [F(1, 4), F(1, 4), F(1, 2)])
+    laws = [[coin([0, 1]), coin([0, 2])] for _ in range(2)]
+    laws[0][char - 1], laws[1][char - 1] = three, coin([0, 3])
+    return Scenario(2, 2, tuple(map(tuple, laws)))
+
+
+@pytest.mark.parametrize("regime, char, cells, named", [
+    # the partition fits bidder 1's three atoms, not bidder 2's two
+    ("individual", 2, [[0, 1], [2]], "bidder 2 characteristic 2"),
+    ("public-no-info", 1, [[0, 1], [2]], "bidder 2 characteristic 1"),
+    # it fits neither: the levels are checked bidder-major, once per search
+    ("individual", 2, [[0, 1, 2, 3]], "bidder 1 characteristic 2"),
+])
+def test_an_invalid_exogenous_level_names_its_bidder_and_characteristic(regime, char, cells,
+                                                                        named):
+    s = _misfit_scenario(char)
+    with pytest.raises(ScenarioError) as err:
+        optimize(s, regime, MC, char_info={char: Partition(cells=cells)})
+    assert str(err.value).startswith(named + ": ")
+
+
+def test_cli_optimize_with_a_misfit_partition_exits_one_with_one_line(capsysbinary, tmp_path):
+    # the file's only level on characteristic 2 is bidder 1's partition of
+    # three atoms; the search reads it on bidder 2's two-atom law too
+    three = {"kind": "discrete", "atoms": [[0, "1/4"], [1, "1/4"], [2, "1/2"]]}
+    coin_law = {"kind": "discrete", "atoms": [[0, "1/2"], [1, "1/2"]]}
+    doc = {"bidders": 2,
+           "characteristics": [{"distributions": [coin_law, coin_law]},
+                               {"distributions": [three, coin_law]}],
+           "awareness": [[1, 2], [1]],
+           "info": [{"1": "full", "2": {"cells": [[0, 1], [2]]}}, {"1": "full"}],
+           "estimator": {"backend": "exact"}}
+    path = tmp_path / "misfit.json"
+    path.write_text(json.dumps(doc))
+    status = main(["optimize", "--scenario", str(path), "--regime", "individual"])
+    captured = capsysbinary.readouterr()
+    assert status == 1 and captured.out == b""
+    assert captured.err.startswith(b"error: bidder 2 characteristic 2: ")
+    assert captured.err.count(b"\n") == 1

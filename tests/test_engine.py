@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import time
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -39,7 +40,7 @@ from awarebid.engine import (
     _uniform_chunk,
 )
 from awarebid.fees import revenue
-from awarebid.scenario import validate
+from awarebid.scenario import Scenario, validate
 from conftest import (
     EXACT,
     build_d1,
@@ -47,7 +48,9 @@ from conftest import (
     build_u01,
     bundle_means,
     coin,
+    decoded_layout,
     mc_reference,
+    reference_layout,
 )
 
 
@@ -837,6 +840,46 @@ def normal_individual_batch():
     return validate(3, 3, laws, [[1]] * 3, [{1: FullInfo()}] * 3)[0], policies
 
 
+class _YieldingDict(dict):
+    """A dict that lets another thread run inside every ``setdefault``."""
+
+    def setdefault(self, key, default=None):
+        time.sleep(0)
+        return super().setdefault(key, default)
+
+
+def test_threads_sharing_a_scenario_intern_consistent_ids():
+    # more threads than cores lay out the same policies on each of many
+    # fresh scenarios at once, each table yielding inside every intern:
+    # every interned item keeps the id it was given, ids are dense, and
+    # every layout decodes to its reference
+    base, policies = mixed_candidates()
+    scenarios = [Scenario(base.n_bidders, base.m_characteristics, base.laws)
+                 for _ in range(20)]
+    for s in scenarios:
+        table = engine._ids(s)
+        table._ids = _YieldingDict(table._ids)
+    layouts = {}
+
+    def run(k):
+        layouts[k] = [[decoded_layout(s, p) for p in policies[k:] + policies[:k]]
+                      for s in scenarios]
+
+    threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    for s in scenarios:
+        table = engine._ids(s)
+        assert sorted(table._ids.values()) == list(range(len(table.items)))
+        assert all(table.items[k] == item for item, k in table._ids.items())
+    for k, got in layouts.items():
+        order = policies[k:] + policies[:k]
+        assert got == [[reference_layout(s, p) for p in order] for s in scenarios]
+
+
 NORMAL_BATCH_SAMPLES = _CHUNK + 7
 
 
@@ -866,7 +909,7 @@ def test_policy_batch_builds_each_column_once_per_chunk(referenced_normal_batch,
     batch = engine.estimate_policies(s, policies, cfg)
     monkeypatch.setattr(engine, "_bid_column", stock)
     distinct = {keys for p in policies for view in engine._policy_layout(s, p)[0]
-                for keys in view}
+                for keys in engine._ids(s).items[view]}
     # per bidder, 4 awareness sets meet the views in 4 ways
     assert (len(policies), len(distinct)) == (64, 12)
     assert Counter(builds) == Counter((L, keys) for L in (_CHUNK, 7) for keys in distinct)
@@ -928,7 +971,7 @@ def test_hidden_column_is_the_full_information_contribution(values):
     for first in (Normal(0.4, 1.2), DiscreteFinite([0, 1], [F(1, 2)] * 2)):
         s, p = validate(2, 2, [[first, law], [first, law]], [[1], [1, 2]],
                         [{1: FullInfo()}, {1: FullInfo(), 2: FullInfo()}])
-        _columns, unaware, _full, _slots = engine._policy_layout(s, p)
+        _columns, unaware, _full, _slots = decoded_layout(s, p)
         assert unaware == [[(1, 2, canonical_info(law, FullInfo()))], []]
         assert unaware[0][0][2] == p.level(2, 2)
         rule = engine._contribution_rule(law, p.level(2, 2))

@@ -40,7 +40,7 @@ from awarebid.orderstats import (
     valuation_law,
 )
 from awarebid.scenario import Perspective, Scenario, perceive, validate
-from conftest import EXACT, SCENARIO_DIR, atom_cdf
+from conftest import EXACT, SCENARIO_DIR, atom_cdf, checked_policy, decoded_layout
 
 
 # --- plain-Python reference: the pairwise Fraction fold -------------------
@@ -110,8 +110,7 @@ def test_corpus_bid_laws_equal_the_reference_fold(monkeypatch):
     # every bid column of every policy bundled, whether its form is folded
     # for this policy or was already kept on the scenario by another
     requests = [(s, p, keys) for s, p in _bundled(monkeypatch, CorpusConfig(count=20))
-                for keys in {keys for view in engine._policy_layout(s, p)[0]
-                             for keys in view}]
+                for keys in {keys for view in decoded_layout(s, p)[0] for keys in view}]
     assert len(requests) > 500
     for s, p, keys in requests:
         # a column is one bidder's characteristics under a view, at the
@@ -387,7 +386,7 @@ def test_analytic_value_past_the_bound_falls_back_to_monte_carlo(monkeypatch):
     s, _p, _cfg = parse_scenario(str(SCENARIO_DIR / "example1_discrete.json"))
     config = engine.EstimatorConfig(backend="mc", n_samples=20_000, seed=3)
     values = dict(disclosure.optimize(s, "public-full-info", config).trace)
-    policy = disclosure._common_policy(s, frozenset({1, 2}), {1: FullInfo(), 2: FullInfo()})
+    policy = checked_policy(s, [{1, 2}] * 2, {})
     assert values["common=[1]"] == F(175, 54)
     assert values["common=[1, 2]"] == revenue(s, policy, config).total_revenue
     assert isinstance(values["common=[1, 2]"], float)

@@ -31,7 +31,7 @@ from awarebid.engine import EstimatorConfig
 from awarebid.fees import revenue
 from awarebid.orderstats import expected_order_stat, valuation_law
 from awarebid.scenario import Perspective, validate
-from conftest import SCENARIO_DIR, piece_cdf
+from conftest import SCENARIO_DIR, checked_policy, piece_cdf
 
 
 def _random_sum(rng, uniforms, normal):
@@ -174,8 +174,8 @@ def test_search_scores_a_sum_past_the_knot_bound_by_monte_carlo(monkeypatch):
     for chars in ([1, 3], [1, 2]):
         assert values[f"common={chars}"] == pytest.approx(
             float(expected_order_stat(disclosure._common_awareness_max(
-                s, disclosure._common_policy(s, frozenset(chars), info)))), abs=1e-15)
-    policy = disclosure._common_policy(s, frozenset({1, 2, 3}), info)
+                s, checked_policy(s, [chars] * 2, info)))), abs=1e-15)
+    policy = checked_policy(s, [{1, 2, 3}] * 2, info)
     assert values["common=[1, 2, 3]"] == revenue(s, policy, config).total_revenue
     monkeypatch.setattr(distributions, "_FOLD_CAP", 8)
     assert dict(disclosure.optimize(s, "public-full-info", config).trace)[

@@ -44,18 +44,16 @@ from .distributions import (
     InfoLevel,
     NoInfo,
     Partition,
+    _atom_cells,
     atom_lattice,
-    canonical_info,
-    fold_atom_lattices,
+    cell_means,
     mean,
 )
 from .engine import EstimatorConfig, estimate_policies, score_policies
 from .fees import RevenueReport, revenue
 from .orderstats import (
+    AtomGrid,
     OrderStatLaw,
-    atom_grid,
-    bid_component,
-    bid_lattice,
     expected_order_stat,
     expected_order_stats,
     valuation_law,
@@ -675,14 +673,92 @@ def _claims_public_no_info(sid: str, s: Scenario, char_info: dict) -> list:
     return out
 
 
+def _assignment_lattice(sid: str, s: Scenario, entries):
+    """Every information assignment of ``entries`` (``_assignments``: each
+    bidder's characteristics in turn, bidder-major) on one integer value
+    lattice, as ``(screen, exact)``: the float E[max] of every assignment
+    and ``exact(flat)``, that of one assignment as a Fraction, both by
+    ``itertools.product`` index over ``entries``.
+
+    Each (bidder, characteristic, level) cell mean (``cell_means``) sits at
+    an int64 position over L, the lcm of the cell-mean denominators, and a
+    bidder's variant, one level per characteristic, is the outer sum of
+    positions and outer product of masses.  One ``bincount`` and ``cumsum``
+    give every variant's integer CDF column on the union grid; the screen
+    reads them in floats and ``exact`` puts the chosen ones on an
+    ``AtomGrid``.  Positions past 63 bits, or a bidder's product of
+    probability denominators not below 2^53 (the counts are float64),
+    raise DistributionError rather than wrap or round.
+    """
+    cells = [[list(cell_means(atom_lattice(s.law(i, j)), _atom_cells(s.law(i, j), lvl)))
+              for lvl in levels] for (i, j), levels in entries]
+    L = math.lcm(*(den for entry in cells for level in entry for _m, (_num, den) in level))
+    width = len(cells) // s.n_bidders
+    per_bidder = [cells[k:k + width] for k in range(0, len(cells), width)]
+    dens = [math.prod(atom_lattice(s.law(i, j)).prob_den for (i, j), _levels in
+                      entries[k:k + width]) for k in range(0, len(entries), width)]
+    for i, (entry_cells, den) in enumerate(zip(per_bidder, dens), start=1):
+        if sum(max(abs(num) * (L // d) for level in entry for _m, (num, d) in level)
+               for entry in entry_cells) >= 1 << 63:
+            raise DistributionError(f"{sid}: Prop 6 lattice positions of bidder {i} "
+                                    "reach 2^63, past int64")
+        if den >= 1 << 53:
+            raise DistributionError(f"{sid}: Prop 6 probability denominator {den} of "
+                                    f"bidder {i} is not below 2^53, past exact float64 counts")
+
+    # each bidder's variants in product order (first characteristic
+    # slowest): every atom's position, mass and variant index
+    atoms, shape = [], []
+    for entry_cells in per_bidder:
+        pos, mass, var = np.zeros(1, np.int64), np.ones(1, np.int64), np.zeros(1, np.int64)
+        for entry in entry_cells:
+            cell_atoms = [(m, num * (L // den)) for level in entry for m, (num, den) in level]
+            pos = (pos[:, None] + np.array([x for _m, x in cell_atoms], np.int64)).ravel()
+            mass = (mass[:, None] * np.array([m for m, _x in cell_atoms], np.int64)).ravel()
+            var = (var[:, None] * len(entry)
+                   + np.repeat(np.arange(len(entry)), [len(level) for level in entry])).ravel()
+        atoms.append((pos, mass, var))
+        shape.append(math.prod(map(len, entry_cells)))
+    points = np.unique(np.concatenate([pos for pos, _m, _v in atoms]))
+    rows = np.concatenate([[0], np.cumsum(shape)])
+    keys = np.concatenate([(var + r) * len(points) + np.searchsorted(points, pos)
+                           for (pos, _m, var), r in zip(atoms, rows)])
+    counts = np.bincount(keys, weights=np.concatenate([m for _p, m, _v in atoms]),
+                         minlength=rows[-1] * len(points)).reshape(-1, len(points)).cumsum(axis=1)
+
+    # E[max] = g_last - sum_k (g_{k+1} - g_k) prod_i F_i(g_k) for every
+    # assignment, in row-major order (bidder 1 slowest): the products over
+    # all but the last bidder are spelled out, the last bidder's column is
+    # one matrix product
+    gx = points / float(L)
+    mats = np.split(counts[:, :-1] / np.repeat(np.array(dens, np.float64), shape)[:, None],
+                    rows[1:-1])
+    acc = np.diff(gx)[None, :]
+    for mat in mats[:-1]:
+        acc = (acc[:, None, :] * mat[None, :, :]).reshape(-1, acc.shape[1])
+    screen = gx[-1] - (acc @ mats[-1].T).ravel()
+
+    grid_points, prob_den = tuple(points.tolist()), math.lcm(*dens)
+
+    def exact(flat) -> Fraction:
+        return AtomGrid(grid_points, L, prob_den, tuple(
+            tuple(c * (prob_den // den) for c in counts[r + k].astype(np.int64).tolist())
+            for r, k, den in zip(rows, np.unravel_index(flat, shape), dens))).expected(1)
+
+    return screen, exact
+
+
 def _claim_full_info_optimal(sid: str, s: Scenario) -> list:
     """Prop 6: with common awareness, full information is revenue-maximal
     over every per-bidder partition assignment.
 
-    The scan enumerates all assignments on the largest awareness set with
-    at most ``_PARTITION_CAP`` of them, computes expected maxima in floating
-    point, and re-verifies any assignment within 1e-9 of the full-info value
-    with exact rational arithmetic, so the verdict is exact.
+    The scan takes every assignment on the largest awareness set with at
+    most ``_PARTITION_CAP`` of them, screens their expected maxima in
+    floating point on one integer lattice (``_assignment_lattice``), and
+    rechecks every assignment within 1e-9 of the full-info value exactly on
+    the same integer CDF columns, so the verdict is exact.  No bid law is
+    folded.  The lattice's exactness bounds raise DistributionError; the
+    corpus (``_MAX_*`` sizes, denominators at most 12) stays far below them.
     """
     sets = sorted(lattice(s.m_characteristics),
                   key=lambda a: (-len(a), tuple(sorted(a))))
@@ -692,69 +768,25 @@ def _claim_full_info_optimal(sid: str, s: Scenario) -> list:
     else:
         return [ClaimResult("Prop6", sid, False, True, Fraction(0), "over cap")]
 
-    aware = sorted(aw)
-    # per bidder: the integer form of the bid law of every combination of
-    # per-characteristic partitions, folded from one form per (law, level)
-    per_char = [[atom_lattice(bid_component(s, i, j, lvl)) for lvl in levels]
-                for (i, j), levels in entries]
-    variants = [_prefix_folds(per_char[k:k + len(aware)])
-                for k in range(0, len(per_char), len(aware))]
-    rev_full = atom_grid(
-        bid_lattice(s, tuple((i, j, canonical_info(s.law(i, j), FullInfo())) for j in aware))
-        for i in range(1, s.n_bidders + 1)).expected(1)
-
-    # float screen on the common atom grid of every variant law
-    grid = atom_grid(form for forms in variants for form in forms)
-    gx = np.array(grid.points, dtype=np.float64) / grid.value_den
-    cdfs = np.array(grid.cdf, dtype=np.float64) / grid.prob_den
-    mats = np.split(cdfs[:, :-1], np.cumsum([len(forms) for forms in variants])[:-1])
-    # E[max] = g_last - sum_k (g_{k+1} - g_k) prod_i F_i(g_k) for every
-    # assignment, in row-major order (bidder 1 slowest): the products over
-    # all but the last bidder are spelled out, the last bidder's column is
-    # one matrix product
-    acc = np.diff(gx)[None, :]
-    for mat in mats[:-1]:
-        acc = (acc[:, None, :] * mat[None, :, :]).reshape(-1, acc.shape[1])
-    e_max = gx[-1] - (acc @ mats[-1].T).ravel()
-    margins = float(rev_full) - e_max
+    screen, exact = _assignment_lattice(sid, s, entries)
+    # the full-information assignment: every entry at its level of singleton cells
+    full = int(np.ravel_multi_index(
+        [[len(_atom_cells(s.law(i, j), lvl)) for lvl in levels].index(len(s.law(i, j).values))
+         for (i, j), levels in entries], [len(levels) for _key, levels in entries]))
+    rev_full = exact(full)
+    margins = float(rev_full) - screen
 
     # The full-info assignment itself is in the scan (margin 0), so exact
     # rechecking everything within float error of zero settles the verdict.
     holds = True
-    worst = None
+    worst = Fraction(0)
     for flat in np.nonzero(margins < 1e-9)[0]:
-        margin = rev_full - atom_grid(_unflatten(int(flat), variants)).expected(1)
-        if margin < 0:
-            holds = False
-        if worst is None or margin < worst:
-            worst = margin
-    if worst is None:
-        worst = Fraction(0)
+        if flat != full:
+            margin = rev_full - exact(flat)
+            holds = holds and margin >= 0
+            worst = min(worst, margin)
     return [ClaimResult("Prop6", sid, True, holds, worst,
-                        f"set={aware} candidates={len(e_max)}")]
-
-
-def _prefix_folds(per_char):
-    """``fold_atom_lattices`` of every combination of one form per list, in
-    ``itertools.product``'s row-major order.  Each prefix is folded once and
-    extended one characteristic at a time; the forms are reduced, so the
-    result is the same as folding every combination whole."""
-    folds = list(per_char[0])
-    for forms in per_char[1:]:
-        folds = [fold_atom_lattices((acc, form)) for acc in folds for form in forms]
-    return folds
-
-
-def _unflatten(flat, variants):
-    """Per-bidder entries of the flat (row-major) index into the product of
-    ``variants``."""
-    picked = []
-    rem = flat
-    for rows in reversed(variants):
-        picked.append(rows[rem % len(rows)])
-        rem //= len(rows)
-    picked.reverse()
-    return picked
+                        f"set={sorted(aw)} candidates={len(screen)}")]
 
 
 def _claim_corollary1(sid: str, s: Scenario, char_info: dict, rng: random.Random) -> list:

@@ -25,6 +25,7 @@ from awarebid.disclosure import (
 )
 from awarebid.distributions import (
     DiscreteFinite,
+    DistributionError,
     FullInfo,
     NoInfo,
     Normal,
@@ -421,14 +422,22 @@ def test_corpus_rejects_negative_count_and_verify_an_empty_one():
         verify_suite(CorpusConfig(count=0))
 
 
-def test_unflatten_follows_the_screen_index_order():
-    # Prop6 rechecks the assignment at a flat index of the screen's ij grid
-    from awarebid.disclosure import _unflatten
-
-    variants = [["a0", "a1"], ["b0", "b1", "b2"], ["c0", "c1"]]
-    idx = np.meshgrid(*[np.arange(len(v)) for v in variants], indexing="ij")
-    for flat, picks in enumerate(zip(*(ix.ravel() for ix in idx))):
-        assert _unflatten(flat, variants) == [v[k] for v, k in zip(variants, picks)]
+@pytest.mark.parametrize("rows, bound", [
+    # probabilities over two large primes: each bidder's product of
+    # probability denominators passes 2^53
+    ([[DiscreteFinite([0, 1], [F(1, 134217689), F(134217688, 134217689)]),
+       DiscreteFinite([0, 1], [F(1, 134217649), F(134217648, 134217649)])]] * 2, "2\\^53"),
+    # values over two large primes: the value 1 sits at the lcm of both,
+    # past 2^63
+    ([[DiscreteFinite([F(1, 4294967291), 1], [F(1, 2), F(1, 2)])],
+      [DiscreteFinite([F(1, 4294967279), 1], [F(1, 2), F(1, 2)])]], "2\\^63"),
+])
+def test_prop6_lattice_refuses_what_it_cannot_hold_exactly(rows, bound):
+    # a count in float64 or a position in int64 that would round or wrap
+    # raises, naming the scenario and the bound
+    s = Scenario(2, len(rows[0]), tuple(map(tuple, rows)))
+    with pytest.raises(DistributionError, match=f"big-primes: .*{bound}"):
+        disclosure._claim_full_info_optimal("big-primes", s)
 
 
 # --- batched Monte Carlo scoring ------------------------------------------

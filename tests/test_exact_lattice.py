@@ -138,19 +138,103 @@ def test_scenario_memo_is_transparent(monkeypatch):
         assert engine._exact_bundle(s, p, EXACT) == engine._exact_bundle(fresh, p, EXACT)
 
 
-def test_prop6_prefix_folds_equal_whole_folds(monkeypatch):
-    calls = []
-    stock = disclosure._prefix_folds
+def _prop6_scans(monkeypatch):
+    """Prop 6 on ``CorpusConfig(count=20)`` and ``prop6_demo``: per scan its
+    scenario, entries, screen values, the exact value of every rechecked
+    assignment, and its claim row."""
+    scans = []
+    stock = disclosure._assignment_lattice
 
-    def spy(per_char):
-        calls.append((per_char, stock(per_char)))
-        return calls[-1][1]
+    def spy(sid, s, entries):
+        screen, exact = stock(sid, s, entries)
+        rechecked = {}
 
-    monkeypatch.setattr(disclosure, "_prefix_folds", spy)
-    verify_suite(CorpusConfig(count=20))
-    assert len(calls) > 40 and any(len(per_char) == 3 for per_char, _forms in calls)
-    for per_char, forms in calls:
-        assert forms == [fold_atom_lattices(combo) for combo in itertools.product(*per_char)]
+        def recording(flat):
+            rechecked[int(flat)] = exact(flat)
+            return rechecked[int(flat)]
+
+        scans.append({"s": s, "entries": entries, "screen": screen, "rechecked": rechecked})
+        return screen, recording
+
+    monkeypatch.setattr(disclosure, "_assignment_lattice", spy)
+    cases = [random_discrete_scenario(CorpusConfig(count=20), k) for k in range(20)]
+    cases.append(("prop6_demo", parse_scenario(str(SCENARIO_DIR / "prop6_demo.json"))[0]))
+    for sid, s in cases:
+        row, = disclosure._claim_full_info_optimal(sid, s)
+        scans[-1]["row"] = row
+    return scans
+
+
+def _reference_assignments(s, entries):
+    """Every assignment's bid forms in ``itertools.product`` order: each
+    bidder's variants folded whole from one form per (law, level)."""
+    width = len(entries) // s.n_bidders
+    per_char = [[atom_lattice(bid_component(s, i, j, lvl)) for lvl in levels]
+                for (i, j), levels in entries]
+    variants = [[fold_atom_lattices(combo) for combo in itertools.product(*per_char[k:k + width])]
+                for k in range(0, len(per_char), width)]
+    return list(itertools.product(*variants))
+
+
+def test_prop6_screen_and_rechecks_equal_whole_folds(monkeypatch):
+    # the lattice screen agrees with the folded reference to 1e-12 on a
+    # seeded sample and on every rechecked assignment, whose exact value is
+    # the reference's; where all assignments are few, holds and the worst
+    # margin equal an all-exact brute force
+    rng = np.random.default_rng(6)
+    brute = 0
+    for scan in _prop6_scans(monkeypatch):
+        s, screen, rechecked, row = scan["s"], scan["screen"], scan["rechecked"], scan["row"]
+        forms = _reference_assignments(s, scan["entries"])
+        assert len(forms) == len(screen) and row.note.endswith(f"candidates={len(screen)}")
+        sample = set(rng.choice(len(forms), size=min(50, len(forms)), replace=False).tolist())
+        for flat in sample | set(rechecked):
+            ref = orderstats.atom_grid(forms[flat]).expected(1)
+            assert abs(screen[flat] - float(ref)) <= 1e-12
+            assert flat not in rechecked or rechecked[flat] == ref
+        if len(forms) <= 500:
+            brute += row.scenario_id != "prop6_demo"
+            aware = [j for (i, j), _levels in scan["entries"] if i == 1]
+            rev_full = orderstats.atom_grid(
+                fold_atom_lattices(atom_lattice(s.law(i, j)) for j in aware)
+                for i in range(1, s.n_bidders + 1)).expected(1)
+            worst = min(rev_full - orderstats.atom_grid(f).expected(1) for f in forms)
+            assert (row.holds, row.margin) == (worst >= 0, worst)
+    assert brute == 6
+
+
+def test_prop6_folds_nothing_and_rechecks_at_most_112(monkeypatch):
+    # the 20-scenario corpus scans 89,328 assignments without one fold and
+    # with at most 112 exact AtomGrid values, the full-info ones included
+    inside, folds, rechecks = [], [], []
+    stock_claim, stock_fold = disclosure._claim_full_info_optimal, fold_atom_lattices
+    stock_expected = AtomGrid.expected
+
+    def claim_spy(sid, s):
+        inside.append(sid)
+        try:
+            return stock_claim(sid, s)
+        finally:
+            inside.pop()
+
+    def fold_spy(forms):
+        folds.extend(inside)
+        return stock_fold(forms)
+
+    def expected_spy(grid, rank):
+        rechecks.extend(inside)
+        return stock_expected(grid, rank)
+
+    monkeypatch.setattr(disclosure, "_claim_full_info_optimal", claim_spy)
+    for module in (distributions, orderstats):
+        monkeypatch.setattr(module, "fold_atom_lattices", fold_spy)
+    monkeypatch.setattr(AtomGrid, "expected", expected_spy)
+    report = verify_suite(CorpusConfig(count=20))
+    notes = [r.note for r in report.results if r.claim == "Prop6"]
+    assert len(notes) == 20 and not report.failures
+    assert sum(int(note.split("candidates=")[1]) for note in notes) == 89328
+    assert not folds
+    assert 20 <= len(rechecks) <= 112
 
 
 @pytest.mark.parametrize("seed", [899634569, 215477173])
@@ -158,8 +242,9 @@ def test_exact_layer_folds_and_settles_each_view_once(monkeypatch, seed):
     # two corpora the exact-verify benchmark draws: across every claim, a
     # column is folded at most once and a view settled at most once per
     # scenario.  A column request that folds is a memo miss, whoever asks
-    # (the exact backend, Prop 6 or valuation_law).  Scenarios are told
-    # apart by identity, and kept alive so that no id is reused.
+    # (the exact backend or valuation_law; Prop 6 folds nothing).
+    # Scenarios are told apart by identity, and kept alive so that no id is
+    # reused.
     kept, folds, settles, views = [], [], [], set()
     fold_calls = []
     stock_bundle, stock_lattice = engine._exact_bundle, orderstats.bid_lattice
@@ -188,7 +273,7 @@ def test_exact_layer_folds_and_settles_each_view_once(monkeypatch, seed):
 
     monkeypatch.setattr(engine, "_exact_bundle", bundle_spy)
     monkeypatch.setattr(orderstats, "fold_atom_lattices", fold_spy)
-    for module in (engine, disclosure, orderstats):
+    for module in (engine, orderstats):
         monkeypatch.setattr(module, "bid_lattice", lattice_spy)
     monkeypatch.setattr(AtomGrid, "settle", settle_spy)
     report = verify_suite(CorpusConfig(count=3, seed=seed))

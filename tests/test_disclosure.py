@@ -1,6 +1,7 @@
 import collections
 import csv
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -420,6 +421,29 @@ def test_corpus_rejects_negative_count_and_verify_an_empty_one():
         CorpusConfig(count=-1)
     with pytest.raises(ScenarioError, match="at least 1"):
         verify_suite(CorpusConfig(count=0))
+
+
+def test_unflatten_follows_the_screen_index_order():
+    # Prop 6 rechecks the assignment at a flat index of the screen: exact
+    # unflattens it bidder-major, each bidder's variants in
+    # itertools.product order, as the screen lays them out.  Three bidders
+    # with 10, 4 and 10 variants make a transposed index read another
+    # assignment; all 400 are checked against whole folds.
+    from awarebid.distributions import atom_lattice, fold_atom_lattices
+
+    d2 = DiscreteFinite([0, 1], [F(1, 3), F(2, 3)])
+    d3 = DiscreteFinite([-1, F(1, 2), 2], [F(1, 4), F(1, 2), F(1, 4)])
+    s = Scenario(3, 2, ((d3, d2), (d2, d2), (d2, d3)))
+    _aw, entries = next(disclosure._assignments(s, [s.full_set], disclosure._PARTITION_CAP))
+    screen, exact = disclosure._assignment_lattice("order", s, entries)
+    per_char = [[atom_lattice(orderstats.bid_component(s, i, j, lvl)) for lvl in levels]
+                for (i, j), levels in entries]
+    variants = [[fold_atom_lattices(combo) for combo in itertools.product(*per_char[k:k + 2])]
+                for k in range(0, 6, 2)]
+    assert [len(v) for v in variants] == [10, 4, 10] and len(screen) == 400
+    for flat, forms in enumerate(itertools.product(*variants)):
+        ref = orderstats.atom_grid(forms).expected(1)
+        assert exact(flat) == ref and abs(screen[flat] - float(ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("rows, bound", [

@@ -153,7 +153,8 @@ def _prop6_scans(monkeypatch):
             rechecked[int(flat)] = exact(flat)
             return rechecked[int(flat)]
 
-        scans.append({"s": s, "entries": entries, "screen": screen, "rechecked": rechecked})
+        scans.append({"s": s, "entries": entries, "screen": screen, "exact": exact,
+                      "rechecked": rechecked})
         return screen, recording
 
     monkeypatch.setattr(disclosure, "_assignment_lattice", spy)
@@ -165,15 +166,53 @@ def _prop6_scans(monkeypatch):
     return scans
 
 
-def _reference_assignments(s, entries):
-    """Every assignment's bid forms in ``itertools.product`` order: each
-    bidder's variants folded whole from one form per (law, level)."""
+def _reference_variants(s, entries):
+    """Each bidder's variants in ``itertools.product`` order, folded whole
+    from one form per (law, level)."""
     width = len(entries) // s.n_bidders
     per_char = [[atom_lattice(bid_component(s, i, j, lvl)) for lvl in levels]
                 for (i, j), levels in entries]
-    variants = [[fold_atom_lattices(combo) for combo in itertools.product(*per_char[k:k + width])]
-                for k in range(0, len(per_char), width)]
-    return list(itertools.product(*variants))
+    return [[fold_atom_lattices(combo) for combo in itertools.product(*per_char[k:k + width])]
+            for k in range(0, len(per_char), width)]
+
+
+def _reference_assignments(s, entries):
+    """Every assignment's bid forms in ``itertools.product`` order."""
+    return list(itertools.product(*_reference_variants(s, entries)))
+
+
+def test_prop6_prefix_folds_equal_whole_folds(monkeypatch):
+    # the lattice builds a bidder's variant one characteristic at a time,
+    # by outer sums of positions and products of masses; for every variant
+    # of every bidder, the integer CDF column the exact recheck puts on its
+    # AtomGrid holds the atoms of the variant folded whole
+    scans = _prop6_scans(monkeypatch)
+    grids = []
+
+    def grid_spy(*args):
+        grids.append(args)
+        return AtomGrid(*args)
+
+    monkeypatch.setattr(disclosure, "AtomGrid", grid_spy)
+    widths = set()
+    for scan in scans:
+        s, entries = scan["s"], scan["entries"]
+        variants = _reference_variants(s, entries)
+        shape = [len(v) for v in variants]
+        widths.add(len(entries) // s.n_bidders)
+        for k in range(max(shape)):
+            picks = [min(k, n - 1) for n in shape]
+            grids.clear()
+            scan["exact"](np.ravel_multi_index(picks, shape))
+            (points, value_den, prob_den, columns), = grids
+            for v, pick, column in zip(variants, picks, columns):
+                fold = v[pick]
+                atoms = [(F(x, value_den), F(c - b, prob_den))
+                         for x, b, c in zip(points, (0,) + column[:-1], column) if c != b]
+                assert column[-1] == prob_den
+                assert atoms == [(F(x, fold.value_den), F(m, fold.prob_den))
+                                 for x, m in zip(fold.nums, fold.masses)]
+    assert len(scans) == 21 and 3 in widths
 
 
 def test_prop6_screen_and_rechecks_equal_whole_folds(monkeypatch):

@@ -46,12 +46,13 @@ hidden value an unaware bidder omits is what that contribution would add.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
   bids are independent across bidders, so each bid column's law is the
   integer form ``orderstats.bid_lattice`` folds from its keys, and the
-  forms go on a common integer atom grid (``orderstats.atom_grid``); the
-  order-statistic moments, every bidder's unique-winner surplus and the
-  1/#ties win credit follow from per-bidder CDF columns and prefix sums,
-  at a cost of bidders times bid support, not the product of supports.  A
-  column whose fold passes the bound of ``distributions.fold_atom_lattices``
-  is refused, naming the column.  Each column's form is built once per
+  forms go on a common integer atom grid (``orderstats.atom_grid``); one
+  ``AtomGrid.settle`` pass over per-bidder CDF columns and prefix sums
+  gives every bidder's unique-winner surplus, the 1/#ties win credit and
+  from those E[first] and E[second], at a cost of bidders times bid
+  support, not the product of supports.  A column whose fold passes the
+  bound of ``distributions.fold_atom_lattices`` is refused, naming the
+  column.  Each column's form is built once per
   scenario and each view settled once per scenario: both are kept on the
   scenario instance, so every policy read on the same scenario reuses
   them.  Ties contribute zero surplus since the price equals the bid.
@@ -266,20 +267,19 @@ def _policy_layout(s: Scenario, p: DisclosurePolicy):
 
 # -- exact backend ----------------------------------------------------------
 
-def _settled_view(s: Scenario, view: int, full: bool):
-    """Settlement of one view id: (surplus, credit) from ``AtomGrid.settle``
-    on its columns' forms (``bid_lattice``), followed for the full view by
-    E[first] and E[second], kept on the scenario instance for every claim
-    and policy that reads the view again."""
+def _settled_view(s: Scenario, view: int):
+    """Settlement of one view id, kept on the scenario instance for every
+    claim and policy that reads the view again: ``AtomGrid.settle`` on its
+    columns' forms (``bid_lattice``), per-bidder surplus and credit and the
+    view's E[first] and E[second] from that one pass.  No bundle field
+    calls ``AtomGrid.expected``, which serves order-statistic laws and
+    Prop 6."""
     views = s.__dict__.setdefault("_settled_views", {})
     got = views.get(view)
-    if got is None or full and len(got) == 2:
+    if got is None:
         items = _ids(s).items
-        grid = atom_grid([bid_lattice(s, tuple(items[k] for k in keys)) for keys in items[view]])
-        got = got or grid.settle()
-        if full:
-            got += (grid.expected(1), grid.expected(2))
-        views[view] = got
+        got = views[view] = atom_grid([bid_lattice(s, tuple(items[k] for k in keys))
+                                       for keys in items[view]]).settle()
     return got
 
 
@@ -289,7 +289,7 @@ def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> 
         raise EstimationError("exact backend requires finite discrete laws in scope")
 
     views, unaware, full_idx, bidder_idx = _policy_layout(s, p)
-    settled = [_settled_view(s, view, v == full_idx) for v, view in enumerate(views)]
+    settled = [_settled_view(s, view) for view in views]
     surplus_full, credit_full, first, second = settled[full_idx]
 
     bidders = []

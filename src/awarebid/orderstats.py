@@ -8,11 +8,13 @@ mass at its mean under no information (one cell), the law of cell means
 under a partition; the full-information law is also that of the value an
 unaware bidder omits.  A discrete component's atoms are its cell means
 (``distributions.cell_means``).  ``bid_lattice`` is the one fold of a bid
-column's keys, kept per scenario, and names the column when the fold
-passes its bound; the engine's exact backend, ``valuation_law`` and Prop 6
-read it.  Fraction atoms appear only when a law object is returned;
-``valuation_law`` folds other components by repeated convolution into a
-``SumLaw``, kept per scenario like the folds.
+column's keys, kept per scenario and column content (``_by_content``: the
+laws' ids and canonical levels, so bidders with equal laws share it), and
+names the requesting column when the fold passes its bound; the engine's
+exact backend and ``valuation_law`` read it.  Fraction atoms appear only
+when a law object is returned; ``valuation_law`` folds other components by
+repeated convolution into a ``SumLaw``, kept per scenario and column
+content like the folds.
 
 Order statistics of independent but not identically distributed
 valuations have CDFs given by permanents of the matrix whose columns
@@ -28,8 +30,8 @@ without a normal part (``law_grid``): on each grid interval a law's CDF
 is an int or an integer polynomial.  Atom laws are read there as a sum
 reads them, a float point mass through ``as_fraction``.  The grid also
 settles exact second-price auctions on atom laws (per-law surplus and
-1/#ties win credit) for the engine; its results are the only Fractions it
-makes.
+1/#ties win credit, and from them E[first] and E[second]) for the engine;
+its results are the only Fractions it makes.
 
 The numeric route values a batch of expectations at once
 (``expected_order_stats``): one adaptive Simpson, level by level, with
@@ -165,18 +167,46 @@ def _naming(keys):
                                 f"{[j for _i, j, _level in keys]}: {exc}") from exc
 
 
+def _law_ids(s: Scenario):
+    """Per bidder and characteristic, an id its law shares with every ``==``
+    law of the scenario: laws interned once per scenario."""
+    ids = s.__dict__.get("_law_ids")
+    if ids is None:
+        index = {}
+        ids = s.__dict__.setdefault("_law_ids", [[index.setdefault(law, len(index))
+                                                  for law in row] for row in s.laws])
+    return ids
+
+
+def _by_content(s: Scenario, memo: str, keys, build):
+    """``build()`` for the column of ``keys``, kept in the scenario's ``memo``
+    under the keys and under their content: per key its law's id
+    (``_law_ids``) and its level, canonical on every policy (``validate``
+    and the searches make it so), so bidders with ``==`` laws and levels
+    share one value.  The keys are looked up first and the content key
+    built only on a miss; the two kinds never collide, as a key is a triple
+    and a content entry a pair."""
+    kept = s.__dict__.setdefault(memo, {})
+    got = kept.get(keys)
+    if got is None:
+        ids = _law_ids(s)
+        content = tuple((ids[i - 1][j - 1], level) for i, j, level in keys)
+        got = kept.get(content)
+        if got is None:
+            got = kept[content] = build()
+        kept[keys] = got
+    return got
+
+
 def bid_lattice(s: Scenario, keys):
     """Integer form of one bid column's law: the fold of its (bidder,
     characteristic, level) keys' atom-law contributions (``bid_component``)
-    in order, once per scenario and kept on the scenario instance; a fold
-    past the bound is refused naming the column."""
-    forms = s.__dict__.setdefault("_bid_forms", {})
-    form = forms.get(keys)
-    if form is None:
+    in order, once per scenario and column content (``_by_content``); a
+    fold past the bound is refused naming the requesting column."""
+    def fold():
         with _naming(keys):
-            form = fold_atom_lattices(atom_lattice(bid_component(s, *key)) for key in keys)
-        forms[keys] = form
-    return form
+            return fold_atom_lattices(atom_lattice(bid_component(s, *key)) for key in keys)
+    return _by_content(s, "_bid_forms", keys, fold)
 
 
 def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
@@ -186,27 +216,30 @@ def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
     aware of, in sorted order, folded by ``bid_lattice`` when every
     component is a discrete law or a rational point mass, else by
     ``convolve`` (a float point mass, the mean of a continuous law, shifts a
-    base law by float addition and makes no Fractions).  A sum law is built
-    once per column and kept on the scenario, its pieces included; past
-    ``_FOLD_CAP`` knots or double range it is refused naming the column."""
+    base law by float addition and makes no Fractions).  A sum of several
+    components is built once per scenario and column content
+    (``_by_content``), a sum law's pieces included, so bidders with ``==``
+    laws and levels get one law object; past ``_FOLD_CAP`` knots or double
+    range it is refused naming the requesting column."""
     seen = perceive(p, view)
     keys = tuple((bidder, j, seen.level(bidder, j)) for j in sorted(seen.aware(bidder)))
+    if len(keys) == 1:
+        return bid_component(s, *keys[0])
+    return _by_content(s, "_sum_laws", keys, lambda: _sum_law(s, keys))
+
+
+def _sum_law(s: Scenario, keys):
+    """The law ``valuation_law`` keeps for a column of several keys."""
     components = [bid_component(s, *key) for key in keys]
-    if len(components) == 1:
-        return components[0]
     if all(isinstance(comp, DiscreteFinite)
            or isinstance(comp, PointMass) and not isinstance(comp.value, float)
            for comp in components):
         form = bid_lattice(s, keys)
         with _naming(keys):
             return lattice_law(form)
-    laws = s.__dict__.setdefault("_sum_laws", {})
-    law = laws.get(keys)
-    if law is None:
-        with _naming(keys):
-            law = reduce(convolve, components, PointMass(0))
-            breakpoints(law)            # builds and bounds a sum law's pieces
-        laws[keys] = law
+    with _naming(keys):
+        law = reduce(convolve, components, PointMass(0))
+        breakpoints(law)            # builds and bounds a sum law's pieces
     return law
 
 
@@ -339,13 +372,19 @@ class AtomGrid:
         """Second-price settlement of one bid per law, in expectation; atom
         laws only.
 
-        Returns (surplus, credit), one Fraction per law: the unique winner's
-        expected surplus E[(B_i - M_i) 1{B_i > M_i}], M_i the highest other
-        bid, and the expected win credit with 1/#ties for tied winners.
-        Surplus is sum_b P(B_i=b) sum_{g_k<b} P(M_i <= g_k)(g_{k+1} - g_k),
-        read off a running prefix sum; credit is sum_b P(B_i=b) times
+        Returns (surplus, credit, first, second): per law, as Fractions, the
+        unique winner's expected surplus E[(B_i - M_i) 1{B_i > M_i}], M_i
+        the highest other bid, and the expected win credit with 1/#ties for
+        tied winners; then E[first] and E[second] of the bids.  Surplus is
+        sum_b P(B_i=b) sum_{g_k<b} P(M_i <= g_k)(g_{k+1} - g_k), read off a
+        running prefix sum; credit is sum_b P(B_i=b) times
         int_0^1 prod_{j != i} (P(B_j<b) + t P(B_j=b)) dt, whose expansion
-        in t weighs k tied rivals by 1/(k+1).  Needs at least two laws.
+        in t weighs k tied rivals by 1/(k+1).  Every winner bids the first
+        order statistic and the credits of a draw sum to 1, so E[first] is
+        sum_i E[B_i credit_i], the same terms weighted by b; first - second
+        is the unique winner's margin (0 on a tie), so E[second] is E[first]
+        minus the summed surplus.  So a bundle needs no ``expected``, which
+        serves order-statistic laws and Prop 6.  Needs at least two laws.
         """
         n = len(self.cdf)
         tie_scale = math.lcm(*range(1, n + 1))
@@ -353,6 +392,7 @@ class AtomGrid:
         widths = [b - a for a, b in zip(self.points, self.points[1:])] + [0]
         masses = [[b - a for a, b in zip((0, *col), col)] for col in self.cdf]
         surplus, credit = [], []
+        top = margin = 0
         for i, mass_i in enumerate(masses):
             others = [j for j in range(n) if j != i]
             # P(M_i <= g_k): every other law at most g_k
@@ -366,11 +406,16 @@ class AtomGrid:
                         eq = masses[j][k]
                         lt = self.cdf[j][k] - eq
                         poly = [a * lt + b * eq for a, b in zip(poly + [0], [0] + poly)]
-                    c_num += m * sum(map(math.prod, zip(poly, share)))
+                    c = m * sum(map(math.prod, zip(poly, share)))
+                    c_num += c
+                    top += c * self.points[k]
                 run += down * w
+            margin += s_num
             surplus.append(Fraction(s_num, self._scale() * self.value_den))
             credit.append(Fraction(c_num, self._scale() * tie_scale))
-        return surplus, credit
+        scale = self._scale() * tie_scale * self.value_den
+        return (surplus, credit, Fraction(top, scale),
+                Fraction(top - margin * tie_scale, scale))
 
 
 def atom_grid(forms) -> AtomGrid:

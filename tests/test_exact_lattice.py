@@ -2,6 +2,7 @@
 reference, and the exactness properties the exact backend promises."""
 
 import itertools
+import json
 import math
 from fractions import Fraction as F
 
@@ -284,15 +285,27 @@ def test_exact_layer_folds_and_settles_each_view_once(monkeypatch, seed):
     # (the exact backend or valuation_law; Prop 6 folds nothing).
     # Scenarios are told apart by identity, and kept alive so that no id is
     # reused.
+    # Every bundle field comes from those settlements: no E of an order
+    # statistic is integrated while a bundle is built.
     kept, folds, settles, views = [], [], [], set()
-    fold_calls = []
+    fold_calls, bundling, expected_in_bundle = [], [], []
     stock_bundle, stock_lattice = engine._exact_bundle, orderstats.bid_lattice
     stock_fold, stock_settle = orderstats.fold_atom_lattices, AtomGrid.settle
+    stock_expected = AtomGrid.expected
 
     def bundle_spy(s, p, config):
         kept.append(s)
         views.update((id(s), view) for view in engine._policy_layout(s, p)[0])
-        return stock_bundle(s, p, config)
+        bundling.append(1)
+        try:
+            return stock_bundle(s, p, config)
+        finally:
+            bundling.pop()
+
+    def expected_spy(grid, rank):
+        if bundling:
+            expected_in_bundle.append(rank)
+        return stock_expected(grid, rank)
 
     def fold_spy(forms):
         fold_calls.append(1)
@@ -315,10 +328,138 @@ def test_exact_layer_folds_and_settles_each_view_once(monkeypatch, seed):
     for module in (engine, orderstats):
         monkeypatch.setattr(module, "bid_lattice", lattice_spy)
     monkeypatch.setattr(AtomGrid, "settle", settle_spy)
+    monkeypatch.setattr(AtomGrid, "expected", expected_spy)
     report = verify_suite(CorpusConfig(count=3, seed=seed))
     assert report.results and not report.failures
     assert folds and len(set(folds)) == len(folds)
     assert settles and len(settles) <= len(views)
+    assert expected_in_bundle == []
+
+
+def _settled_grids(monkeypatch, run):
+    """Every (grid, settlement) ``AtomGrid.settle`` returns while ``run()``."""
+    settled, stock = [], AtomGrid.settle
+
+    def spy(grid):
+        got = stock(grid)
+        settled.append((grid, got))
+        return got
+
+    monkeypatch.setattr(AtomGrid, "settle", spy)
+    run()
+    monkeypatch.undo()
+    return settled
+
+
+def test_settled_order_statistics_equal_the_integrated_ones(monkeypatch):
+    # every view the suite settles, and the full views of the bundled
+    # exact scenarios: settle's E[first] and E[second] are those of expected
+    def run():
+        verify_suite(CorpusConfig(count=20))
+        for name in ("d1", "example1_discrete", "curse_demo", "prop6_demo"):
+            s, p, _cfg = parse_scenario(str(SCENARIO_DIR / f"{name}.json"))
+            revenue(s, p, EXACT)
+
+    settled = _settled_grids(monkeypatch, run)
+    assert len(settled) > 150
+    for grid, (_surplus, _credit, first, second) in settled:
+        assert first == grid.expected(1) and second == grid.expected(2)
+
+
+def _enumerated_settlement(laws):
+    """(surplus, credit, E[first], E[second]) over every joint outcome."""
+    n = len(laws)
+    surplus, credit, first, second = [F(0)] * n, [F(0)] * n, F(0), F(0)
+    for outcome in itertools.product(*(_atoms(law) for law in laws)):
+        prob = math.prod(q for _v, q in outcome)
+        bids = [F(v) for v, _q in outcome]
+        top = max(bids)
+        winners = [i for i, b in enumerate(bids) if b == top]
+        price = sorted(bids)[-2]
+        first += prob * top
+        second += prob * price
+        for i in winners:
+            credit[i] += prob / len(winners)
+        if len(winners) == 1:
+            surplus[winners[0]] += prob * (top - price)
+    return surplus, credit, first, second
+
+
+@pytest.mark.parametrize("laws", [
+    # three-way tie at the top, with and without a fourth law below it
+    [DiscreteFinite([1, 3], [F(1, 2), F(1, 2)])] * 3,
+    [DiscreteFinite([1, 3], [F(1, 3), F(2, 3)]), DiscreteFinite([2, 3], [F(1, 4), F(3, 4)]),
+     DiscreteFinite([0, 3], [F(1, 5), F(4, 5)]), DiscreteFinite([-1, 2], [F(1, 2), F(1, 2)])],
+    # negative values
+    [DiscreteFinite([-3, -1], [F(1, 3), F(2, 3)]), DiscreteFinite([-2, F(-1, 2)], [F(1, 2), F(1, 2)])],
+    [DiscreteFinite([-5, 0, 2], [F(1, 4), F(1, 4), F(1, 2)]),
+     DiscreteFinite([-5, F(-7, 3)], [F(2, 3), F(1, 3)]), PointMass(F(-5))],
+    # 2, 3 and 4 laws
+    [DiscreteFinite([0, 1], [F(1, 2), F(1, 2)]), DiscreteFinite([F(1, 2), 2], [F(1, 3), F(2, 3)])],
+    [DiscreteFinite([0, 2, 4], [F(1, 3)] * 3), DiscreteFinite([1, 2], [F(3, 4), F(1, 4)]),
+     DiscreteFinite([F(1, 3), 4], [F(1, 2), F(1, 2)])],
+    [DiscreteFinite([0, 1], [F(1, 2), F(1, 2)]), DiscreteFinite([0, 1], [F(1, 3), F(2, 3)]),
+     DiscreteFinite([1, 2], [F(1, 6), F(5, 6)]), DiscreteFinite([0.5, 2], [F(1, 2), F(1, 2)])],
+])
+def test_settle_reads_off_both_order_statistics(laws):
+    grid = orderstats.atom_grid(atom_lattice(law) for law in laws)
+    got = grid.settle()
+    assert got == _enumerated_settlement(laws)
+    assert got[2:] == (grid.expected(1), grid.expected(2))
+
+
+def _iid_file(tmp_path, laws):
+    """A scenario file of 2 bidders that hold ``laws``, each as its own law
+    object, aware of every characteristic with full information."""
+    m = len(laws)
+    doc = {"bidders": 2,
+           "characteristics": [{"distributions": [law, law]} for law in laws],
+           "awareness": [list(range(1, m + 1))] * 2,
+           "info": [{str(j): "full" for j in range(1, m + 1)}] * 2}
+    path = tmp_path / "iid.json"
+    path.write_text(json.dumps(doc))
+    s, p, _cfg = parse_scenario(str(path))
+    assert s.law(1, 1) == s.law(2, 1) and s.law(1, 1) is not s.law(2, 1)
+    return s, p
+
+
+def _atoms_doc(values):
+    return {"kind": "discrete", "atoms": [[v, f"1/{len(values)}"] for v in values]}
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_iid_bidders_share_one_fold_and_one_law(monkeypatch, tmp_path, uniform):
+    # the column memos are keyed by law content: the second bidder's column
+    # is the first's law object, folded or convolved once
+    laws = [_atoms_doc([0, 1, 2]), _atoms_doc([0, 5])]
+    if uniform:
+        laws.append({"kind": "uniform", "lo": 0, "hi": 0.5})
+    s, p = _iid_file(tmp_path, laws)
+    calls = []
+    for module, name in ((orderstats, "fold_atom_lattices"), (orderstats, "convolve")):
+        stock = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _stock=stock, _name=name: calls.append(_name) or _stock(*a))
+    view = Perspective(s.full_set)
+    one = valuation_law(s, p, 1, view)
+    once = list(calls)
+    assert once == (["convolve"] * 3 if uniform else ["fold_atom_lattices"])
+    assert valuation_law(s, p, 2, view) is one
+    assert valuation_law(s, p, 1, view) is one and calls == once
+    if not uniform:
+        assert bid_lattice(s, _column(p, 2)) is bid_lattice(s, _column(p, 1))
+        assert calls == once
+        b = engine.estimate(s, p, EXACT)
+        assert b.bidders[0] == b.bidders[1] and calls == once
+
+
+def test_a_shared_content_refusal_names_the_requesting_column(monkeypatch, tmp_path):
+    monkeypatch.setattr(distributions, "_FOLD_CAP", 4)
+    s, p = _iid_file(tmp_path, [_atoms_doc([0, 1, 2]), _atoms_doc([0, 3])])
+    for bidder in (1, 2):
+        with pytest.raises(DistributionError) as err:
+            bid_lattice(s, _column(p, bidder))
+        assert str(err.value).startswith(f"bidder {bidder}'s bid over characteristics [1, 2]: ")
 
 
 def test_corpus_partition_components_equal_the_reference():

@@ -49,7 +49,7 @@ from .distributions import (
     cell_means,
     mean,
 )
-from .engine import EstimatorConfig, estimate_policies, score_policies
+from .engine import REVENUE_FIELDS, EstimatorConfig, estimate_policies, score_policies
 from .fees import RevenueReport, revenue
 from .orderstats import (
     AtomGrid,
@@ -146,14 +146,15 @@ def _rank_key(value, p: DisclosurePolicy):
 
 
 def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
-    """Revenue of each policy, a bundle for each one estimated in full
-    (None elsewhere), and ``settle(k)``, the bundle of a scored policy k.
+    """Revenue of each policy, a bundle for each one estimated (None
+    elsewhere), and ``settle(k)``, the bundle of a scored policy k; every
+    bundle holds the fields a revenue report reads (``REVENUE_FIELDS``).
     Every policy without an analytic common-awareness value is scored in
     one batched call (``score_policies``), which computes only its revenue
     and whose handle settles one scored policy on the same draws, redrawing
     every chunk but the last.  The analytic policy ranked first by
-    ``_rank_key`` keeps its analytic value and is estimated in full in that
-    same pass.  The analytic values of a call come from one
+    ``_rank_key`` keeps its analytic value and is estimated in that same
+    pass.  The analytic values of a call come from one
     ``expected_order_stats`` batch; a policy without one (a continuous
     partition, a failed quadrature) is scored."""
     values = [None] * len(policies)
@@ -172,7 +173,8 @@ def _revenue_values(s: Scenario, policies: list, config: EstimatorConfig):
     analytic = [k for k in range(len(policies)) if values[k] is not None]
     best = [max(analytic, key=lambda k: _rank_key(values[k], policies[k]))] if analytic else []
     scores, reports, settle = score_policies(s, [policies[k] for k in pending], config,
-                                             bundled=[policies[k] for k in best])
+                                             bundled=[policies[k] for k in best],
+                                             fields=REVENUE_FIELDS)
     for k, v in zip(pending, scores):
         values[k] = v
     bundles = [None] * len(policies)
@@ -240,7 +242,7 @@ def optimize(s: Scenario, regime: PolicyRegime, config: EstimatorConfig,
     policies = [pol for _desc, pol in candidates]
     values, bundles, settle = _revenue_values(s, policies, config)
     # the first candidate of highest _rank_key; an analytic winner is the
-    # one its call estimated in full
+    # one its call estimated
     k = max(range(len(policies)), key=lambda k: _rank_key(values[k], policies[k]))
     bundle = settle(k) if bundles[k] is None else bundles[k]
     return OptimizeResult(policies[k], revenue(s, policies[k], config, bundle=bundle),
@@ -417,7 +419,8 @@ def _tradeoff(s, base, target, char, config):
     raised = validate(s.n_bidders, s.m_characteristics, s.laws, awareness, info)[1]
 
     before, after = (revenue(s, pol, config, bundle=b) for pol, b in
-                     zip((base, raised), estimate_policies(s, (base, raised), config)))
+                     zip((base, raised), estimate_policies(s, (base, raised), config,
+                                                           fields=REVENUE_FIELDS)))
 
     delta_first = after.expected_first_order_stat - before.expected_first_order_stat
     remaining = [i for i in range(1, s.n_bidders + 1)

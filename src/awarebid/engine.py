@@ -30,7 +30,12 @@ hidden value an unaware bidder omits is what that contribution would add.
   views with one top-two pass each (``_kernels.top_two``), whose
   per-column top masks give win credit and surplus in scratch columns
   reused across bidders, fields and policies, reduced to per-field sums
-  and sums of squares.  Top-two results are not
+  and sums of squares.  Only the bundle fields the caller names
+  (``fields``, every one of ``FIELDS`` by default) are computed, the
+  others are None: a 1/#ties share is built only for a credit that is
+  read, and a key read only as a hidden value is read, and its entry
+  inverted, only when hidden values are.  Each report of ``fees`` names
+  the fields it reads.  Top-two results are not
   kept across policies.  A field that overflows double precision raises
   EstimationError instead of being reported.  ``score_policies`` ranks
   policies on the same pass and draws, for the policy search: each
@@ -38,11 +43,11 @@ hidden value an unaware bidder omits is what that contribution would add.
   reduced only to the sums its revenue needs (each reading bidder's
   surplus, and the price of a full view), so only floats outlive a view;
   a score is ``==`` to the revenue report of that policy.  The pass also
-  returns a handle that settles any one scored policy on the same draws
-  (the search's winner, once it is decided): the last chunk's bid columns,
-  contributions and the uniforms of entries read only as hidden values
-  are kept, the policy's fields are summed on them, and only the chunks
-  before it are redrawn, so a one-chunk search draws each chunk once.
+  returns a handle that settles any one scored policy's revenue fields
+  (``REVENUE_FIELDS``) on the same draws (the search's winner, once it is
+  decided): the last chunk's bid columns and contributions are kept, the
+  policy's fields are summed on them, and only the chunks before it are
+  redrawn, so a one-chunk search draws each chunk once.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
   bids are independent across bidders, so each bid column's law is the
   integer form ``orderstats.bid_lattice`` folds from its keys, and the
@@ -58,6 +63,7 @@ hidden value an unaware bidder omits is what that contribution would add.
   them.  Ties contribute zero surplus since the price equals the bid.
   Hidden values are independent of every bid, so a bidder's hidden value
   is the bidder's hidden keys' contribution means times its win credit.
+  The settled views give every field, so this backend ignores ``fields``.
 
 Both backends report, for every bidder, the perceived quantities (under the
 bidder's own awareness viewpoint) and the actual ones (under full
@@ -103,6 +109,8 @@ __all__ = [
     "BidderEstimate",
     "EstimateBundle",
     "EstimationError",
+    "FIELDS",
+    "REVENUE_FIELDS",
     "estimate",
     "estimate_policies",
     "exact_cap_check",
@@ -168,6 +176,25 @@ class EstimateBundle:
     se_total_revenue: Optional[float] = None
 
 
+# Each bundle field (a per-bidder one for every bidder) and the name of its
+# Monte Carlo sums (per bidder, suffixed _i for bidder i).
+_SUMS = {
+    "first_order_stat": "first",
+    "second_order_stat": "second",
+    "total_revenue": "revenue",
+    "perceived_surplus": "surplus_perc",
+    "actual_surplus": "surplus_act",
+    "win_prob_perceived": "credit_perc",
+    "win_prob_actual": "credit_act",
+    "hidden_win_value": "hidden",
+}
+FIELDS = frozenset(_SUMS)
+# what fees.revenue reads: the fields a scored policy is settled on
+REVENUE_FIELDS = frozenset({"first_order_stat", "second_order_stat", "total_revenue",
+                            "perceived_surplus", "actual_surplus"})
+_REVENUE_SUMS = frozenset(_SUMS[f] for f in REVENUE_FIELDS)
+
+
 # ---------------------------------------------------------------------------
 # Estimation
 # ---------------------------------------------------------------------------
@@ -183,31 +210,39 @@ def exact_cap_check(s: Scenario, p: DisclosurePolicy) -> Optional[int]:
     return None
 
 
-def estimate(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> EstimateBundle:
-    return estimate_policies(s, (p,), config)[0]
+def estimate(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig,
+             fields=FIELDS) -> EstimateBundle:
+    return estimate_policies(s, (p,), config, fields)[0]
 
 
-def estimate_policies(s: Scenario, policies, config: EstimatorConfig) -> tuple:
+def estimate_policies(s: Scenario, policies, config: EstimatorConfig, fields=FIELDS) -> tuple:
     """One bundle per policy, in order; each is ``==`` to ``estimate`` of
     that policy alone.  Under Monte Carlo every policy is settled on the
-    same draws, and each chunk of draws is generated once for all of them."""
-    return score_policies(s, (), config, bundled=policies)[1]
+    same draws, and each chunk of draws is generated once for all of them.
+    Only the bundle fields named in ``fields`` are computed; the others,
+    and their standard errors, are None.  The exact backend gives every
+    field whatever ``fields`` names."""
+    return score_policies(s, (), config, bundled=policies, fields=fields)[1]
 
 
-def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=()):
+def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=(),
+                   fields=FIELDS):
     """The revenue of each policy, ``==`` to what ``fees.revenue(s, p,
     config).total_revenue`` reports, ``estimate_policies(s, bundled,
-    config)`` and ``settle``, from one pass over the draws.  A score is
-    each bidder's perceived surplus summed in bidder order plus the
-    expected price, and nothing else is computed for it; the exact backend
-    reads it off the policy's bundle, whose views are settled once per
-    scenario.
+    config, fields)`` and ``settle``, from one pass over the draws.  A
+    score is each bidder's perceived surplus summed in bidder order plus
+    the expected price, and nothing else is computed for it; the exact
+    backend reads it off the policy's bundle, whose views are settled once
+    per scenario.
 
-    ``settle(k)`` is ``==`` ``estimate(s, policies[k], config)``, for any k
-    and any number of calls.  Under Monte Carlo it sums that policy's
-    fields on the last chunk's bid columns, which the handle keeps, and
-    redraws only the chunks before it, for that policy alone."""
-    policies, bundled = tuple(policies), tuple(bundled)
+    ``settle(k)`` is ``==`` ``estimate(s, policies[k], config,
+    REVENUE_FIELDS)``, for any k and any number of calls.  Under Monte
+    Carlo it sums that policy's revenue fields on the last chunk's bid
+    columns, which the handle keeps, and redraws only the chunks before
+    it, for that policy alone."""
+    policies, bundled, fields = tuple(policies), tuple(bundled), frozenset(fields)
+    if not fields <= FIELDS:
+        raise EstimationError(f"unknown bundle fields {sorted(fields - FIELDS)}")
     if not (policies or bundled):
         return (), (), None
     if s.n_bidders < 2:
@@ -216,7 +251,7 @@ def score_policies(s: Scenario, policies, config: EstimatorConfig, bundled=()):
         return (tuple(_exact_bundle(s, p, config).total_revenue for p in policies),
                 tuple(_exact_bundle(s, p, config) for p in bundled),
                 lambda k: _exact_bundle(s, policies[k], config))
-    return _mc_pass(s, policies, bundled, config)
+    return _mc_pass(s, policies, bundled, config, frozenset(_SUMS[f] for f in fields))
 
 
 def _effective_views(s: Scenario, p: DisclosurePolicy):
@@ -255,9 +290,9 @@ def _policy_layout(s: Scenario, p: DisclosurePolicy):
     full information would add; and the slots of the full and own views."""
     table = _ids(s)
     with table.lock:
-        held = [[(j, table.intern((i, j, p.level(i, j)))) for j in sorted(a)]
-                for i, a in enumerate(p.awareness, start=1)]
-        wanted = [table.intern(tuple([tuple([k for j, k in keys if j in v]) for keys in held]))
+        own = [[(j, table.intern((i, j, p.level(i, j)))) for j in sorted(a)]
+               for i, a in enumerate(p.awareness, start=1)]
+        wanted = [table.intern(tuple([tuple([k for j, k in keys if j in v]) for keys in own]))
                   for v in (s.full_set, *p.awareness)]
     views = tuple(dict.fromkeys(wanted))        # the full view first
     unaware = [tuple([k for j, k in enumerate(full, start=1) if j not in a])
@@ -402,42 +437,29 @@ def _reading(s, ids):
     return rules, {entry for entry, rule in rules.values() if not isinstance(rule, float)}
 
 
-def _chunk_contributions(s, rules, entries, seed, start, stop, held=()):
+def _chunk_contributions(s, rules, entries, seed, start, stop):
     """The shared start of settling one chunk, a pure function of the draw
     range: inverts each (bidder, characteristic) entry in ``entries`` once
     and frees the uniforms, then computes each contribution in ``rules``
-    once.  Returns the chunk length, the contributions and
-    ``draw(entry)`` for the entries in ``held``, whose draws (or, if not in
-    ``entries``, uniforms, inverted on request) are kept for the chunk."""
+    once.  Returns the chunk length and the contributions."""
     L = stop - start
     U = _uniform_chunk(seed, start, stop, s.n_bidders, s.m_characteristics)
     draws = {(i, j): _invert(s.law(i, j), U[:, i - 1, j - 1]) for i, j in entries}
-    kept = {(i, j): draws[i, j] if (i, j) in draws else U[:, i - 1, j - 1].copy()
-            for i, j in held}
     del U                  # no view of the block is left: this frees it
-    contribs = {k: rule if isinstance(rule, float) else rule(draws[entry])
-                for k, (entry, rule) in rules.items()}
-    del draws
-
-    def draw(entry):
-        return kept[entry] if entry in entries else _invert(s.law(*entry), kept[entry])
-
-    return L, contribs, draw
+    return L, {k: rule if isinstance(rule, float) else rule(draws[entry])
+               for k, (entry, rule) in rules.items()}
 
 
-def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop, held=None):
+def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop, sums, keep=False):
     """One chunk's score sums for ``plan`` (``_score_sums``) and, per policy
-    layout in ``layouts``, its per-field (sum, sum of squares).  Each
-    distinct bid column is built on first use and kept for the chunk, so
-    it is summed once however many policies read it; the policies share
-    four scratch columns.  ``held``, given on a pass's last chunk, is the
-    ``_reading`` of the hidden-value keys a scored layout may need beyond
-    ``rules``; the chunk then keeps its bid columns, contributions and
-    held entries, and also returns ``layout_fields(layout)``, the
-    per-field sums of one scored layout on them."""
-    held_rules, held_entries = held or ({}, ())
-    L, contribs, draw = _chunk_contributions(s, rules, entries, seed, start, stop,
-                                             held_entries)
+    layout in ``layouts``, the per-field (sum, sum of squares) of the
+    fields named in ``sums``.  Each distinct bid column is built on first
+    use and kept for the chunk, so it is summed once however many policies
+    read it; the policies share four scratch columns.  With ``keep``, on a
+    scoring pass's last chunk, the chunk keeps its bid columns and
+    contributions and also returns ``layout_fields(layout)``, the revenue
+    fields of one scored layout on them."""
+    L, contribs = _chunk_contributions(s, rules, entries, seed, start, stop)
     built, views = {}, _ids(s).items
 
     def bids(view):
@@ -447,20 +469,16 @@ def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop, held=None):
         return [built[keys] for keys in views[view]]
 
     scratch = np.empty((4, L))
-    sums = _score_sums(bids, plan, scratch[0])
-    fields = [_policy_fields(bids, contribs, layout, scratch) for layout in layouts]
-    if held is None:
-        return sums, fields
+    score = _score_sums(bids, plan, scratch[0])
+    fields = [_policy_fields(bids, contribs, layout, scratch, sums) for layout in layouts]
+    if not keep:
+        return score, fields
 
     def layout_fields(layout):
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in chain(*layout[1]):
-                if k not in contribs:
-                    entry, rule = held_rules[k]
-                    contribs[k] = rule if isinstance(rule, float) else rule(draw(entry))
-            return _policy_fields(bids, contribs, layout, np.empty((4, L)))
+            return _policy_fields(bids, contribs, layout, np.empty((4, L)), _REVENUE_SUMS)
 
-    return sums, fields, layout_fields
+    return score, fields, layout_fields
 
 
 def _score_plan(layouts):
@@ -493,16 +511,18 @@ def _score_sums(bids, plan, scratch):
     return sums
 
 
-def _policy_fields(bids, contribs, layout, scratch):
-    """One policy's per-field (sum, sum of squares) over one chunk.  Each
-    distinct view is settled once by one top-two pass, whose masks give
-    every win credit and surplus; bidders are then read in order, so the
-    revenue column adds their perceived surpluses in bidder order.  Bids
-    are never -0.0 (columns are sums from 0.0), so unless a sum overflows
-    the gap is finite and non-negative, and a product with a top-bid mask
-    is the same float as a masked select.  Credit, surplus, hidden value
-    and squares are written into the scratch columns, which each field
-    reads before the next one overwrites them."""
+def _policy_fields(bids, contribs, layout, scratch, sums):
+    """One policy's per-field (sum, sum of squares) over one chunk, for the
+    fields named in ``sums`` alone.  Each view a read field needs is settled
+    once by one top-two pass, whose masks give every win credit and
+    surplus; a view's 1/#top-bids share is built only if a credit under it
+    is read.  Bidders are then read in order, so the revenue column adds
+    their perceived surpluses in bidder order.  Bids are never -0.0
+    (columns are sums from 0.0), so unless a sum overflows the gap is
+    finite and non-negative, and a product with a top-bid mask is the same
+    float as a masked select.  Credit, surplus, hidden value and squares
+    are written into the scratch columns, which each field reads before
+    the next one overwrites them."""
     views, unaware, full_idx, bidder_idx = layout
     credit, surplus, hidden, square = scratch
     fields = {}
@@ -510,92 +530,106 @@ def _policy_fields(bids, contribs, layout, scratch):
     def put(name, data):
         fields[name] = (float(data.sum()), float(np.square(data, out=square).sum()))
 
-    def settle(v):
+    def settle(v, shared):
         """Top bid and price under view v, and its (top masks, top-two gap,
-        1/#top bids)."""
+        1/#top bids if ``shared``)."""
         first, second, n_top, masks = top_two(bids(views[v]))
-        return first, second, (masks, first - second, 1.0 / n_top)
+        return first, second, (masks, first - second, 1.0 / n_top if shared else None)
 
-    def outcome(v, i, kind):
-        """Put bidder i's surplus and win credit under settled view v; both
-        stay in their scratch columns until the next call."""
+    def outcome(v, i, kinds, surplus_kept, credit_kept):
+        """Put bidder i's surplus and win credit under settled view v, each
+        under every name of ``kinds`` that is read.  A column is computed
+        also when it is kept for a later field (the perceived surplus for
+        the revenue, the actual credit for the hidden value), and stays in
+        its scratch column until the next call."""
         masks, gap, share = settled[v]
-        put(f"surplus_{kind}_{i}", np.multiply(masks[i - 1], gap, out=surplus))
-        put(f"credit_{kind}_{i}", np.multiply(masks[i - 1], share, out=credit))
+        for field, column, factor, kept in (("surplus", surplus, gap, surplus_kept),
+                                            ("credit", credit, share, credit_kept)):
+            names = [f"{field}_{kind}" for kind in kinds if f"{field}_{kind}" in sums]
+            if names or kept:
+                np.multiply(masks[i - 1], factor, out=column)
+            if names:
+                put(f"{names[0]}_{i}", column)
+                for name in names[1:]:
+                    fields[f"{name}_{i}"] = fields[f"{names[0]}_{i}"]
 
-    settled = {v: settle(v)[2] for v in set(bidder_idx) - {full_idx}}
-    first, price, settled[full_idx] = settle(full_idx)
-    put("first", first)
-    put("second", price)
+    settled = {}
+    if sums & {"surplus_perc", "credit_perc", "revenue"}:
+        settled = {v: settle(v, "credit_perc" in sums)[2] for v in set(bidder_idx) - {full_idx}}
+    first, price, settled[full_idx] = settle(
+        full_idx, bool(sums & {"credit_act", "credit_perc", "hidden"}))
+    if "first" in sums:
+        put("first", first)
+    if "second" in sums:
+        put("second", price)
     revenue = price                   # the price column, read only above
     for i, vi in enumerate(bidder_idx, start=1):
-        outcome(full_idx, i, "act")
-        if unaware[i - 1]:
+        own = vi == full_idx          # the perceived fields are the actual ones
+        outcome(full_idx, i, ("act", "perc") if own else ("act",),
+                own and "revenue" in sums, "hidden" in sums)
+        if "hidden" in sums and unaware[i - 1]:
             hidden.fill(0.0)
             for key in unaware[i - 1]:
                 hidden += contribs[key]
             hidden *= credit          # still the full view's credit
             put(f"hidden_{i}", hidden)
-        else:
+        elif "hidden" in sums:
             fields[f"hidden_{i}"] = (0.0, 0.0)
-        if vi == full_idx:
-            fields[f"surplus_perc_{i}"] = fields[f"surplus_act_{i}"]
-            fields[f"credit_perc_{i}"] = fields[f"credit_act_{i}"]
-        else:
-            outcome(vi, i, "perc")
-        revenue += surplus            # bidder i's perceived surplus
-    put("revenue", revenue)
+        if not own:
+            outcome(vi, i, ("perc",), "revenue" in sums, False)
+        if "revenue" in sums:
+            revenue += surplus        # bidder i's perceived surplus
+    if "revenue" in sums:
+        put("revenue", revenue)
     return fields
 
 
-def _mc_pass(s: Scenario, scored: tuple, bundled: tuple, config: EstimatorConfig):
-    """Revenue scores of ``scored``, bundles of ``bundled`` and the handle
-    that settles one scored policy, as ``score_policies`` returns them,
-    from one pass over the draws.  A scored policy reads only its bid
-    columns: no hidden value, credit, first order statistic or sum of
-    squares is computed for it, and an entry it reads only as a hidden
-    value is not inverted unless the handle settles it, on the last chunk
-    alone."""
+def _mc_pass(s: Scenario, scored: tuple, bundled: tuple, config: EstimatorConfig, sums):
+    """Revenue scores of ``scored``, bundles of ``bundled`` with the fields
+    named in ``sums`` and the handle that settles one scored policy, as
+    ``score_policies`` returns them, from one pass over the draws.  A
+    scored policy reads only its bid columns: no hidden value, credit,
+    first order statistic or sum of squares is computed for it, and no
+    entry it reads only as a hidden value is inverted."""
     S = config.n_samples
     ranges = [(a, min(a + _CHUNK, S)) for a in range(0, S, _CHUNK)]
     score_layouts = [_policy_layout(s, p) for p in scored]
-    partials = _mc_partials(s, score_layouts, bundled, config, ranges)
+    partials = _mc_partials(s, score_layouts, bundled, config, ranges, sums)
     scores = _final_scores(score_layouts, [part[0] for part in partials], S)
     bundles = tuple(_mc_bundle_from(s, [part[1][b] for part in partials], config)
                     for b in range(len(bundled)))
     last = partials[-1]
 
     def settle(k):
-        head = _mc_partials(s, (), (scored[k],), config, ranges[:-1])
+        head = _mc_partials(s, (), (scored[k],), config, ranges[:-1], _REVENUE_SUMS)
         return _mc_bundle_from(s, [part[1][0] for part in head]
                                + [last[2](score_layouts[k])], config)
 
     return scores, bundles, settle
 
 
-def _mc_partials(s, score_layouts, bundled, config, ranges):
+def _mc_partials(s, score_layouts, bundled, config, ranges, sums):
     """Per draw range, in draw-index order: the chunk's score sums for
-    ``score_layouts`` and the per-field sums of each ``bundled`` policy.
-    When anything is scored, the last chunk also returns its
-    ``layout_fields`` (``_mc_chunk``)."""
+    ``score_layouts`` and the per-field sums of each ``bundled`` policy,
+    for the fields named in ``sums``.  When anything is scored, the last
+    chunk also returns its ``layout_fields`` (``_mc_chunk``).  A key read
+    only as a hidden value is read, and its entry inverted, only when
+    hidden values are."""
     layouts = [_policy_layout(s, p) for p in bundled]
     plan = _score_plan(score_layouts)
     items = _ids(s).items
     used = {k for view in set(plan).union(*(layout[0] for layout in layouts))
             for keys in items[view] for k in keys}
-    used.update(k for layout in layouts for k in chain(*layout[1]))
+    if "hidden" in sums:
+        used.update(k for layout in layouts for k in chain(*layout[1]))
     rules, entries = _reading(s, used)
-    # hidden values no bid column reads: held on the last chunk alone, and
-    # inverted only for a policy the handle settles
-    hidden = {k for layout in score_layouts for k in chain(*layout[1])}
-    held = _reading(s, hidden - rules.keys())
 
     def run(rng):
         # an overflow is not warned about: every non-finite mean is rejected
         # by _final_scores, and every non-finite field by _mc_bundle_from
         with np.errstate(over="ignore", invalid="ignore"):
-            return _mc_chunk(s, rules, plan, layouts, entries, config.seed, *rng,
-                             held if score_layouts and rng == ranges[-1] else None)
+            return _mc_chunk(s, rules, plan, layouts, entries, config.seed, *rng, sums,
+                             bool(score_layouts) and rng == ranges[-1])
 
     if config.workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -629,7 +663,8 @@ def _not_finite(name, detail):
 
 
 def _mc_bundle_from(s: Scenario, partials: list, config: EstimatorConfig) -> EstimateBundle:
-    """One policy's bundle from its per-chunk partial sums."""
+    """One policy's bundle from its per-chunk partial sums; a field with no
+    sums is None, and so is its standard error."""
     S = config.n_samples
     sums: dict = {}
     for part in partials:         # merge in draw-index order: deterministic
@@ -639,6 +674,8 @@ def _mc_bundle_from(s: Scenario, partials: list, config: EstimatorConfig) -> Est
             acc[1] += sq
 
     def stat(name):
+        if name not in sums:              # a field the caller does not read
+            return None, None
         sm, sq = sums[name]
         mu = sm / S
         se = None if S < 2 else math.sqrt(max(sq - sm * sm / S, 0.0) / (S - 1) / S)

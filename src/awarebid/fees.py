@@ -18,14 +18,43 @@ are reported separately.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import EstimateBundle, EstimatorConfig, estimate
+from .engine import (
+    REVENUE_FIELDS,
+    BidderEstimate,
+    EstimateBundle,
+    EstimationError,
+    EstimatorConfig,
+    estimate,
+)
 from .scenario import DisclosurePolicy, Scenario
 
-__all__ = ["FeeSchedule", "RevenueReport", "CurseReport",
+__all__ = ["FeeSchedule", "RevenueReport", "CurseReport", "FEE_FIELDS", "CURSE_FIELDS",
            "entry_fees", "revenue", "curse_gap"]
+
+# The bundle fields each report reads; under Monte Carlo only these are
+# estimated.  Revenue's set is the engine's, on which a search settles its
+# winner.
+FEE_FIELDS = frozenset({"perceived_surplus", "actual_surplus"})
+CURSE_FIELDS = FEE_FIELDS | {"win_prob_actual", "hidden_win_value"}
+_PER_BIDDER = frozenset(f.name for f in dataclasses.fields(BidderEstimate))
+
+
+def _bundle(s, p, config, bundle, fields) -> EstimateBundle:
+    """``bundle``, or one estimated for ``fields``; a given bundle that
+    lacks one of ``fields`` (estimated for another report) raises
+    EstimationError naming it.  Every bidder of a bundle holds the same
+    fields, so the first one stands for all."""
+    if bundle is None:
+        return estimate(s, p, config, fields)
+    for name in sorted(fields):
+        if getattr(bundle.bidders[0] if name in _PER_BIDDER else bundle, name) is None:
+            raise EstimationError(f"the bundle lacks {name!r}, which this report reads: "
+                                  "estimate it with that field")
+    return bundle
 
 
 @dataclass(frozen=True)
@@ -84,7 +113,10 @@ class CurseReport:
 def entry_fees(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig,
                bundle: EstimateBundle = None) -> FeeSchedule:
     """Fee schedule from one estimation pass (pass ``bundle`` to reuse one)."""
-    b = bundle if bundle is not None else estimate(s, p, config)
+    return _schedule(_bundle(s, p, config, bundle, FEE_FIELDS))
+
+
+def _schedule(b: EstimateBundle) -> FeeSchedule:
     fees = tuple(be.perceived_surplus for be in b.bidders)
     full = tuple(be.actual_surplus for be in b.bidders)
     rents = tuple(f - g for f, g in zip(fees, full))
@@ -98,8 +130,8 @@ def entry_fees(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig,
 def revenue(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig,
             bundle: EstimateBundle = None) -> RevenueReport:
     """Total revenue by both routes plus the residual between them."""
-    b = bundle if bundle is not None else estimate(s, p, config)
-    schedule = entry_fees(s, p, config, bundle=b)
+    b = _bundle(s, p, config, bundle, REVENUE_FIELDS)
+    schedule = _schedule(b)
     total = schedule.total_fees + b.second_order_stat
     residual = total - (b.first_order_stat + schedule.total_rents)
     return RevenueReport(
@@ -116,7 +148,7 @@ def revenue(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig,
 
 def curse_gap(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig,
               bundle: EstimateBundle = None) -> CurseReport:
-    b = bundle if bundle is not None else estimate(s, p, config)
+    b = _bundle(s, p, config, bundle, CURSE_FIELDS)
     gaps = tuple(be.hidden_win_value for be in b.bidders)
     actual = tuple(be.actual_surplus + be.hidden_win_value - be.perceived_surplus
                    for be in b.bidders)

@@ -13,6 +13,8 @@ from awarebid.distributions import (
     DiscreteFinite,
     FullInfo,
     NoInfo,
+    Normal,
+    Partition,
     PointMass,
     UniformContinuous,
     atom_lattice,
@@ -240,6 +242,26 @@ def build_noinfo_tie(mean_val=F(2, 5)):
     d = DiscreteFinite([0, 1], [1 - mean_val, mean_val])
     return validate(2, 1, [[d], [d]], [[1], [1]],
                     [{1: NoInfo()}, {1: NoInfo()}])
+
+
+def build_mixed_six_by_four():
+    """6 bidders x 4 characteristics in the shape of the benchmark's mixed
+    scenarios: characteristic 1 a tie-heavy discrete law read in full or
+    through a cell partition, 2 normal, 3 uniform read in full or not at
+    all, 4 normal read through cutpoints.  Four bidders are unaware of some
+    characteristics.  Each entry has its own law object."""
+    laws = [[DiscreteFinite([0, 1, 3], [F(1, 4), F(1, 2), F(1, 4)]),
+             Normal(0.5 + i / 10, 1 + i / 20),
+             UniformContinuous(-1 + i / 10, 2.5 + i / 5),
+             Normal(-0.3 + i / 10, 0.8)] for i in range(6)]
+    cells = Partition(cells=[(0, 1), (2,)])
+    info = [{1: FullInfo(), 2: FullInfo(), 3: NoInfo(), 4: Partition(cutpoints=[-0.5, 0.4])},
+            {1: cells, 2: FullInfo()},
+            {1: FullInfo(), 3: FullInfo(), 4: Partition(cutpoints=[0.1])},
+            {1: cells, 2: FullInfo(), 3: NoInfo(), 4: Partition(cutpoints=[-0.2])},
+            {1: FullInfo()},
+            {1: FullInfo(), 2: FullInfo()}]
+    return validate(6, 4, laws, [sorted(levels) for levels in info], info)
 
 
 @pytest.fixture

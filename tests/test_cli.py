@@ -416,14 +416,17 @@ def test_revenue_rejects_infinite_normal_parameter(capsysbinary, tmp_path, field
 def test_mc_overflow_exits_one_without_rows(capsysbinary, scenario_dir, tmp_path,
                                             command, law):
     # finite laws whose Monte Carlo sums (or sums of squares) overflow double
-    # precision: an error naming the field, no inf or NaN rows, no warning
+    # precision: an error naming the field, no inf or NaN rows, no warning.
+    # fees computes no order statistic: its first field is bidder 1's fee
+    field = {"revenue": b"first", "fees": b"surplus_perc_1"}[command]
     doc = json.loads((scenario_dir / "example1.json").read_text())
     doc["characteristics"][1]["distributions"] = [law, law]
     status = main([command, "--scenario", _write(tmp_path, doc), "--samples", "1000"])
     captured = capsysbinary.readouterr()
     assert status == 1
     assert captured.out == b""
-    assert captured.err.startswith(b"error: Monte Carlo estimate 'first' is not finite")
+    assert captured.err.startswith(b"error: Monte Carlo estimate '" + field
+                                   + b"' is not finite")
 
 
 @pytest.mark.parametrize("law", [

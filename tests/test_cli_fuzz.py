@@ -113,7 +113,12 @@ FOUND = [
      "is not finite"),
     ("hiding_demo", [(_law(0, 0, "lo"), -1e308)], ["optimize", "--regime", "public-full-info"],
      "is not finite"),
+    # the search's winner hides this law from bidder 1, and its report
+    # reads no hidden value, so only the curse report overflows
     ("hiding_demo", [(_law(1, 0, "stddev"), 1.7e308)], ["optimize", "--regime", "individual"],
+     None),
+    ("hiding_demo", [(("awareness", 0), [1]), (("info", 0), {"1": "full"}),
+                     (_law(1, 0, "stddev"), 1.7e308)], ["curse"],
      "Monte Carlo estimate 'hidden_1' is not finite"),
     ("d1", [(_law(j, i, "atoms", 1, 0), 1.7e308) for j in (0, 1) for i in (0, 1)], ["revenue"],
      "expected_first_order_stat is not finite in double precision"),
@@ -122,7 +127,8 @@ FOUND = [
 
 @pytest.mark.parametrize("name,edits,command,error", FOUND,
                          ids=["narrow-uniform", "narrow-uniform-search", "huge-stddev",
-                              "huge-uniform", "huge-stddev-hidden", "exact-sum-past-double"])
+                              "huge-uniform", "huge-stddev-hidden", "huge-stddev-hidden-curse",
+                              "exact-sum-past-double"])
 def test_found_classes_keep_one_outcome(capsysbinary, tmp_path, name, edits, command, error):
     doc = copy.deepcopy(DOCS[f"{name}.json"])
     for at, value in edits:

@@ -33,7 +33,7 @@ from awarebid.distributions import (
     Partition,
     UniformContinuous,
 )
-from awarebid.engine import _CHUNK, EstimatorConfig, estimate, sample_draws
+from awarebid.engine import _CHUNK, FIELDS, REVENUE_FIELDS, EstimatorConfig, estimate, sample_draws
 from awarebid.fees import revenue
 from awarebid.scenario import Scenario, ScenarioError, validate
 from conftest import (
@@ -479,14 +479,14 @@ def three_char_scenario(n_bidders):
 MC_BATCH = EstimatorConfig(backend="mc", n_samples=_CHUNK + 7, seed=23)
 
 
-def _per_policy_loop(s, policies, config):
-    return tuple(estimate(s, p, config) for p in policies)
+def _per_policy_loop(s, policies, config, fields=FIELDS):
+    return tuple(estimate(s, p, config, fields) for p in policies)
 
 
-def _per_policy_scores(s, policies, config, bundled=()):
+def _per_policy_scores(s, policies, config, bundled=(), fields=FIELDS):
     scores = tuple(revenue(s, p, config).total_revenue for p in policies)
-    return (scores, _per_policy_loop(s, bundled, config),
-            lambda k: estimate(s, policies[k], config))
+    return (scores, _per_policy_loop(s, bundled, config, fields),
+            lambda k: estimate(s, policies[k], config, REVENUE_FIELDS))
 
 
 def _spied(monkeypatch, run, route, reference):
@@ -515,14 +515,17 @@ def _spied(monkeypatch, run, route, reference):
     return got, want, calls, starts
 
 
-def _check_bundles(s, policies, config, out):
-    """Every batched bundle is ``estimate`` of its policy alone and the plain
-    reference on the same draws."""
+def _check_bundles(s, policies, config, out, fields):
+    """Every batched bundle is ``estimate`` of its policy alone for
+    ``fields`` and, in those fields, the plain reference on the same
+    draws."""
     assert len(out) == len(policies)
     draws = sample_draws(s, config.seed, config.n_samples)
     for p, b in zip(policies, out):
-        assert b == estimate(s, p, config)
-        assert bundle_means(b) == mc_reference(s, p, draws)
+        assert b == estimate(s, p, config, fields)
+        means = {k: v for k, v in bundle_means(b).items() if v is not None}
+        ref = mc_reference(s, p, draws)
+        assert means == {k: ref[k] for k in means}
 
 
 def _batched_and_per_policy(monkeypatch, run):
@@ -530,8 +533,8 @@ def _batched_and_per_policy(monkeypatch, run):
     policies, config)] per call, chunk starts)."""
     got, want, calls, starts = _spied(monkeypatch, run, "estimate_policies",
                                       _per_policy_loop)
-    for (s, policies, config), _kwargs, out in calls:
-        _check_bundles(s, policies, config, out)
+    for (s, policies, config), kwargs, out in calls:
+        _check_bundles(s, policies, config, out, kwargs.get("fields", FIELDS))
     return got, want, [args for args, _kwargs, _out in calls], starts
 
 
@@ -544,8 +547,8 @@ def _scored_and_per_policy(monkeypatch, run):
     starts)."""
     stock = disclosure.score_policies
 
-    def recording(s, policies, config, bundled=()):
-        scores, bundles, settle = stock(s, policies, config, bundled)
+    def recording(s, policies, config, bundled=(), fields=FIELDS):
+        scores, bundles, settle = stock(s, policies, config, bundled, fields)
 
         def handle(k):
             bundle = settle(k)
@@ -562,10 +565,10 @@ def _scored_and_per_policy(monkeypatch, run):
     for (s, policies, config), kwargs, (scores, bundles, handle) in calls:
         policies, bundled = tuple(policies), tuple(kwargs.get("bundled", ()))
         assert scores == tuple(revenue(s, p, config).total_revenue for p in policies)
-        _check_bundles(s, bundled, config, bundles)
+        _check_bundles(s, bundled, config, bundles, kwargs.get("fields", FIELDS))
         assert len(handle.settled) <= 1
         for k, bundle in handle.settled:
-            _check_bundles(s, [policies[k]], config, [bundle])
+            _check_bundles(s, [policies[k]], config, [bundle], REVENUE_FIELDS)
         out.append((policies, bundled, handle.settled[0][0] if handle.settled else None))
     return got, want, out, starts
 
@@ -581,7 +584,7 @@ def test_mc_optimize_individual_matches_per_policy_loop(monkeypatch, n_bidders, 
     assert len(got.trace) == 4 ** n_bidders
     # one batched call scores every candidate without an analytic value
     # (all but the 4 common-awareness ones) and estimates the best analytic
-    # one in full
+    # one's revenue fields
     assert [len(scored) + len(bundled) for scored, bundled, _k in calls] == [4 ** n_bidders - 3]
     assert [len(bundled) for _scored, bundled, _k in calls] == [1]
     # the winner is scored in that call, whose handle settles it on the
@@ -603,7 +606,7 @@ def test_mc_greedy_matches_per_policy_loop(monkeypatch):
             s, MC_BATCH, {}, PolicyRegime.INDIVIDUAL))
     assert got == want
     # one call per sweep of 6, 5, ... trials; the common start joins the
-    # first, where it is the one analytic policy and is estimated in full
+    # first, where it is the one analytic policy and is estimated
     sizes = [len(scored) + len(bundled) for scored, bundled, _k in calls]
     assert len(sizes) > 1
     assert sizes == [7] + [6 - k for k in range(1, len(sizes))]
@@ -618,16 +621,15 @@ HIDING = {2: NoInfo(), 3: Partition(cutpoints=[0.0])}
 
 def test_mc_greedy_draws_each_chunk_once_per_pass(monkeypatch):
     # example1: the common start wins, so its value is analytic; it is
-    # estimated in full in the one sweep's batch and the report reuses
-    # that bundle
+    # estimated in the one sweep's batch and the report reuses that bundle
     s = example1_scenario()
     config = EstimatorConfig(backend="mc", n_samples=4 * _CHUNK, seed=5)
     starts, batches = [], []
     stock, stock_chunk = disclosure.score_policies, engine._uniform_chunk
 
-    def spy(s, policies, config, bundled=()):
+    def spy(s, policies, config, bundled=(), fields=FIELDS):
         batches.append((len(policies), len(bundled)))
-        return stock(s, policies, config, bundled)
+        return stock(s, policies, config, bundled, fields)
 
     def counting(seed, start, stop, n, m):
         starts.append(start)
@@ -691,54 +693,52 @@ def test_mc_search_report_matches_per_policy_loop(monkeypatch, search, n_samples
     assert starts == want_starts
 
 
-def test_mc_search_inverts_a_hidden_only_entry_for_the_winner_alone(monkeypatch):
-    # bidder 1's characteristic 2 is hidden by the winner and read by no bid
-    # column: it is inverted on the scoring pass's last chunk and on the
-    # report's redraw of the first; bidder 2's is hidden only by losing
-    # candidates (the analytic one estimated in full hides neither) and is
-    # never inverted
-    s = three_char_scenario(2)
-    config = EstimatorConfig(backend="mc", n_samples=_CHUNK + 1, seed=23)
-    inverted = []
-    stock = engine.ppf
-
-    def spy(law, u):
-        inverted.append(law)
-        return stock(law, u)
-
-    monkeypatch.setattr(engine, "ppf", spy)
-    res = optimize(s, PolicyRegime.INDIVIDUAL, config, char_info=HIDING)
-    assert res.policy.awareness == (frozenset({1}), frozenset({1, 2}))
-    assert sum(law is s.law(1, 2) for law in inverted) == 2
-    assert not any(law is s.law(2, 2) for law in inverted)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
-def test_mc_search_holds_hidden_only_entries_on_the_picking_chunk_alone(monkeypatch,
-                                                                        workers):
-    # the hidden values that no bid column reads are kept on the scoring
-    # pass's last chunk only, which the handle settles the winner on; no
-    # earlier chunk and no chunk of the report's redraw holds any
-    s = three_char_scenario(2)
+def test_mc_search_and_tradeoff_hold_and_invert_no_hidden_only_entry(monkeypatch, workers):
+    # a search's report and a trade-off read no hidden value, so no chunk
+    # of either call takes a key read only as a hidden value into its
+    # rules or inverts its entry.  Characteristic 2 is read only under no
+    # information in both calls, and in the trade-off nobody is aware of 3;
+    # the search's winner hides 2 from bidder 1
     config = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 7, seed=23,
                              workers=workers)
-    held = []
-    stock = engine._chunk_contributions
+    chunks, inverted = [], []
+    stock_chunk, stock_invert = engine._chunk_contributions, engine._invert
 
-    def spy(s, rules, entries, seed, start, stop, held_entries=()):
-        held.append((start, tuple(held_entries)))
-        return stock(s, rules, entries, seed, start, stop, held_entries)
+    def chunk(s, rules, entries, seed, start, stop):
+        chunks.append((start, [engine._ids(s).items[k] for k in rules], set(entries)))
+        return stock_chunk(s, rules, entries, seed, start, stop)
 
-    monkeypatch.setattr(engine, "_chunk_contributions", spy)
+    def invert(law, u):
+        inverted.append(law)
+        return stock_invert(law, u)
+
+    def read_no(s, chars):
+        hidden_only = {(i, j) for i in range(1, s.n_bidders + 1) for j in chars}
+        for _start, keys, entries in chunks:
+            assert all(isinstance(level, NoInfo) for i, j, level in keys if j in chars)
+            assert entries and not entries & hidden_only
+        assert inverted and not any(law is s.law(i, j) for law in inverted
+                                    for i, j in hidden_only)
+        chunks.clear()
+        inverted.clear()
+
+    monkeypatch.setattr(engine, "_chunk_contributions", chunk)
+    monkeypatch.setattr(engine, "_invert", invert)
+    s = three_char_scenario(2)
     res = optimize(s, PolicyRegime.INDIVIDUAL, config, char_info=HIDING)
-    monkeypatch.setattr(engine, "_chunk_contributions", stock)
     assert res.policy.awareness == (frozenset({1}), frozenset({1, 2}))
+    # the scoring pass, then the report's redraw of every chunk but the last
+    assert sorted(start for start, _k, _e in chunks) == [0, 0, _CHUNK, _CHUNK, 2 * _CHUNK,
+                                                         2 * _CHUNK, 3 * _CHUNK]
+    read_no(s, {2})
+    s3 = three_char_scenario(3)
+    base = checked_policy(s3, [{1, 2}, {1}, {1}], {2: NoInfo()})
+    check_tradeoff(s3, base, 2, 2, config)
+    assert sorted(start for start, _k, _e in chunks) == [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK]
+    read_no(s3, {2, 3})
+    monkeypatch.undo()
     assert res.report == revenue(s, res.policy, config)
-    last = 3 * _CHUNK
-    assert sorted(start for start, _h in held) == [0, 0, _CHUNK, _CHUNK, 2 * _CHUNK,
-                                                   2 * _CHUNK, last]
-    assert all(not h for start, h in held if start != last)
-    assert [h for start, h in held if start == last][0]
 
 
 def test_mc_tradeoff_matches_per_policy_loop(monkeypatch):

@@ -29,6 +29,7 @@ from awarebid.distributions import (
 )
 from awarebid.disclosure import CorpusConfig, verify_suite
 from awarebid.engine import (
+    REVENUE_FIELDS,
     BidderEstimate,
     EstimateBundle,
     EstimationError,
@@ -685,8 +686,8 @@ def test_scores_are_reported_revenue_from_one_pass(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_picked_policy_is_settled_on_the_scoring_pass(monkeypatch, workers):
     # one pass's handle settles every scored policy in turn: each bundle is
-    # == its own estimate, summed on the pass's kept last chunk plus a
-    # redraw of every chunk before it for that policy alone
+    # == its own estimate of the revenue fields, summed on the pass's kept
+    # last chunk plus a redraw of every chunk before it for that policy alone
     s, policies = mixed_candidates()
     cfg = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 5, seed=99, workers=workers)
     chunks = [0, _CHUNK, 2 * _CHUNK, 3 * _CHUNK]
@@ -706,9 +707,9 @@ def test_a_picked_policy_is_settled_on_the_scoring_pass(monkeypatch, workers):
         bundle = settle(k)
         assert sorted(starts) == chunks[:-1]
         monkeypatch.setattr(engine, "_uniform_chunk", stock)
-        assert bundle == estimate(s, p, cfg)
+        assert bundle == estimate(s, p, cfg, REVENUE_FIELDS)
         assert revenue(s, p, cfg, bundle=bundle).total_revenue == scores[k]
-    assert settle(0) == estimate(s, policies[0], cfg)      # a handle settles again
+    assert settle(0) == estimate(s, policies[0], cfg, REVENUE_FIELDS)  # it settles again
     # the exact backend reads the settled policy's bundle off its views
     s, p = build_d1()
     _scores, _bundles, settle = engine.score_policies(s, [p], EXACT)
@@ -741,7 +742,7 @@ def test_a_picked_pass_with_more_workers_than_cores_finishes(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert results[2] == results[4] == results[1]
     assert results[1][2] == estimate(s, policies[3], EstimatorConfig(
-        backend="mc", n_samples=3 * _CHUNK + 5, seed=3))
+        backend="mc", n_samples=3 * _CHUNK + 5, seed=3), REVENUE_FIELDS)
 
 
 def test_scoring_inverts_no_entry_read_only_as_a_hidden_value(monkeypatch):

@@ -1,20 +1,31 @@
 import random
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 
+from awarebid import engine
+from awarebid.cli import parse_scenario
 from awarebid.disclosure import CorpusConfig, random_discrete_scenario
 from awarebid.distributions import (
+    DiscreteFinite,
     FullInfo,
     NoInfo,
     Partition,
     UniformContinuous,
     mean,
 )
-from awarebid.engine import EstimationError, EstimatorConfig, estimate
-from awarebid.fees import curse_gap, entry_fees, revenue
+from awarebid.engine import (
+    _CHUNK,
+    FIELDS,
+    REVENUE_FIELDS,
+    EstimationError,
+    EstimatorConfig,
+    estimate,
+)
+from awarebid.fees import CURSE_FIELDS, FEE_FIELDS, curse_gap, entry_fees, revenue
 from awarebid.scenario import lattice, validate
-from conftest import EXACT, build_noinfo_tie, coin
+from conftest import EXACT, SCENARIO_DIR, build_mixed_six_by_four, build_noinfo_tie, coin
 
 
 def test_d1_fee_schedule(d1):
@@ -156,3 +167,80 @@ def test_mc_residual_within_rounding(d1):
     rep = revenue(s, p, EstimatorConfig(backend="mc", n_samples=100_000, seed=6))
     # shared draws make the residual pure float rounding
     assert abs(rep.consistency_residual) < 1e-12
+
+
+# --- each report estimates only the fields it reads -------------------------
+
+READERS = [(entry_fees, FEE_FIELDS), (revenue, REVENUE_FIELDS), (curse_gap, CURSE_FIELDS)]
+
+
+def _scenario(name):
+    if name == "mixed":
+        return build_mixed_six_by_four()
+    return parse_scenario(str(SCENARIO_DIR / f"{name}.json"))[:2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["example1", "example2", "hiding_demo", "mixed"])
+def test_each_report_is_its_reading_of_the_full_bundle(name, workers):
+    # every report == the same report on the bundle of every field, and a
+    # bundle estimated for a set is None, value and SE, outside it alone
+    s, p = _scenario(name)
+    cfg = EstimatorConfig(backend="mc", n_samples=3 * _CHUNK + 5, seed=31, workers=workers)
+    full = estimate(s, p, cfg)
+    for report, fields in READERS:
+        assert report(s, p, cfg) == report(s, p, cfg, bundle=full)
+        b = estimate(s, p, cfg, fields)
+        for field in FIELDS:
+            owners = [b] if hasattr(b, field) else b.bidders
+            for value in chain(*((getattr(o, field), getattr(o, "se_" + field))
+                                 for o in owners)):
+                assert (value is None) == (field not in fields), (report.__name__, field)
+
+
+@pytest.mark.parametrize("name, draws, counts", [
+    # the benchmark's draw counts; inverse CDFs per revenue, entry_fees and
+    # curse_gap call
+    ("mixed", 1 << 18, (32, 32, 64)),
+    ("example1", 1 << 19, (24, 24, 32)),
+    ("example2", 1 << 19, (24, 24, 32)),
+])
+def test_only_the_curse_report_inverts_entries_read_as_hidden_values(monkeypatch, name,
+                                                                     draws, counts):
+    s, p = _scenario(name)
+    cfg = EstimatorConfig(backend="mc", n_samples=draws, seed=7)
+    hidden_only = [s.law(i, j) for i in range(1, s.n_bidders + 1)
+                   for j in s.full_set - p.aware(i)]
+    inverted = []
+    stock = engine._invert
+
+    def spy(law, u):
+        inverted.append(law)
+        return stock(law, u)
+
+    monkeypatch.setattr(engine, "_invert", spy)
+    for report, count in zip((revenue, entry_fees, curse_gap), counts):
+        inverted.clear()
+        report(s, p, cfg)
+        assert sum(not isinstance(law, DiscreteFinite) for law in inverted) == count
+        if name == "mixed":           # one law object per entry
+            assert any(law is h for law in inverted for h in hidden_only) == (
+                report is curse_gap)
+
+
+def test_a_report_refuses_a_bundle_without_a_field_it_reads():
+    s, p = build_mixed_six_by_four()
+    cfg = EstimatorConfig(backend="mc", n_samples=1000, seed=3)
+    b = estimate(s, p, cfg, REVENUE_FIELDS)
+    with pytest.raises(EstimationError, match="lacks 'hidden_win_value'"):
+        curse_gap(s, p, cfg, bundle=b)
+    with pytest.raises(EstimationError, match="lacks 'first_order_stat'"):
+        revenue(s, p, cfg, bundle=estimate(s, p, cfg, FEE_FIELDS))
+    assert entry_fees(s, p, cfg, bundle=b) == entry_fees(s, p, cfg)
+    with pytest.raises(EstimationError, match="unknown bundle fields"):
+        estimate(s, p, cfg, {"price"})
+
+
+def test_exact_bundles_hold_every_field_whatever_the_set(d1):
+    s, p = d1
+    assert estimate(s, p, EXACT, FEE_FIELDS) == estimate(s, p, EXACT)

@@ -34,7 +34,7 @@ from awarebid.distributions import (
     UniformContinuous,
 )
 from awarebid.engine import _CHUNK, FIELDS, REVENUE_FIELDS, EstimatorConfig, estimate, sample_draws
-from awarebid.fees import revenue
+from awarebid.fees import curse_gap, revenue
 from awarebid.scenario import Scenario, ScenarioError, validate
 from conftest import (
     EXACT,
@@ -739,6 +739,32 @@ def test_mc_search_and_tradeoff_hold_and_invert_no_hidden_only_entry(monkeypatch
     read_no(s3, {2, 3})
     monkeypatch.undo()
     assert res.report == revenue(s, res.policy, config)
+
+
+def test_mc_search_inverts_no_hidden_only_entry_and_the_winners_curse_gap_does(monkeypatch):
+    # bidder 1's characteristic 2 is hidden by the winner and read by no bid
+    # column; bidder 2's is hidden only by losing candidates.  Neither the
+    # search's scoring pass nor its report inverts either entry, while the
+    # winner's curse report, which reads hidden values, inverts bidder 1's
+    # once on each of its two chunks and bidder 2's never
+    s = three_char_scenario(2)
+    config = EstimatorConfig(backend="mc", n_samples=_CHUNK + 1, seed=23)
+    inverted = []
+    stock = engine._invert
+
+    def spy(law, u):
+        inverted.append(law)
+        return stock(law, u)
+
+    monkeypatch.setattr(engine, "_invert", spy)
+    res = optimize(s, PolicyRegime.INDIVIDUAL, config, char_info=HIDING)
+    assert res.policy.awareness == (frozenset({1}), frozenset({1, 2}))
+    assert inverted
+    assert not any(law is s.law(i, 2) for law in inverted for i in (1, 2))
+    inverted.clear()
+    curse_gap(s, res.policy, config)
+    assert sum(law is s.law(1, 2) for law in inverted) == 2
+    assert not any(law is s.law(2, 2) for law in inverted)
 
 
 def test_mc_tradeoff_matches_per_policy_loop(monkeypatch):

@@ -3,7 +3,7 @@
 Three constructible laws (uniform interval, normal, finite discrete with
 exact rational atom probabilities), plus the derived laws that arise when
 laws are summed: point masses and closed-form sum laws (``SumLaw``, a
-discrete part plus uniform parts plus a normal part; ``sum_pieces``).
+discrete part plus uniform parts plus a normal part; ``piece_lattice``).
 Information about a realized value is modeled as a finite
 measurable partition of the support; conditional expectations given a
 partition cell are closed-form for every supported kind, which is what makes
@@ -57,7 +57,6 @@ __all__ = [
     "support",
     "breakpoints",
     "convolve",
-    "sum_pieces",
     "piece_lattice",
     "atom_lattice",
     "fold_atom_lattices",
@@ -286,7 +285,7 @@ class SumLaw:
     integer form ``lattice``), U_i uniform on [0, ``widths[i]``] (exact
     Fractions), N a centred normal with standard deviation ``sigma`` (0.0
     for none).  Without N the CDF is the exact piecewise polynomial of
-    ``sum_pieces``; with N each piece is smoothed in closed form."""
+    ``piece_lattice``; with N each piece is smoothed in closed form."""
 
     lattice: AtomLattice
     widths: tuple
@@ -665,21 +664,10 @@ def piece_lattice(law) -> PieceLattice:
     return _pieces(law)
 
 
-def sum_pieces(law):
-    """Exact CDF of a law without a normal part as (knots, polys): Fraction
-    knots and, on each [knots[j], knots[j+1]), the ascending coefficients
-    of the CDF in powers of x - knots[j]; the CDF is 0 below the first
-    knot and 1 from the last."""
-    den, scale, nums, coefs = piece_lattice(law)
-    return (tuple(Fraction(n, den) for n in nums),
-            tuple(tuple(Fraction(a * den ** l, scale) for l, a in enumerate(coef))
-                  for coef in coefs))
-
-
 def _float_pieces(law: SumLaw):
     """A sum law's pieces rounded once to float64, kept on it: the knots,
-    and one row of local coefficients per piece (``sum_pieces`` in floats;
-    an int quotient rounds correctly, as the Fraction would)."""
+    and one row of local coefficients per piece (``piece_lattice`` in
+    floats; an int quotient rounds correctly, as a Fraction would)."""
     kept = law.__dict__.get("_floats")
     if kept is None:
         den, scale, nums, coefs = _pieces(law)

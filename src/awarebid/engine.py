@@ -15,39 +15,44 @@ hidden value an unaware bidder omits is what that contribution would add.
 
 * ``mc`` draws states with one fixed uniform variate per
   (bidder, characteristic, draw index) - common random numbers across
-  policies and viewpoints - in fixed-size chunks keyed by draw index, so
-  results are bit-identical for any worker count.  ``estimate_policies``
-  is the one route (``estimate`` is its one-policy case).  A chunk's
-  uniforms are contiguous (bidder, characteristic) columns filled from
-  cache-sized Philox sub-blocks.  Each entry some key reads is inverted
-  once (to its atom index for a finitely supported law, else its value)
-  and the uniforms are freed; then each key's contribution
-  (``_contribution_rule``: the mean under no information, else a function
-  of the draw, on a discrete law a table of ``distributions.cell_means``) and
-  each distinct bid column are computed once for the whole batch.  Atom
-  indices and cutpoint cells come from ``distributions.bin_index``, the
-  same integers as ``np.searchsorted``.  Each policy in turn settles its
-  views with one top-two pass each (``_kernels.top_two``), whose
-  per-column top masks give win credit and surplus in scratch columns
-  reused across bidders, fields and policies, reduced to per-field sums
-  and sums of squares.  Only the bundle fields the caller names
+  policies and viewpoints - in fixed-size chunks keyed by draw index,
+  walked lazily and merged in draw-index order as they arrive, so results
+  are bit-identical for any worker count.  ``score_policies`` is the one
+  route (``estimate_policies`` is its case with nothing scored, and
+  ``estimate`` its one-policy case).  A chunk's uniforms are contiguous
+  (bidder, characteristic) columns filled from cache-sized Philox
+  sub-blocks.  Each entry some key reads is inverted once (to its atom
+  index for a finitely supported law, else its value) and the uniforms
+  are freed; then each key's contribution (``_contribution_rule``: the
+  mean under no information, else a function of the draw, on a discrete
+  law a table of ``distributions.cell_means``) and each distinct bid
+  column are computed once for the whole batch.  Atom indices and
+  cutpoint cells come from ``distributions.bin_index``, the same integers
+  as ``np.searchsorted``.  One plan per pass (``_plan``) lists each
+  distinct view any scored or bundled policy reads and the reads it owes
+  (top bid, price, per bidder surplus, win credit and hidden value), each
+  with or without its sum of squares; one settle per chunk (``_settle``)
+  makes one top-two pass per planned view (``_kernels.top_two``, called
+  from there alone), reduces every read to a table of (sum, sum of
+  squares) keyed (view, bidder, field), and drops the view's arrays
+  before the next view.  A bundled policy's revenue column (the price
+  plus the perceived surpluses in bidder order), the one per-policy
+  column, grows in the price's own array as its terms are settled; a term
+  settled before its turn is copied until then.  Scores, bundles and the ``settle(k)``
+  handle read that one table.  Only the bundle fields the caller names
   (``fields``, every one of ``FIELDS`` by default) are computed, the
-  others are None: a 1/#ties share is built only for a credit that is
-  read, and a key read only as a hidden value is read, and its entry
-  inverted, only when hidden values are.  Each report of ``fees`` names
-  the fields it reads.  Top-two results are not
-  kept across policies.  A field that overflows double precision raises
-  EstimationError instead of being reported.  ``score_policies`` ranks
-  policies on the same pass and draws, for the policy search: each
-  distinct view any scored policy reads is settled once per chunk and
-  reduced only to the sums its revenue needs (each reading bidder's
-  surplus, and the price of a full view), so only floats outlive a view;
-  a score is ``==`` to the revenue report of that policy.  The pass also
-  returns a handle that settles any one scored policy's revenue fields
-  (``REVENUE_FIELDS``) on the same draws (the search's winner, once it is
-  decided): the last chunk's bid columns and contributions are kept, the
-  policy's fields are summed on them, and only the chunks before it are
-  redrawn, so a one-chunk search draws each chunk once.
+  others are None: a key read only as a hidden value is read, and its
+  entry inverted, only when hidden values are.  Each report of ``fees``
+  names the fields it reads.  A field that overflows double precision
+  raises EstimationError instead of being reported.  A score, the revenue
+  of a policy for the policy search, reads only its bidders' surpluses
+  under their own views and its price, with no squares; it is ``==`` to
+  the revenue report of that policy.  The pass also returns a handle that
+  settles any one scored policy's revenue fields (``REVENUE_FIELDS``) on
+  the same draws (the search's winner, once it is decided): the last
+  chunk's bid columns and contributions are kept, the policy's plan is
+  settled on them, and only the chunks before it are redrawn, so a
+  one-chunk search draws each chunk once.
 * ``exact`` sweeps each deduplicated viewpoint once.  Under one viewpoint
   bids are independent across bidders, so each bid column's law is the
   integer form ``orderstats.bid_lattice`` folds from its keys, and the
@@ -68,7 +73,6 @@ hidden value an unaware bidder omits is what that contribution would add.
 Both backends report, for every bidder, the perceived quantities (under the
 bidder's own awareness viewpoint) and the actual ones (under full
 awareness), from the same underlying draws.  There is no single-draw API:
-``sample_draws`` exposes the Monte Carlo backend's realized values, and
 settlement happens only inside the estimators, always with 1/#ties credit.
 """
 
@@ -76,10 +80,10 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -115,7 +119,6 @@ __all__ = [
     "estimate_policies",
     "exact_cap_check",
     "score_policies",
-    "sample_draws",
 ]
 
 _CHUNK = 1 << 16
@@ -372,24 +375,6 @@ def _uniform_chunk(seed: int, start: int, stop: int, n: int, m: int) -> np.ndarr
     return cols.reshape(n, m, count).transpose(2, 0, 1)
 
 
-def sample_draws(s: Scenario, seed: int, count: int) -> np.ndarray:
-    """Realized value matrices for draws 0..count-1 of the given seed, shape
-    (count, bidders, characteristics): the inverse CDF of every entry at
-    the same per-(draw, entry) uniforms as ``estimate``, so empirical
-    statistics computed from these draws are the Monte Carlo backend's
-    draws.  A seed outside 0..2**64-1 raises EstimationError."""
-    EstimatorConfig(seed=seed)                # the one check of a seed's range
-    n, m = s.n_bidders, s.m_characteristics
-    out = np.empty((count, n, m))
-    for a in range(0, count, _CHUNK):
-        b = min(a + _CHUNK, count)
-        U = _uniform_chunk(seed, a, b, n, m)
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                out[a:b, i - 1, j - 1] = ppf(s.law(i, j), U[:, i - 1, j - 1])
-    return out
-
-
 def _contribution_rule(law, level):
     """How one (bidder, characteristic, level) contribution is read off a
     chunk: the NoInfo mean as a float constant, or a function of the
@@ -428,11 +413,15 @@ def _invert(law, u):
     return (atom_index if isinstance(law, DiscreteFinite) else ppf)(law, u)
 
 
-def _reading(s, ids):
-    """Per key id, its (bidder, characteristic) entry and contribution rule,
-    and the entries some rule reads the draw of: an entry read only under
-    NoInfo needs no inverse CDF."""
+def _reading(s, plan):
+    """Per key id that a planned view's bid column or a planned hidden
+    value reads (``_plan``), its (bidder, characteristic) entry and
+    contribution rule, and the entries some rule reads the draw of: an
+    entry read only under NoInfo needs no inverse CDF."""
     keys = _ids(s).items
+    ids = {k for view in plan[0] for column in keys[view] for k in column}
+    ids.update(k for _top, reads in plan[0].values() for (_view, bidder, field), *_flags in reads
+               if field == "hidden" for k in bidder[1])
     rules = {k: (keys[k][:2], _contribution_rule(s.law(*keys[k][:2]), keys[k][2])) for k in ids}
     return rules, {entry for entry, rule in rules.values() if not isinstance(rule, float)}
 
@@ -450,211 +439,212 @@ def _chunk_contributions(s, rules, entries, seed, start, stop):
                for k, (entry, rule) in rules.items()}
 
 
-def _mc_chunk(s, rules, plan, layouts, entries, seed, start, stop, sums, keep=False):
-    """One chunk's score sums for ``plan`` (``_score_sums``) and, per policy
-    layout in ``layouts``, the per-field (sum, sum of squares) of the
-    fields named in ``sums``.  Each distinct bid column is built on first
-    use and kept for the chunk, so it is summed once however many policies
-    read it; the policies share four scratch columns.  With ``keep``, on a
-    scoring pass's last chunk, the chunk keeps its bid columns and
-    contributions and also returns ``layout_fields(layout)``, the revenue
-    fields of one scored layout on them."""
+def _plan(scored, bundled, sums):
+    """What one pass settles per chunk, from the layouts of its scored and
+    bundled policies, and where each reader finds its sums in the table.
+
+    The plan maps each distinct view id, in the order the scored and then
+    the bundled policies first read it, to its reads: each a table key
+    (view, bidder, field) with two flags, whether its sum of squares is
+    taken and whether its column is held for a revenue column.  A key's
+    bidder is None for the view's first and second columns, (0-based
+    bidder, unaware key ids) for a hidden value, else the 0-based bidder.
+    It also lists the revenue columns, each keyed by the tuple of the keys
+    it adds: the price, then the perceived surpluses in bidder order.
+    Returned with the plan: per scored layout the keys of its bidders'
+    surpluses and of its price, and per bundled layout the key of each sum
+    name in ``sums`` it reads, () for the hidden value of a bidder aware
+    of everything.  A score takes no squares."""
+    reads, revenues, bundle_keys = {}, {}, []
+
+    def read(view, bidder, field, squares=True, hold=False):
+        key = view, bidder, field
+        flags = reads.setdefault(view, {}).get(key, (False, False))
+        reads[view][key] = (flags[0] or squares, flags[1] or hold)
+        return key
+
+    score_keys = [([read(views[v], i, "surplus", False) for i, v in enumerate(bidder_idx)],
+                   read(views[full_idx], None, "second", False))
+                  for views, _unaware, full_idx, bidder_idx in scored]
+    for views, unaware, full_idx, bidder_idx in bundled:
+        full, own = views[full_idx], [views[v] for v in bidder_idx]
+        keys = {name: read(full, None, name) for name in ("first", "second") if name in sums}
+        for i, view in enumerate(own):
+            for name, at in (("surplus_perc", view), ("surplus_act", full),
+                             ("credit_perc", view), ("credit_act", full)):
+                if name in sums:
+                    keys[f"{name}_{i + 1}"] = read(at, i, name[:name.index("_")])
+            if "hidden" in sums:
+                keys[f"hidden_{i + 1}"] = unaware[i] and read(full, (i, unaware[i]), "hidden")
+        if "revenue" in sums:
+            keys["revenue"] = (read(full, None, "second", False, True),
+                               *(read(view, i, "surplus", False, True) for i, view in enumerate(own)))
+            revenues[keys["revenue"]] = None
+        bundle_keys.append(keys)
+    plan = {view: (got.pop((view, None, "first"), (None,))[0],
+                   [(key, *flags) for key, flags in got.items()]) for view, got in reads.items()}
+    return (plan, tuple(revenues)), score_keys, bundle_keys
+
+
+def _settle(bids, contribs, plan, L):
+    """One chunk's table for ``plan`` (``_plan``): every read reduced to
+    (sum, sum of squares) keyed (view, bidder, field), 0.0 for squares no
+    reader takes.  Each planned view is settled by one top-two pass, whose
+    per-column top masks give every surplus and win credit, and its arrays
+    are dropped before the next view's pass.  A revenue column starts from
+    a copy of its price and adds its terms in order as they are settled; a
+    term settled before its turn is copied and held until then.  Bids are
+    never -0.0 (columns are sums from 0.0), so unless a sum overflows the
+    gap is finite and non-negative, and a product with a top-bid mask is
+    the same float as a masked select.  Other columns are written into
+    scratch columns, each reduced before the next read overwrites it."""
+    views, revenues = plan
+    table, held, columns, added = {}, {}, {}, dict.fromkeys(revenues, 0)
+    col, acc, square = np.empty((3, L))
+
+    def put(key, data, squares):
+        table[key] = (float(data.sum()),
+                      float(np.square(data, out=square).sum()) if squares else 0.0)
+
+    def add(key, data):
+        held[key] = data
+        starting = [revenue for revenue in revenues if revenue[0] == key]
+        for n, revenue in enumerate(starting, 1):     # the last one takes the price itself
+            columns[revenue], added[revenue] = data if n == len(starting) else data.copy(), 1
+        for revenue, k in added.items():
+            while 0 < k < len(revenue) and revenue[k] in held:
+                columns[revenue] += held[revenue[k]]
+                k = added[revenue] = k + 1
+            if k == len(revenue) and revenue in columns:
+                put(revenue, columns.pop(revenue), True)
+        if any(key in revenue[k:] for revenue, k in added.items()):
+            held[key] = data.copy()
+        else:
+            del held[key]
+
+    for view, (top, reads) in views.items():
+        first, second, n_top, masks = top_two(bids(view))
+        if top is not None:
+            put((view, None, "first"), first, top)
+        gap = np.subtract(first, second, out=first)
+        share = data = None
+        for key, squares, hold in reads:
+            _view, bidder, field = key
+            if field == "second":
+                data = second
+            elif field == "surplus":
+                data = np.multiply(masks[bidder], gap, out=col)
+            else:                 # a win credit, or the unaware contributions times it
+                share = 1.0 / n_top if share is None else share
+                data = np.multiply(masks[bidder if field == "credit" else bidder[0]], share, col)
+                if field == "hidden":
+                    acc.fill(0.0)
+                    for k in bidder[1]:
+                        acc += contribs[k]
+                    data = np.multiply(acc, col, out=acc)
+            put(key, data, squares)
+            if hold:
+                add(key, data)
+        del first, second, n_top, masks, gap, data, share      # before the next view's pass
+    return table
+
+
+def _mc_chunk(s, rules, entries, plan, seed, start, stop, keep):
+    """One chunk's table for ``plan`` (``_settle``) and, with ``keep``, the
+    function that settles any plan of the same views on it: the chunk then
+    keeps its bid columns and contributions.  Each distinct bid column is
+    built on first use and kept for the chunk, so it is summed once however
+    many views read it."""
     L, contribs = _chunk_contributions(s, rules, entries, seed, start, stop)
-    built, views = {}, _ids(s).items
+    built, items = {}, _ids(s).items
 
     def bids(view):
-        for keys in views[view]:
+        for keys in items[view]:
             if keys not in built:
                 built[keys] = _bid_column(L, keys, contribs)
-        return [built[keys] for keys in views[view]]
+        return [built[keys] for keys in items[view]]
 
-    scratch = np.empty((4, L))
-    score = _score_sums(bids, plan, scratch[0])
-    fields = [_policy_fields(bids, contribs, layout, scratch, sums) for layout in layouts]
-    if not keep:
-        return score, fields
-
-    def layout_fields(layout):
+    def settle(plan):
+        # an overflow is not warned about: every non-finite mean is
+        # rejected by _mc_pass, and every non-finite field by _mc_bundle_from
         with np.errstate(over="ignore", invalid="ignore"):
-            return _policy_fields(bids, contribs, layout, np.empty((4, L)), _REVENUE_SUMS)
+            return _settle(bids, contribs, plan, L)
 
-    return score, fields, layout_fields
-
-
-def _score_plan(layouts):
-    """What scoring the policies of ``layouts`` reads: per distinct view
-    id, the 0-based bidders whose perceived surplus it gives, and whether
-    it is some policy's full view, which gives the price."""
-    plan = {}
-    for views, _unaware, full_idx, bidder_idx in layouts:
-        for i, v in enumerate(bidder_idx):
-            plan.setdefault(views[v], [set(), False])[0].add(i)
-        plan.setdefault(views[full_idx], [set(), False])[1] = True
-    return plan
+    return settle(plan), keep and settle
 
 
-def _score_sums(bids, plan, scratch):
-    """One chunk's sums for ``plan``, keyed (view, 0-based bidder) for the
-    bidder's surplus and (view, None) for a full view's price: each the
-    float ``_policy_fields`` sums for that field.  Each view is settled by
-    one top-two pass whose arrays are dropped before the next, so only
-    floats outlive a view."""
-    sums = {}
-    for view, (bidders, full) in plan.items():
-        first, second, _n_top, masks = top_two(bids(view))
-        gap = np.subtract(first, second, out=first)
-        for i in bidders:
-            sums[view, i] = float(np.multiply(masks[i], gap, out=scratch).sum())
-        if full:
-            sums[view, None] = float(second.sum())
-        del first, second, masks, gap
-    return sums
+def _in_order(run, starts, workers):
+    """``run(start)`` for each start, yielded in order.  With more than one
+    worker the runs go to a thread pool, at most two per worker ahead of
+    the one awaited."""
+    if workers == 1 or len(starts) < 2:
+        yield from map(run, starts)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        window = deque()
+        for start in starts:
+            window.append(pool.submit(run, start))
+            if len(window) > 2 * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
-def _policy_fields(bids, contribs, layout, scratch, sums):
-    """One policy's per-field (sum, sum of squares) over one chunk, for the
-    fields named in ``sums`` alone.  Each view a read field needs is settled
-    once by one top-two pass, whose masks give every win credit and
-    surplus; a view's 1/#top-bids share is built only if a credit under it
-    is read.  Bidders are then read in order, so the revenue column adds
-    their perceived surpluses in bidder order.  Bids are never -0.0
-    (columns are sums from 0.0), so unless a sum overflows the gap is
-    finite and non-negative, and a product with a top-bid mask is the same
-    float as a masked select.  Credit, surplus, hidden value and squares
-    are written into the scratch columns, which each field reads before
-    the next one overwrites them."""
-    views, unaware, full_idx, bidder_idx = layout
-    credit, surplus, hidden, square = scratch
-    fields = {}
+def _merge(total, table):
+    """Add one chunk's table into the running (sum, sum of squares) of each
+    key; merged in draw-index order, the sums are the same floats for any
+    worker count."""
+    for key, (sm, sq) in table.items():
+        before, squares = total.get(key, (0.0, 0.0))
+        total[key] = before + sm, squares + sq
 
-    def put(name, data):
-        fields[name] = (float(data.sum()), float(np.square(data, out=square).sum()))
 
-    def settle(v, shared):
-        """Top bid and price under view v, and its (top masks, top-two gap,
-        1/#top bids if ``shared``)."""
-        first, second, n_top, masks = top_two(bids(views[v]))
-        return first, second, (masks, first - second, 1.0 / n_top if shared else None)
+def _mc_tables(s, plan, config, stop, keep=False):
+    """The table of ``plan`` over draws [0, stop), chunk by chunk as the
+    chunks arrive, and with ``keep`` the last chunk's settle function
+    (``_mc_chunk``)."""
+    rules, entries = _reading(s, plan)
 
-    def outcome(v, i, kinds, surplus_kept, credit_kept):
-        """Put bidder i's surplus and win credit under settled view v, each
-        under every name of ``kinds`` that is read.  A column is computed
-        also when it is kept for a later field (the perceived surplus for
-        the revenue, the actual credit for the hidden value), and stays in
-        its scratch column until the next call."""
-        masks, gap, share = settled[v]
-        for field, column, factor, kept in (("surplus", surplus, gap, surplus_kept),
-                                            ("credit", credit, share, credit_kept)):
-            names = [f"{field}_{kind}" for kind in kinds if f"{field}_{kind}" in sums]
-            if names or kept:
-                np.multiply(masks[i - 1], factor, out=column)
-            if names:
-                put(f"{names[0]}_{i}", column)
-                for name in names[1:]:
-                    fields[f"{name}_{i}"] = fields[f"{names[0]}_{i}"]
+    def run(start):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _mc_chunk(s, rules, entries, plan, config.seed, start,
+                             min(start + _CHUNK, stop), keep and start + _CHUNK >= stop)
 
-    settled = {}
-    if sums & {"surplus_perc", "credit_perc", "revenue"}:
-        settled = {v: settle(v, "credit_perc" in sums)[2] for v in set(bidder_idx) - {full_idx}}
-    first, price, settled[full_idx] = settle(
-        full_idx, bool(sums & {"credit_act", "credit_perc", "hidden"}))
-    if "first" in sums:
-        put("first", first)
-    if "second" in sums:
-        put("second", price)
-    revenue = price                   # the price column, read only above
-    for i, vi in enumerate(bidder_idx, start=1):
-        own = vi == full_idx          # the perceived fields are the actual ones
-        outcome(full_idx, i, ("act", "perc") if own else ("act",),
-                own and "revenue" in sums, "hidden" in sums)
-        if "hidden" in sums and unaware[i - 1]:
-            hidden.fill(0.0)
-            for key in unaware[i - 1]:
-                hidden += contribs[key]
-            hidden *= credit          # still the full view's credit
-            put(f"hidden_{i}", hidden)
-        elif "hidden" in sums:
-            fields[f"hidden_{i}"] = (0.0, 0.0)
-        if not own:
-            outcome(vi, i, ("perc",), "revenue" in sums, False)
-        if "revenue" in sums:
-            revenue += surplus        # bidder i's perceived surplus
-    if "revenue" in sums:
-        put("revenue", revenue)
-    return fields
+    total, last = {}, None
+    for table, last in _in_order(run, range(0, stop, _CHUNK), config.workers):
+        _merge(total, table)
+    return total, last
 
 
 def _mc_pass(s: Scenario, scored: tuple, bundled: tuple, config: EstimatorConfig, sums):
     """Revenue scores of ``scored``, bundles of ``bundled`` with the fields
     named in ``sums`` and the handle that settles one scored policy, as
     ``score_policies`` returns them, from one pass over the draws.  A
-    scored policy reads only its bid columns: no hidden value, credit,
-    first order statistic or sum of squares is computed for it, and no
-    entry it reads only as a hidden value is inverted."""
+    scored policy reads only its bidders' surpluses under their own views
+    and its price, and no entry it reads only as a hidden value is
+    inverted.  A non-finite score names its first non-finite term, by
+    view in plan order, then by bidder with the price last."""
     S = config.n_samples
-    ranges = [(a, min(a + _CHUNK, S)) for a in range(0, S, _CHUNK)]
-    score_layouts = [_policy_layout(s, p) for p in scored]
-    partials = _mc_partials(s, score_layouts, bundled, config, ranges, sums)
-    scores = _final_scores(score_layouts, [part[0] for part in partials], S)
-    bundles = tuple(_mc_bundle_from(s, [part[1][b] for part in partials], config)
-                    for b in range(len(bundled)))
-    last = partials[-1]
+    layouts = [_policy_layout(s, p) for p in scored]
+    plan, score_keys, bundle_keys = _plan(layouts, [_policy_layout(s, p) for p in bundled], sums)
+    total, last = _mc_tables(s, plan, config, S, keep=bool(scored))
+    means = {key: sm / S for key, (sm, _sq) in total.items()}
+    bad = [key for own, price in score_keys for key in (*own, price)
+           if not math.isfinite(means[key])]
+    if bad:
+        order = list(plan[0])
+        view, i, field = min(bad, key=lambda k: (order.index(k[0]), k[1] is None, k[1] or 0))
+        raise _not_finite("second" if i is None else f"surplus_perc_{i + 1}",
+                          f"mean {means[view, i, field]!r}")
+    scores = tuple(sum(means[key] for key in own) + means[price] for own, price in score_keys)
 
     def settle(k):
-        head = _mc_partials(s, (), (scored[k],), config, ranges[:-1], _REVENUE_SUMS)
-        return _mc_bundle_from(s, [part[1][0] for part in head]
-                               + [last[2](score_layouts[k])], config)
+        one, _scores, (keys,) = _plan((), layouts[k:k + 1], _REVENUE_SUMS)
+        head, _last = _mc_tables(s, one, config, (S - 1) // _CHUNK * _CHUNK)
+        _merge(head, last(one))
+        return _mc_bundle_from(s, head, keys, config)
 
-    return scores, bundles, settle
-
-
-def _mc_partials(s, score_layouts, bundled, config, ranges, sums):
-    """Per draw range, in draw-index order: the chunk's score sums for
-    ``score_layouts`` and the per-field sums of each ``bundled`` policy,
-    for the fields named in ``sums``.  When anything is scored, the last
-    chunk also returns its ``layout_fields`` (``_mc_chunk``).  A key read
-    only as a hidden value is read, and its entry inverted, only when
-    hidden values are."""
-    layouts = [_policy_layout(s, p) for p in bundled]
-    plan = _score_plan(score_layouts)
-    items = _ids(s).items
-    used = {k for view in set(plan).union(*(layout[0] for layout in layouts))
-            for keys in items[view] for k in keys}
-    if "hidden" in sums:
-        used.update(k for layout in layouts for k in chain(*layout[1]))
-    rules, entries = _reading(s, used)
-
-    def run(rng):
-        # an overflow is not warned about: every non-finite mean is rejected
-        # by _final_scores, and every non-finite field by _mc_bundle_from
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _mc_chunk(s, rules, plan, layouts, entries, config.seed, *rng, sums,
-                             bool(score_layouts) and rng == ranges[-1])
-
-    if config.workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(run, ranges))
-    return [run(r) for r in ranges]
-
-
-def _final_scores(score_layouts, partials, S):
-    """Each scored layout's revenue from the per-chunk score sums: Python's
-    sum over bidders in order, plus the price, the float that fees.revenue
-    reports as total_revenue."""
-    means = {}
-    for key in partials[0]:
-        acc = 0.0
-        for part in partials:     # merge in draw-index order, as bundles do
-            acc += part[key]
-        mu = acc / S
-        if not math.isfinite(mu):
-            i = key[1]
-            raise _not_finite("second" if i is None else f"surplus_perc_{i + 1}",
-                              f"mean {mu!r}")
-        means[key] = mu
-    return tuple(sum(means[views[v], i] for i, v in enumerate(bidder_idx))
-                 + means[views[full_idx], None]
-                 for views, _u, full_idx, bidder_idx in score_layouts)
+    return scores, tuple(_mc_bundle_from(s, total, keys, config) for keys in bundle_keys), settle
 
 
 def _not_finite(name, detail):
@@ -662,38 +652,27 @@ def _not_finite(name, detail):
                            "the values overflow double precision")
 
 
-def _mc_bundle_from(s: Scenario, partials: list, config: EstimatorConfig) -> EstimateBundle:
-    """One policy's bundle from its per-chunk partial sums; a field with no
-    sums is None, and so is its standard error."""
+def _mc_bundle_from(s: Scenario, total: dict, keys, config: EstimatorConfig) -> EstimateBundle:
+    """One bundled policy's bundle from the merged table, where ``keys``
+    (``_plan``) gives the key of each sum name it reads; a field with no
+    key is None, and so is its standard error."""
     S = config.n_samples
-    sums: dict = {}
-    for part in partials:         # merge in draw-index order: deterministic
-        for name, (sm, sq) in part.items():
-            acc = sums.setdefault(name, [0.0, 0.0])
-            acc[0] += sm
-            acc[1] += sq
 
     def stat(name):
-        if name not in sums:              # a field the caller does not read
+        if name not in keys:              # a field the caller does not read
             return None, None
-        sm, sq = sums[name]
+        sm, sq = total[keys[name]] if keys[name] else (0.0, 0.0)
         mu = sm / S
         se = None if S < 2 else math.sqrt(max(sq - sm * sm / S, 0.0) / (S - 1) / S)
         if not (math.isfinite(mu) and (se is None or math.isfinite(se))):
             raise _not_finite(name, f"mean {mu!r}, standard error {se!r}")
         return mu, se
 
-    first, se_first = stat("first")
-    second, se_second = stat("second")
-    rev, se_rev = stat("revenue")
+    first, second, rev = (stat(name) for name in ("first", "second", "revenue"))
     bidders = []
-    for i in range(1, s.n_bidders + 1):
-        sp, se_sp = stat(f"surplus_perc_{i}")
-        sa, se_sa = stat(f"surplus_act_{i}")
-        wp, se_wp = stat(f"credit_perc_{i}")
-        wa, se_wa = stat(f"credit_act_{i}")
-        hv, se_hv = stat(f"hidden_{i}")
-        bidders.append(BidderEstimate(sp, sa, wp, wa, hv,
-                                      se_sp, se_sa, se_wp, se_wa, se_hv))
-    return EstimateBundle(first, second, tuple(bidders), "mc", S,
-                          se_first, se_second, rev, se_rev)
+    for i in range(1, s.n_bidders + 1):       # in BidderEstimate's field order
+        means, ses = zip(*(stat(f"{name}_{i}") for name in (
+            "surplus_perc", "surplus_act", "credit_perc", "credit_act", "hidden")))
+        bidders.append(BidderEstimate(*means, *ses))
+    return EstimateBundle(first[0], second[0], tuple(bidders), "mc", S,
+                          first[1], second[1], rev[0], rev[1])

@@ -23,7 +23,7 @@ from awarebid.distributions import (
     conditional_mean,
     lattice_mean,
     mean,
-    sum_pieces,
+    piece_lattice,
 )
 from awarebid.engine import _CHUNK, EstimatorConfig
 from awarebid.scenario import validate
@@ -88,6 +88,18 @@ def atom_cdf(law, y):
     return sum((p for v, p in zip(law.values, law.probs) if v <= y), F(0))
 
 
+def sum_pieces(law):
+    """Exact CDF of a law without a normal part as (knots, polys): Fraction
+    knots and, on each [knots[j], knots[j+1]), the ascending coefficients
+    of the CDF in powers of x - knots[j], read off the law's integer form
+    (``piece_lattice``); the CDF is 0 below the first knot and 1 from the
+    last."""
+    den, scale, nums, coefs = piece_lattice(law)
+    return (tuple(F(n, den) for n in nums),
+            tuple(tuple(F(a * den ** l, scale) for l, a in enumerate(coef))
+                  for coef in coefs))
+
+
 def piece_cdf(law, y):
     """Exact Fraction CDF of a law without a normal part at a rational y,
     read off its exact pieces (``sum_pieces``) by Horner's rule."""
@@ -98,6 +110,26 @@ def piece_cdf(law, y):
     out = F(0)
     for c in reversed(polys[j - 1]):
         out = out * (y - knots[j - 1]) + c
+    return out
+
+
+def sample_draws(s, seed, count):
+    """Realized value matrices for draws 0..count-1 of the given seed, shape
+    (count, bidders, characteristics): the inverse CDF of every entry at
+    the same per-(draw, entry) uniforms as ``estimate``, so empirical
+    statistics computed from these draws are the Monte Carlo backend's
+    draws.  The uniforms and the inverse CDF are looked up on the engine
+    module, so a test's spy on either sees these calls too.  A seed outside
+    0..2**64-1 raises EstimationError."""
+    EstimatorConfig(seed=seed)                # the one check of a seed's range
+    n, m = s.n_bidders, s.m_characteristics
+    out = np.empty((count, n, m))
+    for a in range(0, count, _CHUNK):
+        b = min(a + _CHUNK, count)
+        U = engine._uniform_chunk(seed, a, b, n, m)
+        for i in range(1, n + 1):
+            for j in range(1, m + 1):
+                out[a:b, i - 1, j - 1] = engine.ppf(s.law(i, j), U[:, i - 1, j - 1])
     return out
 
 

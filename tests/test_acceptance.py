@@ -18,7 +18,7 @@ from awarebid.distributions import (
     Normal,
     UniformContinuous,
 )
-from awarebid.engine import EstimatorConfig, estimate, sample_draws
+from awarebid.engine import EstimatorConfig, estimate
 from awarebid.fees import curse_gap, revenue
 from awarebid.orderstats import (
     OrderStatLaw,
@@ -28,7 +28,16 @@ from awarebid.orderstats import (
     valuation_law,
 )
 from awarebid.scenario import Perspective, validate
-from conftest import EXACT, KS_COEFF_001, atom_cdf, build_d1, coin, ks_statistic, permanent
+from conftest import (
+    EXACT,
+    KS_COEFF_001,
+    atom_cdf,
+    build_d1,
+    coin,
+    ks_statistic,
+    permanent,
+    sample_draws,
+)
 
 
 def _report(num, label):

@@ -33,7 +33,7 @@ from awarebid.distributions import (
     Partition,
     UniformContinuous,
 )
-from awarebid.engine import _CHUNK, FIELDS, REVENUE_FIELDS, EstimatorConfig, estimate, sample_draws
+from awarebid.engine import _CHUNK, FIELDS, REVENUE_FIELDS, EstimatorConfig, estimate
 from awarebid.fees import curse_gap, revenue
 from awarebid.scenario import Scenario, ScenarioError, validate
 from conftest import (
@@ -45,6 +45,7 @@ from conftest import (
     decoded_layout,
     mc_reference,
     reference_layout,
+    sample_draws,
 )
 
 MC = EstimatorConfig(backend="mc", n_samples=200_000, seed=17)

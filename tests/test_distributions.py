@@ -30,13 +30,12 @@ from awarebid.distributions import (
     mean,
     ppf,
     quantile_range,
-    sum_pieces,
     support,
 )
-from awarebid.engine import _uniform_chunk, sample_draws
+from awarebid.engine import _uniform_chunk
 from awarebid.scenario import validate
 from conftest import KS_COEFF_001 as KS_BOUND_001
-from conftest import ks_statistic
+from conftest import ks_statistic, sample_draws, sum_pieces
 
 
 def test_mean_examples():

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from awarebid import engine
+from awarebid import disclosure, engine
 from awarebid._kernels import second_price_stats, top_two
 from awarebid.distributions import (
     DiscreteFinite,
@@ -27,8 +28,10 @@ from awarebid.distributions import (
     mean,
     ppf,
 )
-from awarebid.disclosure import CorpusConfig, verify_suite
+from awarebid.cli import parse_scenario
+from awarebid.disclosure import CorpusConfig, check_tradeoff, optimize, verify_suite
 from awarebid.engine import (
+    FIELDS,
     REVENUE_FIELDS,
     BidderEstimate,
     EstimateBundle,
@@ -36,7 +39,6 @@ from awarebid.engine import (
     EstimatorConfig,
     estimate,
     exact_cap_check,
-    sample_draws,
     _CHUNK,
     _uniform_chunk,
 )
@@ -44,6 +46,7 @@ from awarebid.fees import revenue
 from awarebid.scenario import Scenario, validate
 from conftest import (
     EXACT,
+    SCENARIO_DIR,
     build_d1,
     build_noinfo_tie,
     build_u01,
@@ -52,6 +55,7 @@ from conftest import (
     decoded_layout,
     mc_reference,
     reference_layout,
+    sample_draws,
 )
 
 
@@ -909,29 +913,120 @@ def referenced_normal_batch():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_policy_batch_builds_each_column_once_per_chunk(referenced_normal_batch, monkeypatch,
                                                         workers):
-    # the 64 policies share one chunk's bid columns: each distinct (bidder,
-    # contributions) column is built once per chunk, and every bundle is
-    # still == its own estimate and the plain per-policy reference
+    # the 64 policies share one chunk's bid columns and settled views: each
+    # distinct (bidder, contributions) column is built once per chunk, each
+    # distinct view settled by one top-two pass per chunk, and every bundle
+    # is still == its own estimate and the plain per-policy reference
     s, policies, references = referenced_normal_batch
     cfg = EstimatorConfig(backend="mc", n_samples=NORMAL_BATCH_SAMPLES, seed=8, workers=workers)
-    builds = []
-    stock = engine._bid_column
+    builds, settles = [], []
+    stock, stock_top_two = engine._bid_column, engine.top_two
 
     def counting(L, keys, contribs):
         builds.append((L, keys))
         return stock(L, keys, contribs)
 
+    def settling(cols):
+        settles.append(len(cols[0]))
+        return stock_top_two(cols)
+
     monkeypatch.setattr(engine, "_bid_column", counting)
+    monkeypatch.setattr(engine, "top_two", settling)
     batch = engine.estimate_policies(s, policies, cfg)
-    monkeypatch.setattr(engine, "_bid_column", stock)
-    distinct = {keys for p in policies for view in engine._policy_layout(s, p)[0]
-                for keys in engine._ids(s).items[view]}
+    monkeypatch.undo()
+    views = {view for p in policies for view in engine._policy_layout(s, p)[0]}
+    distinct = {keys for view in views for keys in engine._ids(s).items[view]}
     # per bidder, 4 awareness sets meet the views in 4 ways
     assert (len(policies), len(distinct)) == (64, 12)
     assert Counter(builds) == Counter((L, keys) for L in (_CHUNK, 7) for keys in distinct)
+    assert Counter(settles) == {_CHUNK: len(views), 7: len(views)}
     for p, b, want in zip(policies, batch, references):
         assert b == estimate(s, p, cfg)
         assert bundle_means(b) == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_pass_walks_its_chunks_lazily(monkeypatch, workers):
+    # 2**36 draws are 2**20 chunks: a pass stopped at its first chunk has
+    # started at most a window of two chunks per worker beyond the awaited
+    # one, and held no list of every chunk's range
+    s, policies = mixed_candidates()
+    cfg = EstimatorConfig(backend="mc", n_samples=2 ** 36, seed=1, workers=workers)
+    starts = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(s, rules, entries, seed, start, stop):
+        starts.append(start)
+        raise Stop
+
+    monkeypatch.setattr(engine, "_chunk_contributions", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            engine.score_policies(s, policies, cfg, bundled=policies[:1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert sorted(starts) == [k * _CHUNK for k in range(len(starts))]
+    assert len(starts) == 1 if workers == 1 else len(starts) <= 2 * workers + 1
+
+
+def four_by_two_tradeoff():
+    # a 4 x 2 base where bidder 1 alone is aware of characteristic 2:
+    # raising bidder 2 shares the base's own view of bidders 3 and 4
+    laws = [[Normal(0.2 * i, 1.0), UniformContinuous(-1.0, 1.5 + 0.1 * i)] for i in range(4)]
+    awareness = [[1, 2], [1], [1], [1]]
+    s, base = validate(4, 2, laws, awareness, [{j: FullInfo() for j in a} for a in awareness])
+    cfg = EstimatorConfig(backend="mc", n_samples=4099, seed=3)
+    return s, lambda: check_tradeoff(s, base, 2, 2, cfg)
+
+
+def prop5_search():
+    # the analytic best ({1}, {1}) is bundled in the pass that scores the
+    # two split policies, whose bidders aware of {1} read its view
+    s, _p, _cfg = parse_scenario(str(SCENARIO_DIR / "prop5_demo.json"))
+    return s, lambda: optimize(s, "individual", EstimatorConfig(backend="mc", n_samples=4099,
+                                                                 seed=3))
+
+
+@pytest.mark.parametrize("case", [four_by_two_tradeoff, prop5_search],
+                         ids=["tradeoff-4x2", "individual-prop5"])
+def test_a_pass_settles_each_distinct_view_once(monkeypatch, case):
+    # a trade-off's two bundled policies, and a search's scored policies
+    # with its bundled analytic best, share views; each distinct view is
+    # settled by one top-two pass on the pass's one chunk (a search's
+    # winner is settled again afterwards, on its own)
+    s, run = case()
+    settles, passes = [], []
+    stock_top_two = engine.top_two
+    stock_estimate, stock_score = disclosure.estimate_policies, disclosure.score_policies
+
+    def settling(cols):
+        settles.append(len(cols[0]))
+        return stock_top_two(cols)
+
+    def settled(policies):
+        views = {view for p in policies for view in engine._policy_layout(s, p)[0]}
+        passes.append((len(settles), len(views)))
+
+    def estimating(s, policies, config, fields=FIELDS):
+        out = stock_estimate(s, policies, config, fields)
+        settled(policies)
+        return out
+
+    def scoring(s, policies, config, bundled=(), fields=FIELDS):
+        out = stock_score(s, policies, config, bundled, fields)
+        settled([*policies, *bundled])
+        return out
+
+    monkeypatch.setattr(engine, "top_two", settling)
+    monkeypatch.setattr(disclosure, "estimate_policies", estimating)
+    monkeypatch.setattr(disclosure, "score_policies", scoring)
+    run()
+    assert passes == [(3, 3)]
 
 
 def test_inverse_cdf_runs_only_where_a_policy_reads(monkeypatch):

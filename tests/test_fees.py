@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 
@@ -196,6 +196,29 @@ def test_each_report_is_its_reading_of_the_full_bundle(name, workers):
             for value in chain(*((getattr(o, field), getattr(o, "se_" + field))
                                  for o in owners)):
                 assert (value is None) == (field not in fields), (report.__name__, field)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["example1", "hiding_demo", "prop5_demo", "mixed"])
+def test_every_one_and_two_field_set_reads_the_full_bundle(name, workers):
+    # each of the 36 sets of one or two fields holds the full bundle's
+    # value and SE in its fields and None elsewhere, also a set that names
+    # an actual field of a bidder whose own view is not the full view
+    s, p = _scenario(name)
+    cfg = EstimatorConfig(backend="mc", n_samples=2 * _CHUNK + 3, seed=17, workers=workers)
+    full = estimate(s, p, cfg)
+    sets = [set(c) for size in (1, 2) for c in combinations(sorted(FIELDS), size)]
+    assert len(sets) == 36
+    for fields in sets:
+        b = estimate(s, p, cfg, fields)
+        for field in FIELDS:
+            pairs = [(b, full)] if hasattr(b, field) else list(zip(b.bidders, full.bidders))
+            for got, want in pairs:
+                for attr in (field, "se_" + field):
+                    if field in fields:
+                        assert getattr(got, attr) == getattr(want, attr), (fields, attr)
+                    else:
+                        assert getattr(got, attr) is None, (fields, attr)
 
 
 @pytest.mark.parametrize("name, draws, counts", [

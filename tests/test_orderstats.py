@@ -24,9 +24,8 @@ from awarebid.distributions import (
     convolve,
     mean,
     quantile_range,
-    sum_pieces,
 )
-from awarebid.engine import EstimatorConfig, estimate, sample_draws
+from awarebid.engine import EstimatorConfig, estimate
 from awarebid.orderstats import (
     SIMPSON_TOL,
     OrderStatLaw,
@@ -38,7 +37,15 @@ from awarebid.orderstats import (
 )
 from awarebid.piecewise import expected_value, order_stat_rational
 from awarebid.scenario import Perspective, validate
-from conftest import KS_COEFF_001, atom_cdf, ks_statistic, permanent, piece_cdf
+from conftest import (
+    KS_COEFF_001,
+    atom_cdf,
+    ks_statistic,
+    permanent,
+    piece_cdf,
+    sample_draws,
+    sum_pieces,
+)
 
 
 def _full_policy(laws, m):

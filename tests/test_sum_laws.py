@@ -25,13 +25,12 @@ from awarebid.distributions import (
     cdf,
     convolve,
     quantile_range,
-    sum_pieces,
 )
 from awarebid.engine import EstimatorConfig
 from awarebid.fees import revenue
 from awarebid.orderstats import expected_order_stat, valuation_law
 from awarebid.scenario import Perspective, validate
-from conftest import SCENARIO_DIR, checked_policy, piece_cdf
+from conftest import SCENARIO_DIR, checked_policy, piece_cdf, sum_pieces
 
 
 def _random_sum(rng, uniforms, normal):

@@ -38,11 +38,12 @@ hidden value an unaware bidder omits is what that contribution would add.
   before the next view.  A bundled policy's revenue column (the price
   plus the perceived surpluses in bidder order), the one per-policy
   column, grows in the price's own array as its terms are settled; a term
-  settled before its turn is copied until then.  Scores, bundles and the ``settle(k)``
-  handle read that one table.  Only the bundle fields the caller names
-  (``fields``, every one of ``FIELDS`` by default) are computed, the
-  others are None: a key read only as a hidden value is read, and its
-  entry inverted, only when hidden values are.  Each report of ``fees``
+  settled before its turn is copied, and the copy dropped once every
+  revenue column that reads it has added it.  Scores, bundles and the
+  ``settle(k)`` handle read that one table.  Only the bundle fields the
+  caller names (``fields``, every one of ``FIELDS`` by default) are
+  computed, the others are None: a key read only as a hidden value is
+  read, and its entry inverted, only when hidden values are.  Each report of ``fees``
   names the fields it reads.  A field that overflows double precision
   raises EstimationError instead of being reported.  A score, the revenue
   of a policy for the policy search, reads only its bidders' surpluses
@@ -491,9 +492,11 @@ def _settle(bids, contribs, plan, L):
     (sum, sum of squares) keyed (view, bidder, field), 0.0 for squares no
     reader takes.  Each planned view is settled by one top-two pass, whose
     per-column top masks give every surplus and win credit, and its arrays
-    are dropped before the next view's pass.  A revenue column starts from
-    a copy of its price and adds its terms in order as they are settled; a
-    term settled before its turn is copied and held until then.  Bids are
+    are dropped before the next view's pass.  A revenue column starts as
+    its price column (a copy where revenues share a price) and adds its
+    terms in order as they are settled; a term settled before its turn is
+    copied, and the copy dropped once no revenue column still has to add
+    it.  Bids are
     never -0.0 (columns are sums from 0.0), so unless a sum overflows the
     gap is finite and non-negative, and a product with a top-bid mask is
     the same float as a masked select.  Other columns are written into
@@ -517,10 +520,11 @@ def _settle(bids, contribs, plan, L):
                 k = added[revenue] = k + 1
             if k == len(revenue) and revenue in columns:
                 put(revenue, columns.pop(revenue), True)
-        if any(key in revenue[k:] for revenue, k in added.items()):
+        waiting = {term for revenue, k in added.items() for term in revenue[k:]}
+        for term in held.keys() - waiting:    # no revenue still has to add it
+            del held[term]
+        if key in held:                       # settled before its turn
             held[key] = data.copy()
-        else:
-            del held[key]
 
     for view, (top, reads) in views.items():
         first, second, n_top, masks = top_two(bids(view))
@@ -668,11 +672,17 @@ def _mc_bundle_from(s: Scenario, total: dict, keys, config: EstimatorConfig) -> 
             raise _not_finite(name, f"mean {mu!r}, standard error {se!r}")
         return mu, se
 
-    first, second, rev = (stat(name) for name in ("first", "second", "revenue"))
+    first, se_first = stat("first")
+    second, se_second = stat("second")
+    rev, se_rev = stat("revenue")
     bidders = []
-    for i in range(1, s.n_bidders + 1):       # in BidderEstimate's field order
-        means, ses = zip(*(stat(f"{name}_{i}") for name in (
-            "surplus_perc", "surplus_act", "credit_perc", "credit_act", "hidden")))
-        bidders.append(BidderEstimate(*means, *ses))
-    return EstimateBundle(first[0], second[0], tuple(bidders), "mc", S,
-                          first[1], second[1], rev[0], rev[1])
+    for i in range(1, s.n_bidders + 1):
+        sp, se_sp = stat(f"surplus_perc_{i}")
+        sa, se_sa = stat(f"surplus_act_{i}")
+        wp, se_wp = stat(f"credit_perc_{i}")
+        wa, se_wa = stat(f"credit_act_{i}")
+        hv, se_hv = stat(f"hidden_{i}")
+        bidders.append(BidderEstimate(sp, sa, wp, wa, hv,
+                                      se_sp, se_sa, se_wp, se_wa, se_hv))
+    return EstimateBundle(first, second, tuple(bidders), "mc", S,
+                          se_first, se_second, rev, se_rev)

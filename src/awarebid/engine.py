@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -579,19 +578,14 @@ def _mc_chunk(s, rules, entries, plan, seed, start, stop, keep):
 
 def _in_order(run, starts, workers):
     """``run(start)`` for each start, yielded in order.  With more than one
-    worker the runs go to a thread pool, at most two per worker ahead of
-    the one awaited."""
+    worker the runs go to a thread pool in batches of two per worker, so
+    at most that many chunks are in flight."""
     if workers == 1 or len(starts) < 2:
         yield from map(run, starts)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        window = deque()
-        for start in starts:
-            window.append(pool.submit(run, start))
-            if len(window) > 2 * workers:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
+        for a in range(0, len(starts), 2 * workers):
+            yield from pool.map(run, starts[a:a + 2 * workers])
 
 
 def _merge(total, table):

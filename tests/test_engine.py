@@ -948,8 +948,8 @@ def test_policy_batch_builds_each_column_once_per_chunk(referenced_normal_batch,
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_pass_walks_its_chunks_lazily(monkeypatch, workers):
     # 2**36 draws are 2**20 chunks: a pass stopped at its first chunk has
-    # started at most a window of two chunks per worker beyond the awaited
-    # one, and held no list of every chunk's range
+    # started at most one batch of two chunks per worker, and held no list
+    # of every chunk's range
     s, policies = mixed_candidates()
     cfg = EstimatorConfig(backend="mc", n_samples=2 ** 36, seed=1, workers=workers)
     starts = []
@@ -971,7 +971,34 @@ def test_a_pass_walks_its_chunks_lazily(monkeypatch, workers):
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
     assert sorted(starts) == [k * _CHUNK for k in range(len(starts))]
-    assert len(starts) == 1 if workers == 1 else len(starts) <= 2 * workers + 1
+    assert len(starts) == 1 if workers == 1 else len(starts) <= 2 * workers
+
+
+def test_a_surplus_copy_is_dropped_once_its_revenue_has_added_it():
+    # bidder 2 sees the full view, so each policy's surplus 2 is settled
+    # before surplus 1, on bidder 1's own view, and is held until then;
+    # each policy past the first adds two columns kept for the chunk (its
+    # partition's contribution and bidder 1's bid column) and no held
+    # copy, where keeping every copy to the chunk's end adds a third
+    laws = [[Normal(0.0, 1.0), Normal(0.5, 1.0)], [Normal(0.2, 1.0), Normal(0.1, 1.0)]]
+    awareness = [[1], [1, 2]]
+    s = validate(2, 2, laws, awareness, [{1: FullInfo()}, {1: FullInfo(), 2: FullInfo()}])[0]
+    cfg = EstimatorConfig(backend="mc", n_samples=_CHUNK, seed=3)
+    column = _CHUNK * np.dtype(float).itemsize
+
+    def peak(count):
+        policies = [validate(2, 2, laws, awareness, [{1: Partition(cutpoints=[k / 8])},
+                                                     {1: FullInfo(), 2: FullInfo()}])[1]
+                    for k in range(count)]
+        engine.estimate_policies(s, policies, cfg, REVENUE_FIELDS)     # warm the caches
+        tracemalloc.start()
+        try:
+            engine.estimate_policies(s, policies, cfg, REVENUE_FIELDS)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) - peak(8) < 8 * 2.5 * column
 
 
 def four_by_two_tradeoff():

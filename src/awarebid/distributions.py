@@ -17,6 +17,10 @@ convolved on those Python ints (``fold_atom_lattices``, bounded by
 ``_FOLD_CAP`` support points) and turned back into Fraction atoms only
 when a law object is asked for (``lattice_law``).
 
+Every value built once and reused (a law's integer form, its pieces, a
+scenario's folds and settled views) is kept on the object it belongs to
+through one helper, ``kept``: one value per owner, table name and key.
+
 Sampling is inverse-CDF (``ppf``) applied to uniforms that the Monte Carlo
 backend keys by (seed, draw, bidder, characteristic), so a variate does not
 depend on how draws are batched across workers.  ``scipy.special`` is
@@ -63,6 +67,7 @@ __all__ = [
     "lattice_mean",
     "cell_means",
     "lattice_law",
+    "kept",
     "canonical_info",
     "cells",
     "cell_probability",
@@ -104,6 +109,22 @@ def _require_finite(kind: str, **params):
         if not abs(x) <= int(sys.float_info.max):    # an int bound: exact and cheap on rationals
             raise DistributionError(f"{kind} needs a finite {name}, got "
                                     f"{x if isinstance(x, float) else 'a rational past 1.8e308'}")
+
+
+def kept(owner, name, key, build, *args):
+    """``build(*args)``, kept in table ``name`` on ``owner`` under ``key``
+    (None where the owner has one value of that name): the one memo of
+    every law and scenario, one value per owner, name and key.  Threads
+    that race on a missing key may each build, and the first value stored
+    is the one every caller gets, so a builder must be a pure function of
+    its arguments.  A builder never returns None, which reads as a miss."""
+    table = owner.__dict__.get(name)
+    if table is None:
+        table = owner.__dict__.setdefault(name, {})
+    got = table.get(key)
+    if got is None:
+        got = table.setdefault(key, build(*args))
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +215,22 @@ class AtomLattice(NamedTuple):
 
 def atom_lattice(law) -> AtomLattice:
     """Integer form of a DiscreteFinite or PointMass law, computed once per
-    law instance and kept on it.  A float atom enters as ``Fraction(v)``,
-    its exact binary value."""
-    form = law.__dict__.get("_lattice")
-    if form is None:
-        if isinstance(law, PointMass):
-            atoms = [(Fraction(law.value), Fraction(1))]
-        else:
-            atoms = [(Fraction(v), p) for v, p in zip(law.values, law.probs)]
-        value_den = math.lcm(*(v.denominator for v, _p in atoms))
-        prob_den = math.lcm(*(p.denominator for _v, p in atoms))
-        form = AtomLattice(value_den, prob_den,
-                           tuple(v.numerator * (value_den // v.denominator) for v, _p in atoms),
-                           tuple(p.numerator * (prob_den // p.denominator) for _v, p in atoms))
-        object.__setattr__(law, "_lattice", form)
-    return form
+    law instance and kept on it (``kept``).  A float atom enters as
+    ``Fraction(v)``, its exact binary value."""
+    return kept(law, "_lattice", None, _integer_form, law)
+
+
+def _integer_form(law) -> AtomLattice:
+    """The integer form ``atom_lattice`` keeps."""
+    if isinstance(law, PointMass):
+        atoms = [(Fraction(law.value), Fraction(1))]
+    else:
+        atoms = [(Fraction(v), p) for v, p in zip(law.values, law.probs)]
+    value_den = math.lcm(*(v.denominator for v, _p in atoms))
+    prob_den = math.lcm(*(p.denominator for _v, p in atoms))
+    return AtomLattice(value_den, prob_den,
+                       tuple(v.numerator * (value_den // v.denominator) for v, _p in atoms),
+                       tuple(p.numerator * (prob_den // p.denominator) for _v, p in atoms))
 
 
 def fold_atom_lattices(forms) -> AtomLattice:
@@ -270,11 +292,12 @@ def cell_means(form: AtomLattice, cells):
 
 def lattice_law(form: AtomLattice):
     """The law an integer form stands for, with Fraction atoms: a PointMass
-    for one atom, else a DiscreteFinite.  The form is kept on the law."""
+    for one atom, else a DiscreteFinite.  The law's integer form
+    (``atom_lattice``) is kept on it as made from ``form``."""
     values = [Fraction(x, form.value_den) for x in form.nums]
     law = PointMass(values[0]) if len(values) == 1 else DiscreteFinite(
         values, [Fraction(m, form.prob_den) for m in form.masses])
-    object.__setattr__(law, "_lattice", form)
+    kept(law, "_lattice", None, AtomLattice._make, form)
     return law
 
 
@@ -611,7 +634,13 @@ class PieceLattice(NamedTuple):
 
 
 def _pieces(law) -> PieceLattice:
-    """Integer form of a law's discrete and uniform parts, kept on it.
+    """Integer form of a law's discrete and uniform parts
+    (``_piece_form``), kept on it (``kept``)."""
+    return kept(law, "_pieces", None, _piece_form, law)
+
+
+def _piece_form(law) -> PieceLattice:
+    """The integer form ``_pieces`` keeps.
 
     The CDF is sum_{d,S} (-1)^|S| p_d (x - d - sum_{i in S} w_i)_+^k /
     (k! prod w_i).  Its knots' signed weights are the discrete masses, then
@@ -621,31 +650,27 @@ def _pieces(law) -> PieceLattice:
     distance to its left knot: a Taylor shift per knot gap, plus the knot's
     weight on the top coefficient.
     """
-    kept = law.__dict__.get("_pieces")
-    if kept is None:
-        form, widths, _sigma = _sum_parts(law)
-        den = math.lcm(form.value_den, *(w.denominator for w in widths))
-        steps = [w.numerator * (den // w.denominator) for w in widths]
-        weights = {x * (den // form.value_den): m for x, m in zip(form.nums, form.masses)}
-        for w in steps:
-            out = dict(weights)
-            for t, c in weights.items():
-                out[t + w] = out.get(t + w, 0) - c
-                if len(out) > _FOLD_CAP:
-                    raise DistributionError(f"a sum law has more than {_FOLD_CAP} knots")
-            weights = {t: c for t, c in out.items() if c}
-        k = len(steps)
-        nums = sorted(weights)
-        coef = [0] * (k + 1)
-        coefs = []
-        for prev, n in zip(nums, nums[1:]):
-            coef[k] += weights[prev]
-            coefs.append(tuple(coef))
-            _taylor_shift(coef, n - prev)
-        kept = PieceLattice(den, form.prob_den * math.factorial(k) * math.prod(steps),
-                            tuple(nums), tuple(coefs))
-        object.__setattr__(law, "_pieces", kept)
-    return kept
+    form, widths, _sigma = _sum_parts(law)
+    den = math.lcm(form.value_den, *(w.denominator for w in widths))
+    steps = [w.numerator * (den // w.denominator) for w in widths]
+    weights = {x * (den // form.value_den): m for x, m in zip(form.nums, form.masses)}
+    for w in steps:
+        out = dict(weights)
+        for t, c in weights.items():
+            out[t + w] = out.get(t + w, 0) - c
+            if len(out) > _FOLD_CAP:
+                raise DistributionError(f"a sum law has more than {_FOLD_CAP} knots")
+        weights = {t: c for t, c in out.items() if c}
+    k = len(steps)
+    nums = sorted(weights)
+    coef = [0] * (k + 1)
+    coefs = []
+    for prev, n in zip(nums, nums[1:]):
+        coef[k] += weights[prev]
+        coefs.append(tuple(coef))
+        _taylor_shift(coef, n - prev)
+    return PieceLattice(den, form.prob_den * math.factorial(k) * math.prod(steps),
+                        tuple(nums), tuple(coefs))
 
 
 def _taylor_shift(coef, delta):
@@ -665,20 +690,22 @@ def piece_lattice(law) -> PieceLattice:
 
 
 def _float_pieces(law: SumLaw):
-    """A sum law's pieces rounded once to float64, kept on it: the knots,
-    and one row of local coefficients per piece (``piece_lattice`` in
-    floats; an int quotient rounds correctly, as a Fraction would)."""
-    kept = law.__dict__.get("_floats")
-    if kept is None:
-        den, scale, nums, coefs = _pieces(law)
-        try:
-            kept = (np.array([n / den for n in nums]),
-                    np.array([[a * den ** l / scale for l, a in enumerate(coef)]
-                              for coef in coefs]).reshape(len(coefs), len(law.widths) + 1))
-        except OverflowError as exc:     # a density past double precision's range
-            raise DistributionError(f"density past double precision's range ({exc})") from exc
-        object.__setattr__(law, "_floats", kept)
-    return kept
+    """A sum law's pieces rounded once to float64, kept on it (``kept``):
+    the knots, and one row of local coefficients per piece
+    (``piece_lattice`` in floats; an int quotient rounds correctly, as a
+    Fraction would)."""
+    return kept(law, "_floats", None, _float_form, law)
+
+
+def _float_form(law: SumLaw):
+    """The float pieces ``_float_pieces`` keeps."""
+    den, scale, nums, coefs = _pieces(law)
+    try:
+        return (np.array([n / den for n in nums]),
+                np.array([[a * den ** l / scale for l, a in enumerate(coef)]
+                          for coef in coefs]).reshape(len(coefs), len(law.widths) + 1))
+    except OverflowError as exc:     # a density past double precision's range
+        raise DistributionError(f"density past double precision's range ({exc})") from exc
 
 
 # points x pieces per block of the smoothed CDF

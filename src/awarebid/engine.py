@@ -6,7 +6,8 @@ of his value law given his signal cell.  The second-price auction settles
 to the highest bidder at the second-highest bid.
 
 Both estimation backends read a policy through one layout
-(``_policy_layout``) in the ids of one table kept on the scenario (``_Ids``):
+(``_policy_layout``) in the ids of one table kept on the scenario (``_Ids``,
+created through ``distributions.kept``):
 each (bidder, characteristic, information level) key is an int, a bid
 column the tuple of its keys' ids in sorted characteristic order, and each
 deduplicated viewpoint an int standing for its bidders' columns; per bidder,
@@ -65,8 +66,8 @@ hidden value an unaware bidder omits is what that contribution would add.
   bound of ``distributions.fold_atom_lattices`` is refused, naming the
   column.  Each column's form is built once per
   scenario and each view settled once per scenario: both are kept on the
-  scenario instance, so every policy read on the same scenario reuses
-  them.  Ties contribute zero surplus since the price equals the bid.
+  scenario instance (``distributions.kept``), so every policy read on the
+  same scenario reuses them.  Ties contribute zero surplus since the price equals the bid.
   Hidden values are independent of every bid, so a bidder's hidden value
   is the bidder's hidden keys' contribution means times its win credit.
   The settled views give every field, so this backend ignores ``fields``.
@@ -102,6 +103,7 @@ from .distributions import (
     cell_means,
     cells,
     conditional_mean,
+    kept,
     mean,
     ppf,
 )
@@ -267,7 +269,8 @@ def _effective_views(s: Scenario, p: DisclosurePolicy):
 class _Ids:
     """One scenario's interned ids: id k stands for ``items[k]``, a key or a
     view (its bid columns in bidder order); ``full[i - 1][j - 1]`` is the id
-    of (i, j) at full information.  Threads intern under ``lock``."""
+    of (i, j) at full information.  One table is kept per scenario
+    (``_ids``, through ``kept``), and threads intern under ``lock``."""
 
     def __init__(self, s: Scenario):
         self.items, self._ids, self.lock = [], {}, threading.Lock()
@@ -282,7 +285,7 @@ class _Ids:
 
 
 def _ids(s: Scenario) -> _Ids:
-    return s.__dict__.get("_ids") or s.__dict__.setdefault("_ids", _Ids(s))
+    return kept(s, "_ids", None, _Ids, s)
 
 
 def _policy_layout(s: Scenario, p: DisclosurePolicy):
@@ -306,19 +309,15 @@ def _policy_layout(s: Scenario, p: DisclosurePolicy):
 # -- exact backend ----------------------------------------------------------
 
 def _settled_view(s: Scenario, view: int):
-    """Settlement of one view id, kept on the scenario instance for every
-    claim and policy that reads the view again: ``AtomGrid.settle`` on its
-    columns' forms (``bid_lattice``), per-bidder surplus and credit and the
-    view's E[first] and E[second] from that one pass.  No bundle field
-    calls ``AtomGrid.expected``, which serves order-statistic laws and
-    Prop 6."""
-    views = s.__dict__.setdefault("_settled_views", {})
-    got = views.get(view)
-    if got is None:
-        items = _ids(s).items
-        got = views[view] = atom_grid([bid_lattice(s, tuple(items[k] for k in keys))
-                                       for keys in items[view]]).settle()
-    return got
+    """Settlement of one view id, which ``_exact_bundle`` keeps on the
+    scenario instance (``kept``) for every claim and policy that reads the
+    view again: ``AtomGrid.settle`` on its columns' forms (``bid_lattice``),
+    per-bidder surplus and credit and the view's E[first] and E[second]
+    from that one pass.  No bundle field calls ``AtomGrid.expected``, which
+    serves order-statistic laws and Prop 6."""
+    items = _ids(s).items
+    return atom_grid([bid_lattice(s, tuple(items[k] for k in keys))
+                      for keys in items[view]]).settle()
 
 
 def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> EstimateBundle:
@@ -327,14 +326,14 @@ def _exact_bundle(s: Scenario, p: DisclosurePolicy, config: EstimatorConfig) -> 
         raise EstimationError("exact backend requires finite discrete laws in scope")
 
     views, unaware, full_idx, bidder_idx = _policy_layout(s, p)
-    settled = [_settled_view(s, view) for view in views]
+    settled = [kept(s, "_settled_views", view, _settled_view, s, view) for view in views]
     surplus_full, credit_full, first, second = settled[full_idx]
 
-    bidders = []
+    bidders, items = [], _ids(s).items
     for i in range(1, s.n_bidders + 1):
         surplus_own, credit_own = settled[bidder_idx[i - 1]][:2]
         win_actual = credit_full[i - 1]
-        hidden = sum(mean(bid_component(s, *_ids(s).items[k])) for k in unaware[i - 1])
+        hidden = sum(mean(bid_component(s, *items[k])) for k in unaware[i - 1])
         bidders.append(BidderEstimate(
             perceived_surplus=surplus_own[i - 1],
             actual_surplus=surplus_full[i - 1],

@@ -14,7 +14,8 @@ names the requesting column when the fold passes its bound; the engine's
 exact backend and ``valuation_law`` read it.  Fraction atoms appear only
 when a law object is returned; ``valuation_law`` folds other components by
 repeated convolution into a ``SumLaw``, kept per scenario and column
-content like the folds.
+content like the folds.  Every value kept on a law or a scenario goes
+through ``distributions.kept``.
 
 Order statistics of independent but not identically distributed
 valuations have CDFs given by permanents of the matrix whose columns
@@ -40,13 +41,13 @@ takes at most ``max_depth`` + 2 calls, about 10 in practice, however many
 members it has.  A call evaluates each distinct law (by ``==``) once on
 all of its points and the rank formula once per group of members of equal
 size and rank; a law's quantile range and float breakpoints are computed
-once and kept on it.  The integrand jumps at 0 (from -G to 1-G) and at
-every atom, all of them knots, so it takes each knot interval's end
-values one ulp inside it: the one-sided limits that interval needs, so no
-interval at a jump refines to ``max_depth``.  Each member is bounded on
-its own: a non-finite integrand value, or more than ``MAX_EVALUATIONS``
-points beyond five per knot interval, gives that member a
-DistributionError and leaves the others as they would be alone.
+once and kept on it (``distributions.kept``).  The integrand jumps at 0
+(from -G to 1-G) and at every atom, all of them knots, so it takes each
+knot interval's end values one ulp inside it: the one-sided limits that
+interval needs, so no interval at a jump refines to ``max_depth``.  Each
+member is bounded on its own: a non-finite integrand value, or more than
+``MAX_EVALUATIONS`` points beyond five per knot interval, gives that
+member a DistributionError and leaves the others as they would be alone.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from .distributions import (
     cell_means,
     convolve,
     fold_atom_lattices,
+    kept,
     lattice_law,
     mean,
     piece_lattice,
@@ -116,13 +118,14 @@ def bid_component(s: Scenario, bidder: int, char: int, level):
     Full information contributes the characteristic law itself, no
     information a point mass at its mean, and a discrete partition the law
     of cell means (``cell_means``: a float atom at its exact binary value).
-    A discrete law keeps each of its contributions, one per level, so they
-    and their integer forms are built once.  Partitions of continuous laws
-    have no closed-form sum law here; estimate those through the engine.
+    A discrete law keeps each of its contributions, one per level
+    (``kept``), so they and their integer forms are built once.  Partitions
+    of continuous laws have no closed-form sum law here; estimate those
+    through the engine.
     """
     base = s.law(bidder, char)
     if isinstance(base, DiscreteFinite):
-        return _discrete_component(base, level)
+        return kept(base, "_components", level, _discrete_component, base, level)
     if isinstance(level, NoInfo):
         return PointMass(mean(base))
     if isinstance(level, FullInfo):
@@ -133,16 +136,10 @@ def bid_component(s: Scenario, bidder: int, char: int, level):
 
 
 def _discrete_component(base: DiscreteFinite, level):
-    kept = base.__dict__.setdefault("_components", {})
-    comp = kept.get(level)
-    if comp is None:
-        cells = _atom_cells(base, level)
-        if len(cells) == len(base.values):
-            comp = base         # singleton cells reveal the value itself
-        else:
-            comp = lattice_law(_cell_mean_lattice(atom_lattice(base), cells))
-        kept[level] = comp
-    return comp
+    cells = _atom_cells(base, level)
+    if len(cells) == len(base.values):
+        return base         # singleton cells reveal the value itself
+    return lattice_law(_cell_mean_lattice(atom_lattice(base), cells))
 
 
 def _cell_mean_lattice(form, cells):
@@ -167,46 +164,38 @@ def _naming(keys):
                                 f"{[j for _i, j, _level in keys]}: {exc}") from exc
 
 
-def _law_ids(s: Scenario):
+def _law_ids(laws):
     """Per bidder and characteristic, an id its law shares with every ``==``
-    law of the scenario: laws interned once per scenario."""
-    ids = s.__dict__.get("_law_ids")
-    if ids is None:
-        index = {}
-        ids = s.__dict__.setdefault("_law_ids", [[index.setdefault(law, len(index))
-                                                  for law in row] for row in s.laws])
-    return ids
+    law of ``laws``: a scenario's laws, interned once per scenario."""
+    index = {}
+    return [[index.setdefault(law, len(index)) for law in row] for row in laws]
 
 
 def _by_content(s: Scenario, memo: str, keys, build):
-    """``build()`` for the column of ``keys``, kept in the scenario's ``memo``
-    under the keys and under their content: per key its law's id
+    """On a miss on a column's keys in the scenario's ``memo``: ``build(s,
+    keys)`` kept there under the column's content, per key its law's id
     (``_law_ids``) and its level, canonical on every policy (``validate``
     and the searches make it so), so bidders with ``==`` laws and levels
-    share one value.  The keys are looked up first and the content key
-    built only on a miss; the two kinds never collide, as a key is a triple
-    and a content entry a pair."""
-    kept = s.__dict__.setdefault(memo, {})
-    got = kept.get(keys)
-    if got is None:
-        ids = _law_ids(s)
-        content = tuple((ids[i - 1][j - 1], level) for i, j, level in keys)
-        got = kept.get(content)
-        if got is None:
-            got = kept[content] = build()
-        kept[keys] = got
-    return got
+    share one value.  The two kinds never collide, as a key is a triple and
+    a content entry a pair."""
+    ids = kept(s, "_law_ids", None, _law_ids, s.laws)
+    content = tuple((ids[i - 1][j - 1], level) for i, j, level in keys)
+    return kept(s, memo, content, build, s, keys)
 
 
 def bid_lattice(s: Scenario, keys):
     """Integer form of one bid column's law: the fold of its (bidder,
     characteristic, level) keys' atom-law contributions (``bid_component``)
-    in order, once per scenario and column content (``_by_content``); a
-    fold past the bound is refused naming the requesting column."""
-    def fold():
-        with _naming(keys):
-            return fold_atom_lattices(atom_lattice(bid_component(s, *key)) for key in keys)
-    return _by_content(s, "_bid_forms", keys, fold)
+    in order, kept (``kept``) once per scenario and column content
+    (``_by_content``); a fold past the bound is refused naming the
+    requesting column."""
+    return kept(s, "_bid_forms", keys, _by_content, s, "_bid_forms", keys, _fold)
+
+
+def _fold(s: Scenario, keys):
+    """The integer form ``bid_lattice`` keeps for a column."""
+    with _naming(keys):
+        return fold_atom_lattices(atom_lattice(bid_component(s, *key)) for key in keys)
 
 
 def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
@@ -217,15 +206,15 @@ def valuation_law(s: Scenario, p: DisclosurePolicy, bidder: int,
     component is a discrete law or a rational point mass, else by
     ``convolve`` (a float point mass, the mean of a continuous law, shifts a
     base law by float addition and makes no Fractions).  A sum of several
-    components is built once per scenario and column content
-    (``_by_content``), a sum law's pieces included, so bidders with ``==``
-    laws and levels get one law object; past ``_FOLD_CAP`` knots or double
-    range it is refused naming the requesting column."""
+    components is built once per scenario and column content and kept
+    (``kept``, ``_by_content``), a sum law's pieces included, so bidders
+    with ``==`` laws and levels get one law object; past ``_FOLD_CAP``
+    knots or double range it is refused naming the requesting column."""
     seen = perceive(p, view)
     keys = tuple((bidder, j, seen.level(bidder, j)) for j in sorted(seen.aware(bidder)))
     if len(keys) == 1:
         return bid_component(s, *keys[0])
-    return _by_content(s, "_sum_laws", keys, lambda: _sum_law(s, keys))
+    return kept(s, "_sum_laws", keys, _by_content, s, "_sum_laws", keys, _sum_law)
 
 
 def _sum_law(s: Scenario, keys):
@@ -508,13 +497,9 @@ def expected_order_stats(os_laws) -> list:
 
 def _quadrature_inputs(law):
     """A law's ``quantile_range`` and its ``breakpoints`` as a float array,
-    computed once per law instance and kept on it."""
-    kept = law.__dict__.get("_quadrature")
-    if kept is None:
-        lo, hi = quantile_range(law)
-        kept = (lo, hi, np.array([float(k) for k in breakpoints(law)], dtype=np.float64))
-        object.__setattr__(law, "_quadrature", kept)
-    return kept
+    computed once per law instance and kept on it by ``_knots``."""
+    lo, hi = quantile_range(law)
+    return lo, hi, np.array([float(k) for k in breakpoints(law)], dtype=np.float64)
 
 
 def _knots(os_law: OrderStatLaw) -> np.ndarray:
@@ -522,7 +507,7 @@ def _knots(os_law: OrderStatLaw) -> np.ndarray:
     breakpoint strictly between them, sorted, as floats.  A Fraction
     breakpoint lies strictly inside exactly when its float does or rounds
     onto an end, so reading floats keeps the knots."""
-    inputs = [_quadrature_inputs(law) for law in os_law.laws]
+    inputs = [kept(law, "_quadrature", None, _quadrature_inputs, law) for law in os_law.laws]
     lo = min(min(q[0] for q in inputs), 0.0)
     hi = max(max(q[1] for q in inputs), 0.0)
     return np.unique(np.concatenate(

@@ -1,5 +1,9 @@
+import ast
 import math
+import threading
+import tokenize
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import awarebid
 from awarebid.distributions import (
     DiscreteFinite,
     DistributionError,
@@ -27,6 +32,7 @@ from awarebid.distributions import (
     cells,
     conditional_mean,
     convolve,
+    kept,
     mean,
     ppf,
     quantile_range,
@@ -419,3 +425,77 @@ def test_inverse_cdf_sampling_ks(law):
     d_stat = ks_statistic(xs, lambda q: cdf(law, q),
                           has_atoms=isinstance(law, DiscreteFinite))
     assert d_stat < KS_BOUND_001 / math.sqrt(n)
+
+
+class _RacingAttrs(dict):
+    """An attribute dict whose reads of a missing name wait for ``n`` such
+    reads, so ``n`` threads all find a memo table missing."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.misses = threading.Barrier(n)
+
+    def get(self, key, default=None):
+        got = super().get(key, default)
+        if got is None:
+            self.misses.wait(timeout=60)
+        return got
+
+
+class _Owner:
+    pass
+
+
+def test_kept_gives_every_racing_caller_the_first_value_stored():
+    # n threads miss the table and the key of one fresh owner; each builds,
+    # and the builders return one at a time, each after the previous
+    # thread's call has returned: every caller gets the first value stored,
+    # and a later call gets it without building
+    n = 6
+    owner = _Owner()
+    owner.__dict__ = _RacingAttrs(n)
+    built = threading.Barrier(n)
+    returned = [threading.Event() for _ in range(n)]
+    got = [None] * n
+
+    def build(k):
+        built.wait(timeout=60)
+        if k:
+            returned[k - 1].wait(timeout=60)
+        return [k]
+
+    def run(k):
+        got[k] = kept(owner, "_memo", "key", build, k)
+        returned[k].set()
+
+    threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert got[0] == [0]
+    assert all(value is got[0] for value in got)
+
+    def unbuilt():
+        raise AssertionError("a kept value was built again")
+
+    assert kept(owner, "_memo", "key", unbuilt) is got[0]
+
+
+def test_only_kept_reads_an_attribute_dict():
+    # every memo goes through distributions.kept: no other code of the
+    # package names __dict__ (comments and strings do not count)
+    src = Path(awarebid.__file__).parent
+    tree = ast.parse((src / "distributions.py").read_text())
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "kept")
+    inside, outside = [], []
+    for path in sorted(src.glob("*.py")):
+        with tokenize.open(path) as f:
+            for tok in tokenize.generate_tokens(f.readline):
+                if tok.type == tokenize.NAME and tok.string == "__dict__":
+                    (inside if path.name == "distributions.py"
+                     and helper.lineno <= tok.start[0] <= helper.end_lineno
+                     else outside).append(f"{path.name}:{tok.start[0]}")
+    assert inside and outside == []

@@ -870,29 +870,39 @@ class _YieldingDict(dict):
 
 def test_threads_sharing_a_scenario_intern_consistent_ids():
     # more threads than cores lay out the same policies on each of many
-    # fresh scenarios at once, each table yielding inside every intern:
-    # every interned item keeps the id it was given, ids are dense, and
-    # every layout decodes to its reference
+    # fresh scenarios at once, each table yielding inside every intern, and
+    # half the tables first created inside the racing threads: every thread
+    # gets the one table of a scenario, every interned item keeps the id it
+    # was given, ids are dense, and every layout decodes to its reference
     base, policies = mixed_candidates()
     scenarios = [Scenario(base.n_bidders, base.m_characteristics, base.laws)
                  for _ in range(20)]
-    for s in scenarios:
+    for s in scenarios[::2]:
         table = engine._ids(s)
         table._ids = _YieldingDict(table._ids)
-    layouts = {}
+    layouts, tables = {}, {}
+    start = threading.Barrier(4)
 
     def run(k):
+        start.wait(timeout=60)
+        tables[k] = [engine._ids(s) for s in scenarios]
         layouts[k] = [[decoded_layout(s, p) for p in policies[k:] + policies[:k]]
                       for s in scenarios]
 
-    threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for s in scenarios:
+    for n, s in enumerate(scenarios):
         table = engine._ids(s)
+        assert all(got[n] is table for got in tables.values())
         assert sorted(table._ids.values()) == list(range(len(table.items)))
         assert all(table.items[k] == item for item, k in table._ids.items())
     for k, got in layouts.items():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from awarebid import orderstats
+from awarebid import distributions, orderstats
 from awarebid.distributions import (
     DiscreteFinite,
     DistributionError,
@@ -582,7 +582,7 @@ def test_batch_member_failures_leave_the_others():
     # share Normal(0, 1), and the others keep their values
     nan_law = convolve(UniformContinuous(-1.0, 2.0), UniformContinuous(0.0, 1.0))
     breakpoints(nan_law)                             # builds the float pieces
-    nan_law._floats[1][0, 0] = np.nan
+    distributions._float_pieces(nan_law)[1][0, 0] = np.nan
     failing = [OrderStatLaw((nan_law, Normal(0.0, 1.0)), 1),
                OrderStatLaw((UniformContinuous(-1e200, 1e200), Normal(0.0, 1.0)), 1)]
     good = [OrderStatLaw(tuple(laws), r) for laws in _random_float_mixes(0, 3) for r in (1, 2)]
@@ -708,7 +708,7 @@ def test_quadrature_rejects_nan_cdf_without_recursing(monkeypatch):
     # a sum law whose float pieces hold a NaN coefficient
     law = convolve(UniformContinuous(-1.0, 2.0), UniformContinuous(0.0, 1.0))
     breakpoints(law)                                 # builds the float pieces
-    law._floats[1][0, 0] = np.nan
+    distributions._float_pieces(law)[1][0, 0] = np.nan
     with pytest.raises(DistributionError, match="not finite"):
         expected_order_stat(OrderStatLaw((law, Normal(0.0, 1.0)), 1))
     # the Simpson route stops at the first level that sees a NaN
